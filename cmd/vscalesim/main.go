@@ -282,6 +282,9 @@ func main() {
 			if err != nil {
 				return "", err
 			}
+			if err := sim.CheckRate(rateK * 1000); err != nil {
+				return "", fmt.Errorf("workload %s: %v", *wl, err)
+			}
 			cfg := httpd.DefaultConfig()
 			link := httpd.NewLink(b.Eng, cfg.LinkBps)
 			srv, err := httpd.NewServer(b.K, link, cfg)

@@ -38,7 +38,9 @@ func main() {
 			if err := sc.Eng.RunUntil(warm); err != nil {
 				panic(err)
 			}
-			client.Run(rateK*1000, window)
+			if err := client.Run(rateK*1000, window); err != nil {
+				panic(err)
+			}
 			if err := sc.Eng.RunUntil(warm + window + 2*vscale.Second); err != nil {
 				panic(err)
 			}

@@ -12,6 +12,7 @@ import (
 	"bufio"
 	"fmt"
 	"io"
+	"math"
 	"sort"
 	"strconv"
 	"strings"
@@ -223,9 +224,10 @@ func FormatTrace(w io.Writer, events []Event) error {
 // ParseTrace reads the vscale-churn/v1 text format back into events.
 // Beyond the per-line grammar it validates the trace semantically —
 // timestamps non-negative and sorted, every VM arriving exactly once
-// before any of its phase/depart events, positive vCPU counts and
-// non-negative rates — so a malformed hand-edited trace fails here
-// with a line number instead of corrupting a fleet run.
+// before any of its phase/depart events, positive vCPU counts, request
+// rates that sim.CheckRate accepts and positive finite dirty rates — so
+// a malformed hand-edited trace fails here with a line number instead
+// of corrupting (or panicking) a fleet run.
 func ParseTrace(r io.Reader) ([]Event, error) {
 	sc := bufio.NewScanner(r)
 	lineno := 0
@@ -310,8 +312,8 @@ func ParseTrace(r io.Reader) ([]Event, error) {
 					if ev.DirtyBps, err = strconv.ParseFloat(strings.TrimPrefix(f, "dirty="), 64); err != nil {
 						return nil, fmt.Errorf("cluster: line %d: bad dirty rate: %v", lineno, err)
 					}
-					if ev.DirtyBps <= 0 {
-						return nil, fmt.Errorf("cluster: line %d: dirty rate must be positive, got %g", lineno, ev.DirtyBps)
+					if !(ev.DirtyBps > 0) || math.IsInf(ev.DirtyBps, 1) {
+						return nil, fmt.Errorf("cluster: line %d: dirty rate must be positive and finite, got %g", lineno, ev.DirtyBps)
 					}
 				default:
 					return nil, fmt.Errorf("cluster: line %d: unknown arrive field %q (want service= or dirty=)", lineno, f)
@@ -349,8 +351,8 @@ func ParseTrace(r io.Reader) ([]Event, error) {
 		default:
 			return nil, fmt.Errorf("cluster: line %d: unknown event %q", lineno, fields[1])
 		}
-		if ev.RateRPS < 0 {
-			return nil, fmt.Errorf("cluster: line %d: negative rate %g", lineno, ev.RateRPS)
+		if err := sim.CheckRate(ev.RateRPS); err != nil {
+			return nil, fmt.Errorf("cluster: line %d: %v", lineno, err)
 		}
 		events = append(events, ev)
 	}

@@ -2,6 +2,8 @@ package cluster
 
 import (
 	"bytes"
+	"fmt"
+	"math"
 	"reflect"
 	"strings"
 	"testing"
@@ -89,6 +91,13 @@ func TestParseTraceErrors(t *testing.T) {
 		{"arrive swapped keys", hdr + "100 arrive vm0 rate=5 vcpus=2\n", "want vcpus="},
 		{"arrive zero vcpus", hdr + "100 arrive vm0 vcpus=0 rate=100\n", "0 vcpus"},
 		{"arrive negative rate", hdr + "100 arrive vm0 vcpus=2 rate=-3\n", "negative rate"},
+		{"arrive NaN rate", hdr + "100 arrive vm0 vcpus=2 rate=NaN\n", "non-finite rate"},
+		{"arrive Inf rate", hdr + "100 arrive vm0 vcpus=2 rate=Inf\n", "non-finite rate"},
+		{"arrive sub-ns gap", hdr + "100 arrive vm0 vcpus=2 rate=1e12\n", "out of range"},
+		{"arrive gap past MaxTime", hdr + "100 arrive vm0 vcpus=2 rate=1e-300\n", "out of range"},
+		{"phase NaN rate", hdr + "100 arrive vm0 vcpus=2 rate=100\n200 phase vm0 rate=NaN\n", "non-finite rate"},
+		{"dirty NaN", hdr + "100 arrive vm0 vcpus=2 rate=100 dirty=NaN\n", "dirty rate"},
+		{"dirty Inf", hdr + "100 arrive vm0 vcpus=2 rate=100 dirty=Inf\n", "dirty rate"},
 		{"duplicate arrival", hdr + "100 arrive vm0 vcpus=2 rate=100\n200 arrive vm0 vcpus=2 rate=100\n", "arrives twice"},
 		{"re-arrival after depart", hdr + "100 arrive vm0 vcpus=2 rate=100\n200 depart vm0\n300 arrive vm0 vcpus=2 rate=100\n", "arrives twice"},
 		{"phase missing rate", hdr + "100 phase vm0\n", "phase needs"},
@@ -118,6 +127,37 @@ func TestParseTraceErrors(t *testing.T) {
 	}
 	if len(events) != 4 {
 		t.Fatalf("parsed %d events, want 4", len(events))
+	}
+	// The rate range is inclusive at one request per nanosecond.
+	if _, err := ParseTrace(strings.NewReader(hdr + "100 arrive vm0 vcpus=2 rate=1e9\n")); err != nil {
+		t.Fatalf("rate=1e9 rejected: %v", err)
+	}
+}
+
+// TestRunFleetRateRange checks that RunFleet rejects an unusable rate in
+// a programmatic trace with an error, and runs a valid one whose mean
+// gap is centuries long without panicking in a host worker.
+func TestRunFleetRateRange(t *testing.T) {
+	cfg := smallFleet("static", 0)
+	for _, rate := range []float64{math.NaN(), math.Inf(1), 1e12, -1} {
+		events := []Event{{At: 0, Kind: EventArrive, VM: "vm0", VCPUs: 2, RateRPS: rate}}
+		if _, err := RunFleet(cfg, events); err == nil {
+			t.Fatalf("RunFleet with rate %g: want error", rate)
+		}
+	}
+	// Mean gaps of ~290 years: most first arrivals fall past MaxTime.
+	var events []Event
+	for i := 0; i < 8; i++ {
+		vm := fmt.Sprintf("vm%d", i)
+		events = append(events, Event{At: sim.Time(i) * sim.Millisecond, Kind: EventArrive, VM: vm, VCPUs: 1, RateRPS: 1.1e-10})
+	}
+	events = append(events, Event{At: sim.Second, Kind: EventPhase, VM: "vm0", RateRPS: 1.2e-10})
+	res, err := RunFleet(cfg, events)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Placed != 8 || res.Load.Offered != 0 {
+		t.Fatalf("placed %d, offered %d; want 8 VMs and no arrivals", res.Placed, res.Load.Offered)
 	}
 }
 

@@ -46,6 +46,9 @@ func planEpochs(cfg *FleetConfig, events []Event) (*epochPlan, error) {
 		default:
 			return nil, fmt.Errorf("cluster: unknown event kind %v", ev.Kind)
 		}
+		if err := sim.CheckRate(ev.RateRPS); err != nil {
+			return nil, fmt.Errorf("cluster: event for %s at %v: %v", ev.VM, ev.At, err)
+		}
 		if ev.At >= cfg.Horizon {
 			continue
 		}

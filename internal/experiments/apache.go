@@ -54,7 +54,8 @@ func Apache(opts runner.Options, rates []float64, window sim.Time, modes []scena
 	}
 	points, err := runner.Run(opts, len(cells), func(ctx runner.Context) (ApachePoint, error) {
 		c := cells[ctx.Index]
-		return apacheOnce(c.mode, c.rate, window, ctx.Tracer)
+		p, _, err := apacheOnce(c.mode, c.rate, window, ctx.Tracer)
+		return p, err
 	})
 	if err != nil {
 		return ApacheResult{}, err
@@ -67,7 +68,9 @@ func Apache(opts runner.Options, rates []float64, window sim.Time, modes []scena
 	return out, nil
 }
 
-func apacheOnce(mode scenario.Mode, rateK float64, window sim.Time, tr *trace.Tracer) (ApachePoint, error) {
+// apacheOnce runs one load level. It also returns the finished
+// scenario, whose engine accounting the pinned-cell test reads.
+func apacheOnce(mode scenario.Mode, rateK float64, window sim.Time, tr *trace.Tracer) (ApachePoint, *scenario.Built, error) {
 	s := scenario.DefaultSetup()
 	s.Mode = mode
 	s.VMVCPUs = 4
@@ -78,18 +81,20 @@ func apacheOnce(mode scenario.Mode, rateK float64, window sim.Time, tr *trace.Tr
 	link := httpd.NewLink(b.Eng, cfg.LinkBps)
 	srv, err := httpd.NewServer(b.K, link, cfg)
 	if err != nil {
-		return ApachePoint{}, err
+		return ApachePoint{}, nil, err
 	}
 	client := httpd.NewClient(srv, sim.NewRand(7))
 
 	// Warm up, then measure for the window plus drain time.
 	warm := scenario.DefaultWarmup
 	if err := b.Eng.RunUntil(warm); err != nil {
-		return ApachePoint{}, err
+		return ApachePoint{}, nil, err
 	}
-	client.Run(rateK*1000, window)
+	if err := client.Run(rateK*1000, window); err != nil {
+		return ApachePoint{}, nil, err
+	}
 	if err := b.Eng.RunUntil(warm + window + 2*sim.Second); err != nil {
-		return ApachePoint{}, err
+		return ApachePoint{}, nil, err
 	}
 	b.FinishTrace()
 	res := srv.Result(rateK*1000, window)
@@ -100,7 +105,7 @@ func apacheOnce(mode scenario.Mode, rateK float64, window sim.Time, tr *trace.Tr
 		RespMs:    res.AvgRespMs,
 		Errors:    res.Errors,
 		RxIntPerS: float64(res.RxInterrupts) / window.Seconds(),
-	}, nil
+	}, b, nil
 }
 
 // Render produces the three Figure 14 sub-tables (reply rate,

@@ -249,6 +249,48 @@ func TestApacheShape(t *testing.T) {
 	}
 }
 
+// TestPinnedCells pins one Figure 6 NPB cell (cg, vScale, spin 0: futex
+// sleeps, IPIs, deferred preemption and idle blocking) and one Figure
+// 14 load level (vScale at 7 K/s) at seed 1: the engine's drop
+// accounting and the cell's results, as literals. The shape tests above
+// tolerate drift; this one fails on any change to event order or
+// accounting, so such a change has to be a deliberate, reviewed edit of
+// these numbers.
+func TestPinnedCells(t *testing.T) {
+	type acct struct{ scheduled, cancelled, processed uint64 }
+	check := func(t *testing.T, b *scenario.Built, want acct, got, wantRes any) {
+		t.Helper()
+		if a := (acct{b.Eng.Scheduled, b.Eng.Cancelled, b.Eng.Processed}); a != want {
+			t.Errorf("engine scheduled/cancelled/processed = %d/%d/%d, want %d/%d/%d",
+				a.scheduled, a.cancelled, a.processed, want.scheduled, want.cancelled, want.processed)
+		}
+		if got != wantRes {
+			t.Errorf("result = %+v\nwant     %+v", got, wantRes)
+		}
+	}
+	t.Run("figure6/cg/vScale/spin0", func(t *testing.T) {
+		run, b, err := runNPBOnce("cg", scenario.VScale, 0, 4, 1, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		check(t, b, acct{166665, 73732, 92908}, run, NPBRun{
+			App: "cg", Mode: scenario.VScale, Spin: 0,
+			Exec: 6424237196, Wait: 108912166,
+			IPIRate: 159.39635613666093, AvgVCPUs: 2.0750585207688523,
+		})
+	})
+	t.Run("figure14/vScale/7K", func(t *testing.T) {
+		pt, b, err := apacheOnce(scenario.VScale, 7, 8*sim.Second, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		check(t, b, acct{1123056, 308400, 814629}, pt, ApachePoint{
+			RateK: 7, ReplyK: 6.676625, ConnMs: 0.8665814515892849, RespMs: 19.534550954786273,
+			Errors: 2587, RxIntPerS: 13611.875,
+		})
+	})
+}
+
 func TestAblations(t *testing.T) {
 	a1, err := AblationWeightOnly(runner.Options{}, "cg")
 	if err != nil {

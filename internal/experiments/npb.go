@@ -50,8 +50,9 @@ type NPBResult struct {
 	Runs    map[string]map[scenario.Mode]map[uint64]NPBRun
 }
 
-// runNPBOnce executes one configuration.
-func runNPBOnce(app string, mode scenario.Mode, spin uint64, vcpus int, seed uint64, tr *trace.Tracer) (NPBRun, error) {
+// runNPBOnce executes one configuration. It also returns the finished
+// scenario, whose engine accounting the pinned-cell test reads.
+func runNPBOnce(app string, mode scenario.Mode, spin uint64, vcpus int, seed uint64, tr *trace.Tracer) (NPBRun, *scenario.Built, error) {
 	s := scenario.DefaultSetup()
 	s.Mode = mode
 	s.VMVCPUs = vcpus
@@ -60,19 +61,19 @@ func runNPBOnce(app string, mode scenario.Mode, spin uint64, vcpus int, seed uin
 	b := scenario.Build(s)
 	p, err := npb.ProfileFor(app)
 	if err != nil {
-		return NPBRun{}, err
+		return NPBRun{}, nil, err
 	}
 	res, err := b.RunApp(func(k *guest.Kernel) *workload.App {
 		return npb.Launch(k, p, vcpus, guest.SpinBudgetFromCount(spin))
 	}, 600*sim.Second)
 	if err != nil {
-		return NPBRun{}, err
+		return NPBRun{}, nil, err
 	}
 	return NPBRun{
 		App: app, Mode: mode, Spin: spin,
 		Exec: res.ExecTime, Wait: res.WaitTime,
 		IPIRate: res.IPIsPerVCPUSec, AvgVCPUs: res.AvgActiveVCPUs,
-	}, nil
+	}, b, nil
 }
 
 // NPBSweep runs apps × modes × spin counts on a VM with the given vCPU
@@ -105,7 +106,8 @@ func NPBSweep(opts runner.Options, vcpus int, apps []string, modes []scenario.Mo
 	}
 	runs, err := runner.Run(opts, len(cells), func(ctx runner.Context) (NPBRun, error) {
 		c := cells[ctx.Index]
-		return runNPBOnce(c.app, c.mode, c.spin, vcpus, 1, ctx.Tracer)
+		run, _, err := runNPBOnce(c.app, c.mode, c.spin, vcpus, 1, ctx.Tracer)
+		return run, err
 	})
 	if err != nil {
 		return NPBResult{}, err

@@ -102,9 +102,9 @@ func (k *Kernel) QuiesceCheck() error {
 			return fmt.Errorf("guest %s: cpu %d has %d runnable threads", k.dom.Name, c.id, len(c.rq))
 		case c.running:
 			return fmt.Errorf("guest %s: cpu %d still holds a pCPU", k.dom.Name, c.id)
-		case c.segEv.Pending():
+		case c.seg.Armed():
 			return fmt.Errorf("guest %s: cpu %d has a segment in flight", k.dom.Name, c.id)
-		case c.idleBlock.Pending():
+		case c.idle.Armed():
 			return fmt.Errorf("guest %s: cpu %d has a pending idle block", k.dom.Name, c.id)
 		case c.tick.Armed():
 			return fmt.Errorf("guest %s: cpu %d tick timer still armed", k.dom.Name, c.id)
@@ -114,7 +114,7 @@ func (k *Kernel) QuiesceCheck() error {
 			return fmt.Errorf("guest %s: cpu %d is pv-parked", k.dom.Name, c.id)
 		case c.locksHeld != 0:
 			return fmt.Errorf("guest %s: cpu %d holds %d kernel locks", k.dom.Name, c.id, c.locksHeld)
-		case c.needResched:
+		case c.resched.Armed():
 			return fmt.Errorf("guest %s: cpu %d has a deferred resched pending", k.dom.Name, c.id)
 		}
 		if c.id == 0 && k.daemon != nil {

@@ -132,7 +132,7 @@ func (k *Kernel) grantKernelLock(c *cpu) {
 		c.current.kspinGranted = true
 		return
 	}
-	if c.running && c.segEv.Pending() && c.current != nil && c.current.segKind == segKernelSpin {
+	if c.running && c.seg.Armed() && c.current != nil && c.current.segKind == segKernelSpin {
 		// Spinning right now: stop the spin and proceed.
 		k.pauseSegment(c)
 		c.current.segRemaining = 0

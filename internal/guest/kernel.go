@@ -124,8 +124,9 @@ type cpu struct {
 
 	running bool // vCPU currently holds a pCPU
 
-	// Segment execution state for the current thread.
-	segEv    sim.EventRef
+	// Segment execution state for the current thread: seg is the
+	// segment's deadline, armed exactly while a segment executes.
+	seg      *sim.Timer
 	segStart sim.Time
 
 	tick      *sim.Timer
@@ -151,10 +152,11 @@ type cpu struct {
 	// (for the pv threshold and spin-time accounting).
 	kspinSpun sim.Time
 
-	idleBlock sim.EventRef
-
-	// needResched marks a pending deferred wakeup-preemption check.
-	needResched bool
+	// idle is the zero-delay event that blocks an idle vCPU (goIdle);
+	// resched is the deferred wakeup-preemption check (maybePreempt),
+	// armed exactly while a need_resched is pending.
+	idle    *sim.Timer
+	resched *sim.Timer
 
 	// locksHeld counts kernel locks currently held by this CPU; being
 	// descheduled with locksHeld > 0 is a lock-holder preemption.
@@ -259,6 +261,9 @@ func NewKernel(dom *xen.Domain, cfg Config) *Kernel {
 		c := &cpu{k: k, id: i, vcpu: dom.VCPU(i), timesliceLeft: cfg.Timeslice}
 		cc := c
 		c.tick = sim.NewTimer(k.eng, fmt.Sprintf("guest/%s/tick%d", dom.Name, i), func() { k.tickFire(cc) })
+		c.seg = sim.NewTimer(k.eng, "guest/seg", func() { k.segmentDone(cc) })
+		c.idle = sim.NewTimer(k.eng, "guest/idle-block", func() { k.idleBlock(cc) })
+		c.resched = sim.NewTimer(k.eng, "guest/need-resched", func() { k.preemptNow(cc) })
 		k.cpus = append(k.cpus, c)
 	}
 	if cfg.VScale.Enabled {
@@ -371,10 +376,7 @@ func (k *Kernel) Descheduled(id int) {
 	}
 	c.tick.Stop()
 	k.pauseSegment(c)
-	if c.idleBlock.Pending() {
-		k.eng.Cancel(c.idleBlock)
-		c.idleBlock = sim.EventRef{}
-	}
+	c.idle.Stop()
 }
 
 // DeliverEvent implements xen.GuestOS: an event-channel upcall arrived
@@ -414,29 +416,26 @@ func (k *Kernel) startSegment(c *cpu) {
 	if t == nil || !c.running {
 		return
 	}
-	if c.segEv.Pending() {
+	if c.seg.Armed() {
 		panic("guest: segment already armed")
 	}
 	c.segStart = k.eng.Now()
-	d := t.segRemaining
-	if d < 0 {
-		d = 0
-	}
-	c.segEv = k.eng.After(d, "guest/seg", func() {
-		c.segEv = sim.EventRef{}
-		t.segRemaining = 0
-		k.segmentDone(c)
-	})
+	c.seg.Reset(max(t.segRemaining, 0))
 }
 
 // pauseSegment stops the clock on the current segment, crediting elapsed
 // execution to the thread.
 func (k *Kernel) pauseSegment(c *cpu) {
-	if !c.segEv.Pending() {
+	if !c.seg.Armed() {
 		return
 	}
-	k.eng.Cancel(c.segEv)
-	c.segEv = sim.EventRef{}
+	c.seg.Stop()
+	k.creditSegment(c)
+}
+
+// creditSegment charges the time the running segment has executed so
+// far to the current thread.
+func (k *Kernel) creditSegment(c *cpu) {
 	t := c.current
 	elapsed := k.eng.Now() - c.segStart
 	if t != nil {
@@ -463,25 +462,29 @@ func (k *Kernel) accountSpin(c *cpu, t *Thread, elapsed sim.Time) {
 // stretching the in-flight segment (the interrupted thread resumes
 // later). On an idle CPU it is free (the idle task absorbs it).
 func (k *Kernel) chargeInterrupt(c *cpu, cost sim.Time) {
-	if cost <= 0 || !c.running || !c.segEv.Pending() {
+	if cost <= 0 || !c.running || !c.seg.Armed() {
 		return
 	}
 	// Account elapsed so far, then restart the segment with the cost
-	// prepended.
-	k.pauseSegment(c)
-	c.current.segRemaining += cost
-	k.startSegment(c)
+	// prepended by moving its deadline in place. The engine books the
+	// move as a cancel plus a fresh arming, as a stop and restart would.
+	k.creditSegment(c)
+	t := c.current
+	t.segRemaining += cost
+	c.segStart = k.eng.Now()
+	c.seg.Reset(max(t.segRemaining, 0))
 }
 
-// segmentDone fires when the current thread finished its segment: run a
-// stashed kernel continuation if one is pending, otherwise advance the
-// action state machine (possibly blocking the thread or ending the
-// program).
+// segmentDone fires (c.seg) when the current thread finished its
+// segment: run a stashed kernel continuation if one is pending,
+// otherwise advance the action state machine (possibly blocking the
+// thread or ending the program).
 func (k *Kernel) segmentDone(c *cpu) {
 	t := c.current
 	if t == nil {
 		panic("guest: segment completed with no current thread")
 	}
+	t.segRemaining = 0
 	kind := t.segKind
 	elapsed := k.eng.Now() - c.segStart
 	t.segKind = segWork
@@ -523,7 +526,7 @@ func (k *Kernel) runCont(c *cpu, t *Thread) {
 		// The continuation may have slept the thread or armed a new
 		// segment. If the thread is still current with nothing armed,
 		// arm whatever segment it set up (possibly zero-length).
-		if c.current == t && c.running && !c.segEv.Pending() && t.state == ThreadRunning {
+		if c.current == t && c.running && !c.seg.Armed() && t.state == ThreadRunning {
 			k.startSegment(c)
 		}
 		return
@@ -554,14 +557,12 @@ func (k *Kernel) resume(c *cpu) {
 		// Frozen CPU: evacuate everything (Algorithm 2, target side).
 		// Postponed while spinning on a kernel lock; the next dispatch
 		// retries. The reschedule IPI lands here via DeliverEvent.
-		if c.segEv.Pending() {
-			k.pauseSegment(c)
-		}
+		k.pauseSegment(c)
 		if k.drainFrozen(c) {
 			return
 		}
 	}
-	if c.segEv.Pending() {
+	if c.seg.Armed() {
 		return // already executing
 	}
 	if c.current != nil {
@@ -635,17 +636,12 @@ func (k *Kernel) idealSlice(c *cpu) sim.Time {
 // current thread's own action processing never context-switches the CPU
 // under the caller's feet.
 func (k *Kernel) maybePreempt(c *cpu) {
-	if c.needResched {
-		return
+	if !c.resched.Armed() {
+		c.resched.Reset(0)
 	}
-	c.needResched = true
-	k.eng.After(0, "guest/need-resched", func() {
-		c.needResched = false
-		k.preemptNow(c)
-	})
 }
 
-// preemptNow performs the deferred wakeup-preemption check.
+// preemptNow performs the deferred wakeup-preemption check (c.resched).
 func (k *Kernel) preemptNow(c *cpu) {
 	if !c.running || c.kspin != nil || c.pvParked {
 		return
@@ -658,7 +654,7 @@ func (k *Kernel) preemptNow(c *cpu) {
 	if cur.inKernelCritical() || cur.segKind == segKernelSpin {
 		return
 	}
-	if !c.segEv.Pending() {
+	if !c.seg.Armed() {
 		// Mid-transition (the current thread is between segments inside
 		// kernel machinery); leave it alone.
 		return
@@ -709,24 +705,26 @@ func (k *Kernel) rotate(c *cpu) {
 func (k *Kernel) goIdle(c *cpu) {
 	c.tick.Stop()
 	k.armHWTimer(c)
-	if c.idleBlock.Pending() {
+	if !c.idle.Armed() {
+		c.idle.Reset(0)
+	}
+}
+
+// idleBlock is goIdle's deferred half (c.idle): block the vCPU in the
+// hypervisor unless work arrived in the meantime.
+func (k *Kernel) idleBlock(c *cpu) {
+	if !c.running {
 		return
 	}
-	c.idleBlock = k.eng.After(0, "guest/idle-block", func() {
-		c.idleBlock = sim.EventRef{}
-		if !c.running {
-			return
-		}
-		if c.current != nil || len(c.rq) > 0 {
-			// Work arrived in the meantime; run it instead of blocking.
-			k.resume(c)
-			return
-		}
-		if k.allIdle() && k.onIdleAll != nil {
-			k.onIdleAll()
-		}
-		k.pool.Block(c.vcpu)
-	})
+	if c.current != nil || len(c.rq) > 0 {
+		// Work arrived in the meantime; run it instead of blocking.
+		k.resume(c)
+		return
+	}
+	if k.allIdle() && k.onIdleAll != nil {
+		k.onIdleAll()
+	}
+	k.pool.Block(c.vcpu)
 }
 
 func (k *Kernel) allIdle() bool {

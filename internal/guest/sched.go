@@ -60,7 +60,7 @@ func (k *Kernel) enqueue(c *cpu, t *Thread, kick bool) {
 		// Already on a pCPU: if it is idling (pre-block window), run the
 		// new work now; otherwise the queue is noticed at the next
 		// reschedule point.
-		if c.current == nil && !c.segEv.Pending() {
+		if c.current == nil && !c.seg.Armed() {
 			k.resume(c)
 		}
 		return

@@ -185,7 +185,7 @@ func (k *Kernel) satisfySpinner(t *Thread) {
 	}
 	t.spin.satisfied = true
 	c := k.cpus[t.cpu]
-	if c.current == t && c.running && c.segEv.Pending() {
+	if c.current == t && c.running && c.seg.Armed() {
 		k.pauseSegment(c)
 		t.segRemaining = costmodel.SpinCheck
 		k.startSegment(c)

@@ -157,13 +157,22 @@ func (g *Generator) Stop() {
 	g.stopped = true
 }
 
-// arm schedules the next arrival.
+// arm schedules the next arrival. A rate so low that its mean gap, or
+// the arrival drawn from it, lies past the end of representable time
+// leaves the stream idle until the next SetRate.
 func (g *Generator) arm() {
 	if g.stopped || g.paused || g.armed || g.rate <= 0 {
 		return
 	}
-	mean := sim.Time(float64(sim.Second) / g.rate)
-	g.next = g.eng.After(g.rand.ExpDuration(mean), "loadgen/arrival", func() {
+	mean := float64(sim.Second) / g.rate
+	if mean >= float64(sim.MaxTime) {
+		return
+	}
+	d := g.rand.ExpDuration(sim.Time(mean))
+	if d > sim.MaxTime-g.eng.Now() {
+		return
+	}
+	g.next = g.eng.After(d, "loadgen/arrival", func() {
 		g.armed = false
 		g.stats.Offered++
 		g.stats.SLOTotal++

@@ -104,15 +104,21 @@ type PendingEvent struct {
 }
 
 // PendingEvents returns descriptors for every live pending event in
-// firing order (when, then FIFO sequence). Cancelled-but-uncollected
-// entries are excluded.
+// firing order (when, then FIFO sequence), one per unfired Series
+// element. Cancelled-but-uncollected entries are excluded.
 func (e *Engine) PendingEvents() []PendingEvent {
 	out := make([]PendingEvent, 0, len(e.queue.a))
 	for _, ev := range e.queue.a {
-		if ev == nil || ev.cancelled {
-			continue
+		switch {
+		case ev == nil || ev.cancelled:
+		case ev.series != nil:
+			s := ev.series
+			for i := s.next; i < len(s.whens); i++ {
+				out = append(out, PendingEvent{When: s.whens[i], Seq: s.seq0 + uint64(i), Label: ev.label})
+			}
+		default:
+			out = append(out, PendingEvent{When: ev.when, Seq: ev.seq, Label: ev.label})
 		}
-		out = append(out, PendingEvent{When: ev.when, Seq: ev.seq, Label: ev.label})
 	}
 	sort.Slice(out, func(i, j int) bool {
 		if out[i].When != out[j].When {
@@ -124,7 +130,8 @@ func (e *Engine) PendingEvents() []PendingEvent {
 }
 
 // PurgeAll discards every queued event — live or cancelled — without
-// firing any of them, and returns how many live events were dropped.
+// firing any of them, and returns how many live events were dropped
+// (every unfired element of a Series counts).
 // It exists for restore: a freshly rebuilt component tree schedules
 // bootstrap events that the checkpoint's descriptor list supersedes.
 // Drop accounting is left untouched; RestoreState overwrites it anyway.
@@ -132,7 +139,10 @@ func (e *Engine) PurgeAll() int {
 	live := 0
 	for len(e.queue.a) > 0 {
 		ev := e.queue.popMin()
-		if !ev.cancelled {
+		switch {
+		case ev.series != nil:
+			live += len(ev.series.whens) - ev.series.next
+		case !ev.cancelled:
 			live++
 		}
 		e.recycle(ev)

@@ -2,6 +2,7 @@ package sim
 
 import (
 	"container/heap"
+	"fmt"
 	"testing"
 )
 
@@ -312,6 +313,196 @@ func TestDifferentialTimerEquivalence(t *testing.T) {
 				t.Fatalf("accounting diverged: new=%d/%d/%d ref=%d/%d/%d",
 					newEng.Scheduled, newEng.Cancelled, newEng.Processed,
 					refEng.scheduled, refEng.cancelled, refEng.processed)
+			}
+		})
+	}
+}
+
+// TestDifferentialSeriesEquivalence drives Series against the n
+// individual At calls it stands for on the reference engine. Other
+// events are forced onto the series' exact instants — scheduled before
+// and after the series call, and from inside series bodies — and
+// randomly cancelled and rescheduled, so every tie-break between a
+// series element and an ordinary event is exercised. After every
+// operation the two engines must agree on the (time, label) firing
+// sequence and on Scheduled/Cancelled/Processed, and the new engine's
+// queue must hold exactly one entry per unfinished series beside the
+// other events.
+func TestDifferentialSeriesEquivalence(t *testing.T) {
+	type firing struct {
+		at    Time
+		label string
+	}
+	for _, seed := range []uint64{5, 11, 2024} {
+		seed := seed
+		t.Run(Time(seed).String(), func(t *testing.T) {
+			const ops = 20_000
+			rng := NewRand(seed)
+			newEng := NewEngine(seed)
+			refEng := &refEngine{}
+
+			var logNew, logRef []firing
+			var refsNew []EventRef
+			var refsRef []*refEvent
+			var instants []Time // every series instant so far, as tie targets
+			var remaining []int // unfired elements per series
+			seriesLeft := 0     // sum of remaining
+
+			// other schedules one ordinary event on both engines.
+			other := func(when Time, label string) {
+				refsNew = append(refsNew, newEng.At(when, label, func() {
+					logNew = append(logNew, firing{newEng.Now(), label})
+				}))
+				refsRef = append(refsRef, refEng.At(when, func() {
+					logRef = append(logRef, firing{refEng.now, label})
+				}))
+			}
+			// target returns now+d, or half the time a series instant
+			// still ahead, so that the event ties with a series element.
+			target := func(d Time) Time {
+				if len(instants) > 0 && rng.Intn(2) == 0 {
+					if w := instants[rng.Intn(len(instants))]; w >= newEng.Now() {
+						return w
+					}
+				}
+				return newEng.Now() + d
+			}
+			// series schedules one series on the new engine and its n At
+			// calls on the reference. Element i's body ties an echo onto
+			// element i+1's instant (it must fire after that element,
+			// whose sequence number was reserved first), and every fourth
+			// body cancels an earlier ordinary event.
+			series := func(id int) {
+				n := 1 + rng.Intn(150)
+				whens := make([]Time, n)
+				at := newEng.Now() + Time(rng.Intn(40))*Microsecond
+				for i := range whens {
+					if rng.Intn(3) != 0 { // else repeat the instant: self-ties
+						at += Time(rng.Intn(25)) * Microsecond
+					}
+					whens[i] = at
+				}
+				for j := 0; j < 4; j++ {
+					other(whens[rng.Intn(n)], "pre")
+				}
+				label := fmt.Sprintf("s%d", id)
+				victims := make([]int, n)
+				for i := range victims {
+					victims[i] = -1
+					if i%4 == 3 && len(refsNew) > 0 {
+						victims[i] = rng.Intn(len(refsNew))
+					}
+				}
+				// Each engine's body touches only its own engine; echoes
+				// keep no handles, so the handle tables stay aligned.
+				newEng.Series(whens, label, func() {
+					i := n - remaining[id] // elements fire in index order
+					logNew = append(logNew, firing{newEng.Now(), fmt.Sprintf("%s/%d", label, i)})
+					remaining[id]--
+					seriesLeft--
+					if i+1 < n {
+						newEng.At(whens[i+1], "echo", func() {
+							logNew = append(logNew, firing{newEng.Now(), "echo"})
+						})
+					}
+					if victims[i] >= 0 {
+						newEng.Cancel(refsNew[victims[i]])
+					}
+				})
+				for i, w := range whens {
+					i := i
+					refEng.At(w, func() {
+						logRef = append(logRef, firing{refEng.now, fmt.Sprintf("%s/%d", label, i)})
+						if i+1 < n {
+							refEng.At(whens[i+1], func() {
+								logRef = append(logRef, firing{refEng.now, "echo"})
+							})
+						}
+						if victims[i] >= 0 {
+							refEng.Cancel(refsRef[victims[i]])
+						}
+					})
+				}
+				remaining = append(remaining, n)
+				seriesLeft += n
+				for j := 0; j < 4; j++ {
+					other(whens[rng.Intn(n)], "post")
+				}
+				instants = append(instants, whens...)
+			}
+
+			checked := 0
+			check := func(op int) {
+				t.Helper()
+				if len(logNew) != len(logRef) {
+					t.Fatalf("op %d: fired %d events, reference fired %d", op, len(logNew), len(logRef))
+				}
+				for ; checked < len(logNew); checked++ {
+					if logNew[checked] != logRef[checked] {
+						t.Fatalf("op %d: firing %d diverged: new=%+v ref=%+v", op, checked, logNew[checked], logRef[checked])
+					}
+				}
+				if newEng.Scheduled != refEng.scheduled ||
+					newEng.Cancelled != refEng.cancelled ||
+					newEng.Processed != refEng.processed {
+					t.Fatalf("op %d: accounting diverged: new=%d/%d/%d ref=%d/%d/%d", op,
+						newEng.Scheduled, newEng.Cancelled, newEng.Processed,
+						refEng.scheduled, refEng.cancelled, refEng.processed)
+				}
+				active := 0
+				for _, r := range remaining {
+					if r > 0 {
+						active++
+					}
+				}
+				liveOthers := int(refEng.scheduled-refEng.cancelled-refEng.processed) - seriesLeft
+				if queued := newEng.Pending() - newEng.nCancel; queued != liveOthers+active {
+					t.Fatalf("op %d: %d live entries queued, want %d other live events + %d unfinished series",
+						op, queued, liveOthers, active)
+				}
+			}
+
+			nSeries := 0
+			for op := 0; op < ops; op++ {
+				switch r := rng.Intn(100); {
+				case r < 3:
+					series(nSeries)
+					nSeries++
+				case r < 40:
+					other(target(Time(rng.Intn(2000))*Microsecond), "o")
+				case r < 55 && len(refsNew) > 0:
+					k := rng.Intn(len(refsNew))
+					newEng.Cancel(refsNew[k])
+					refEng.Cancel(refsRef[k])
+				case r < 70 && len(refsNew) > 0:
+					k := rng.Intn(len(refsNew))
+					when := target(Time(rng.Intn(1500)) * Microsecond)
+					okNew := newEng.Reschedule(refsNew[k], when)
+					repl := refEng.Reschedule(refsRef[k], when)
+					if okNew != (repl != nil) {
+						t.Fatalf("op %d: reschedule liveness diverged: new=%v ref=%v", op, okNew, repl != nil)
+					}
+					if repl != nil {
+						refsRef[k] = repl
+					}
+				default:
+					// Advance, half the time exactly onto a series instant
+					// so RunUntil's inclusive deadline splits tied groups.
+					deadline := target(Time(rng.Intn(300)) * Microsecond)
+					if err := newEng.RunUntil(deadline); err != nil {
+						t.Fatal(err)
+					}
+					refEng.RunUntil(deadline)
+				}
+				check(op)
+			}
+			if err := newEng.Run(); err != nil {
+				t.Fatal(err)
+			}
+			refEng.Run()
+			check(ops)
+			if nSeries == 0 || seriesLeft != 0 || newEng.Pending() != 0 {
+				t.Fatalf("%d series, %d elements left, %d entries pending after Run", nSeries, seriesLeft, newEng.Pending())
 			}
 		})
 	}

@@ -18,6 +18,17 @@ type Event struct {
 	fn        EventFunc
 	cancelled bool
 	label     string
+	series    *series // non-nil while the event stands for a Series element
+}
+
+// series is the engine side of one lazily expanded event series (see
+// Engine.Series): its instants, the index of the element currently
+// queued, the FIFO sequence number reserved for element 0, and the body.
+type series struct {
+	whens []Time
+	next  int
+	seq0  uint64
+	fn    EventFunc
 }
 
 // EventRef is a handle to a scheduled event: the event plus the
@@ -194,10 +205,12 @@ type Engine struct {
 	// Processed counts events executed (not cancelled), for tests and
 	// runaway-simulation guards.
 	Processed uint64
-	// Scheduled counts every arming ever placed on the heap (an in-place
-	// Reschedule books a new arming); together with Cancelled and
-	// Processed (fired) it gives the drop accounting
-	// Scheduled = Cancelled + Processed + still-pending.
+	// Scheduled counts every arming ever booked: each At/After, each
+	// in-place Reschedule (a new arming), and each element of a Series
+	// (all of them when the series is scheduled). Together with Cancelled
+	// and Processed (fired) it gives the drop accounting
+	// Scheduled = Cancelled + Processed + still-pending, where
+	// still-pending includes the series elements not yet queued.
 	Scheduled uint64
 	// Cancelled counts armings retired before firing, by Cancel or by
 	// Reschedule superseding the previous deadline. Cancelling an event
@@ -245,6 +258,7 @@ func (e *Engine) alloc() *Event {
 func (e *Engine) recycle(ev *Event) {
 	ev.fn = nil
 	ev.label = ""
+	ev.series = nil
 	ev.cancelled = false
 	ev.gen++
 	e.free = append(e.free, ev)
@@ -271,6 +285,42 @@ func (e *Engine) At(when Time, label string, fn EventFunc) EventRef {
 func (e *Engine) After(d Time, label string, fn EventFunc) EventRef {
 	checkNonNegative(d)
 	return e.At(e.now+d, label, fn)
+}
+
+// Series schedules fn at every instant in whens, with the firing order
+// and accounting of len(whens) back-to-back At calls: it reserves
+// one FIFO sequence number per element, in index order, and books every
+// element into Scheduled now. Only the earliest unfired element is ever
+// queued; firing it queues the next under its reserved number before
+// fn runs. Ties with other events at the same instant therefore break
+// exactly as they would for individually scheduled events, while the
+// pending-event set grows by one entry however long the series is.
+//
+// whens must be non-decreasing and start at or after now; anything else
+// panics, like scheduling in the past. The engine keeps whens, so the
+// caller must not modify it afterwards. A series cannot be cancelled.
+func (e *Engine) Series(whens []Time, label string, fn EventFunc) {
+	if len(whens) == 0 {
+		return
+	}
+	if whens[0] < e.now {
+		panic(fmt.Sprintf("sim: series %q starts at %v before now %v", label, whens[0], e.now))
+	}
+	for i := 1; i < len(whens); i++ {
+		if whens[i] < whens[i-1] {
+			panic(fmt.Sprintf("sim: series %q element %d at %v precedes element %d at %v",
+				label, i, whens[i], i-1, whens[i-1]))
+		}
+	}
+	s := &series{whens: whens, seq0: e.seq, fn: fn}
+	e.seq += uint64(len(whens))
+	e.Scheduled += uint64(len(whens))
+	ev := e.alloc()
+	ev.when = whens[0]
+	ev.seq = s.seq0
+	ev.label = label
+	ev.series = s
+	e.queue.push(ev)
 }
 
 // Cancel retires the arming behind ref. It is safe to cancel a stale or
@@ -348,7 +398,8 @@ func (e *Engine) maybeCompact() {
 }
 
 // Pending returns the number of events still queued, including cancelled
-// events not yet collected.
+// events not yet collected. A Series counts once: only its next element
+// is queued.
 func (e *Engine) Pending() int { return len(e.queue.a) }
 
 // Stop makes the current Run/RunUntil call return after the in-flight
@@ -386,6 +437,10 @@ func (e *Engine) step() bool {
 	}
 	e.now = ev.when
 	e.Processed++
+	if s := ev.series; s != nil {
+		e.stepSeries(ev, s)
+		return true
+	}
 	fn, label := ev.fn, ev.label
 	e.recycle(ev)
 	if e.obs != nil {
@@ -393,6 +448,26 @@ func (e *Engine) step() bool {
 	}
 	fn()
 	return true
+}
+
+// stepSeries runs the popped element of s that ev stood for. Before the
+// body runs, ev is requeued as the next element under its reserved
+// sequence number — where the equivalent At call would already have it —
+// or recycled after the last one.
+func (e *Engine) stepSeries(ev *Event, s *series) {
+	label := ev.label
+	s.next++
+	if s.next < len(s.whens) {
+		ev.when = s.whens[s.next]
+		ev.seq = s.seq0 + uint64(s.next)
+		e.queue.push(ev)
+	} else {
+		e.recycle(ev)
+	}
+	if e.obs != nil {
+		e.obs(e.now, label)
+	}
+	s.fn()
 }
 
 // Run executes events until the queue is empty or Stop is called. It

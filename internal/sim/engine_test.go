@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"math"
 	"testing"
 	"testing/quick"
 )
@@ -490,5 +491,87 @@ func TestTimeConversions(t *testing.T) {
 	}
 	if MaxTime.String() != "never" {
 		t.Fatal("MaxTime should render as never")
+	}
+}
+
+func TestCheckRate(t *testing.T) {
+	for _, ok := range []float64{0, 1.1e-10, 1, 6500, 1e9} {
+		if err := CheckRate(ok); err != nil {
+			t.Fatalf("CheckRate(%g) = %v, want nil", ok, err)
+		}
+	}
+	for _, bad := range []float64{math.NaN(), math.Inf(1), math.Inf(-1), -1, 1.5e9, 1e-10, 1e-300, math.SmallestNonzeroFloat64} {
+		if err := CheckRate(bad); err == nil {
+			t.Fatalf("CheckRate(%g) = nil, want error", bad)
+		}
+	}
+}
+
+// TestExpDurationSaturates checks that a draw past MaxTime saturates
+// there: it must not wrap into a tiny (floored) or negative duration.
+func TestExpDurationSaturates(t *testing.T) {
+	r := NewRand(3)
+	saturated := 0
+	for i := 0; i < 1000; i++ {
+		d := r.ExpDuration(MaxTime - 1)
+		if d < Millisecond {
+			t.Fatalf("ExpDuration(MaxTime-1) = %d", int64(d))
+		}
+		if d == MaxTime {
+			saturated++
+		}
+	}
+	if saturated == 0 {
+		t.Fatal("no draw past MaxTime in 1000: the test no longer exercises saturation")
+	}
+}
+
+// TestSeriesPendingDescriptors checks that checkpoint descriptors and
+// PurgeAll see every unfired series element, not just the queued one.
+func TestSeriesPendingDescriptors(t *testing.T) {
+	e := NewEngine(1)
+	e.At(15, "x", func() {})
+	fired := 0
+	e.Series([]Time{10, 20, 20, 30}, "s", func() { fired++ })
+	if e.Pending() != 2 || e.Scheduled != 5 {
+		t.Fatalf("Pending = %d, Scheduled = %d; want 2 queued, 5 booked", e.Pending(), e.Scheduled)
+	}
+	if err := e.RunUntil(20); err != nil {
+		t.Fatal(err)
+	}
+	if fired != 3 {
+		t.Fatalf("fired %d elements by t=20, want 3", fired)
+	}
+	want := []PendingEvent{{When: 30, Seq: 4, Label: "s"}}
+	if got := e.PendingEvents(); len(got) != 1 || got[0] != want[0] {
+		t.Fatalf("PendingEvents = %+v, want %+v", got, want)
+	}
+	e.Series([]Time{25, 40}, "t", func() {})
+	if got := e.PendingEvents(); len(got) != 3 || got[0].Label != "t" || got[1].Label != "s" || got[2].Seq != 6 {
+		t.Fatalf("PendingEvents = %+v, want t@25, s@30, t@40", got)
+	}
+	if n := e.PurgeAll(); n != 3 || e.Pending() != 0 {
+		t.Fatalf("PurgeAll dropped %d live events, %d left queued; want 3 and 0", n, e.Pending())
+	}
+}
+
+func TestSeriesRejectsDisorder(t *testing.T) {
+	for name, whens := range map[string][]Time{
+		"decreasing": {10, 5},
+		"past":       {-1, 5},
+	} {
+		t.Run(name, func(t *testing.T) {
+			defer func() {
+				if recover() == nil {
+					t.Fatal("want panic")
+				}
+			}()
+			NewEngine(1).Series(whens, "s", func() {})
+		})
+	}
+	e := NewEngine(1)
+	e.Series(nil, "empty", func() { t.Fatal("empty series fired") })
+	if e.Scheduled != 0 || e.Pending() != 0 {
+		t.Fatal("empty series booked events")
 	}
 }

@@ -94,12 +94,17 @@ func (r *Rand) ExpFloat64() float64 {
 // mean — the inter-arrival law of a Poisson process, used by open-loop
 // load generators. The result is floored at 1 (never zero) so two
 // arrivals cannot collapse onto the same instant with identical
-// ordering ambiguity.
+// ordering ambiguity, and saturates at MaxTime ("never") instead of
+// overflowing when the mean is astronomically long.
 func (r *Rand) ExpDuration(mean Time) Time {
 	if mean <= 0 {
 		panic("sim: ExpDuration with non-positive mean")
 	}
-	d := Time(float64(mean) * r.ExpFloat64())
+	f := float64(mean) * r.ExpFloat64()
+	if f >= float64(MaxTime) {
+		return MaxTime
+	}
+	d := Time(f)
 	if d < 1 {
 		d = 1
 	}

@@ -8,6 +8,7 @@ package sim
 
 import (
 	"fmt"
+	"math"
 	"time"
 )
 
@@ -63,6 +64,29 @@ func FromMillis(ms float64) Time { return Time(ms * float64(Millisecond)) }
 
 // FromMicros converts floating-point microseconds to virtual time.
 func FromMicros(us float64) Time { return Time(us * float64(Microsecond)) }
+
+// CheckRate reports whether perSec, in events per virtual second, is a
+// rate the simulator can turn into inter-event gaps: finite, and either
+// zero (no events) or with a mean gap 1/perSec of at least one
+// nanosecond and below MaxTime. Load generators check their rates where
+// they enter, so a bad flag or trace value fails with an error instead
+// of a panic mid-run.
+func CheckRate(perSec float64) error {
+	switch {
+	case math.IsNaN(perSec) || math.IsInf(perSec, 0):
+		return fmt.Errorf("non-finite rate %g/s", perSec)
+	case perSec < 0:
+		return fmt.Errorf("negative rate %g/s", perSec)
+	case perSec == 0:
+		return nil
+	}
+	// float64(MaxTime) rounds up to 2^63, the first gap that no longer
+	// converts to a Time.
+	if gap := float64(Second) / perSec; gap < 1 || gap >= float64(MaxTime) {
+		return fmt.Errorf("rate %g/s out of range: mean gap %g ns not in [1 ns, %d ns]", perSec, gap, int64(MaxTime))
+	}
+	return nil
+}
 
 // checkNonNegative panics if d is negative; scheduling into the past is
 // always a programming error in the simulation.

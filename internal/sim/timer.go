@@ -4,7 +4,7 @@ package sim
 // used for the many "program the next deadline" patterns in the
 // hypervisor and guest kernels (slice expiry, tick, accounting period).
 //
-// The timer owns a single callback closure, allocated once at NewTimer,
+// The timer schedules the one fn it was built with as the event body
 // and rearms its pending event in place via Engine.Reschedule, so
 // steady-state Reset traffic performs no allocation.
 type Timer struct {
@@ -12,16 +12,13 @@ type Timer struct {
 	ev    EventRef
 	label string
 	fn    EventFunc
-	cb    EventFunc // reusable engine callback, built once
 }
 
-// NewTimer creates a stopped timer that runs fn when it fires.
+// NewTimer creates a stopped timer that runs fn when it fires. By then
+// the fired event has been recycled, so t.ev is already stale (Armed
+// reports false) and fn may rearm freely.
 func NewTimer(eng *Engine, label string, fn EventFunc) *Timer {
-	t := &Timer{eng: eng, label: label, fn: fn}
-	// By the time cb runs the fired event has been recycled, so t.ev is
-	// already stale (Armed reports false); fn may rearm freely.
-	t.cb = func() { t.fn() }
-	return t
+	return &Timer{eng: eng, label: label, fn: fn}
 }
 
 // Reset (re)arms the timer to fire d from now, superseding any pending
@@ -37,7 +34,7 @@ func (t *Timer) ResetAt(when Time) {
 	if t.eng.Reschedule(t.ev, when) {
 		return
 	}
-	t.ev = t.eng.At(when, t.label, t.cb)
+	t.ev = t.eng.At(when, t.label, t.fn)
 }
 
 // Stop cancels a pending expiry, if any.

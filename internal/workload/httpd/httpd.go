@@ -312,25 +312,34 @@ func NewClient(s *Server, rand *sim.Rand) *Client {
 }
 
 // Run offers ratePerSec connections/s for the given duration, starting
-// now. It returns after scheduling the arrivals; read Results after the
-// simulation has advanced past the drain time.
-func (c *Client) Run(ratePerSec float64, duration sim.Time) {
-	if ratePerSec <= 0 {
-		return
+// now: one arrival per 1/ratePerSec gap, each jittered by up to a tenth
+// of the gap, httperf style. The arrival instants are drawn up front, in
+// order, and handed to the engine as one sim.Engine.Series, so the
+// pending-event set holds one arrival at a time however long the window.
+// Run returns after scheduling; read Results after the simulation has
+// advanced past the drain time. A zero rate offers nothing; a rate that
+// sim.CheckRate rejects is an error, and nothing is scheduled.
+func (c *Client) Run(ratePerSec float64, duration sim.Time) error {
+	if err := sim.CheckRate(ratePerSec); err != nil {
+		return fmt.Errorf("httpd: %w", err)
+	}
+	if ratePerSec == 0 {
+		return nil
 	}
 	gap := sim.Time(float64(sim.Second) / ratePerSec)
-	eng := c.k.Engine()
 	n := int(float64(duration) / float64(gap))
-	start := eng.Now()
-	for i := 0; i < n; i++ {
-		// Constant rate with ±10% jitter, httperf style.
-		at := start + sim.Time(i)*gap + c.rand.Duration(0, gap/10)
-		eng.At(at, "httpd/arrival", func() { c.arrive() })
+	if n <= 0 {
+		return nil
 	}
+	eng := c.k.Engine()
+	start := eng.Now()
+	at := make([]sim.Time, n)
+	for i := range at {
+		at[i] = start + sim.Time(i)*gap + c.rand.Duration(0, gap/10)
+	}
+	eng.Series(at, "httpd/arrival", c.s.Offer)
+	return nil
 }
-
-// arrive models one connection; see Server.Offer.
-func (c *Client) arrive() { c.s.Offer() }
 
 // Offer injects one connection at the current simulation time: SYN
 // interrupt → softirq (connection established; connection time

@@ -127,9 +127,26 @@ func TestDeviceBinding(t *testing.T) {
 	}
 }
 
+// TestRunRejectsBadRate checks that a rate sim.CheckRate rejects is an
+// error and schedules nothing.
+func TestRunRejectsBadRate(t *testing.T) {
+	eng, _, cl := newServer(t, 1, 1, DefaultConfig())
+	before := eng.Scheduled
+	for _, rate := range []float64{math.NaN(), math.Inf(1), 2e9, 1e-300, -5} {
+		if err := cl.Run(rate, sim.Second); err == nil {
+			t.Fatalf("Run(%g): want error", rate)
+		}
+	}
+	if eng.Scheduled != before {
+		t.Fatalf("rejected rates scheduled %d events", eng.Scheduled-before)
+	}
+}
+
 func TestZeroRateNoop(t *testing.T) {
 	eng, srv, cl := newServer(t, 1, 1, DefaultConfig())
-	cl.Run(0, sim.Second)
+	if err := cl.Run(0, sim.Second); err != nil {
+		t.Fatal(err)
+	}
 	if err := eng.RunUntil(2 * sim.Second); err != nil {
 		t.Fatal(err)
 	}
