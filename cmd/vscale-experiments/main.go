@@ -23,10 +23,6 @@
 // cluster shoot-out's per-policy cost_vcpu_seconds and attainment) carry
 // them in the entry's "metrics" map.
 //
-// -sync and -lag select the cluster fleet executor (boundedlag by
-// default, lockstep as the differential reference) and its staleness
-// bound; stdout is byte-identical across both.
-//
 // -warm-epochs gives every cluster fleet a policy-neutral warm-up
 // prefix; -warmfork simulates it once per host count and forks each
 // policy from the snapshot (bit-identical results, less wall clock);
@@ -111,8 +107,6 @@ func main() {
 	parallel := flag.Int("parallel", 0, "worker pool size per experiment (default GOMAXPROCS)")
 	window := flag.Float64("window", 20, "Apache measurement window per load level, seconds")
 	policies := flag.String("policies", "all", "comma-separated scaling policies for the cluster experiment (or 'all'; registry names)")
-	syncFlag := flag.String("sync", "", "cluster fleet executor, lockstep | boundedlag (default boundedlag); stdout is byte-identical across modes")
-	lagFlag := flag.Int("lag", 0, "cluster placement-staleness/run-ahead bound, epochs (0 = default)")
 	warmEpochs := flag.Int("warm-epochs", 0, "policy-neutral warm-up prefix for cluster fleets, epochs (0 = experiment defaults)")
 	warmFork := flag.Bool("warmfork", false, "cluster: simulate the warm prefix once per host count and fork every policy from the snapshot (requires -warm-epochs)")
 	checkpointFlag := flag.String("checkpoint", "", "cluster: write the warm-prefix snapshot (vscale-checkpoint/v1) to this file")
@@ -183,10 +177,6 @@ func main() {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(2)
 	}
-	if _, err := cluster.ParseSyncMode(*syncFlag); err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(2)
-	}
 	var workerSeries []int
 	if *benchWorkers != "" {
 		for _, s := range strings.Split(*benchWorkers, ",") {
@@ -211,8 +201,6 @@ func main() {
 		cfg.Trace = *traceOut != "" || *schedstats
 		cfg.TraceCapacity = *tracecap
 		cfg.Policies = pols
-		cfg.Sync = *syncFlag
-		cfg.LagEpochs = *lagFlag
 		cfg.WarmEpochs = *warmEpochs
 		cfg.WarmFork = *warmFork
 		cfg.CheckpointPath = *checkpointFlag

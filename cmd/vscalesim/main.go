@@ -30,25 +30,6 @@
 // collection period (virtual time). Telemetry is purely observational:
 // stdout and all simulation results are byte-identical with it on or
 // off. See docs/observability.md.
-//
-// -policies switches the command into fleet mode: instead of the
-// single-VM consolidation scenario it runs the multi-host cluster fleet
-// under VM churn, competing the named scaling policies (resolved
-// through the cluster policy registry; 'all' runs every registered
-// policy) on identical churn traces and printing the SLO scoreboard
-// with its cost-vs-attainment frontier. -hosts and -horizon size the
-// fleet; -pcpus, -slo, -seed and -parallel keep their meanings. -sync
-// selects the fleet executor (boundedlag by default, lockstep as the
-// differential reference) and -lag its staleness/run-ahead bound —
-// stdout is byte-identical across both and across -parallel settings.
-// See docs/cluster.md.
-//
-// -warm-epochs gives every fleet run a policy-neutral warm-up prefix;
-// -warmfork simulates that prefix once and forks each competed policy
-// from the snapshot (bit-identical results, less wall clock);
-// -checkpoint persists the warm-prefix snapshot (vscale-checkpoint/v1)
-// and -restore forks the policies from a previously written one. See
-// docs/checkpoint.md.
 package main
 
 import (
@@ -60,8 +41,6 @@ import (
 	"strings"
 	"time"
 
-	"vscale/internal/cluster"
-	"vscale/internal/experiments"
 	"vscale/internal/guest"
 	"vscale/internal/loadgen"
 	"vscale/internal/profiling"
@@ -91,16 +70,6 @@ func main() {
 	tracecap := flag.Int("tracecap", trace.DefaultRingCapacity, "trace ring capacity (events)")
 	activetrace := flag.Bool("activetrace", false, "print the active-vCPU trace")
 	sloMs := flag.Float64("slo", 50, "httpd per-request SLO, milliseconds")
-	policiesFlag := flag.String("policies", "", "fleet mode: comma-separated scaling policies to compete (or 'all'; registry names)")
-	hosts := flag.Int("hosts", 2, "fleet mode: hosts in the fleet")
-	horizonSecs := flag.Float64("horizon", 8, "fleet mode: churn horizon, seconds")
-	syncFlag := flag.String("sync", "", "fleet mode: executor, lockstep | boundedlag (default boundedlag); results are byte-identical across modes")
-	lagFlag := flag.Int("lag", 0, "fleet mode: placement-staleness/run-ahead bound in epochs (0 = default)")
-	warmEpochs := flag.Int("warm-epochs", 0, "fleet mode: policy-neutral warm-up prefix, epochs (0 = none)")
-	warmFork := flag.Bool("warmfork", false, "fleet mode: simulate the warm prefix once and fork every policy from the snapshot (requires -warm-epochs)")
-	checkpointPath := flag.String("checkpoint", "", "fleet mode: write the warm-prefix snapshot (vscale-checkpoint/v1) to this file")
-	restorePath := flag.String("restore", "", "fleet mode: fork the policies from a previously written snapshot instead of simulating the warm prefix")
-	elasticFlag := flag.String("elastic", "", "fleet mode: elasticity layer, none | migrate | replicas | hybrid (default none)")
 	nobg := flag.Bool("dedicated", false, "no background VMs")
 	maxSecs := flag.Float64("max", 600, "simulation deadline, seconds")
 	cpuProfile := flag.String("cpuprofile", "", "write a pprof CPU profile to this path")
@@ -160,45 +129,6 @@ func main() {
 	if srv := sink.Server(); srv != nil {
 		fmt.Fprintf(os.Stderr, "telemetry: serving /metrics on http://%s\n", srv.Addr())
 	}
-	// Fleet mode: -policies hands the whole invocation to the cluster
-	// fleet shoot-out. The sink above still serves/streams telemetry;
-	// stdout is the scoreboard with its cost-vs-attainment frontier and
-	// is byte-identical for every -parallel setting.
-	if *policiesFlag == "" && (*warmEpochs != 0 || *warmFork || *checkpointPath != "" || *restorePath != "") {
-		fmt.Fprintln(os.Stderr, "-warm-epochs/-warmfork/-checkpoint/-restore are fleet-mode flags; add -policies")
-		os.Exit(2)
-	}
-	if *policiesFlag != "" {
-		pols, err := cluster.ParsePolicies(*policiesFlag)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(2)
-		}
-		syncMode, err := cluster.ParseSyncMode(*syncFlag)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(2)
-		}
-		warm := experiments.ClusterWarm{
-			Epochs:         *warmEpochs,
-			Fork:           *warmFork,
-			CheckpointPath: *checkpointPath,
-			RestorePath:    *restorePath,
-		}
-		r, err := experiments.Cluster(runner.Options{Workers: *parallel, BaseSeed: *seed},
-			sink, []int{*hosts}, *pcpus, sim.FromSeconds(*horizonSecs), sim.FromMillis(*sloMs), pols, syncMode, *lagFlag, *elasticFlag, warm)
-		fatal(err)
-		fmt.Print(r.Render())
-		if telemetryFile != nil {
-			fatal(telemetryFile.Close())
-			fmt.Fprintf(os.Stderr, "wrote telemetry JSONL to %s\n", *telemetryOut)
-		}
-		if err := sink.Close(); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-		}
-		return
-	}
-
 	cols := make([]*telemetry.Collector, *runs)
 	epoch := sim.FromSeconds(telemetryEpoch.Seconds())
 

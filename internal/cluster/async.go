@@ -7,34 +7,37 @@ import (
 
 	"vscale/internal/core"
 	"vscale/internal/runner"
-	"vscale/internal/sim"
 )
 
-// The bounded-lag asynchronous executor.
+// The fleet executor.
 //
-// Instead of one fan-out/join barrier per epoch, every host is a queue
-// on a persistent runner.Pool whose workers advance it through as many
-// epochs as its gates allow; a host that cannot progress parks (returns
-// to the pool) and is woken when a shared frontier moves. Virtual time
-// is decoupled across hosts up to the lag bound; the only global
-// synchronization points are the ones with genuine cross-host meaning:
+// Every host is a queue on a persistent runner.Pool whose workers
+// advance it through as many epochs as its gates allow; a host that
+// cannot progress parks (returns to the pool) and is woken when a
+// shared frontier moves. Virtual time is decoupled across hosts up to
+// the lag bound; the only global synchronization points are the ones
+// with genuine cross-host meaning:
 //
 //   - Routing: epoch k's churn batch must be delivered before a host
 //     runs it, and an arrival epoch's placement needs the fleet
-//     snapshot from boundary base(k) = max(0, k-lag) — so the router
-//     waits for the slowest host only up to that stale boundary, and
-//     hosts wait for the routing frontier.
-//   - The lag bound: no host runs more than lag epochs ahead of the
-//     slowest, bounding snapshot memory and placement staleness.
-//   - Telemetry: a collection epoch samples every host parked at the
-//     same boundary, so an attached collector forces epoch pacing.
+//     snapshot from boundary baseFor(k) — so the router waits for the
+//     slowest host only up to that stale boundary, and hosts wait for
+//     the routing frontier.
+//   - The lag bound: no host runs more than lagEpochs epochs ahead of
+//     the slowest, bounding snapshot memory and placement staleness.
+//   - The boundary barrier: a boundary with control-plane work (the
+//     checkpoint capture, a telemetry collection epoch, an elasticity
+//     pass) waits for every host to park there, does that work in one
+//     fixed order and only then lets the hosts run their own boundary
+//     work. A collector or the elasticity layer makes every boundary a
+//     barrier, so the executor paces epoch by epoch while either is on.
 //
 // Everything a host does between gates — scheduling its batch, running
 // its engine, snapshotting, its per-boundary policy pass — is host-
-// local and happens on its own timeline, in exactly the order the
-// lockstep executor would have produced on that host's engine. That,
-// plus the shared router, is why the two executors' FleetResults are
-// byte-identical.
+// local and happens on its own timeline in one fixed order, and the
+// router reads only published snapshots. That is why the FleetResult is
+// byte-identical for every worker count and pacing; a single-goroutine
+// serial reference in the tests pins it.
 type asyncFleet struct {
 	cfg   *FleetConfig
 	plan  *epochPlan
@@ -42,13 +45,15 @@ type asyncFleet struct {
 	pols  []ScalingPolicy
 	rt    *fleetRouter
 	res   *FleetResult
-	lead  int // run-ahead bound (0 while telemetry is attached)
+	lead  int // run-ahead bound (0 while a collector or elasticity is on)
 	last  int // plan.epochs(); epoch index `last` is the drain step
 	// telFrom is the first boundary with a collection epoch (the warm
 	// boundary when a warm prefix is configured); ckpt is the capture
-	// boundary (cfg.CheckpointEpoch, 0 for none).
+	// boundary (cfg.CheckpointEpoch, 0 for none); stop, when > 0, is the
+	// boundary the run ends at with every host parked.
 	telFrom int
 	ckpt    int
+	stop    int
 
 	pool *runner.Pool
 
@@ -62,25 +67,19 @@ type asyncFleet struct {
 	done     []int
 	minDone  int
 	minCount int
-	// pendingPolicy[i] marks host i parked at boundary done[i] with its
-	// policy pass still owed (it may be gated on telemetry).
+	// pendingPolicy[i] marks host i parked at boundary done[i], past the
+	// warm boundary, with its policy pass still owed.
 	pendingPolicy []bool
-	// telemetryDone is the last boundary whose collection epoch has
-	// closed (only consulted when a collector is attached).
-	telemetryDone int
-	// elDone is the last boundary whose elasticity pass has committed
-	// (only consulted when the elasticity layer is on): hosts owing a
-	// post-warm policy pass park until the control plane has run the
-	// boundary's migration/replica-set pass over the frozen fleet.
-	elDone int
-	// ckptDone opens the capture gate: hosts parked at the checkpoint
-	// boundary resume once the control plane has captured the fleet.
-	ckptDone bool
+	// ctlDone is the last boundary whose control-plane barrier has
+	// completed: a policy pass at a gated boundary k waits until
+	// ctlDone >= k. A host cannot run epoch k before the barrier either:
+	// the router runs boundary k's barrier before routing epoch k.
+	ctlDone int
 	// batches[i][k] is host i's routed churn for epoch k; written by the
 	// router before it publishes routed = k+1.
 	batches [][][]routedEvent
 	// snaps[i] holds host i's published boundary snapshots, only for
-	// boundaries some arrival epoch will place with (rt.needBoundary);
+	// boundaries some arrival epoch will place with (plan.needBoundary);
 	// the router consumes each exactly once.
 	snaps []map[int]hostSnap
 
@@ -103,11 +102,14 @@ type hostSnap struct {
 // cleared only while no fleet is running.
 var testEpochHook func(host, epoch int)
 
-// runBoundedLag executes the fleet asynchronously; see asyncFleet.
-// start is the first epoch to run (the capture boundary when resuming
-// from a checkpoint); pre preloads the retained placement snapshots a
-// restored run still owes the router.
-func runBoundedLag(cfg *FleetConfig, plan *epochPlan, hosts []*Host, pols []ScalingPolicy, rt *fleetRouter, res *FleetResult, start int, pre []RingBoundary) error {
+// runBoundedLag executes the fleet; see asyncFleet. start is the first
+// epoch to run (the capture boundary when resuming from a checkpoint);
+// pre preloads the retained placement snapshots a restored run still
+// owes the router. A positive stop ends the run with every host parked
+// at that boundary — quiesced and, at the warm boundary, still unarmed
+// — and returns the fleet's capture there: the warm-prefix exit
+// CaptureWarmPrefix uses.
+func runBoundedLag(cfg *FleetConfig, plan *epochPlan, hosts []*Host, pols []ScalingPolicy, rt *fleetRouter, res *FleetResult, start, stop int, pre []RingBoundary) (*FleetCheckpoint, error) {
 	f := &asyncFleet{
 		cfg:           cfg,
 		plan:          plan,
@@ -115,10 +117,11 @@ func runBoundedLag(cfg *FleetConfig, plan *epochPlan, hosts []*Host, pols []Scal
 		pols:          pols,
 		rt:            rt,
 		res:           res,
-		lead:          rt.lag,
+		lead:          lagEpochs,
 		last:          plan.epochs(),
 		telFrom:       telemetryFrom(cfg),
 		ckpt:          cfg.CheckpointEpoch,
+		stop:          stop,
 		routed:        start,
 		done:          make([]int, len(hosts)),
 		minDone:       start,
@@ -129,16 +132,14 @@ func runBoundedLag(cfg *FleetConfig, plan *epochPlan, hosts []*Host, pols []Scal
 		hostWall:      make([]time.Duration, len(hosts)),
 	}
 	f.cond = sync.NewCond(&f.mu)
-	tel := cfg.Telemetry != nil
 	for i := range hosts {
 		f.batches[i] = make([][]routedEvent, f.last)
 		f.snaps[i] = map[int]hostSnap{}
 		f.done[i] = start
-		// A restored run starts with the capture boundary's work still
-		// owed (its collection epoch and, past the warm boundary, its
-		// policy pass) — exactly what the uninterrupted run performed
-		// there after capturing.
-		f.pendingPolicy[i] = start > cfg.WarmEpochs || (tel && start >= f.telFrom)
+		// A restored run starts with the capture boundary's policy pass
+		// still owed — the uninterrupted run performed it there after
+		// capturing.
+		f.pendingPolicy[i] = start > cfg.WarmEpochs
 	}
 	for _, rb := range pre {
 		for i := range hosts {
@@ -146,11 +147,7 @@ func runBoundedLag(cfg *FleetConfig, plan *epochPlan, hosts []*Host, pols []Scal
 		}
 	}
 	if cfg.Telemetry != nil || rt.el != nil {
-		// Every collection epoch — and every elasticity pass, which
-		// mutates hosts fleet-wide — samples all hosts parked at one
-		// boundary: a global sync point, so run-ahead is disabled and the
-		// executor paces epoch by epoch (results are identical either
-		// way; only wall-clock behaviour changes).
+		// Every boundary is a barrier: run-ahead would only park.
 		f.lead = 0
 	}
 
@@ -162,7 +159,7 @@ func runBoundedLag(cfg *FleetConfig, plan *epochPlan, hosts []*Host, pols []Scal
 
 	if rep := cfg.Report; rep != nil {
 		// One job per host: its wall clock sums the executor chunks that
-		// advanced it (lockstep reports one job per host-epoch instead).
+		// advanced it.
 		rep.Jobs += len(hosts)
 		if w := f.pool.Workers(); w > rep.Workers {
 			rep.Workers = w
@@ -170,63 +167,56 @@ func runBoundedLag(cfg *FleetConfig, plan *epochPlan, hosts []*Host, pols []Scal
 		rep.Wall += time.Since(wall)
 		rep.JobWall = append(rep.JobWall, f.hostWall...)
 	}
-	return err
+	if err != nil || stop == 0 {
+		return nil, err
+	}
+	return f.capture(stop)
+}
+
+// gated reports whether boundary k has control-plane work — the
+// checkpoint capture, a collection epoch or an elasticity pass — and
+// so a barrier.
+func (f *asyncFleet) gated(k int) bool {
+	return (f.ckpt > 0 && k == f.ckpt) ||
+		(f.cfg.Telemetry != nil && k >= f.telFrom) ||
+		(f.rt.el != nil && k > f.cfg.WarmEpochs)
 }
 
 // route is the control-plane loop, run on the RunFleet goroutine: it
-// routes churn epochs in trace order (waiting on the slowest host only
-// when an arrival epoch needs its base snapshot), interleaves telemetry
-// collection epochs when a collector is attached, and finally waits for
-// every host to drain.
+// runs each gated boundary's barrier, routes churn epochs in trace
+// order (waiting on the slowest host only when an arrival epoch needs
+// its base snapshot), and finally waits for every host to drain — or,
+// with a stop boundary, to park there.
 func (f *asyncFleet) route() error {
-	tel := f.cfg.Telemetry != nil
-	start := f.routed
-	for k := start; k < f.last; k++ {
-		if f.ckpt > 0 && k == f.ckpt {
-			// The capture barrier precedes boundary k's collection epoch,
-			// exactly as in lockstep: the snapshot excludes the boundary's
-			// own collection and policy work, which the restored run
-			// replays.
-			if err := f.captureBarrier(); err != nil {
+	for k := f.routed; k <= f.last; k++ {
+		if f.stop > 0 && k == f.stop {
+			return f.await(k)
+		}
+		if f.gated(k) {
+			// Boundary k's control-plane work precedes epoch k's routing:
+			// counters reflect epochs [0, k), and migrations commit and
+			// replicas scale before the epoch's arrivals are placed.
+			if err := f.barrier(k); err != nil {
 				return err
 			}
 		}
-		if tel && k >= f.telFrom {
-			// Boundary k's collection epoch precedes epoch k's routing,
-			// exactly as in lockstep (counters reflect epochs [0, k)).
-			if err := f.collectBoundary(k, f.plan.ends[k-1]); err != nil {
-				return err
-			}
-		}
-		if f.rt.el != nil && k > f.cfg.WarmEpochs {
-			// Boundary k's elasticity pass precedes epoch k's routing,
-			// exactly as in lockstep: migrations commit and replicas
-			// scale before the epoch's arrivals are placed.
-			if err := f.elasticityBarrier(k); err != nil {
-				return err
-			}
+		if k == f.last {
+			break
 		}
 		var stats [][]core.VMStat
 		var committed []int
 		if f.plan.hasArrival[k] {
-			b := f.rt.baseFor(k)
+			b := baseFor(k)
+			if err := f.await(b); err != nil {
+				return err
+			}
 			f.mu.Lock()
-			for f.minDone < b && f.failErr == nil {
-				f.cond.Wait()
-			}
-			if f.failErr != nil {
-				f.mu.Unlock()
-				return f.failErr
-			}
 			stats, committed = f.gatherLocked(b)
 			f.mu.Unlock()
 		}
 		batches, err := f.rt.routeEpoch(k, stats, committed)
 		if err != nil {
-			f.mu.Lock()
-			f.failLocked(err, k, -1)
-			f.mu.Unlock()
-			f.pool.WakeAll()
+			f.fail(err, k, -1)
 			return err
 		}
 		if batches != nil {
@@ -239,27 +229,7 @@ func (f *asyncFleet) route() error {
 		f.mu.Unlock()
 		f.pool.WakeAll()
 	}
-	if tel {
-		// The horizon boundary's collection epoch (end of the last churn
-		// epoch), before any host starts draining.
-		if err := f.collectBoundary(f.last, f.plan.ends[f.last-1]); err != nil {
-			return err
-		}
-	}
-	if f.rt.el != nil && f.last > f.cfg.WarmEpochs {
-		// The horizon boundary's elasticity pass (commits only — no new
-		// migrations or replicas start with no epoch left to run them).
-		if err := f.elasticityBarrier(f.last); err != nil {
-			return err
-		}
-	}
-	f.mu.Lock()
-	for f.minDone <= f.last && f.failErr == nil {
-		f.cond.Wait()
-	}
-	err := f.failErr
-	f.mu.Unlock()
-	if err != nil {
+	if err := f.await(f.last + 1); err != nil {
 		return err
 	}
 	// Terminal collection epoch on the fully drained fleet.
@@ -267,137 +237,89 @@ func (f *asyncFleet) route() error {
 	return nil
 }
 
-// elasticityBarrier waits until every host is parked at boundary k
-// (their policy pass gated on elDone), runs the migration/replica-set
-// pass over the frozen fleet, then opens the gate. At the checkpoint
-// boundary the post-capture load resume happens here too, on the
-// control plane, before the pass reads the boundary observations.
-func (f *asyncFleet) elasticityBarrier(k int) error {
-	f.mu.Lock()
-	for f.minDone < k && f.failErr == nil {
-		f.cond.Wait()
+// barrier is boundary k's control-plane work. It waits until every host
+// is parked at k (no host passes k before ctlDone >= k), then works
+// over the frozen fleet in a fixed order — capture,
+// collection epoch, post-capture load resume, elasticity pass — and
+// opens the gate. The capture is read-only, so a run that captures is
+// byte-identical to one that only quiesces; the hosts' own policy
+// passes follow the gate.
+func (f *asyncFleet) barrier(k int) error {
+	if err := f.await(k); err != nil {
+		return err
 	}
-	if f.failErr != nil {
-		f.mu.Unlock()
-		return f.failErr
+	now := f.plan.ends[k-1]
+	if k == f.ckpt && f.cfg.CheckpointPath != "" {
+		cp, err := f.capture(k)
+		if err == nil {
+			err = SaveCheckpoint(f.cfg.CheckpointPath, cp)
+		}
+		if err != nil {
+			f.fail(err, k, -1)
+			return err
+		}
 	}
-	f.mu.Unlock()
-	// No host can be past boundary k (its policy pass needs elDone >=
-	// k), so every engine is frozen while the pass mutates the fleet.
-	if f.ckpt > 0 && k == f.ckpt {
+	if f.cfg.Telemetry != nil && k >= f.telFrom {
+		collectTelemetry(f.cfg.Telemetry, now, f.hosts, f.res, f.cfg.SLO, f.rt)
+	}
+	if k == f.ckpt {
 		for _, h := range f.hosts {
 			h.ResumeLoad()
 		}
 	}
-	f.rt.el.pass(k, f.plan.ends[k-1])
+	if f.rt.el != nil && k > f.cfg.WarmEpochs {
+		f.rt.el.pass(k, now)
+	}
 	f.mu.Lock()
-	f.elDone = k
+	f.ctlDone = k
 	f.mu.Unlock()
 	f.pool.WakeAll()
 	return nil
 }
 
-// collectBoundary waits until every host is parked at boundary k (its
-// epoch k-1 done, its boundary-k policy pass gated on us), samples the
-// fleet, then opens the gate.
-func (f *asyncFleet) collectBoundary(k int, now sim.Time) error {
+// await blocks until every host has completed epoch k-1 (is parked at
+// boundary k or beyond), or the run has failed.
+func (f *asyncFleet) await(k int) error {
 	f.mu.Lock()
+	defer f.mu.Unlock()
 	for f.minDone < k && f.failErr == nil {
 		f.cond.Wait()
 	}
-	if f.failErr != nil {
-		f.mu.Unlock()
-		return f.failErr
-	}
-	f.mu.Unlock()
-	// No host can be past boundary k (its policy pass needs
-	// telemetryDone >= k), so every engine is frozen while we read.
-	collectTelemetry(f.cfg.Telemetry, now, f.hosts, f.res, f.cfg.SLO, f.rt)
-	f.mu.Lock()
-	f.telemetryDone = k
-	f.mu.Unlock()
-	f.pool.WakeAll()
-	return nil
+	return f.failErr
 }
 
-// captureBarrier waits until every host is parked at the checkpoint
-// boundary (their boundary work gated on ckptDone), captures the fleet
-// while all engines are frozen, then opens the gate. The capture is
-// read-only, so the continuing run is byte-identical to one that never
-// captured (beyond the quiesce barrier both share).
-func (f *asyncFleet) captureBarrier() error {
-	b := f.ckpt
+// capture snapshots the fleet parked at boundary b, with the retained
+// placement snapshots the router still owes there. The hosts' entries
+// are copied, not consumed: an entry at x is consumed by arrival epoch
+// x+lagEpochs >= b, which is not yet routed.
+func (f *asyncFleet) capture(b int) (*FleetCheckpoint, error) {
+	var ring []RingBoundary
 	f.mu.Lock()
-	for f.minDone < b && f.failErr == nil {
-		f.cond.Wait()
+	for _, x := range f.plan.retained(b) {
+		stats, committed := f.snapshotLocked(x)
+		ring = append(ring, RingBoundary{Boundary: x, Stats: stats, Committed: committed})
 	}
-	if f.failErr != nil {
-		f.mu.Unlock()
-		return f.failErr
-	}
-	ring := f.ringLocked(b)
 	f.mu.Unlock()
-	// No host can be past boundary b (its boundary work needs ckptDone),
-	// so every engine is frozen while we read.
-	var err error
-	if f.cfg.CheckpointPath != "" {
-		var cp *FleetCheckpoint
-		cp, err = captureFleet(f.cfg, f.hosts, f.pols, f.rt, f.res, ring, b, f.plan.ends[b-1])
-		if err == nil {
-			err = SaveCheckpoint(f.cfg.CheckpointPath, cp)
-		}
-	}
-	f.mu.Lock()
-	if err != nil {
-		f.failLocked(err, b, -1)
-		f.mu.Unlock()
-		f.pool.WakeAll()
-		return err
-	}
-	f.ckptDone = true
-	f.mu.Unlock()
-	f.pool.WakeAll()
-	return nil
-}
-
-// ringLocked assembles the retained placement-snapshot window at a
-// capture boundary b — the bounded-lag analogue of ringBoundaries. The
-// snaps maps still hold every needed boundary in [b-lag, b]: an entry
-// at x is consumed by arrival epoch x+lag >= b, which is not yet
-// routed. Entries are copied, not consumed.
-func (f *asyncFleet) ringLocked(b int) []RingBoundary {
-	var out []RingBoundary
-	lo := b - f.rt.lag
-	if lo < 1 {
-		lo = 1
-	}
-	for x := lo; x <= b; x++ {
-		if !f.rt.needBoundary(x) {
-			continue
-		}
-		stats := make([][]core.VMStat, len(f.hosts))
-		committed := make([]int, len(f.hosts))
-		for i := range f.hosts {
-			s, ok := f.snaps[i][x]
-			if !ok {
-				panic(fmt.Sprintf("cluster: host %d never published boundary %d", i, x))
-			}
-			stats[i] = s.stats
-			committed[i] = s.committed
-		}
-		out = append(out, RingBoundary{Boundary: x, Stats: stats, Committed: committed})
-	}
-	return out
+	return captureFleet(f.cfg, f.hosts, f.pols, f.rt, f.res, ring, b, f.plan.ends[b-1])
 }
 
 // gatherLocked assembles the fleet snapshot at boundary b, consuming
 // the hosts' published entries. Boundary 0 is the empty initial fleet.
 func (f *asyncFleet) gatherLocked(b int) ([][]core.VMStat, []int) {
+	if b == 0 {
+		return make([][]core.VMStat, len(f.hosts)), make([]int, len(f.hosts))
+	}
+	stats, committed := f.snapshotLocked(b)
+	for i := range f.snaps {
+		delete(f.snaps[i], b)
+	}
+	return stats, committed
+}
+
+// snapshotLocked assembles the hosts' published entries at boundary b.
+func (f *asyncFleet) snapshotLocked(b int) ([][]core.VMStat, []int) {
 	stats := make([][]core.VMStat, len(f.hosts))
 	committed := make([]int, len(f.hosts))
-	if b == 0 {
-		return stats, committed
-	}
 	for i := range f.hosts {
 		s, ok := f.snaps[i][b]
 		if !ok {
@@ -405,7 +327,6 @@ func (f *asyncFleet) gatherLocked(b int) ([][]core.VMStat, []int) {
 		}
 		stats[i] = s.stats
 		committed[i] = s.committed
-		delete(f.snaps[i], b)
 	}
 	return stats, committed
 }
@@ -423,28 +344,11 @@ func (f *asyncFleet) advance(i int) {
 		}
 		k := f.done[i]
 		if f.pendingPolicy[i] {
-			if f.cfg.Telemetry != nil && k >= f.telFrom && f.telemetryDone < k {
+			if f.gated(k) && f.ctlDone < k {
 				f.mu.Unlock()
-				return // park until boundary k's collection epoch closes
+				return // park until boundary k's barrier opens
 			}
-			if f.ckpt > 0 && k == f.ckpt && !f.ckptDone {
-				f.mu.Unlock()
-				return // park until the control plane captured the fleet
-			}
-			if f.rt.el != nil && k > f.cfg.WarmEpochs && f.elDone < k {
-				f.mu.Unlock()
-				return // park until boundary k's elasticity pass commits
-			}
-			// With the elasticity layer on, the post-capture resume is the
-			// control plane's (elasticityBarrier), not the host's.
-			resume := f.ckpt > 0 && k == f.ckpt && f.rt.el == nil
 			f.mu.Unlock()
-			if resume {
-				// Post-capture: release this host's quiesce barrier, on the
-				// host's own timeline (the engines of hosts still running
-				// their policy passes must not be touched from here).
-				h.ResumeLoad()
-			}
 			if k > f.cfg.WarmEpochs {
 				t0 := time.Now()
 				h.boundaryPolicy(f.pols[i], f.plan.ends[k-1]-f.plan.starts[k-1])
@@ -477,16 +381,15 @@ func (f *asyncFleet) advance(i int) {
 		if k < f.last {
 			h.scheduleRouted(f.batches[i][k])
 			if quiesceBefore(f.cfg, k) {
-				// After the batch, matching lockstep's engine event order.
 				h.ScheduleQuiesce(f.plan.starts[k])
 			}
 			if err = h.RunEpoch(f.plan.ends[k]); err == nil {
 				snap = h.Snapshot(f.plan.ends[k] - f.plan.starts[k])
 				committed = h.CommittedVCPUs()
-				if f.cfg.WarmEpochs > 0 && k+1 == f.cfg.WarmEpochs {
+				if k+1 == f.cfg.WarmEpochs && k+1 != f.stop {
 					// The warm boundary: arm the mechanisms and resume the
-					// load before publishing done = k+1 — the same
-					// Snapshot-then-Arm order lockstep uses at its barrier.
+					// load after the snapshot, before publishing done = k+1
+					// (a warm-prefix capture stops here unarmed).
 					h.Arm()
 				}
 			}
@@ -506,14 +409,10 @@ func (f *asyncFleet) advance(i int) {
 			return
 		}
 		if k < f.last {
-			if f.rt.needBoundary(k + 1) {
+			if f.plan.needBoundary(k + 1) {
 				f.snaps[i][k+1] = hostSnap{stats: snap, committed: committed}
 			}
-			// Boundary k+1 owes work unless it is inside the warm prefix:
-			// a policy pass past the warm boundary, and the collection /
-			// capture gates from the boundary itself.
-			f.pendingPolicy[i] = k+1 > f.cfg.WarmEpochs ||
-				(f.cfg.Telemetry != nil && k+1 >= f.telFrom)
+			f.pendingPolicy[i] = k+1 > f.cfg.WarmEpochs
 		}
 		f.done[i] = k + 1
 		f.bumpMinLocked(k)
@@ -545,6 +444,15 @@ func (f *asyncFleet) bumpMinLocked(old int) {
 	}
 	f.minDone, f.minCount = min, count
 	f.cond.Broadcast()
+	f.pool.WakeAll()
+}
+
+// fail records err (see failLocked) from the control plane and wakes
+// every parked host so the run unwinds.
+func (f *asyncFleet) fail(err error, epoch, host int) {
+	f.mu.Lock()
+	f.failLocked(err, epoch, host)
+	f.mu.Unlock()
 	f.pool.WakeAll()
 }
 

@@ -1,11 +1,15 @@
 package cluster
 
 import (
+	"bytes"
 	"fmt"
 	"reflect"
 	"sync"
 	"testing"
 	"time"
+
+	"vscale/internal/core"
+	"vscale/internal/telemetry"
 )
 
 // assertSameResult compares two FleetResults field for field (the
@@ -21,40 +25,151 @@ func assertSameResult(t *testing.T, label string, want, got FleetResult) {
 	}
 }
 
-// TestLockstepBoundedLagIdentical is the differential check behind the
-// whole refactor: for every policy, several seeds and both worker
-// counts, the bounded-lag executor must reproduce the lockstep
-// executor's FleetResult exactly.
-func TestLockstepBoundedLagIdentical(t *testing.T) {
+// runSerial is the executor's differential oracle: RunFleet's semantics
+// on one goroutine, with no pool, gates or run-ahead. Every host runs
+// epoch k, then boundary k+1's control-plane work runs in the
+// executor's barrier order (collection, post-capture load resume,
+// elasticity pass), then every host's policy pass. Placement keeps
+// every boundary snapshot instead of the executor's retained window. A
+// CheckpointEpoch quiesces and resumes but never writes a file.
+func runSerial(cfg FleetConfig, events []Event) (FleetResult, error) {
+	plan, err := prepareFleet(&cfg, events)
+	if err != nil {
+		return FleetResult{}, err
+	}
+	pols, hosts, err := buildFleetHosts(&cfg)
+	if err != nil {
+		return FleetResult{}, err
+	}
+	res := FleetResult{Policy: cfg.Policy, Hosts: cfg.Hosts}
+	rt := newFleetRouter(&cfg, plan, &res)
+	if rt.el != nil {
+		rt.el.attachHosts(hosts)
+	}
+	// stats[b] and committed[b] are the fleet snapshot at boundary b.
+	stats := [][][]core.VMStat{make([][]core.VMStat, cfg.Hosts)}
+	committed := [][]int{make([]int, cfg.Hosts)}
+	for k := 0; k < plan.epochs(); k++ {
+		batches, err := rt.routeEpoch(k, stats[baseFor(k)], committed[baseFor(k)])
+		if err != nil {
+			return res, err
+		}
+		epoch := plan.ends[k] - plan.starts[k]
+		stats = append(stats, make([][]core.VMStat, cfg.Hosts))
+		committed = append(committed, make([]int, cfg.Hosts))
+		for i, h := range hosts {
+			if batches != nil {
+				h.scheduleRouted(batches[i])
+			}
+			if quiesceBefore(&cfg, k) {
+				h.ScheduleQuiesce(plan.starts[k])
+			}
+			if err := h.RunEpoch(plan.ends[k]); err != nil {
+				return res, err
+			}
+			stats[k+1][i], committed[k+1][i] = h.Snapshot(epoch), h.CommittedVCPUs()
+			if k+1 == cfg.WarmEpochs {
+				h.Arm()
+			}
+		}
+		b := k + 1
+		if b >= telemetryFrom(&cfg) {
+			collectTelemetry(cfg.Telemetry, plan.ends[k], hosts, &res, cfg.SLO, rt)
+		}
+		if b == cfg.CheckpointEpoch {
+			for _, h := range hosts {
+				h.ResumeLoad()
+			}
+		}
+		if b > cfg.WarmEpochs {
+			if rt.el != nil {
+				rt.el.pass(b, plan.ends[k])
+			}
+			for i, h := range hosts {
+				h.boundaryPolicy(pols[i], epoch)
+			}
+		}
+	}
+	for _, h := range hosts {
+		h.StopAll()
+		if err := h.RunEpoch(cfg.Horizon + cfg.Drain); err != nil {
+			return res, err
+		}
+	}
+	collectTelemetry(cfg.Telemetry, cfg.Horizon+cfg.Drain, hosts, &res, cfg.SLO, rt)
+	return res, aggregate(&cfg, hosts, &res)
+}
+
+// assertMatchesSerial runs cfg through the executor at each worker
+// count and through runSerial, and requires identical results.
+func assertMatchesSerial(t *testing.T, label string, cfg FleetConfig, events []Event, workers ...int) {
+	t.Helper()
+	want, err := runSerial(cfg, events)
+	if err != nil {
+		t.Fatalf("%s serial: %v", label, err)
+	}
+	for _, w := range workers {
+		cfg.Workers = w
+		got, err := RunFleet(cfg, events)
+		if err != nil {
+			t.Fatalf("%s workers=%d: %v", label, w, err)
+		}
+		assertSameResult(t, fmt.Sprintf("%s workers=%d", label, w), want, got)
+	}
+}
+
+// TestExecutorMatchesSerial is the executor's differential check: for
+// every policy, several seeds and both worker counts, RunFleet must
+// reproduce the serial reference's FleetResult exactly.
+func TestExecutorMatchesSerial(t *testing.T) {
 	for _, policy := range PolicyNames() {
 		for _, seed := range []uint64{11, 23, 97} {
 			cfg := smallFleet(policy, 1)
 			cfg.Seed = seed
 			events := GenTrace(DefaultTraceConfig(cfg.Horizon), seed)
+			assertMatchesSerial(t, fmt.Sprintf("%s seed=%d", policy, seed), cfg, events, 1, 4)
+		}
+	}
+}
 
-			lcfg := cfg
-			lcfg.Sync = SyncLockstep
-			want, err := RunFleet(lcfg, events)
-			if err != nil {
-				t.Fatal(err)
-			}
-			for _, workers := range []int{1, 4} {
-				bcfg := cfg
-				bcfg.Sync = SyncBoundedLag
-				bcfg.Workers = workers
-				got, err := RunFleet(bcfg, events)
-				if err != nil {
-					t.Fatal(err)
-				}
-				assertSameResult(t, fmt.Sprintf("%s seed=%d workers=%d", policy, seed, workers), want, got)
-			}
+// TestExecutorMatchesSerialBarriers drives every boundary-barrier step
+// at once — a warm prefix, a checkpoint quiesce, a telemetry collector
+// and the hybrid elasticity layer — and requires the serial
+// reference's result and JSONL stream byte for byte.
+func TestExecutorMatchesSerialBarriers(t *testing.T) {
+	run := func(fleet func(FleetConfig, []Event) (FleetResult, error), workers int) (FleetResult, string) {
+		var buf bytes.Buffer
+		sink, err := telemetry.NewSink("", &buf)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cfg := elasticFleet(t, "hybrid", workers)
+		cfg.Policy = "pid"
+		cfg.WarmEpochs = 2
+		cfg.CheckpointEpoch = 5
+		cfg.Telemetry = telemetry.NewCollector(sink, false, "policy", "pid")
+		res, err := fleet(cfg, GenTrace(elasticTraceConfig(cfg.Horizon), cfg.Seed))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := cfg.Telemetry.Err(); err != nil {
+			t.Fatal(err)
+		}
+		return res, buf.String()
+	}
+	want, wantJSONL := run(runSerial, 1)
+	for _, workers := range []int{1, 4} {
+		got, gotJSONL := run(RunFleet, workers)
+		assertSameResult(t, fmt.Sprintf("workers=%d", workers), want, got)
+		if gotJSONL != wantJSONL {
+			t.Fatalf("workers=%d: telemetry streams differ:\n--- serial ---\n%s\n--- executor ---\n%s", workers, wantJSONL, gotJSONL)
 		}
 	}
 }
 
 // TestBoundedLagStarvedHost slows one host far below the rest: the
 // fleet must actually run ahead of it (asynchrony), never beyond the
-// lag bound, and still produce the lockstep answer.
+// lag bound, and still produce the serial reference's answer.
 func TestBoundedLagStarvedHost(t *testing.T) {
 	var mu sync.Mutex
 	cur := map[int]int{}
@@ -82,9 +197,7 @@ func TestBoundedLagStarvedHost(t *testing.T) {
 	}
 	testEpochHook = nil
 
-	lcfg := smallFleet("vscale", 1)
-	lcfg.Sync = SyncLockstep
-	want, err := RunFleet(lcfg, events)
+	want, err := runSerial(cfg, events)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -93,41 +206,11 @@ func TestBoundedLagStarvedHost(t *testing.T) {
 	// cur[i] is the last epoch host i *started*, so host 1 may lead the
 	// straggler's start by lag+1 (the straggler's done count can be one
 	// past its recorded start), never more.
-	if maxSkew > cfg.lag()+1 {
-		t.Fatalf("lag bound violated: host 1 ran %d epochs ahead of the straggler (lag %d)", maxSkew, cfg.lag())
+	if maxSkew > lagEpochs+1 {
+		t.Fatalf("lag bound violated: host 1 ran %d epochs ahead of the straggler (lag %d)", maxSkew, lagEpochs)
 	}
 	if maxSkew < 2 {
 		t.Fatalf("no run-ahead observed (max skew %d); executor appears lockstepped", maxSkew)
-	}
-}
-
-// TestParseSyncMode pins the flag surface both CLIs share.
-func TestParseSyncMode(t *testing.T) {
-	for in, want := range map[string]SyncMode{
-		"":           SyncBoundedLag,
-		"boundedlag": SyncBoundedLag,
-		"lockstep":   SyncLockstep,
-	} {
-		got, err := ParseSyncMode(in)
-		if err != nil || got != want {
-			t.Fatalf("ParseSyncMode(%q) = %v, %v; want %v", in, got, err, want)
-		}
-	}
-	if _, err := ParseSyncMode("warp"); err == nil {
-		t.Fatal("ParseSyncMode(warp): want error")
-	}
-}
-
-// TestRunFleetRejectsNegativeLag pins config validation.
-func TestRunFleetRejectsNegativeLag(t *testing.T) {
-	cfg := smallFleet("static", 0)
-	cfg.LagEpochs = -1
-	if _, err := RunFleet(cfg, nil); err == nil {
-		t.Fatal("RunFleet with negative LagEpochs: want error")
-	}
-	cfg.Sync = SyncMode("warp")
-	if _, err := RunFleet(cfg, nil); err == nil {
-		t.Fatal("RunFleet with unknown sync mode: want error")
 	}
 }
 

@@ -162,7 +162,7 @@ func checkpointableLabel(label string) bool {
 // CaptureState exports the host's semantic state. The host must be
 // parked at an epoch boundary, fully drained (the quiesce barrier ran
 // one epoch earlier), and its accounting synced by the boundary
-// Snapshot — the executors guarantee all three. Capture is read-only:
+// Snapshot — the executor guarantees all three. Capture is read-only:
 // a run that captures and continues is byte-identical to one that
 // never captured.
 func (h *Host) CaptureState() (HostCheckpoint, error) {
@@ -300,7 +300,7 @@ func RestoreHost(id int, cfg HostConfig, cp HostCheckpoint) (*Host, error) {
 
 // captureFleet assembles a fleet snapshot from hosts parked at an
 // epoch boundary. ringCPs is the retained placement-snapshot window
-// (ringBoundaries); pols supplies Checkpointable control state on
+// (epochPlan.retained); pols supplies Checkpointable control state on
 // armed captures.
 func captureFleet(cfg *FleetConfig, hosts []*Host, pols []ScalingPolicy, rt *fleetRouter, res *FleetResult, ringCPs []RingBoundary, boundary int, now sim.Time) (*FleetCheckpoint, error) {
 	armed := hosts[0].armed
@@ -314,7 +314,7 @@ func captureFleet(cfg *FleetConfig, hosts []*Host, pols []ScalingPolicy, rt *fle
 			Epoch:        cfg.Epoch,
 			Drain:        cfg.Drain,
 			SLO:          cfg.SLO,
-			LagEpochs:    rt.lag,
+			LagEpochs:    lagEpochs,
 			WarmEpochs:   cfg.WarmEpochs,
 		},
 		Boundary: boundary,
@@ -483,8 +483,8 @@ func (cp *FleetCheckpoint) validateAgainst(cfg *FleetConfig, plan *epochPlan) er
 		return fmt.Errorf("cluster: checkpoint drain %v, config %v", id.Drain, cfg.Drain)
 	case id.SLO != cfg.SLO:
 		return fmt.Errorf("cluster: checkpoint SLO %v, config %v", id.SLO, cfg.SLO)
-	case id.LagEpochs != cfg.lag():
-		return fmt.Errorf("cluster: checkpoint lag %d, config %d", id.LagEpochs, cfg.lag())
+	case id.LagEpochs != lagEpochs:
+		return fmt.Errorf("cluster: checkpoint lag %d, executor %d", id.LagEpochs, lagEpochs)
 	case id.WarmEpochs != cfg.WarmEpochs:
 		return fmt.Errorf("cluster: checkpoint warm epochs %d, config %d", id.WarmEpochs, cfg.WarmEpochs)
 	}
@@ -516,39 +516,28 @@ func (cp *FleetCheckpoint) validateAgainst(cfg *FleetConfig, plan *epochPlan) er
 	if len(cp.Router.ProbeLog) != cfg.Hosts {
 		return fmt.Errorf("cluster: checkpoint probe log covers %d hosts, config %d", len(cp.Router.ProbeLog), cfg.Hosts)
 	}
-	for _, rb := range cp.Ring {
+	// The executor indexes hosts by owner and places with the ring, so
+	// both must be exactly what a capture at this boundary carries: the
+	// digest is unkeyed and cannot vouch for a re-sealed edit.
+	for vm, host := range cp.Router.Owner {
+		if host < 0 || host >= cfg.Hosts {
+			return fmt.Errorf("cluster: checkpoint places VM %s on host %d of %d", vm, host, cfg.Hosts)
+		}
+	}
+	want := plan.retained(cp.Boundary)
+	if len(cp.Ring) != len(want) {
+		return fmt.Errorf("cluster: checkpoint ring holds %d boundaries, boundary %d needs %v", len(cp.Ring), cp.Boundary, want)
+	}
+	for j, rb := range cp.Ring {
+		if rb.Boundary != want[j] {
+			return fmt.Errorf("cluster: checkpoint ring boundary %d at slot %d, boundary %d needs %v", rb.Boundary, j, cp.Boundary, want)
+		}
 		if len(rb.Stats) != cfg.Hosts || len(rb.Committed) != cfg.Hosts {
 			return fmt.Errorf("cluster: ring boundary %d covers %d/%d hosts, config %d",
 				rb.Boundary, len(rb.Stats), len(rb.Committed), cfg.Hosts)
 		}
 	}
 	return nil
-}
-
-// ringBoundaries extracts the retained placement-snapshot window at a
-// capture boundary b from the lockstep ring: boundaries in
-// [max(1, b-lag), b] that some post-restore arrival epoch places with.
-// (Older needed boundaries were already consumed — an arrival epoch
-// k < b placed with them — and boundary 0, the empty fleet, is
-// implicit.)
-func ringBoundaries(ring *snapRing, rt *fleetRouter, b int) []RingBoundary {
-	var out []RingBoundary
-	lo := b - rt.lag
-	if lo < 1 {
-		lo = 1
-	}
-	for x := lo; x <= b; x++ {
-		if !rt.needBoundary(x) {
-			continue
-		}
-		stats, committed := ring.at(x)
-		out = append(out, RingBoundary{
-			Boundary:  x,
-			Stats:     stats,
-			Committed: append([]int(nil), committed...),
-		})
-	}
-	return out
 }
 
 // restoreRouter overwrites a fresh router (and the result's churn
@@ -579,7 +568,7 @@ func restoreRouter(rt *fleetRouter, res *FleetResult, rc RouterCheckpoint) {
 // from; cfg.Policy is irrelevant to the prefix (mechanisms are off and
 // no policy pass runs) and is not recorded.
 func CaptureWarmPrefix(cfg FleetConfig, events []Event) (*FleetCheckpoint, error) {
-	plan, _, err := prepareFleet(&cfg, events)
+	plan, err := prepareFleet(&cfg, events)
 	if err != nil {
 		return nil, err
 	}
@@ -602,12 +591,7 @@ func CaptureWarmPrefix(cfg FleetConfig, events []Event) (*FleetCheckpoint, error
 	if rt.el != nil {
 		rt.el.attachHosts(hosts)
 	}
-	ring := newSnapRing(cfg.Hosts, rt.lag)
-	if err := runLockstep(&cfg, plan, hosts, pols, rt, &res, ring, 0, cfg.WarmEpochs); err != nil {
-		return nil, err
-	}
-	b := cfg.WarmEpochs
-	return captureFleet(&cfg, hosts, pols, rt, &res, ringBoundaries(ring, rt, b), b, plan.ends[b-1])
+	return runBoundedLag(&cfg, plan, hosts, pols, rt, &res, 0, cfg.WarmEpochs, nil)
 }
 
 // RunFleetFork restores a fleet from a snapshot and runs it to
@@ -615,10 +599,10 @@ func CaptureWarmPrefix(cfg FleetConfig, events []Event) (*FleetCheckpoint, error
 // half of warm-fork: mechanisms arm per cfg.Policy at the boundary and
 // the measured window begins; for an armed mid-run capture cfg.Policy
 // must match the capture and the run simply resumes. Either way the
-// suffix runs under cfg.Sync/cfg.Workers and the result is
-// byte-identical to the straight-through run with the same barriers.
+// suffix runs at cfg.Workers and the result is byte-identical to the
+// straight-through run with the same barriers.
 func RunFleetFork(cfg FleetConfig, events []Event, cp *FleetCheckpoint) (FleetResult, error) {
-	plan, sync, err := prepareFleet(&cfg, events)
+	plan, err := prepareFleet(&cfg, events)
 	if err != nil {
 		return FleetResult{}, err
 	}
@@ -687,20 +671,7 @@ func RunFleetFork(cfg FleetConfig, events []Event, cp *FleetCheckpoint) (FleetRe
 		}
 	}
 
-	start := cp.Boundary
-	switch sync {
-	case SyncLockstep:
-		ring := newSnapRing(cfg.Hosts, rt.lag)
-		for _, rb := range cp.Ring {
-			for i := range hosts {
-				ring.set(rb.Boundary, i, rb.Stats[i], rb.Committed[i])
-			}
-		}
-		err = runLockstep(&cfg, plan, hosts, pols, rt, &res, ring, start, 0)
-	default:
-		err = runBoundedLag(&cfg, plan, hosts, pols, rt, &res, start, cp.Ring)
-	}
-	if err != nil {
+	if _, err := runBoundedLag(&cfg, plan, hosts, pols, rt, &res, cp.Boundary, 0, cp.Ring); err != nil {
 		return res, err
 	}
 	if err := aggregate(&cfg, hosts, &res); err != nil {

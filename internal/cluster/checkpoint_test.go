@@ -13,39 +13,36 @@ import (
 )
 
 // TestWarmForkIdentical is the correctness gate behind warm-fork: for
-// every policy, both sync modes, two seeds and both worker counts, the
-// forked run (shared warm prefix, restored at the warm boundary) must
-// reproduce the straight-through run's FleetResult exactly.
+// every policy, two seeds and both worker counts, the forked run
+// (shared warm prefix, restored at the warm boundary) must reproduce
+// the straight-through run's FleetResult exactly.
 func TestWarmForkIdentical(t *testing.T) {
 	const warm = 3
 	policies := PolicyNames()
-	for _, mode := range []SyncMode{SyncLockstep, SyncBoundedLag} {
-		for _, seed := range []uint64{11, 23} {
-			for _, workers := range []int{1, 4} {
-				cfg := smallFleet("", workers)
-				cfg.Seed = seed
-				cfg.Sync = mode
-				cfg.WarmEpochs = warm
-				events := GenTrace(DefaultTraceConfig(cfg.Horizon), seed)
+	for _, seed := range []uint64{11, 23} {
+		for _, workers := range []int{1, 4} {
+			cfg := smallFleet("", workers)
+			cfg.Seed = seed
+			cfg.WarmEpochs = warm
+			events := GenTrace(DefaultTraceConfig(cfg.Horizon), seed)
 
-				straight := make([]FleetResult, 0, len(policies))
-				for _, p := range policies {
-					scfg := cfg
-					scfg.Policy = p
-					r, err := RunFleet(scfg, events)
-					if err != nil {
-						t.Fatalf("straight %s: %v", p, err)
-					}
-					straight = append(straight, r)
-				}
-				forked, err := RunFleetWarmFork(cfg, events, policies, nil)
+			straight := make([]FleetResult, 0, len(policies))
+			for _, p := range policies {
+				scfg := cfg
+				scfg.Policy = p
+				r, err := RunFleet(scfg, events)
 				if err != nil {
-					t.Fatal(err)
+					t.Fatalf("straight %s: %v", p, err)
 				}
-				for i, p := range policies {
-					assertSameResult(t, fmt.Sprintf("%s %s seed=%d workers=%d", p, mode, seed, workers),
-						straight[i], forked[i])
-				}
+				straight = append(straight, r)
+			}
+			forked, err := RunFleetWarmFork(cfg, events, policies, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i, p := range policies {
+				assertSameResult(t, fmt.Sprintf("%s seed=%d workers=%d", p, seed, workers),
+					straight[i], forked[i])
 			}
 		}
 	}
@@ -92,65 +89,52 @@ func TestWarmForkTelemetryIdentical(t *testing.T) {
 }
 
 // TestCheckpointRestoreIdentical: capturing mid-run and restoring from
-// the file reproduces the capturing run's result exactly, in both sync
-// modes, for stateful (Checkpointable), daemon-driven and stateless
-// policies.
+// the file reproduces the capturing run's result exactly, for stateful
+// (Checkpointable), daemon-driven and stateless policies.
 func TestCheckpointRestoreIdentical(t *testing.T) {
-	for _, mode := range []SyncMode{SyncLockstep, SyncBoundedLag} {
-		for _, policy := range []string{"pid", "predictive", "vscale", "static"} {
-			path := filepath.Join(t.TempDir(), "fleet.ckpt")
-			cfg := smallFleet(policy, 4)
-			cfg.Sync = mode
-			cfg.CheckpointEpoch = 3
-			cfg.CheckpointPath = path
-			events := GenTrace(DefaultTraceConfig(cfg.Horizon), cfg.Seed)
+	for _, policy := range []string{"pid", "predictive", "vscale", "static"} {
+		path := filepath.Join(t.TempDir(), "fleet.ckpt")
+		cfg := smallFleet(policy, 4)
+		cfg.CheckpointEpoch = 3
+		cfg.CheckpointPath = path
+		events := GenTrace(DefaultTraceConfig(cfg.Horizon), cfg.Seed)
 
-			want, err := RunFleet(cfg, events)
-			if err != nil {
-				t.Fatalf("%s %s capture run: %v", mode, policy, err)
-			}
-			cp, err := LoadCheckpoint(path)
-			if err != nil {
-				t.Fatal(err)
-			}
-			rcfg := cfg
-			rcfg.CheckpointEpoch = 0
-			rcfg.CheckpointPath = ""
-			got, err := RunFleetFork(rcfg, events, cp)
-			if err != nil {
-				t.Fatalf("%s %s restored run: %v", mode, policy, err)
-			}
-			assertSameResult(t, fmt.Sprintf("%s %s restore", mode, policy), want, got)
+		want, err := RunFleet(cfg, events)
+		if err != nil {
+			t.Fatalf("%s capture run: %v", policy, err)
 		}
+		cp, err := LoadCheckpoint(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rcfg := cfg
+		rcfg.CheckpointEpoch = 0
+		rcfg.CheckpointPath = ""
+		got, err := RunFleetFork(rcfg, events, cp)
+		if err != nil {
+			t.Fatalf("%s restored run: %v", policy, err)
+		}
+		assertSameResult(t, policy+" restore", want, got)
 	}
 }
 
 // TestCheckpointCaptureIsReadOnly: a run that quiesces and captures at
 // an epoch boundary produces the same result whether or not the
-// snapshot is written (and in both sync modes).
+// snapshot is written.
 func TestCheckpointCaptureIsReadOnly(t *testing.T) {
-	base := smallFleet("pid", 2)
-	base.CheckpointEpoch = 4
-	events := GenTrace(DefaultTraceConfig(base.Horizon), base.Seed)
-	var ref *FleetResult
-	for _, mode := range []SyncMode{SyncLockstep, SyncBoundedLag} {
-		for _, write := range []bool{false, true} {
-			cfg := base
-			cfg.Sync = mode
-			if write {
-				cfg.CheckpointPath = filepath.Join(t.TempDir(), "fleet.ckpt")
-			}
-			res, err := RunFleet(cfg, events)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if ref == nil {
-				ref = &res
-				continue
-			}
-			assertSameResult(t, fmt.Sprintf("%s write=%v", mode, write), *ref, res)
-		}
+	cfg := smallFleet("pid", 2)
+	cfg.CheckpointEpoch = 4
+	events := GenTrace(DefaultTraceConfig(cfg.Horizon), cfg.Seed)
+	ref, err := RunFleet(cfg, events)
+	if err != nil {
+		t.Fatal(err)
 	}
+	cfg.CheckpointPath = filepath.Join(t.TempDir(), "fleet.ckpt")
+	res, err := RunFleet(cfg, events)
+	if err != nil {
+		t.Fatal(err)
+	}
+	assertSameResult(t, "written capture", ref, res)
 }
 
 // TestCheckpointDigestStable: the digest is a pure function of the
@@ -236,17 +220,53 @@ func TestCheckpointRoundTripAndCorruption(t *testing.T) {
 	}
 }
 
+// reseal returns a copy of cp with edit applied and the digest
+// recomputed: a hand-edited file that DecodeCheckpoint still accepts.
+func reseal(t *testing.T, cp *FleetCheckpoint, edit func(*FleetCheckpoint)) *FleetCheckpoint {
+	t.Helper()
+	data, err := cp.Encode()
+	if err != nil {
+		t.Fatal(err)
+	}
+	c, err := DecodeCheckpoint(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	edit(c)
+	if c.Digest, err = c.ComputeDigest(); err != nil {
+		t.Fatal(err)
+	}
+	if data, err = c.Encode(); err != nil {
+		t.Fatal(err)
+	}
+	if c, err = DecodeCheckpoint(data); err != nil {
+		t.Fatalf("re-sealed checkpoint failed to decode: %v", err)
+	}
+	return c
+}
+
 // TestRunFleetForkValidation: a snapshot only restores into the run it
-// came from.
+// came from, and a re-sealed edit of the structures the executor
+// indexes with is an error, not a panic.
 func TestRunFleetForkValidation(t *testing.T) {
 	cfg := smallFleet("vscale", 1)
-	cfg.WarmEpochs = 2
-	events := GenTrace(DefaultTraceConfig(cfg.Horizon), cfg.Seed)
+	cfg.Horizon = 8 * sim.Second
+	cfg.WarmEpochs = 4
+	tcfg := DefaultTraceConfig(cfg.Horizon)
+	tcfg.ArrivalEvery = 300 * sim.Millisecond
+	events := GenTrace(tcfg, cfg.Seed)
 	cp, err := CaptureWarmPrefix(cfg, events)
 	if err != nil {
 		t.Fatal(err)
 	}
-	cases := []struct {
+	var ring []int
+	for _, rb := range cp.Ring {
+		ring = append(ring, rb.Boundary)
+	}
+	if fmt.Sprint(ring) != "[1 2 3 4]" {
+		t.Fatalf("warm capture retains ring boundaries %v, want [1 2 3 4]", ring)
+	}
+	configs := []struct {
 		name   string
 		mutate func(c *FleetConfig)
 	}{
@@ -254,13 +274,31 @@ func TestRunFleetForkValidation(t *testing.T) {
 		{"hosts", func(c *FleetConfig) { c.Hosts++ }},
 		{"horizon", func(c *FleetConfig) { c.Horizon += sim.Second }},
 		{"warm", func(c *FleetConfig) { c.WarmEpochs++ }},
-		{"lag", func(c *FleetConfig) { c.LagEpochs = 2 }},
 	}
-	for _, tc := range cases {
+	for _, tc := range configs {
 		bad := cfg
 		tc.mutate(&bad)
 		if _, err := RunFleetFork(bad, events, cp); err == nil {
 			t.Fatalf("%s mismatch restored without error", tc.name)
+		}
+	}
+	tampers := []struct {
+		name string
+		edit func(c *FleetCheckpoint)
+	}{
+		{"lag", func(c *FleetCheckpoint) { c.Config.LagEpochs = 2 }},
+		{"ring dropped", func(c *FleetCheckpoint) { c.Ring = c.Ring[1:] }},
+		{"ring reordered", func(c *FleetCheckpoint) { c.Ring[0], c.Ring[1] = c.Ring[1], c.Ring[0] }},
+		{"owner out of range", func(c *FleetCheckpoint) {
+			for vm := range c.Router.Owner {
+				c.Router.Owner[vm] = 99
+				break
+			}
+		}},
+	}
+	for _, tc := range tampers {
+		if _, err := RunFleetFork(cfg, events, reseal(t, cp, tc.edit)); err == nil {
+			t.Fatalf("re-sealed %s edit restored without error", tc.name)
 		}
 	}
 	if _, err := RunFleetFork(cfg, events, cp); err != nil {

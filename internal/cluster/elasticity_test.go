@@ -3,7 +3,6 @@ package cluster
 import (
 	"bytes"
 	"encoding/json"
-	"fmt"
 	"path/filepath"
 	"reflect"
 	"strings"
@@ -61,38 +60,21 @@ func TestElasticitySmoke(t *testing.T) {
 	}
 }
 
-// TestElasticityLockstepBoundedLagIdentical extends the executor
+// TestElasticityExecutorMatchesSerial extends the executor
 // differential to the elasticity layer: with migrations and replica
-// scaling on, the bounded-lag executor must still reproduce lockstep
+// scaling on, the executor must still reproduce the serial reference
 // byte for byte at every worker count.
-func TestElasticityLockstepBoundedLagIdentical(t *testing.T) {
+func TestElasticityExecutorMatchesSerial(t *testing.T) {
 	for _, mode := range []string{"migrate", "replicas", "hybrid"} {
 		cfg := elasticFleet(t, mode, 1)
 		events := GenTrace(elasticTraceConfig(cfg.Horizon), cfg.Seed)
-
-		lcfg := cfg
-		lcfg.Sync = SyncLockstep
-		want, err := RunFleet(lcfg, events)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, workers := range []int{1, 4} {
-			bcfg := cfg
-			bcfg.Sync = SyncBoundedLag
-			bcfg.Workers = workers
-			got, err := RunFleet(bcfg, events)
-			if err != nil {
-				t.Fatal(err)
-			}
-			assertSameResult(t, fmt.Sprintf("%s workers=%d", mode, workers), want, got)
-		}
+		assertMatchesSerial(t, mode, cfg, events, 1, 4)
 	}
 }
 
 // TestElasticityWarmForkIdentical checks the fork half of warm-fork
 // with the elasticity layer on: a fleet forked from the shared warm
-// checkpoint must match the straight-through run exactly, in both sync
-// modes.
+// checkpoint must match the straight-through run exactly.
 func TestElasticityWarmForkIdentical(t *testing.T) {
 	cfg := elasticFleet(t, "hybrid", 1)
 	cfg.WarmEpochs = 2
@@ -113,15 +95,11 @@ func TestElasticityWarmForkIdentical(t *testing.T) {
 	if cp.Elasticity == nil {
 		t.Fatal("warm capture of an elasticity-enabled run carries no elasticity state")
 	}
-	for _, sync := range []SyncMode{SyncLockstep, SyncBoundedLag} {
-		fcfg := cfg
-		fcfg.Sync = sync
-		got, err := RunFleetFork(fcfg, events, cp)
-		if err != nil {
-			t.Fatal(err)
-		}
-		assertSameResult(t, fmt.Sprintf("warm fork %s", sync), straight, got)
+	got, err := RunFleetFork(cfg, events, cp)
+	if err != nil {
+		t.Fatal(err)
 	}
+	assertSameResult(t, "warm fork", straight, got)
 }
 
 // TestElasticityCheckpointRestoreIdentical captures an armed mid-run
@@ -165,15 +143,11 @@ func TestElasticityCheckpointRestoreIdentical(t *testing.T) {
 	if len(ecp.Inflight) == 0 {
 		t.Error("no migration in flight at the capture boundary; pick a boundary that straddles one")
 	}
-	for _, sync := range []SyncMode{SyncLockstep, SyncBoundedLag} {
-		fcfg := cfg
-		fcfg.Sync = sync
-		got, err := RunFleetFork(fcfg, events, cp)
-		if err != nil {
-			t.Fatal(err)
-		}
-		assertSameResult(t, fmt.Sprintf("mid-run fork %s", sync), want, got)
+	got, err := RunFleetFork(cfg, events, cp)
+	if err != nil {
+		t.Fatal(err)
 	}
+	assertSameResult(t, "mid-run fork", want, got)
 }
 
 // TestElasticityForkValidation pins the restore-time identity checks:

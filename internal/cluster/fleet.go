@@ -3,7 +3,6 @@ package cluster
 import (
 	"fmt"
 
-	"vscale/internal/core"
 	"vscale/internal/dom0"
 	"vscale/internal/loadgen"
 	"vscale/internal/metrics"
@@ -13,39 +12,17 @@ import (
 	"vscale/internal/trace"
 )
 
-// SyncMode selects how the fleet's hosts are advanced through virtual
-// time. Both modes produce byte-identical FleetResults for the same
-// config and trace — lockstep is retained as the differential reference
-// for the bounded-lag executor (and CI diffs their outputs).
-type SyncMode string
-
-const (
-	// SyncBoundedLag (the default) advances each host independently on a
-	// persistent worker pool, up to LagEpochs epochs ahead of the slowest
-	// host, synchronizing only at genuine cross-host interaction points:
-	// churn arrivals that need fleet-wide placement snapshots, and the
-	// telemetry collection epoch. See docs/cluster.md.
-	SyncBoundedLag SyncMode = "boundedlag"
-	// SyncLockstep advances every host exactly one epoch per control-
-	// plane step, with a full fan-out/join barrier (one runner.Run call)
-	// per epoch — the original executor, kept as the reference.
-	SyncLockstep SyncMode = "lockstep"
-)
-
-// ParseSyncMode resolves a -sync flag value ("" means bounded-lag).
-func ParseSyncMode(s string) (SyncMode, error) {
-	switch SyncMode(s) {
-	case "", SyncBoundedLag:
-		return SyncBoundedLag, nil
-	case SyncLockstep:
-		return SyncLockstep, nil
-	}
-	return "", fmt.Errorf("cluster: unknown sync mode %q (want %s or %s)", s, SyncLockstep, SyncBoundedLag)
-}
-
-// DefaultLagEpochs is the placement-staleness and run-ahead bound used
-// when FleetConfig.LagEpochs is 0.
-const DefaultLagEpochs = 4
+// lagEpochs bounds both placement staleness and host run-ahead:
+//
+//   - An arrival in epoch k is placed with the fleet snapshot published
+//     at boundary max(0, k-lagEpochs), corrected with deterministic
+//     probes for VMs placed since, so placement is a pure function of
+//     the trace, never of scheduling.
+//   - No host may run more than lagEpochs epochs ahead of the slowest
+//     host.
+//
+// Checkpoints record it as lag_epochs and restore checks it.
+const lagEpochs = 4
 
 // DefaultEpoch is the control-plane period used when FleetConfig.Epoch
 // is 0: placement decisions, telemetry snapshots and policy passes
@@ -81,24 +58,9 @@ type FleetConfig struct {
 	Drain sim.Time
 	// SLO is the per-request latency objective.
 	SLO sim.Time
-	// Workers bounds the host fan-out: the per-epoch runner.Run pool in
-	// lockstep, the persistent runner.Pool in bounded-lag (0 =
+	// Workers bounds the executor's persistent runner.Pool (0 =
 	// GOMAXPROCS).
 	Workers int
-	// Sync selects the executor ("" = SyncBoundedLag). Results are
-	// byte-identical across modes; only wall-clock behaviour differs.
-	Sync SyncMode
-	// LagEpochs bounds both placement staleness and host run-ahead
-	// (0 = DefaultLagEpochs):
-	//
-	//   - An arrival in epoch k is placed with the fleet snapshot
-	//     published at boundary max(0, k-LagEpochs), corrected with
-	//     deterministic probes for VMs placed since — in BOTH sync
-	//     modes, so placement is a pure function of the trace and the
-	//     bound, never of scheduling.
-	//   - In bounded-lag, no host may run more than LagEpochs epochs
-	//     ahead of the slowest host.
-	LagEpochs int
 	// RecordPlacements controls FleetResult.Placements accumulation.
 	// nil defaults to recording (existing callers read placements);
 	// point it at false for scale runs where the unbounded per-VM slice
@@ -107,18 +69,17 @@ type FleetConfig struct {
 	// Tracers, when non-nil, holds one tracer per host (index-aligned);
 	// host i's scheduling events are recorded into Tracers[i].
 	Tracers []*trace.Tracer
-	// Report, when non-nil, accumulates the host fan-out accounting: in
-	// lockstep every host-epoch is one runner job; in bounded-lag every
-	// host is one job whose wall clock sums its executor chunks.
+	// Report, when non-nil, accumulates the host fan-out accounting:
+	// every host is one job whose wall clock sums its executor chunks.
 	Report *runner.Report
 	// Telemetry, when non-nil, receives one collection epoch per
 	// control-plane epoch (and one final epoch after the drain): the
 	// collector samples every host, VM and load generator while the
 	// engines are parked at the boundary, then publishes the scrape
 	// snapshot and the JSONL record. The collection epoch is a genuine
-	// cross-host sync point, so bounded-lag degrades to epoch pacing
-	// while a collector is attached. Purely observational: the run's
-	// results are byte-identical with or without it.
+	// cross-host sync point, so the executor paces epoch by epoch while
+	// a collector is attached. Purely observational: the run's results
+	// are byte-identical with or without it.
 	Telemetry *telemetry.Collector
 	// WarmEpochs, when > 0, marks epochs [0, WarmEpochs) as a policy-
 	// neutral warm-up prefix: hosts are built with their mechanisms
@@ -146,9 +107,9 @@ type FleetConfig struct {
 	// starts pre-copy migrations from the most committed host and
 	// commits each stop-and-copy cutover at the first boundary past its
 	// modeled copy duration (docs/cluster.md, "Live migration model").
-	// Elasticity passes are global boundary work, so bounded-lag
-	// degrades to epoch pacing while either field is set — results stay
-	// byte-identical across sync modes and worker counts.
+	// Elasticity passes are global boundary work, so the executor paces
+	// epoch by epoch while either field is set — results stay
+	// byte-identical across worker counts.
 	Migration *MigrationConfig
 	// ReplicaSet, when non-nil, enables ReplicaSet-style horizontal
 	// autoscaling: trace VMs carrying service= anchor a service; a
@@ -156,14 +117,6 @@ type FleetConfig struct {
 	// attainment, with readiness gating and ReplicaFailure conditions
 	// (docs/cluster.md, "Horizontal autoscaling").
 	ReplicaSet *ReplicaSetConfig
-}
-
-// lag resolves the effective staleness/run-ahead bound.
-func (cfg *FleetConfig) lag() int {
-	if cfg.LagEpochs == 0 {
-		return DefaultLagEpochs
-	}
-	return cfg.LagEpochs
 }
 
 // recordPlacements resolves the RecordPlacements default (on).
@@ -234,14 +187,12 @@ type FleetResult struct {
 
 // RunFleet drives one fleet through a churn trace. Churn events are
 // routed to hosts in trace order; arrivals are placed with Algorithm 1
-// over bounded-staleness fleet snapshots (see FleetConfig.LagEpochs);
-// each host runs its own per-epoch policy pass at its boundaries. The
-// executor is selected by cfg.Sync: epoch-lockstep barriers or the
-// bounded-lag asynchronous pool. Aggregation walks hosts and VMs in
-// deterministic admission order, so the result is identical for any
-// worker count and either sync mode.
+// over bounded-staleness fleet snapshots (see lagEpochs); each host
+// runs its own per-epoch policy pass at its boundaries. Aggregation
+// walks hosts and VMs in deterministic admission order, so the result
+// is identical for any worker count.
 func RunFleet(cfg FleetConfig, events []Event) (FleetResult, error) {
-	plan, sync, err := prepareFleet(&cfg, events)
+	plan, err := prepareFleet(&cfg, events)
 	if err != nil {
 		return FleetResult{}, err
 	}
@@ -255,15 +206,7 @@ func RunFleet(cfg FleetConfig, events []Event) (FleetResult, error) {
 	if rt.el != nil {
 		rt.el.attachHosts(hosts)
 	}
-
-	switch sync {
-	case SyncLockstep:
-		ring := newSnapRing(cfg.Hosts, rt.lag)
-		err = runLockstep(&cfg, plan, hosts, pols, rt, &res, ring, 0, 0)
-	default:
-		err = runBoundedLag(&cfg, plan, hosts, pols, rt, &res, 0, nil)
-	}
-	if err != nil {
+	if _, err := runBoundedLag(&cfg, plan, hosts, pols, rt, &res, 0, 0, nil); err != nil {
 		return res, err
 	}
 	if err := aggregate(&cfg, hosts, &res); err != nil {
@@ -275,12 +218,12 @@ func RunFleet(cfg FleetConfig, events []Event) (FleetResult, error) {
 // prepareFleet validates a fleet configuration in place (applying the
 // Epoch/Drain defaults) and builds the epoch plan — the shared front
 // half of RunFleet, CaptureWarmPrefix and RunFleetFork.
-func prepareFleet(cfg *FleetConfig, events []Event) (*epochPlan, SyncMode, error) {
+func prepareFleet(cfg *FleetConfig, events []Event) (*epochPlan, error) {
 	if cfg.Hosts <= 0 || cfg.PCPUsPerHost <= 0 {
-		return nil, "", fmt.Errorf("cluster: need positive Hosts and PCPUsPerHost")
+		return nil, fmt.Errorf("cluster: need positive Hosts and PCPUsPerHost")
 	}
 	if cfg.Horizon <= 0 {
-		return nil, "", fmt.Errorf("cluster: need a positive Horizon")
+		return nil, fmt.Errorf("cluster: need a positive Horizon")
 	}
 	if cfg.Epoch <= 0 {
 		cfg.Epoch = DefaultEpoch
@@ -288,43 +231,36 @@ func prepareFleet(cfg *FleetConfig, events []Event) (*epochPlan, SyncMode, error
 	if cfg.Drain <= 0 {
 		cfg.Drain = 2 * sim.Second
 	}
-	if cfg.LagEpochs < 0 {
-		return nil, "", fmt.Errorf("cluster: negative LagEpochs %d", cfg.LagEpochs)
-	}
-	sync, err := ParseSyncMode(string(cfg.Sync))
-	if err != nil {
-		return nil, "", err
-	}
 	if cfg.Tracers != nil && len(cfg.Tracers) != cfg.Hosts {
-		return nil, "", fmt.Errorf("cluster: %d tracers for %d hosts", len(cfg.Tracers), cfg.Hosts)
+		return nil, fmt.Errorf("cluster: %d tracers for %d hosts", len(cfg.Tracers), cfg.Hosts)
 	}
 	plan, err := planEpochs(cfg, events)
 	if err != nil {
-		return nil, "", err
+		return nil, err
 	}
 	if cfg.WarmEpochs < 0 || cfg.WarmEpochs >= plan.epochs() {
-		return nil, "", fmt.Errorf("cluster: WarmEpochs %d outside [0, %d)", cfg.WarmEpochs, plan.epochs())
+		return nil, fmt.Errorf("cluster: WarmEpochs %d outside [0, %d)", cfg.WarmEpochs, plan.epochs())
 	}
 	if cfg.Migration != nil {
 		if err := cfg.Migration.Validate(); err != nil {
-			return nil, "", err
+			return nil, err
 		}
 	}
 	if cfg.ReplicaSet != nil {
 		if err := cfg.ReplicaSet.Validate(); err != nil {
-			return nil, "", err
+			return nil, err
 		}
 	}
 	if cfg.CheckpointEpoch != 0 {
 		if cfg.CheckpointEpoch <= cfg.WarmEpochs || cfg.CheckpointEpoch >= plan.epochs() {
-			return nil, "", fmt.Errorf("cluster: CheckpointEpoch %d outside (%d, %d)",
+			return nil, fmt.Errorf("cluster: CheckpointEpoch %d outside (%d, %d)",
 				cfg.CheckpointEpoch, cfg.WarmEpochs, plan.epochs())
 		}
 		if cfg.Tracers != nil {
-			return nil, "", fmt.Errorf("cluster: tracers are not checkpointable")
+			return nil, fmt.Errorf("cluster: tracers are not checkpointable")
 		}
 	}
-	return plan, sync, nil
+	return plan, nil
 }
 
 // buildFleetHosts constructs the fleet's hosts and policy instances.
@@ -379,142 +315,6 @@ func telemetryFrom(cfg *FleetConfig) int {
 func quiesceBefore(cfg *FleetConfig, k int) bool {
 	return (cfg.WarmEpochs > 0 && k == cfg.WarmEpochs-1) ||
 		(cfg.CheckpointEpoch > 0 && k == cfg.CheckpointEpoch-1)
-}
-
-// runLockstep is the reference executor: one runner.Run barrier per
-// epoch, boundary work on the control-plane goroutine in host order.
-// The ring holds the boundary snapshots for placement (preloaded by a
-// restoring caller); start is the first epoch to run (0 for a fresh
-// fleet, the capture boundary when resuming from a checkpoint); a
-// positive stopAt returns with the hosts parked — still quiesced and
-// unarmed — at that boundary, the warm-prefix exit used by
-// CaptureWarmPrefix.
-func runLockstep(cfg *FleetConfig, plan *epochPlan, hosts []*Host, pols []ScalingPolicy, rt *fleetRouter, res *FleetResult, ring *snapRing, start, stopAt int) error {
-	opts := runner.Options{Workers: cfg.Workers, Report: cfg.Report}
-	runEpoch := func(until sim.Time) error {
-		_, err := runner.Run(opts, len(hosts), func(ctx runner.Context) (struct{}, error) {
-			return struct{}{}, hosts[ctx.Index].RunEpoch(until)
-		})
-		return err
-	}
-	telFrom := telemetryFrom(cfg)
-
-	if start > 0 {
-		// Resuming at a boundary: replay the boundary work the
-		// uninterrupted run performed there after the capture point — the
-		// collection epoch and (past the warm boundary) the policy pass.
-		end := plan.ends[start-1]
-		if start >= telFrom {
-			collectTelemetry(cfg.Telemetry, end, hosts, res, cfg.SLO, rt)
-		}
-		if start > cfg.WarmEpochs {
-			if rt.el != nil {
-				rt.el.pass(start, end)
-			}
-			epoch := end - plan.starts[start-1]
-			for i, h := range hosts {
-				h.boundaryPolicy(pols[i], epoch)
-			}
-		}
-	}
-
-	for k := start; k < plan.epochs(); k++ {
-		var stats [][]core.VMStat
-		var committed []int
-		if plan.hasArrival[k] {
-			stats, committed = ring.at(rt.baseFor(k))
-		}
-		batches, err := rt.routeEpoch(k, stats, committed)
-		if err != nil {
-			return err
-		}
-		if batches != nil {
-			for i, h := range hosts {
-				h.scheduleRouted(batches[i])
-			}
-		}
-		if quiesceBefore(cfg, k) {
-			// After the batch, so the quiesce event lands in the same
-			// engine order in both executors.
-			for _, h := range hosts {
-				h.ScheduleQuiesce(plan.starts[k])
-			}
-		}
-		end := plan.ends[k]
-		if err := runEpoch(end); err != nil {
-			return err
-		}
-		epoch := end - plan.starts[k]
-		for i, h := range hosts {
-			ring.set(k+1, i, h.Snapshot(epoch), h.CommittedVCPUs())
-		}
-		b := k + 1
-		if stopAt > 0 && b == stopAt {
-			return nil
-		}
-		if cfg.WarmEpochs > 0 && b == cfg.WarmEpochs {
-			for _, h := range hosts {
-				h.Arm()
-			}
-		}
-		if cfg.CheckpointEpoch > 0 && b == cfg.CheckpointEpoch {
-			// Capture before the collection epoch and the policy pass: the
-			// restored run replays both, and the policy pass would leave
-			// uncapturable zero-delay IPIs pending.
-			if cfg.CheckpointPath != "" {
-				cp, err := captureFleet(cfg, hosts, pols, rt, res, ringBoundaries(ring, rt, b), b, end)
-				if err != nil {
-					return err
-				}
-				if err := SaveCheckpoint(cfg.CheckpointPath, cp); err != nil {
-					return err
-				}
-			}
-			if rt.el == nil {
-				for _, h := range hosts {
-					h.ResumeLoad()
-				}
-			}
-		}
-		if b >= telFrom {
-			collectTelemetry(cfg.Telemetry, end, hosts, res, cfg.SLO, rt)
-		}
-		if b > cfg.WarmEpochs {
-			if rt.el != nil {
-				if b == cfg.CheckpointEpoch {
-					// With the elasticity layer on, the post-capture resume
-					// happens here — on the control plane, right before the
-					// pass — matching the bounded-lag executor's barrier
-					// order (resume and collection commute: collection only
-					// reads state the resume never touches).
-					for _, h := range hosts {
-						h.ResumeLoad()
-					}
-				}
-				rt.el.pass(b, end)
-			}
-			// Policy pass: every live VM is observed and decided on in host
-			// order then admission order, while all engines are parked at the
-			// boundary. Daemon-driven policies return 0 (their in-guest
-			// mechanism is already steering); a positive target is applied
-			// through the guest balancer and takes effect next epoch.
-			for i, h := range hosts {
-				h.boundaryPolicy(pols[i], epoch)
-			}
-		}
-	}
-
-	// Horizon reached: stop all load and drain in-flight requests.
-	for _, h := range hosts {
-		h.StopAll()
-	}
-	if err := runEpoch(cfg.Horizon + cfg.Drain); err != nil {
-		return err
-	}
-	// One terminal collection epoch so the scrape endpoint and the JSONL
-	// stream both end on the fully drained state.
-	collectTelemetry(cfg.Telemetry, cfg.Horizon+cfg.Drain, hosts, res, cfg.SLO, rt)
-	return nil
 }
 
 // aggregate folds the finished hosts into the result: a fixed walk in

@@ -211,10 +211,9 @@ func (h *Host) ScheduleRemove(ev Event) {
 
 // scheduleRouted schedules one epoch's routed churn batch onto the
 // host's engine, in trace order — after any boundary policy IPIs and
-// before the epoch runs, so the engine's event sequence is identical in
-// both sync modes. Called while the engine is parked at the epoch's
-// start boundary: by the control plane in lockstep, by the host's own
-// pool worker in bounded-lag.
+// before the epoch runs, so the engine's event sequence does not depend
+// on pacing. Called by the host's own pool worker while the engine is
+// parked at the epoch's start boundary.
 func (h *Host) scheduleRouted(batch []routedEvent) {
 	for _, r := range batch {
 		switch r.ev.Kind {
@@ -322,10 +321,10 @@ func (h *Host) reconfigDelay() func(r *sim.Rand) sim.Time {
 // ScheduleQuiesce schedules the load-quiesce barrier at `at` (an epoch
 // start): every live VM's generator pauses there, and VMs admitted at
 // or after it boot paused, so by the epoch's end boundary all in-flight
-// requests have drained and the host is checkpointable. Both executors
-// schedule it for the epoch preceding a capture boundary, right after
-// that epoch's churn batch, so the event sequence is identical across
-// sync modes and in the straight-through reference run.
+// requests have drained and the host is checkpointable. The executor
+// schedules it for the epoch preceding a capture boundary, right after
+// that epoch's churn batch, so the event sequence is identical in the
+// capturing, the restored and the straight-through run.
 func (h *Host) ScheduleQuiesce(at sim.Time) {
 	h.pauseFrom = at
 	h.eng.At(at, "cluster/quiesce", func() {

@@ -10,7 +10,7 @@ import (
 )
 
 // epochPlan precomputes the fleet's epoch grid and buckets the churn
-// trace by epoch, so both executors walk the same timeline: epoch k
+// trace by epoch, so the executor and the router walk one timeline: epoch k
 // spans [starts[k], ends[k]) and owns the events with At in that range.
 // Events at or beyond the horizon are dropped (they could never fire).
 type epochPlan struct {
@@ -67,6 +67,42 @@ func planEpochs(cfg *FleetConfig, events []Event) (*epochPlan, error) {
 // executor step past them).
 func (p *epochPlan) epochs() int { return len(p.starts) }
 
+// baseFor returns the snapshot boundary epoch k's arrivals are placed
+// with.
+func baseFor(k int) int {
+	if b := k - lagEpochs; b > 0 {
+		return b
+	}
+	return 0
+}
+
+// needBoundary reports whether some arrival epoch places with boundary
+// b's snapshot — the executor only publishes (and retains) needed
+// boundaries. Boundary 0 is the empty initial fleet and is never
+// published.
+func (p *epochPlan) needBoundary(b int) bool {
+	if b <= 0 || b >= p.epochs() {
+		return false
+	}
+	k := b + lagEpochs
+	return k < p.epochs() && p.hasArrival[k]
+}
+
+// retained lists, ascending, the published boundaries a fleet parked at
+// boundary b still owes the router: the needed ones in
+// [max(1, b-lagEpochs), b]. Older needed boundaries were consumed by
+// arrival epochs before b; boundary 0, the empty fleet, is implicit.
+// A checkpoint at b carries exactly these snapshots.
+func (p *epochPlan) retained(b int) []int {
+	var out []int
+	for x := max(1, b-lagEpochs); x <= b; x++ {
+		if p.needBoundary(x) {
+			out = append(out, x)
+		}
+	}
+	return out
+}
+
 // routedEvent is one churn event bound for a specific host, with the
 // arrival's derived VM seed resolved at routing time.
 type routedEvent struct {
@@ -85,18 +121,17 @@ type placedProbe struct {
 
 // fleetRouter routes churn epochs onto hosts, in trace order, with
 // bounded-staleness placement: an arrival in epoch k is placed with the
-// fleet snapshot from boundary base(k) = max(0, k-lag), corrected with
-// probes for every VM placed in epochs [base(k), k] (generalising the
-// original same-epoch probe accumulation) and with the committed-vCPU
-// tie-break corrected for placements in [base(k), k). The router's
-// decisions are a pure function of the trace, the snapshots and the
-// bound — shared verbatim by both executors, which is what keeps their
-// results byte-identical.
+// fleet snapshot from boundary base(k) = max(0, k-lagEpochs), corrected
+// with probes for every VM placed in epochs [base(k), k] (generalising
+// the original same-epoch probe accumulation) and with the
+// committed-vCPU tie-break corrected for placements in [base(k), k).
+// The router's decisions are a pure function of the trace, the
+// snapshots and the bound, never of host pacing — which is what keeps
+// results byte-identical across worker counts.
 type fleetRouter struct {
 	cfg    *FleetConfig
 	plan   *epochPlan
 	res    *FleetResult
-	lag    int
 	record bool
 
 	owner map[string]int
@@ -111,8 +146,7 @@ type fleetRouter struct {
 	// allocated once per run instead of once per collection epoch.
 	telHist *metrics.Histogram
 	// el, when non-nil, is the elasticity layer (migration + replica
-	// sets); the router feeds it every routed event, identically in
-	// both executors.
+	// sets); the router feeds it every routed event.
 	el *elasticity
 }
 
@@ -125,7 +159,6 @@ func newFleetRouter(cfg *FleetConfig, plan *epochPlan, res *FleetResult) *fleetR
 		cfg:            cfg,
 		plan:           plan,
 		res:            res,
-		lag:            cfg.lag(),
 		record:         cfg.recordPlacements(),
 		owner:          map[string]int{},
 		probeLog:       make([][]placedProbe, cfg.Hosts),
@@ -151,27 +184,6 @@ func (rt *fleetRouter) recordPlacement(host, epoch, vcpus int) {
 	rt.probes[host] = append(rt.probes[host], p.stat)
 }
 
-// baseFor returns the snapshot boundary epoch k's arrivals are placed
-// with.
-func (rt *fleetRouter) baseFor(k int) int {
-	if b := k - rt.lag; b > 0 {
-		return b
-	}
-	return 0
-}
-
-// needBoundary reports whether some arrival epoch places with boundary
-// b's snapshot — the bounded-lag executor only publishes (and retains)
-// needed boundaries. Boundary 0 is the empty initial fleet and is never
-// published.
-func (rt *fleetRouter) needBoundary(b int) bool {
-	if b <= 0 || b >= rt.plan.epochs() {
-		return false
-	}
-	k := b + rt.lag
-	return k < rt.plan.epochs() && rt.plan.hasArrival[k]
-}
-
 // routeEpoch routes plan epoch k. stats/committed are the per-host
 // fleet snapshot at boundary baseFor(k) (nil for an epoch without
 // arrivals — only arrivals read them). It returns one batch per host
@@ -185,7 +197,7 @@ func (rt *fleetRouter) routeEpoch(k int, stats [][]core.VMStat, committed []int)
 	}
 	var batches [][]routedEvent
 	if rt.plan.hasArrival[k] {
-		rt.advanceBase(rt.baseFor(k), k)
+		rt.advanceBase(baseFor(k), k)
 	}
 	for _, ev := range evs {
 		switch ev.Kind {
@@ -248,7 +260,7 @@ func (rt *fleetRouter) routeEpoch(k int, stats [][]core.VMStat, committed []int)
 // recomputes the committed-vCPU corrections: placements from epochs
 // [base, k) are running by epoch k but invisible to the base snapshot,
 // so they count toward the tie-break; same-epoch placements do not
-// (they are probes only), matching the original lockstep semantics.
+// (they are probes only).
 func (rt *fleetRouter) advanceBase(base, k int) {
 	for i := range rt.probeLog {
 		log := rt.probeLog[i][:0]
@@ -268,49 +280,4 @@ func (rt *fleetRouter) advanceBase(base, k int) {
 		rt.probes[i] = probes
 		rt.committedExtra[i] = extra
 	}
-}
-
-// snapRing retains the last lag+1 boundary snapshots of every host for
-// the lockstep executor. Boundary 0 (the empty initial fleet) is
-// preloaded.
-type snapRing struct {
-	depth     int
-	boundary  []int
-	stats     [][][]core.VMStat // [slot][host]
-	committed [][]int           // [slot][host]
-}
-
-func newSnapRing(hosts, lag int) *snapRing {
-	r := &snapRing{depth: lag + 1}
-	r.boundary = make([]int, r.depth)
-	r.stats = make([][][]core.VMStat, r.depth)
-	r.committed = make([][]int, r.depth)
-	for s := range r.boundary {
-		r.boundary[s] = -1
-		r.stats[s] = make([][]core.VMStat, hosts)
-		r.committed[s] = make([]int, hosts)
-	}
-	r.boundary[0] = 0 // boundary 0: empty fleet
-	return r
-}
-
-// set stores host i's snapshot at boundary b, overwriting the slot's
-// previous (now out-of-window) boundary.
-func (r *snapRing) set(b, host int, stats []core.VMStat, committed int) {
-	s := b % r.depth
-	if r.boundary[s] != b {
-		r.boundary[s] = b
-	}
-	r.stats[s][host] = stats
-	r.committed[s][host] = committed
-}
-
-// at returns the fleet snapshot at boundary b; the caller only asks for
-// boundaries within the retained window.
-func (r *snapRing) at(b int) ([][]core.VMStat, []int) {
-	s := b % r.depth
-	if r.boundary[s] != b {
-		panic(fmt.Sprintf("cluster: snapshot boundary %d evicted (slot holds %d)", b, r.boundary[s]))
-	}
-	return r.stats[s], r.committed[s]
 }

@@ -64,7 +64,7 @@ type BakeoffResult struct {
 //
 // sink (which may be nil) receives live per-epoch telemetry, one
 // collector per arm labelled arm=<name>.
-func Bakeoff(opts runner.Options, sink *telemetry.Sink, hosts, pcpus int, horizon, slo sim.Time, warmEpochs int, syncMode cluster.SyncMode, lag int) (BakeoffResult, error) {
+func Bakeoff(opts runner.Options, sink *telemetry.Sink, hosts, pcpus int, horizon, slo sim.Time, warmEpochs int) (BakeoffResult, error) {
 	if warmEpochs <= 0 {
 		return BakeoffResult{}, fmt.Errorf("bakeoff: warmEpochs must be > 0 (the arms fork from the warm snapshot)")
 	}
@@ -101,8 +101,6 @@ func Bakeoff(opts runner.Options, sink *telemetry.Sink, hosts, pcpus int, horizo
 		Horizon:      horizon,
 		SLO:          slo,
 		Workers:      opts.Workers,
-		Sync:         syncMode,
-		LagEpochs:    lag,
 		WarmEpochs:   warmEpochs,
 		Report:       opts.Report,
 	}

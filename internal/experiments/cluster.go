@@ -88,7 +88,7 @@ func (w ClusterWarm) validate(hostCounts []int, tracing bool) error {
 // with migrations or replica scaling on, the churn traces gain service
 // groupings and dirty-page hints; the default "" keeps the historical
 // traces and stdout byte-identical.
-func Cluster(opts runner.Options, sink *telemetry.Sink, hostCounts []int, pcpus int, horizon, slo sim.Time, policies []string, syncMode cluster.SyncMode, lag int, elastic string, warm ClusterWarm) (ClusterResult, error) {
+func Cluster(opts runner.Options, sink *telemetry.Sink, hostCounts []int, pcpus int, horizon, slo sim.Time, policies []string, elastic string, warm ClusterWarm) (ClusterResult, error) {
 	if len(hostCounts) == 0 {
 		return ClusterResult{}, fmt.Errorf("cluster: no host counts")
 	}
@@ -132,8 +132,6 @@ func Cluster(opts runner.Options, sink *telemetry.Sink, hostCounts []int, pcpus 
 			Horizon:      horizon,
 			SLO:          slo,
 			Workers:      opts.Workers,
-			Sync:         syncMode,
-			LagEpochs:    lag,
 			WarmEpochs:   warm.Epochs,
 			Report:       opts.Report,
 			Migration:    migCfg,

@@ -391,7 +391,7 @@ func TestExtensionAdaptiveTeam(t *testing.T) {
 }
 
 func TestClusterShape(t *testing.T) {
-	r, err := Cluster(runner.Options{BaseSeed: 3}, nil, []int{2}, 4, 4*sim.Second, 50*sim.Millisecond, nil, "", 0, "", ClusterWarm{})
+	r, err := Cluster(runner.Options{BaseSeed: 3}, nil, []int{2}, 4, 4*sim.Second, 50*sim.Millisecond, nil, "", ClusterWarm{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -438,7 +438,7 @@ func TestClusterShape(t *testing.T) {
 
 func TestClusterPolicySelection(t *testing.T) {
 	r, err := Cluster(runner.Options{BaseSeed: 3}, nil, []int{1}, 4, 2*sim.Second, 50*sim.Millisecond,
-		[]string{"static", "pid"}, "", 0, "", ClusterWarm{})
+		[]string{"static", "pid"}, "", ClusterWarm{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -457,7 +457,7 @@ func TestClusterPolicySelection(t *testing.T) {
 func TestClusterParallelDeterminism(t *testing.T) {
 	render := func(workers int) string {
 		r, err := Cluster(runner.Options{Workers: workers, BaseSeed: 3}, nil,
-			[]int{2}, 4, 3*sim.Second, 20*sim.Millisecond, nil, "", 0, "", ClusterWarm{})
+			[]int{2}, 4, 3*sim.Second, 20*sim.Millisecond, nil, "", ClusterWarm{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -476,7 +476,7 @@ func TestClusterParallelDeterminism(t *testing.T) {
 func TestWarmForkExperiment(t *testing.T) {
 	pols := []string{"static", "pid"}
 	r, err := WarmFork(runner.Options{BaseSeed: 3}, 2, 4, 5*sim.Second, 50*sim.Millisecond,
-		6, pols, cluster.SyncBoundedLag, 0)
+		6, pols)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -504,7 +504,7 @@ func TestWarmForkExperiment(t *testing.T) {
 	}
 	// A bad warm length must be rejected, not run.
 	if _, err := WarmFork(runner.Options{}, 2, 4, 5*sim.Second, 50*sim.Millisecond,
-		10, pols, cluster.SyncBoundedLag, 0); err == nil {
+		10, pols); err == nil {
 		t.Fatal("warm epochs == epochs accepted")
 	}
 }
@@ -516,7 +516,7 @@ func TestClusterWarmForkIdentity(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "warm.ckpt")
 	run := func(warm ClusterWarm) ClusterResult {
 		r, err := Cluster(runner.Options{BaseSeed: 3}, nil, []int{2}, 4, 4*sim.Second,
-			50*sim.Millisecond, []string{"static", "vscale"}, "", 0, "", warm)
+			50*sim.Millisecond, []string{"static", "vscale"}, "", warm)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -538,11 +538,11 @@ func TestClusterWarmForkIdentity(t *testing.T) {
 	// Flag validation: fork without a warm prefix, and files with
 	// multiple host counts, are rejected.
 	if _, err := Cluster(runner.Options{BaseSeed: 3}, nil, []int{2}, 4, 4*sim.Second,
-		50*sim.Millisecond, nil, "", 0, "", ClusterWarm{Fork: true}); err == nil {
+		50*sim.Millisecond, nil, "", ClusterWarm{Fork: true}); err == nil {
 		t.Fatal("-warmfork without -warm-epochs accepted")
 	}
 	if _, err := Cluster(runner.Options{BaseSeed: 3}, nil, []int{1, 2}, 4, 4*sim.Second,
-		50*sim.Millisecond, nil, "", 0, "", ClusterWarm{Epochs: 4, CheckpointPath: path}); err == nil {
+		50*sim.Millisecond, nil, "", ClusterWarm{Epochs: 4, CheckpointPath: path}); err == nil {
 		t.Fatal("-checkpoint with two host counts accepted")
 	}
 }

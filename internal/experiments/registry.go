@@ -5,7 +5,6 @@ import (
 	"strings"
 	"sync"
 
-	"vscale/internal/cluster"
 	"vscale/internal/runner"
 	"vscale/internal/sim"
 	"vscale/internal/telemetry"
@@ -43,12 +42,6 @@ type Config struct {
 	// competes (registry names, see cluster.ParsePolicies); empty means
 	// every registered policy.
 	Policies []string
-	// Sync selects the cluster fleet executor ("" = bounded-lag; see
-	// cluster.ParseSyncMode). Results are byte-identical across modes.
-	Sync string
-	// LagEpochs bounds cluster placement staleness and host run-ahead
-	// (0 = cluster.DefaultLagEpochs).
-	LagEpochs int
 	// WarmEpochs gives every cluster fleet run a policy-neutral warm
 	// prefix of that many epochs (the warmfork experiment uses it to
 	// override its default warm length; 0 keeps the defaults).
@@ -464,17 +457,13 @@ func Registry() []Experiment {
 					hostCounts = []int{2}
 					horizon = 8 * sim.Second
 				}
-				syncMode, err := cluster.ParseSyncMode(c.Sync)
-				if err != nil {
-					return Result{}, fmt.Errorf("cluster: %w", err)
-				}
 				warm := ClusterWarm{
 					Epochs:         c.WarmEpochs,
 					Fork:           c.WarmFork,
 					CheckpointPath: c.CheckpointPath,
 					RestorePath:    c.RestorePath,
 				}
-				r, err := Cluster(c.opts(rep), c.Telemetry, hostCounts, 4, horizon, 50*sim.Millisecond, c.Policies, syncMode, c.LagEpochs, c.Elastic, warm)
+				r, err := Cluster(c.opts(rep), c.Telemetry, hostCounts, 4, horizon, 50*sim.Millisecond, c.Policies, c.Elastic, warm)
 				if err != nil {
 					return Result{}, fmt.Errorf("cluster: %w", err)
 				}
@@ -497,12 +486,8 @@ func Registry() []Experiment {
 				if c.Quick {
 					hostCounts = []int{10, 100}
 				}
-				syncMode, err := cluster.ParseSyncMode(c.Sync)
-				if err != nil {
-					return Result{}, fmt.Errorf("fleetscale: %w", err)
-				}
 				r, err := FleetScale(c.opts(rep), hostCounts, []int{1, 2, 4, 8}, 4,
-					2*sim.Second, 50*sim.Millisecond, syncMode, c.LagEpochs)
+					2*sim.Second, 50*sim.Millisecond)
 				if err != nil {
 					return Result{}, fmt.Errorf("fleetscale: %w", err)
 				}
@@ -530,12 +515,8 @@ func Registry() []Experiment {
 				if c.WarmEpochs > 0 {
 					warmEpochs = c.WarmEpochs
 				}
-				syncMode, err := cluster.ParseSyncMode(c.Sync)
-				if err != nil {
-					return Result{}, fmt.Errorf("warmfork: %w", err)
-				}
 				r, err := WarmFork(c.opts(rep), 2, 4, horizon, 50*sim.Millisecond,
-					warmEpochs, c.Policies, syncMode, c.LagEpochs)
+					warmEpochs, c.Policies)
 				if err != nil {
 					return Result{}, err
 				}
@@ -562,12 +543,8 @@ func Registry() []Experiment {
 				if c.WarmEpochs > 0 {
 					warmEpochs = c.WarmEpochs
 				}
-				syncMode, err := cluster.ParseSyncMode(c.Sync)
-				if err != nil {
-					return Result{}, fmt.Errorf("bakeoff: %w", err)
-				}
 				r, err := Bakeoff(c.opts(rep), c.Telemetry, 4, 4, horizon, 50*sim.Millisecond,
-					warmEpochs, syncMode, c.LagEpochs)
+					warmEpochs)
 				if err != nil {
 					return Result{}, err
 				}

@@ -25,7 +25,6 @@ type WarmForkResult struct {
 	SLO          sim.Time
 	Epochs       int
 	WarmEpochs   int
-	Sync         cluster.SyncMode
 	// Policies is the scoreboard order; Fleets is index-aligned with it
 	// (the canonical results — straight and forked agree exactly).
 	Policies []string
@@ -46,7 +45,7 @@ type WarmForkResult struct {
 // snapshot — requiring each forked result to match its straight run
 // bit for bit. The warm:measure ratio is deliberately ≥ 1:1 (the
 // regime warm-fork exists for); the speedup lands in Metrics.
-func WarmFork(opts runner.Options, hosts, pcpus int, horizon, slo sim.Time, warmEpochs int, policies []string, syncMode cluster.SyncMode, lag int) (WarmForkResult, error) {
+func WarmFork(opts runner.Options, hosts, pcpus int, horizon, slo sim.Time, warmEpochs int, policies []string) (WarmForkResult, error) {
 	if len(policies) == 0 {
 		policies = cluster.PolicyNames()
 	}
@@ -61,7 +60,6 @@ func WarmFork(opts runner.Options, hosts, pcpus int, horizon, slo sim.Time, warm
 		SLO:          slo,
 		Epochs:       epochs,
 		WarmEpochs:   warmEpochs,
-		Sync:         syncMode,
 		Policies:     policies,
 	}
 
@@ -81,8 +79,6 @@ func WarmFork(opts runner.Options, hosts, pcpus int, horizon, slo sim.Time, warm
 		Horizon:      horizon,
 		SLO:          slo,
 		Workers:      opts.Workers,
-		Sync:         syncMode,
-		LagEpochs:    lag,
 		WarmEpochs:   warmEpochs,
 		Report:       opts.Report,
 	}
@@ -169,8 +165,8 @@ func (r WarmForkResult) Metrics() map[string]float64 {
 // construction). Wall clocks are deliberately absent — see Metrics.
 func (r WarmForkResult) Render() string {
 	var sb strings.Builder
-	fmt.Fprintf(&sb, "%d host(s), %d pCPUs/host, %v churn horizon (%d epochs, %d warm), SLO: reply within %v, sync=%s\n",
-		r.Hosts, r.PCPUsPerHost, r.Horizon, r.Epochs, r.WarmEpochs, r.SLO, r.Sync)
+	fmt.Fprintf(&sb, "%d host(s), %d pCPUs/host, %v churn horizon (%d epochs, %d warm), SLO: reply within %v\n",
+		r.Hosts, r.PCPUsPerHost, r.Horizon, r.Epochs, r.WarmEpochs, r.SLO)
 	fmt.Fprintf(&sb, "each policy ran twice: straight through, and forked from one shared\n")
 	fmt.Fprintf(&sb, "%d-epoch warm-prefix snapshot; every forked result was required to\n", r.WarmEpochs)
 	sb.WriteString("match its straight run bit for bit (wall clocks and the amortization\n")
