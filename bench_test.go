@@ -284,8 +284,11 @@ func BenchmarkExtensionAdaptiveTeam(b *testing.B) {
 
 // BenchmarkRunFleet measures the bounded-lag fleet executor end to end:
 // a 64-host fleet under light churn, one worker, placement recording
-// off. This is the control-plane overhead signal — allocs/op catches
-// regressions in the aggregation and telemetry scratch reuse.
+// off. allocs/op covers the executor, the router's boundary snapshots
+// and the simulated stack on every host (xen, guest, workloads). It
+// runs without a telemetry collector, so no telemetry code runs;
+// TestCollectorSteadyStateAllocs in internal/telemetry gates the
+// exporter's allocations instead.
 func BenchmarkRunFleet(b *testing.B) {
 	const hosts = 64
 	horizon := 2 * sim.Second

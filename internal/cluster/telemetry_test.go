@@ -2,6 +2,8 @@ package cluster
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"encoding/hex"
 	"io"
 	"net/http"
 	"reflect"
@@ -69,6 +71,23 @@ func TestFleetTelemetryJSONLDeterministic(t *testing.T) {
 		if !strings.Contains(lines[len(lines)-1], want) {
 			t.Fatalf("final record missing %q:\n%s", want, lines[len(lines)-1])
 		}
+	}
+}
+
+// TestFleetTelemetryJSONLPinned pins the telemetry stream's bytes
+// across commits, not just between two runs of one build: a change to
+// the exporter, the collector or anything the collector samples shows
+// up here. When a change alters the stream on purpose, re-pin it and
+// say why.
+func TestFleetTelemetryJSONLPinned(t *testing.T) {
+	_, stream := runTelemetryFleet(t, 1, 11)
+	sum := sha256.Sum256([]byte(stream))
+	const (
+		wantSum   = "f1955bc7c68041b919665c0382c56cd0b845b6333eaf5ac63a6fda2935c38c27"
+		wantBytes = 81531
+	)
+	if got := hex.EncodeToString(sum[:]); got != wantSum || len(stream) != wantBytes {
+		t.Fatalf("telemetry stream is sha256 %s, %d bytes; pinned %s, %d bytes", got, len(stream), wantSum, wantBytes)
 	}
 }
 

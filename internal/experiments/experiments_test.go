@@ -1,6 +1,9 @@
 package experiments
 
 import (
+	"bytes"
+	"crypto/sha256"
+	"encoding/hex"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -9,6 +12,7 @@ import (
 	"vscale/internal/runner"
 	"vscale/internal/scenario"
 	"vscale/internal/sim"
+	"vscale/internal/telemetry"
 )
 
 func TestTable1MatchesPaper(t *testing.T) {
@@ -467,6 +471,41 @@ func TestClusterParallelDeterminism(t *testing.T) {
 	parallel := render(8)
 	if serial != parallel {
 		t.Fatalf("serial vs 8-worker cluster output differs:\n--- serial ---\n%s\n--- parallel ---\n%s", serial, parallel)
+	}
+}
+
+// TestClusterTelemetryJSONLPinned pins the bytes of the cluster
+// experiment's quick-mode telemetry stream, the stream
+// `vscale-experiments -experiment cluster -quick -telemetry-out` writes,
+// across commits. When a change alters the stream on purpose, re-pin it
+// and say why.
+func TestClusterTelemetryJSONLPinned(t *testing.T) {
+	var buf bytes.Buffer
+	sink, err := telemetry.NewSink("", &buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	exp, ok := Find("cluster")
+	if !ok {
+		t.Fatal("cluster experiment not registered")
+	}
+	cfg := NewConfig()
+	cfg.Quick = true
+	cfg.BaseSeed = 1
+	cfg.Telemetry = sink
+	if _, err := exp.Run(cfg); err != nil {
+		t.Fatal(err)
+	}
+	sum := sha256.Sum256(buf.Bytes())
+	const (
+		wantSum     = "60d00e09907e30a1c6b74e8d1592810d16b68e15ed503801b7c7d2994e6c3bd8"
+		wantBytes   = 1691232
+		wantRecords = 85
+	)
+	got := hex.EncodeToString(sum[:])
+	if records := bytes.Count(buf.Bytes(), []byte{'\n'}); got != wantSum || buf.Len() != wantBytes || records != wantRecords {
+		t.Fatalf("cluster telemetry stream is sha256 %s, %d bytes, %d records; pinned %s, %d bytes, %d records",
+			got, buf.Len(), records, wantSum, wantBytes, wantRecords)
 	}
 }
 

@@ -2,6 +2,7 @@ package guest
 
 import (
 	"fmt"
+	"slices"
 
 	"vscale/internal/core"
 	"vscale/internal/costmodel"
@@ -111,7 +112,7 @@ func (k *Kernel) drainFrozen(c *cpu) bool {
 	}
 	for len(c.rq) > 0 {
 		t := c.rq[0]
-		c.rq = c.rq[1:]
+		c.rq = slices.Delete(c.rq, 0, 1)
 		if t.Kind.Migratable() {
 			migrate(t)
 		} else {

@@ -338,8 +338,8 @@ type WaitQueueCheckpoint struct {
 
 // CheckpointState exports the wait queue's state.
 func (q *WaitQueue) CheckpointState() (WaitQueueCheckpoint, error) {
-	if len(q.items) != 0 {
-		return WaitQueueCheckpoint{}, fmt.Errorf("guest: wait queue has %d undequeued items", len(q.items))
+	if q.Len() != 0 {
+		return WaitQueueCheckpoint{}, fmt.Errorf("guest: wait queue has %d undequeued items", q.Len())
 	}
 	if len(q.producers) != 0 {
 		return WaitQueueCheckpoint{}, fmt.Errorf("guest: wait queue has %d blocked producers", len(q.producers))

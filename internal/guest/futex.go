@@ -1,6 +1,8 @@
 package guest
 
 import (
+	"slices"
+
 	"vscale/internal/costmodel"
 	"vscale/internal/sim"
 )
@@ -111,7 +113,7 @@ func (k *Kernel) releaseKernelLock(c *cpu, l *KernelLock) {
 		return
 	}
 	next := l.waiters[0]
-	l.waiters = l.waiters[1:]
+	l.waiters = slices.Delete(l.waiters, 0, 1)
 	l.holder = next
 	l.heldSince = now
 	next.locksHeld++
@@ -180,7 +182,7 @@ func (k *Kernel) futexWakeAll(c *cpu, key uint64, n int) int {
 	woken := 0
 	for len(q.waiters) > 0 && (n < 0 || woken < n) {
 		t := q.waiters[0]
-		q.waiters = q.waiters[1:]
+		q.waiters = slices.Delete(q.waiters, 0, 1)
 		k.wakeThread(t, c.id)
 		woken++
 		k.FutexWakes++

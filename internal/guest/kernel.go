@@ -13,6 +13,7 @@ package guest
 
 import (
 	"fmt"
+	"slices"
 
 	"vscale/internal/costmodel"
 	"vscale/internal/sim"
@@ -596,7 +597,7 @@ func (k *Kernel) pickNext(c *cpu) {
 		return
 	}
 	t := c.rq[0]
-	c.rq = c.rq[1:]
+	c.rq = slices.Delete(c.rq, 0, 1)
 	c.current = t
 	t.state = ThreadRunning
 	t.wakePreempt = false
@@ -663,7 +664,7 @@ func (k *Kernel) preemptNow(c *cpu) {
 		return // wakeup granularity: don't thrash
 	}
 	// Find the first woken thread wanting to preempt and move it to the
-	// queue head.
+	// queue head, shifting the threads ahead of it back by one in place.
 	idx := -1
 	for i, t := range c.rq {
 		if t.wakePreempt {
@@ -675,8 +676,8 @@ func (k *Kernel) preemptNow(c *cpu) {
 		return
 	}
 	w := c.rq[idx]
-	c.rq = append(c.rq[:idx], c.rq[idx+1:]...)
-	c.rq = append([]*Thread{w}, c.rq...)
+	copy(c.rq[1:idx+1], c.rq[:idx])
+	c.rq[0] = w
 	k.pauseSegment(c)
 	cur.state = ThreadRunnable
 	c.rq = append(c.rq, cur)
@@ -806,7 +807,7 @@ func (k *Kernel) processTimers(c *cpu) {
 	now := k.eng.Now()
 	for len(c.timers) > 0 && c.timers[0].at <= now {
 		e := c.timers[0]
-		c.timers = c.timers[1:]
+		c.timers = slices.Delete(c.timers, 0, 1)
 		e.fn()
 	}
 	k.armHWTimer(c)

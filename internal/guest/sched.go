@@ -1,6 +1,8 @@
 package guest
 
 import (
+	"slices"
+
 	"vscale/internal/sim"
 	"vscale/internal/xen"
 )
@@ -138,7 +140,7 @@ func (k *Kernel) idlePull(c *cpu) {
 func (k *Kernel) stealFrom(p *cpu) *Thread {
 	for i, t := range p.rq {
 		if t.Kind.Migratable() && !t.inKernelCritical() {
-			p.rq = append(p.rq[:i], p.rq[i+1:]...)
+			p.rq = slices.Delete(p.rq, i, i+1)
 			return t
 		}
 	}
@@ -232,7 +234,7 @@ func (d *Device) deliver(c *cpu) {
 	d.Interrupts++
 	for len(d.completions) > 0 {
 		fn := d.completions[0]
-		d.completions = d.completions[1:]
+		d.completions = slices.Delete(d.completions, 0, 1)
 		fn(c.id)
 	}
 	if d.OnInterrupt != nil {

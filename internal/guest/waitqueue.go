@@ -1,6 +1,10 @@
 package guest
 
-import "vscale/internal/sim"
+import (
+	"slices"
+
+	"vscale/internal/sim"
+)
 
 // WaitQueue is a kernel wait queue carrying items (the accept-queue /
 // socket-receive pattern): threads block dequeueing; producers — other
@@ -8,9 +12,14 @@ import "vscale/internal/sim"
 // Remote wakeups go through the reschedule-IPI path like every other
 // wake in the kernel.
 type WaitQueue struct {
-	k       *Kernel
-	id      uint64
+	k  *Kernel
+	id uint64
+	// items[head:] are the queued items. Dequeues advance head and shift
+	// the survivors down once the consumed prefix is half the slice, so
+	// a Backlog-sized accept queue keeps its backing array at O(1)
+	// amortised cost per item.
 	items   []any
+	head    int
 	waiters []*Thread
 	// producers are threads blocked in ActEnqueue on a full queue
 	// (bounded-buffer backpressure).
@@ -30,7 +39,7 @@ func (k *Kernel) NewWaitQueue(maxItems int) *WaitQueue {
 }
 
 // Len returns the number of queued items.
-func (q *WaitQueue) Len() int { return len(q.items) }
+func (q *WaitQueue) Len() int { return len(q.items) - q.head }
 
 // Waiters returns the number of blocked consumers.
 func (q *WaitQueue) Waiters() int { return len(q.waiters) }
@@ -40,17 +49,30 @@ func (q *WaitQueue) Waiters() int { return len(q.waiters) }
 // reports whether the item was accepted.
 func (q *WaitQueue) Post(item any, fromCPU int) bool {
 	q.Posts++
-	if q.MaxItems > 0 && len(q.items) >= q.MaxItems {
+	if q.MaxItems > 0 && q.Len() >= q.MaxItems {
 		q.Drops++
 		return false
 	}
 	q.items = append(q.items, item)
 	if len(q.waiters) > 0 {
 		w := q.waiters[0]
-		q.waiters = q.waiters[1:]
+		q.waiters = slices.Delete(q.waiters, 0, 1)
 		q.k.wakeThread(w, fromCPU)
 	}
 	return true
+}
+
+// take removes and returns the head item.
+func (q *WaitQueue) take() any {
+	item := q.items[q.head]
+	q.items[q.head] = nil
+	q.head++
+	if 2*q.head >= len(q.items) {
+		n := copy(q.items, q.items[q.head:])
+		clear(q.items[n:])
+		q.items, q.head = q.items[:n], 0
+	}
+	return item
 }
 
 // ActDequeue blocks the thread until an item is available on Q; the item
@@ -83,13 +105,12 @@ func (ActCall) isAction() {}
 func (k *Kernel) dequeueAdvance(c *cpu, t *Thread, q *WaitQueue) {
 	switch t.phase {
 	case 0, 1:
-		if len(q.items) > 0 {
-			t.Mailbox = q.items[0]
-			q.items = q.items[1:]
+		if q.Len() > 0 {
+			t.Mailbox = q.take()
 			// Space freed: release one blocked producer.
 			if len(q.producers) > 0 {
 				p := q.producers[0]
-				q.producers = q.producers[1:]
+				q.producers = slices.Delete(q.producers, 0, 1)
 				k.wakeThread(p, c.id)
 			}
 			k.chargeAndContinue(c, t, sim.Microsecond)
@@ -113,12 +134,12 @@ func (k *Kernel) enqueueAdvance(c *cpu, t *Thread, a ActEnqueue) {
 	q := a.Q
 	switch t.phase {
 	case 0, 1:
-		if q.MaxItems == 0 || len(q.items) < q.MaxItems {
+		if q.MaxItems == 0 || q.Len() < q.MaxItems {
 			q.Posts++
 			q.items = append(q.items, a.Item)
 			if len(q.waiters) > 0 {
 				w := q.waiters[0]
-				q.waiters = q.waiters[1:]
+				q.waiters = slices.Delete(q.waiters, 0, 1)
 				k.wakeThread(w, c.id)
 			}
 			k.chargeAndContinue(c, t, sim.Microsecond)

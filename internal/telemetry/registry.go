@@ -17,7 +17,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 	"strconv"
 	"strings"
 
@@ -70,6 +70,9 @@ type Quantile struct {
 type Series struct {
 	labels []labelPair // sorted by key
 	sig    string
+	// prefix is the series' JSONL object up to its values,
+	// {"name":…,"labels":{…}, — built once by encoding/json at creation.
+	prefix []byte
 
 	value float64 // gauge/counter
 
@@ -98,13 +101,14 @@ func (s *Series) SetSummary(count uint64, sum float64, quantiles []Quantile) {
 }
 
 // SetFromHistogram fills a summary series from a metrics.Histogram at
-// the given quantiles (ascending).
+// the given quantiles (ascending), reusing the series' quantile slice.
 func (s *Series) SetFromHistogram(h *metrics.Histogram, qs ...float64) {
-	pts := make([]Quantile, 0, len(qs))
+	s.count = h.Count()
+	s.sum = h.Sum()
+	s.quantiles = s.quantiles[:0]
 	for _, q := range qs {
-		pts = append(pts, Quantile{Q: q, V: h.Quantile(q)})
+		s.quantiles = append(s.quantiles, Quantile{Q: q, V: h.Quantile(q)})
 	}
-	s.SetSummary(h.Count(), h.Sum(), pts)
 }
 
 // Family is one named metric family holding any number of labelled
@@ -114,7 +118,7 @@ type Family struct {
 	help string
 	kind Kind
 
-	series []*Series
+	series []*Series // sorted by signature: the render order
 	bySig  map[string]*Series
 }
 
@@ -124,61 +128,18 @@ func (f *Family) Name() string { return f.name }
 // Kind returns the family kind.
 func (f *Family) Kind() Kind { return f.kind }
 
-// With returns the series for the given label key/value pairs, creating
-// it on first use. The registry's base labels are merged in; keys are
-// sorted, so label order at the call site does not matter. It panics on
-// an odd-length kv list, an invalid or duplicate key, or the reserved
-// keys "quantile" and "le" (a configuration error, like a malformed
-// histogram bound).
-func (f *Family) With(kv ...string) *Series {
-	if len(kv)%2 != 0 {
-		panic("telemetry: With needs key/value pairs")
-	}
-	pairs := make([]labelPair, 0, len(kv)/2)
-	for i := 0; i < len(kv); i += 2 {
-		pairs = append(pairs, labelPair{k: kv[i], v: kv[i+1]})
-	}
-	return f.with(pairs)
-}
-
-func (f *Family) with(extra []labelPair) *Series {
-	pairs := append([]labelPair(nil), extra...)
-	sort.Slice(pairs, func(i, j int) bool { return pairs[i].k < pairs[j].k })
-	var sig strings.Builder
-	for i, p := range pairs {
-		if !validLabelKey(p.k) {
-			panic(fmt.Sprintf("telemetry: invalid label key %q", p.k))
-		}
-		if p.k == "quantile" || p.k == "le" {
-			panic(fmt.Sprintf("telemetry: label key %q is reserved", p.k))
-		}
-		if i > 0 {
-			if pairs[i-1].k == p.k {
-				panic(fmt.Sprintf("telemetry: duplicate label key %q", p.k))
-			}
-			sig.WriteByte(0xff)
-		}
-		sig.WriteString(p.k)
-		sig.WriteByte(0xfe)
-		sig.WriteString(p.v)
-	}
-	key := sig.String()
-	if s, ok := f.bySig[key]; ok {
-		return s
-	}
-	s := &Series{labels: pairs, sig: key}
-	f.bySig[key] = s
-	f.series = append(f.series, s)
-	return s
-}
-
 // Registry is a set of metric families. It is not safe for concurrent
 // use: one collector owns one registry and updates it between epochs,
 // handing immutable rendered snapshots to the scrape server.
 type Registry struct {
-	fams   []*Family
+	fams   []*Family // sorted by name: the render order
 	byName map[string]*Family
 	base   []labelPair
+
+	// pairs and sig are the lookup scratch: a series that already
+	// exists is found without allocating.
+	pairs []labelPair
+	sig   []byte
 }
 
 // NewRegistry returns an empty registry whose every series carries the
@@ -209,7 +170,10 @@ func (r *Registry) family(name, help string, kind Kind) *Family {
 	}
 	f := &Family{name: name, help: help, kind: kind, bySig: map[string]*Series{}}
 	r.byName[name] = f
-	r.fams = append(r.fams, f)
+	i, _ := slices.BinarySearchFunc(r.fams, name, func(g *Family, name string) int {
+		return strings.Compare(g.name, name)
+	})
+	r.fams = slices.Insert(r.fams, i, f)
 	return f
 }
 
@@ -222,55 +186,92 @@ func (r *Registry) Counter(name, help string) *Family { return r.family(name, he
 // Summary returns (creating if needed) the named summary family.
 func (r *Registry) Summary(name, help string) *Family { return r.family(name, help, KindSummary) }
 
-// GaugeSeries is shorthand for Gauge(name, help).With(base+kv).
+// GaugeSeries returns the series of the named gauge family with the
+// registry's base labels plus the kv pairs, creating either on first
+// use. Label keys are sorted, so their order at the call site does not
+// matter. It panics on an odd-length kv list, an invalid or duplicate
+// key, or the reserved keys "quantile" and "le" (a configuration error,
+// like a malformed histogram bound).
 func (r *Registry) GaugeSeries(name, help string, kv ...string) *Series {
 	return r.seriesOf(r.Gauge(name, help), kv)
 }
 
-// CounterSeries is shorthand for Counter(name, help).With(base+kv).
+// CounterSeries is GaugeSeries for a counter family.
 func (r *Registry) CounterSeries(name, help string, kv ...string) *Series {
 	return r.seriesOf(r.Counter(name, help), kv)
 }
 
-// SummarySeries is shorthand for Summary(name, help).With(base+kv).
+// SummarySeries is GaugeSeries for a summary family.
 func (r *Registry) SummarySeries(name, help string, kv ...string) *Series {
 	return r.seriesOf(r.Summary(name, help), kv)
 }
 
+// seriesOf merges the base and call labels and builds the signature in
+// the registry's scratch, so finding an existing series allocates
+// nothing; only a new series copies its labels out. The label checks
+// are allocation-free too and run on every lookup, so a bad label set
+// panics even when its signature happens to match an existing series.
 func (r *Registry) seriesOf(f *Family, kv []string) *Series {
 	if len(kv)%2 != 0 {
 		panic("telemetry: series needs key/value pairs")
 	}
-	pairs := append([]labelPair(nil), r.base...)
+	pairs := append(r.pairs[:0], r.base...)
 	for i := 0; i < len(kv); i += 2 {
 		pairs = append(pairs, labelPair{k: kv[i], v: kv[i+1]})
 	}
-	return f.with(pairs)
+	// Insertion sort by key: label sets are a handful of pairs, and
+	// sort.Slice would allocate its closure and swapper on every call.
+	for i := 1; i < len(pairs); i++ {
+		for j := i; j > 0 && pairs[j].k < pairs[j-1].k; j-- {
+			pairs[j], pairs[j-1] = pairs[j-1], pairs[j]
+		}
+	}
+	sig := r.sig[:0]
+	for i, p := range pairs {
+		if !validLabelKey(p.k) {
+			panic(fmt.Sprintf("telemetry: invalid label key %q", p.k))
+		}
+		if p.k == "quantile" || p.k == "le" {
+			panic(fmt.Sprintf("telemetry: label key %q is reserved", p.k))
+		}
+		if i > 0 {
+			if pairs[i-1].k == p.k {
+				panic(fmt.Sprintf("telemetry: duplicate label key %q", p.k))
+			}
+			sig = append(sig, 0xff)
+		}
+		sig = append(sig, p.k...)
+		sig = append(sig, 0xfe)
+		sig = append(sig, p.v...)
+	}
+	r.pairs, r.sig = pairs, sig
+	if s, ok := f.bySig[string(sig)]; ok {
+		return s
+	}
+	return f.add(slices.Clone(pairs), string(sig))
 }
 
-// sortedFamilies returns the families in name order (the render order).
-func (r *Registry) sortedFamilies() []*Family {
-	fams := append([]*Family(nil), r.fams...)
-	sort.Slice(fams, func(i, j int) bool { return fams[i].name < fams[j].name })
-	return fams
-}
-
-// sortedSeries returns a family's series in label-signature order.
-func (f *Family) sortedSeries() []*Series {
-	out := append([]*Series(nil), f.series...)
-	sort.Slice(out, func(i, j int) bool { return out[i].sig < out[j].sig })
-	return out
+// add creates a series and inserts it at its place in the render order.
+func (f *Family) add(labels []labelPair, sig string) *Series {
+	s := &Series{labels: labels, sig: sig, prefix: jsonPrefix(f.name, labels)}
+	f.bySig[sig] = s
+	i, _ := slices.BinarySearchFunc(f.series, sig, func(t *Series, sig string) int {
+		return strings.Compare(t.sig, sig)
+	})
+	f.series = slices.Insert(f.series, i, s)
+	return s
 }
 
 // RenderProm renders the whole registry in the Prometheus text
 // exposition format (version 0.0.4): families in name order, series in
-// label order — a deterministic function of the registry contents.
+// label order — a deterministic function of the registry contents. The
+// result is a fresh slice the scrape server may keep.
 func (r *Registry) RenderProm() []byte {
 	var b strings.Builder
-	for _, f := range r.sortedFamilies() {
+	for _, f := range r.fams {
 		fmt.Fprintf(&b, "# HELP %s %s\n", f.name, escapeHelp(f.help))
 		fmt.Fprintf(&b, "# TYPE %s %s\n", f.name, f.kind)
-		for _, s := range f.sortedSeries() {
+		for _, s := range f.series {
 			switch f.kind {
 			case KindSummary:
 				for _, q := range s.quantiles {
@@ -304,66 +305,122 @@ func (r *Registry) RenderProm() []byte {
 	return []byte(b.String())
 }
 
-// jsonQuantile, jsonSeries and jsonRecord are the JSONL schema
-// (vscale-telemetry/v1). encoding/json renders map keys sorted and
-// floats in shortest form, so the bytes are a deterministic function of
-// the registry contents.
-type jsonQuantile struct {
-	Q float64 `json:"q"`
-	V float64 `json:"v"`
-}
-
-type jsonSeries struct {
-	Name      string            `json:"name"`
-	Labels    map[string]string `json:"labels,omitempty"`
-	Value     *float64          `json:"value,omitempty"`
-	Count     *uint64           `json:"count,omitempty"`
-	Sum       *float64          `json:"sum,omitempty"`
-	Quantiles []jsonQuantile    `json:"quantiles,omitempty"`
-}
-
-type jsonRecord struct {
-	Schema string       `json:"schema"`
-	Epoch  int          `json:"epoch"`
-	VtMs   float64      `json:"vt_ms"`
-	Series []jsonSeries `json:"series"`
-}
-
 // SchemaJSONL is the schema tag carried by every JSONL record.
 const SchemaJSONL = "vscale-telemetry/v1"
 
-// RenderJSONL renders one newline-terminated JSONL record of the whole
-// registry at the given collection epoch and virtual time. Families and
-// series appear in the same deterministic order as RenderProm.
-func (r *Registry) RenderJSONL(epoch int, now sim.Time) ([]byte, error) {
-	rec := jsonRecord{Schema: SchemaJSONL, Epoch: epoch, VtMs: now.Milliseconds()}
-	for _, f := range r.sortedFamilies() {
-		for _, s := range f.sortedSeries() {
-			js := jsonSeries{Name: f.name}
-			if len(s.labels) > 0 {
-				js.Labels = make(map[string]string, len(s.labels))
-				for _, p := range s.labels {
-					js.Labels[p.k] = p.v
-				}
-			}
-			if f.kind == KindSummary {
-				count, sum := s.count, sanitizeJSON(s.sum)
-				js.Count, js.Sum = &count, &sum
-				for _, q := range s.quantiles {
-					js.Quantiles = append(js.Quantiles, jsonQuantile{Q: q.Q, V: sanitizeJSON(q.V)})
-				}
-			} else {
-				v := sanitizeJSON(s.value)
-				js.Value = &v
-			}
-			rec.Series = append(rec.Series, js)
+// The JSONL record (vscale-telemetry/v1) is one object per epoch:
+//
+//	{"schema":…,"epoch":N,"vt_ms":F,"series":[S,…]}
+//
+// where each S is {"name":…,"labels":{…},"value":F} for a gauge or
+// counter and {"name":…,"labels":{…},"count":N,"sum":F,"quantiles":
+// [{"q":F,"v":F},…]} for a summary. "labels" is absent without labels,
+// "quantiles" without quantiles, and "series" is null without series.
+// These are exactly the bytes encoding/json renders for that schema
+// (map keys sorted, strings HTML-escaped, floats by appendJSONFloat);
+// registry_test.go pins the equivalence against an encoding/json
+// reference renderer.
+
+// jsonPrefix renders a series' JSONL object up to its values with
+// encoding/json, so label escaping is encoding/json's own.
+func jsonPrefix(name string, labels []labelPair) []byte {
+	head := struct {
+		Name   string            `json:"name"`
+		Labels map[string]string `json:"labels,omitempty"`
+	}{Name: name}
+	if len(labels) > 0 {
+		head.Labels = make(map[string]string, len(labels))
+		for _, p := range labels {
+			head.Labels[p.k] = p.v
 		}
 	}
-	out, err := json.Marshal(rec)
+	b, err := json.Marshal(head)
 	if err != nil {
-		return nil, err
+		panic(fmt.Sprintf("telemetry: encoding series %s: %v", name, err)) // strings and a string map always encode
 	}
-	return append(out, '\n'), nil
+	b[len(b)-1] = ',' // the closing brace: the values follow
+	return b
+}
+
+// AppendJSONL appends one newline-terminated JSONL record of the whole
+// registry at the given collection epoch and virtual time to dst.
+// Families and series appear in the same deterministic order as
+// RenderProm. Non-finite values, sums and quantile values are written
+// as 0; a non-finite quantile rank is an error, and leaves dst as it
+// was.
+func (r *Registry) AppendJSONL(dst []byte, epoch int, now sim.Time) ([]byte, error) {
+	start := len(dst)
+	dst = append(dst, `{"schema":"`+SchemaJSONL+`","epoch":`...)
+	dst = strconv.AppendInt(dst, int64(epoch), 10)
+	dst = append(dst, `,"vt_ms":`...)
+	dst = appendJSONFloat(dst, now.Milliseconds())
+	dst = append(dst, `,"series":`...)
+	open := len(dst)
+	for _, f := range r.fams {
+		for _, s := range f.series {
+			if len(dst) == open {
+				dst = append(dst, '[')
+			} else {
+				dst = append(dst, ',')
+			}
+			dst = append(dst, s.prefix...)
+			if f.kind != KindSummary {
+				dst = append(dst, `"value":`...)
+				dst = appendJSONFloat(dst, sanitizeJSON(s.value))
+				dst = append(dst, '}')
+				continue
+			}
+			dst = append(dst, `"count":`...)
+			dst = strconv.AppendUint(dst, s.count, 10)
+			dst = append(dst, `,"sum":`...)
+			dst = appendJSONFloat(dst, sanitizeJSON(s.sum))
+			for i, q := range s.quantiles {
+				if math.IsNaN(q.Q) || math.IsInf(q.Q, 0) {
+					return dst[:start], fmt.Errorf("telemetry: %s: unsupported quantile %v", f.name, q.Q)
+				}
+				if i == 0 {
+					dst = append(dst, `,"quantiles":[`...)
+				} else {
+					dst = append(dst, ',')
+				}
+				dst = append(dst, `{"q":`...)
+				dst = appendJSONFloat(dst, q.Q)
+				dst = append(dst, `,"v":`...)
+				dst = appendJSONFloat(dst, sanitizeJSON(q.V))
+				dst = append(dst, '}')
+			}
+			if len(s.quantiles) > 0 {
+				dst = append(dst, ']')
+			}
+			dst = append(dst, '}')
+		}
+	}
+	if len(dst) == open {
+		dst = append(dst, "null"...)
+	} else {
+		dst = append(dst, ']')
+	}
+	return append(dst, "}\n"...), nil
+}
+
+// appendJSONFloat appends a finite float64 the way encoding/json
+// renders one: shortest round-trip digits, in exponent form only below
+// 1e-6 or from 1e21 up (the ES6 number-to-string cutoffs), with a
+// two-digit negative exponent's leading zero dropped (e-07 → e-7).
+func appendJSONFloat(dst []byte, v float64) []byte {
+	format := byte('f')
+	if abs := math.Abs(v); abs != 0 && (abs < 1e-6 || abs >= 1e21) {
+		format = 'e'
+	}
+	dst = strconv.AppendFloat(dst, v, format, -1, 64)
+	if format == 'e' {
+		n := len(dst)
+		if n >= 4 && dst[n-4] == 'e' && dst[n-3] == '-' && dst[n-2] == '0' {
+			dst[n-2] = dst[n-1]
+			dst = dst[:n-1]
+		}
+	}
+	return dst
 }
 
 // sanitizeJSON maps non-finite values (which JSON cannot carry) to 0;

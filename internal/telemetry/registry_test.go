@@ -1,6 +1,10 @@
 package telemetry
 
 import (
+	"encoding/json"
+	"math"
+	"math/rand/v2"
+	"sort"
 	"strings"
 	"testing"
 
@@ -97,11 +101,11 @@ func TestRenderJSONLDeterministic(t *testing.T) {
 			SetFromHistogram(h, 0.5, 0.95)
 		return r
 	}
-	a, err := build().RenderJSONL(7, 3*sim.Second)
+	a, err := build().AppendJSONL(nil, 7, 3*sim.Second)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := build().RenderJSONL(7, 3*sim.Second)
+	b, err := build().AppendJSONL(nil, 7, 3*sim.Second)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -128,6 +132,213 @@ func TestFormatFloatSpecials(t *testing.T) {
 	for v, want := range cases {
 		if got := formatFloat(v); got != want {
 			t.Fatalf("formatFloat(%v) = %q, want %q", v, got, want)
+		}
+	}
+}
+
+// The encoding/json record schema and renderer that AppendJSONL
+// replaced, kept as the reference it must match byte for byte. It sorts
+// families and series itself instead of trusting the registry's
+// maintained render order, so the comparison covers the order too.
+type refQuantile struct {
+	Q float64 `json:"q"`
+	V float64 `json:"v"`
+}
+
+type refSeries struct {
+	Name      string            `json:"name"`
+	Labels    map[string]string `json:"labels,omitempty"`
+	Value     *float64          `json:"value,omitempty"`
+	Count     *uint64           `json:"count,omitempty"`
+	Sum       *float64          `json:"sum,omitempty"`
+	Quantiles []refQuantile     `json:"quantiles,omitempty"`
+}
+
+type refRecord struct {
+	Schema string      `json:"schema"`
+	Epoch  int         `json:"epoch"`
+	VtMs   float64     `json:"vt_ms"`
+	Series []refSeries `json:"series"`
+}
+
+func referenceJSONL(r *Registry, epoch int, now sim.Time) ([]byte, error) {
+	rec := refRecord{Schema: SchemaJSONL, Epoch: epoch, VtMs: now.Milliseconds()}
+	fams := append([]*Family(nil), r.fams...)
+	sort.Slice(fams, func(i, j int) bool { return fams[i].name < fams[j].name })
+	for _, f := range fams {
+		series := append([]*Series(nil), f.series...)
+		sort.Slice(series, func(i, j int) bool { return series[i].sig < series[j].sig })
+		for _, s := range series {
+			js := refSeries{Name: f.name}
+			if len(s.labels) > 0 {
+				js.Labels = make(map[string]string, len(s.labels))
+				for _, p := range s.labels {
+					js.Labels[p.k] = p.v
+				}
+			}
+			if f.kind == KindSummary {
+				count, sum := s.count, sanitizeJSON(s.sum)
+				js.Count, js.Sum = &count, &sum
+				for _, q := range s.quantiles {
+					js.Quantiles = append(js.Quantiles, refQuantile{Q: q.Q, V: sanitizeJSON(q.V)})
+				}
+			} else {
+				v := sanitizeJSON(s.value)
+				js.Value = &v
+			}
+			rec.Series = append(rec.Series, js)
+		}
+	}
+	out, err := json.Marshal(rec)
+	if err != nil {
+		return nil, err
+	}
+	return append(out, '\n'), nil
+}
+
+// Label values and sample values that stress the encoder: JSON and HTML
+// escapes, line separators, invalid UTF-8, the float format cutoffs,
+// signed zero, extremes and non-finite values.
+var (
+	jsonTrickyStrings = []string{
+		"", "0", "vm-12", `"`, `\`, "<", ">", "&", "\n", "\u2028", "\u2029",
+		"\xff", "a\xfeb\xff", "\x00\x1f\t\r", "é", `a"b\c</script>&amp;`,
+	}
+	jsonTrickyValues = []float64{
+		0, math.Copysign(0, -1), 1e-7, 1e-6, 1e20, 1e21, 5e-324, math.MaxFloat64,
+		1<<53 + 1, -1e-7, -9.999999e-7, -1e21, 0.1, 1.5, 123456789, 1e-300,
+		math.NaN(), math.Inf(1), math.Inf(-1),
+	}
+	jsonFamilies = []struct {
+		name string
+		kind Kind
+	}{
+		{"vscale_sim_seconds", KindGauge}, {"a", KindCounter}, {"z:total", KindCounter},
+		{"_lat_ms", KindSummary}, {"vscale_vm_reply_latency_ms", KindSummary}, {"Mid", KindGauge},
+	}
+	jsonLabelKeys = []string{"host", "vm", "a", "Z_9", "_"}
+)
+
+func randJSONString(rng *rand.Rand) string {
+	if rng.IntN(2) == 0 {
+		return jsonTrickyStrings[rng.IntN(len(jsonTrickyStrings))]
+	}
+	b := make([]byte, rng.IntN(8))
+	for i := range b {
+		b[i] = byte(rng.Uint32())
+	}
+	return string(b)
+}
+
+func randJSONValue(rng *rand.Rand) float64 {
+	switch rng.IntN(4) {
+	case 0, 1:
+		return jsonTrickyValues[rng.IntN(len(jsonTrickyValues))]
+	case 2:
+		return math.Float64frombits(rng.Uint64())
+	default:
+		return rng.NormFloat64() * math.Pow(10, float64(rng.IntN(60)-30))
+	}
+}
+
+// randRegistry fills a registry with up to maxSeries random series of
+// every kind, including summaries with 0, 1 and 3 quantiles.
+func randRegistry(rng *rand.Rand, maxSeries int) *Registry {
+	var base []string
+	for _, k := range []string{"policy", "run"} {
+		if rng.IntN(2) == 0 {
+			base = append(base, k, randJSONString(rng))
+		}
+	}
+	r := NewRegistry(base...)
+	if rng.IntN(4) == 0 {
+		r.Gauge("empty_family", "a family without series") // renders nothing
+	}
+	n := rng.IntN(maxSeries + 1)
+	for i := 0; i < n; i++ {
+		fam := jsonFamilies[rng.IntN(len(jsonFamilies))]
+		var kv []string
+		for _, k := range jsonLabelKeys {
+			if rng.IntN(3) == 0 {
+				kv = append(kv, k, randJSONString(rng))
+			}
+		}
+		switch fam.kind {
+		case KindGauge:
+			r.GaugeSeries(fam.name, "", kv...).Set(randJSONValue(rng))
+		case KindCounter:
+			r.CounterSeries(fam.name, "", kv...).Set(randJSONValue(rng))
+		case KindSummary:
+			qs := []Quantile{}
+			for _, q := range [][]float64{nil, {0.5}, {0.5, 0.95, 0.99}, {0, 1e-7, 1}}[rng.IntN(4)] {
+				qs = append(qs, Quantile{Q: q, V: randJSONValue(rng)})
+			}
+			r.SummarySeries(fam.name, "", kv...).SetSummary(rng.Uint64()>>rng.IntN(64), randJSONValue(rng), qs)
+		}
+	}
+	return r
+}
+
+// TestAppendJSONLMatchesEncodingJSON is the encoder's contract: on
+// randomized registries AppendJSONL writes exactly the bytes the
+// encoding/json reference renders, appended after whatever dst held.
+// Every tenth registry is empty ("series":null).
+func TestAppendJSONLMatchesEncodingJSON(t *testing.T) {
+	rng := rand.New(rand.NewPCG(1, 2))
+	var buf []byte
+	for trial := 0; trial < 500; trial++ {
+		maxSeries := 30
+		if trial%10 == 0 {
+			maxSeries = 0
+		}
+		r := randRegistry(rng, maxSeries)
+		for epoch := 0; epoch < 3; epoch++ {
+			e := rng.IntN(1 << 20)
+			now := sim.Time(rng.Int64N(1 << 50))
+			want, err := referenceJSONL(r, e, now)
+			if err != nil {
+				t.Fatalf("trial %d: reference: %v", trial, err)
+			}
+			buf = append(buf[:0], "prior bytes\n"...)
+			got, err := r.AppendJSONL(buf, e, now)
+			if err != nil {
+				t.Fatalf("trial %d: AppendJSONL: %v", trial, err)
+			}
+			if string(got[:12]) != "prior bytes\n" || string(got[12:]) != string(want) {
+				t.Fatalf("trial %d epoch %d:\n got %q\nwant %q", trial, e, got[12:], want)
+			}
+			buf = got
+			// Overwrite some values in place, as the next collection
+			// epoch would.
+			for _, f := range r.fams {
+				for _, s := range f.series {
+					if rng.IntN(2) == 0 {
+						s.Set(randJSONValue(rng))
+						s.sum = randJSONValue(rng)
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestAppendJSONLNonFiniteQuantileIsError: a non-finite quantile rank
+// cannot be carried by JSON; both renderers refuse it, and AppendJSONL
+// leaves dst as it was.
+func TestAppendJSONLNonFiniteQuantileIsError(t *testing.T) {
+	for _, q := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		r := NewRegistry()
+		r.GaugeSeries("g", "").Set(1)
+		r.SummarySeries("s", "", "vm", "a").SetSummary(1, 2, []Quantile{{Q: 0.5, V: 1}, {Q: q, V: 3}})
+		if _, err := referenceJSONL(r, 0, 0); err == nil {
+			t.Fatalf("quantile %v: reference renderer accepted it", q)
+		}
+		got, err := r.AppendJSONL([]byte("kept"), 0, 0)
+		if err == nil {
+			t.Fatalf("quantile %v: AppendJSONL accepted it", q)
+		}
+		if string(got) != "kept" {
+			t.Fatalf("quantile %v: dst = %q after the error, want %q", q, got, "kept")
 		}
 	}
 }

@@ -5,9 +5,11 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"strconv"
 	"strings"
 	"testing"
 
+	"vscale/internal/metrics"
 	"vscale/internal/sim"
 )
 
@@ -126,5 +128,49 @@ func TestNilCollectorIsInert(t *testing.T) {
 	var none *Sink
 	if none.Enabled() {
 		t.Fatal("nil sink claims to be enabled")
+	}
+}
+
+// TestCollectorSteadyStateAllocs gates the exporter's hot path: once
+// every series exists, a collection epoch into a live JSONL sink
+// allocates nothing — lookups hit in the registry's scratch, values are
+// overwritten in place, and the record is encoded into the collector's
+// reused buffer.
+func TestCollectorSteadyStateAllocs(t *testing.T) {
+	sink, err := NewSink("", io.Discard)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := NewCollector(sink, false, "policy", "vscale", "hosts", "4")
+	h := metrics.NewHistogram(metrics.DefaultLatencyBuckets())
+	for _, v := range []float64{0.3, 2, 40, 41} {
+		h.Observe(v)
+	}
+	vms := []string{"vm0", "vm1", "vm2"}
+	now := sim.Time(0)
+	epoch := func() {
+		reg := c.Registry()
+		reg.GaugeSeries("vscale_sim_seconds", "Virtual time.").Set(now.Seconds())
+		for i := 0; i < 4; i++ {
+			host := strconv.Itoa(i)
+			reg.CounterSeries("vscale_host_engine_events_total", "Events.", "host", host).Add(1000)
+			for _, vm := range vms {
+				labels := []string{"host", host, "vm", vm}
+				reg.GaugeSeries("vscale_vm_vcpus", "vCPUs.", labels...).Set(4)
+				reg.SummarySeries("vscale_vm_reply_latency_ms", "Latency.", labels...).
+					SetFromHistogram(h, 0.5, 0.95, 0.99)
+			}
+		}
+		now += 500 * sim.Millisecond
+		c.EpochDone(now)
+	}
+	for i := 0; i < 3; i++ {
+		epoch() // create the series and grow the buffers
+	}
+	if n := testing.AllocsPerRun(100, epoch); n != 0 {
+		t.Fatalf("steady-state collection epoch allocated %v times, want 0", n)
+	}
+	if err := c.Err(); err != nil {
+		t.Fatal(err)
 	}
 }

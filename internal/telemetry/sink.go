@@ -10,7 +10,7 @@ import (
 
 // Sink is the shared output side of telemetry: at most one scrape
 // server and at most one JSONL stream, fed by any number of collectors.
-// Publish is lock-free (an atomic swap in the server); Append is
+// Publishing to the server is lock-free (an atomic swap); Append is
 // serialised by a mutex because parallel repeat-runs may flush
 // concurrently — deterministic JSONL ordering is the collectors' job
 // (the fleet control plane appends live from its single goroutine;
@@ -25,6 +25,8 @@ type Sink struct {
 // NewSink builds a sink. addr == "" disables the scrape server; out ==
 // nil disables the JSONL stream. A sink with neither is legal and inert
 // (Enabled reports false), which lets call sites stay unconditional.
+// Like any io.Writer, out must not retain the slices it is given: live
+// collectors reuse their record buffer every epoch.
 func NewSink(addr string, out io.Writer) (*Sink, error) {
 	s := &Sink{out: out}
 	if addr != "" {
@@ -43,14 +45,6 @@ func (s *Sink) Enabled() bool { return s != nil && (s.srv != nil || s.out != nil
 // Server returns the scrape server (nil when -telemetry-addr was not
 // given).
 func (s *Sink) Server() *Server { return s.srv }
-
-// Publish hands an immutable exposition snapshot to the scrape server
-// (no-op without one).
-func (s *Sink) Publish(text []byte) {
-	if s.srv != nil {
-		s.srv.Publish(text)
-	}
-}
 
 // Append writes one or more complete JSONL records to the stream
 // (no-op without one).
@@ -77,8 +71,9 @@ func (s *Sink) Close() error {
 
 // Collector owns one registry and drives it through collection epochs:
 // the simulation-side code samples its sources into Registry()'s
-// families, then calls EpochDone, which renders the exposition snapshot,
-// publishes it to the scrape server and emits the epoch's JSONL record.
+// families, then calls EpochDone, which renders the epoch for whichever
+// outputs the sink has: the exposition snapshot for its scrape server
+// and the JSONL record for its stream.
 //
 // A live collector (buffered=false) appends each record to the sink as
 // it happens — correct when exactly one goroutine collects, like the
@@ -92,6 +87,7 @@ type Collector struct {
 	buffered bool
 
 	epoch int
+	rec   []byte // the epoch's JSONL record, reused every epoch
 	buf   []byte
 	err   error
 }
@@ -122,23 +118,34 @@ func (c *Collector) Epoch() int {
 	return c.epoch
 }
 
-// EpochDone closes one collection epoch at virtual time now: it renders
-// and publishes the scrape snapshot and emits the epoch's JSONL record
-// (live or into the buffer). Errors are latched into Err rather than
-// returned — collection sites sit inside control loops that should not
-// grow error plumbing for an observability stream.
+// EpochDone closes one collection epoch at virtual time now: with a
+// scrape server it renders and publishes the exposition snapshot, and
+// with a JSONL stream it emits the epoch's record (live or into the
+// buffer). A format nobody consumes is not rendered. The live record is
+// written from a buffer reused every epoch, so the sink's writer must
+// not retain it. Errors are latched into Err rather than returned —
+// collection sites sit inside control loops that should not grow error
+// plumbing for an observability stream.
 func (c *Collector) EpochDone(now sim.Time) {
 	if c == nil {
 		return
 	}
-	c.sink.Publish(c.reg.RenderProm())
-	rec, err := c.reg.RenderJSONL(c.epoch, now)
-	if err != nil {
-		c.fail(err)
-	} else if c.buffered {
-		c.buf = append(c.buf, rec...)
-	} else if err := c.sink.Append(rec); err != nil {
-		c.fail(err)
+	if srv := c.sink.srv; srv != nil {
+		srv.Publish(c.reg.RenderProm())
+	}
+	if c.sink.out != nil {
+		rec, err := c.reg.AppendJSONL(c.rec[:0], c.epoch, now)
+		c.rec = rec
+		switch {
+		case err != nil:
+			c.fail(err)
+		case c.buffered:
+			c.buf = append(c.buf, rec...)
+		default:
+			if err := c.sink.Append(rec); err != nil {
+				c.fail(err)
+			}
+		}
 	}
 	c.epoch++
 }

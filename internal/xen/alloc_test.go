@@ -1,0 +1,39 @@
+package xen
+
+import "testing"
+
+// TestNotifyDispatchAllocs pins the runqueue and pending-port FIFOs to
+// their backing arrays: once warmed, notifying a queued vCPU, switching
+// to it and flushing its pending port allocates nothing. A pop that
+// sheds capacity makes the next push reallocate, which is what it
+// catches.
+func TestNotifyDispatchAllocs(t *testing.T) {
+	eng, pool := setup(t, 1, false)
+	a, ga := addHogDomain(eng, pool, "a", 256, 1)
+	b, gb := addHogDomain(eng, pool, "b", 256, 1)
+	p := pool.PCPUs()[0]
+	// One cycle: the queued vCPU gets an event-channel notification
+	// (queued as pending), the running one yields, and the dispatch
+	// delivers the pending port to the newly running vCPU.
+	cycle := func() {
+		for i := 0; i < 4; i++ {
+			next := a
+			if p.Current() == a.VCPU(0) {
+				next = b
+			}
+			pool.Notify(next.IPIPort(0))
+			pool.Yield(p.Current())
+			if p.Current() != next.VCPU(0) {
+				t.Fatalf("yield ran %v, want the notified vCPU", p.Current().dom.Name)
+			}
+		}
+	}
+	cycle()
+	before := ga.delivered[0] + gb.delivered[0]
+	if n := testing.AllocsPerRun(100, cycle); n != 0 {
+		t.Fatalf("Notify → dispatch → flushPending allocated %v times per cycle, want 0", n)
+	}
+	if got := ga.delivered[0] + gb.delivered[0] - before; got != 4*101 {
+		t.Fatalf("%d events delivered, want %d", got, 4*101)
+	}
+}

@@ -1,7 +1,9 @@
 package xen
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 
 	"vscale/internal/core"
 	"vscale/internal/sim"
@@ -296,7 +298,7 @@ func (pool *Pool) insertRunq(p *PCPU, v *VCPU, front bool) {
 func (pool *Pool) removeRunq(p *PCPU, v *VCPU) {
 	for i, q := range p.runq {
 		if q == v {
-			p.runq = append(p.runq[:i], p.runq[i+1:]...)
+			p.runq = slices.Delete(p.runq, i, i+1)
 			return
 		}
 	}
@@ -447,7 +449,7 @@ func (pool *Pool) pickNext(p *PCPU) *VCPU {
 		return stolen
 	}
 	if local != nil {
-		p.runq = p.runq[1:]
+		p.runq = slices.Delete(p.runq, 0, 1)
 		return local
 	}
 	return nil
@@ -492,7 +494,7 @@ func (pool *Pool) flushPending(v *VCPU) {
 	// the state before every delivery; undelivered ports stay pending.
 	for v.state == StateRunning && len(v.pendingPorts) > 0 {
 		port := v.pendingPorts[0]
-		v.pendingPorts = v.pendingPorts[1:]
+		v.pendingPorts = slices.Delete(v.pendingPorts, 0, 1)
 		port.pending = false
 		pool.observeDelay(port, pool.eng.Now()-port.pendingAt)
 		v.dom.guest.DeliverEvent(v.id, port)
@@ -803,21 +805,12 @@ func (pool *Pool) effectiveWeight(d *Domain) float64 {
 	return d.Weight * float64(d.ActiveVCPUs()) / float64(len(d.vcpus))
 }
 
-// resortRunq stably re-orders a runqueue by priority class (FIFO within
-// class is preserved because the sort is stable by construction).
+// resortRunq stably re-orders a runqueue by priority class in place
+// (FIFO within class is preserved because the sort is stable).
 func (pool *Pool) resortRunq(p *PCPU) {
-	if len(p.runq) < 2 {
-		return
-	}
-	sorted := make([]*VCPU, 0, len(p.runq))
-	for cls := PriBoost; cls <= PriOver; cls++ {
-		for _, v := range p.runq {
-			if priorityClass(v) == cls {
-				sorted = append(sorted, v)
-			}
-		}
-	}
-	p.runq = sorted
+	slices.SortStableFunc(p.runq, func(a, b *VCPU) int {
+		return cmp.Compare(priorityClass(a), priorityClass(b))
+	})
 }
 
 // vscaleTick recomputes every domain's CPU extendability from the last
