@@ -4,11 +4,14 @@ import (
 	"bytes"
 	"fmt"
 	"reflect"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
 
 	"vscale/internal/core"
+	"vscale/internal/runner"
+	"vscale/internal/sim"
 	"vscale/internal/telemetry"
 )
 
@@ -118,9 +121,35 @@ func assertMatchesSerial(t *testing.T, label string, cfg FleetConfig, events []E
 	}
 }
 
+// thinFleet is a fleet of the given size under light load: one VM per
+// host plus steady arrivals at low request rates, so executor overhead
+// rather than policy quality dominates the run. Placement recording is
+// off; at a thousand hosts the per-VM log is dead weight.
+func thinFleet(hosts int) (FleetConfig, []Event) {
+	horizon := 2 * sim.Second
+	tcfg := DefaultTraceConfig(horizon)
+	tcfg.InitialVMs = hosts
+	tcfg.ArrivalEvery = horizon / sim.Time(2*hosts)
+	tcfg.RateChoices = []float64{50, 100, 200}
+	seed := runner.DeriveSeed(1, hosts)
+	recordOff := false
+	cfg := FleetConfig{
+		Hosts:            hosts,
+		PCPUsPerHost:     4,
+		Policy:           "vscale",
+		Seed:             seed,
+		Horizon:          horizon,
+		SLO:              50 * sim.Millisecond,
+		RecordPlacements: &recordOff,
+	}
+	return cfg, GenTrace(tcfg, seed)
+}
+
 // TestExecutorMatchesSerial is the executor's differential check: for
 // every policy, several seeds and both worker counts, RunFleet must
-// reproduce the serial reference's FleetResult exactly.
+// reproduce the serial reference's FleetResult exactly. The thin
+// fleets at 10 and 100 hosts put many more hosts than workers on the
+// pool.
 func TestExecutorMatchesSerial(t *testing.T) {
 	for _, policy := range PolicyNames() {
 		for _, seed := range []uint64{11, 23, 97} {
@@ -129,6 +158,37 @@ func TestExecutorMatchesSerial(t *testing.T) {
 			events := GenTrace(DefaultTraceConfig(cfg.Horizon), seed)
 			assertMatchesSerial(t, fmt.Sprintf("%s seed=%d", policy, seed), cfg, events, 1, 4)
 		}
+	}
+	for _, hosts := range []int{10, 100} {
+		cfg, events := thinFleet(hosts)
+		assertMatchesSerial(t, fmt.Sprintf("%d hosts", hosts), cfg, events, 1, 2, 4, 8)
+	}
+}
+
+// TestExecutorThousandHosts runs the thin fleet at a thousand hosts on
+// one worker and on eight. The results must be identical, and with at
+// least eight CPUs to run on, eight workers must finish at least four
+// times sooner than one.
+func TestExecutorThousandHosts(t *testing.T) {
+	cfg, events := thinFleet(1000)
+	run := func(workers int) (FleetResult, time.Duration) {
+		cfg.Workers = workers
+		start := time.Now()
+		res, err := RunFleet(cfg, events)
+		if err != nil {
+			t.Fatalf("workers=%d: %v", workers, err)
+		}
+		return res, time.Since(start)
+	}
+	want, wall1 := run(1)
+	got, wall8 := run(8)
+	assertSameResult(t, "1000 hosts workers=8", want, got)
+	if n := runtime.NumCPU(); n < 8 {
+		t.Logf("%d CPUs: speedup gate skipped (workers=1 %v, workers=8 %v)", n, wall1, wall8)
+		return
+	}
+	if speedup := wall1.Seconds() / wall8.Seconds(); speedup < 4 {
+		t.Fatalf("workers=8 ran %.2fx faster than workers=1 (%v vs %v), want >= 4x", speedup, wall8, wall1)
 	}
 }
 

@@ -114,8 +114,8 @@ func TestParsePolicies(t *testing.T) {
 	if _, err := ParsePolicies("vscale,vscale"); err == nil {
 		t.Fatal("duplicate selection: want error")
 	}
-	if _, err := ParsePolicies("vscale,bogus"); err == nil {
-		t.Fatal("unknown selection: want error")
+	if _, err := ParsePolicies("vscale,bogus"); err == nil || !strings.Contains(err.Error(), "unknown policy") {
+		t.Fatalf("unknown selection: got %v, want an unknown policy error", err)
 	}
 	if _, err := ParsePolicies(",,"); err == nil {
 		t.Fatal("empty selection: want error")

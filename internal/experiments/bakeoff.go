@@ -66,7 +66,7 @@ type BakeoffResult struct {
 // collector per arm labelled arm=<name>.
 func Bakeoff(opts runner.Options, sink *telemetry.Sink, hosts, pcpus int, horizon, slo sim.Time, warmEpochs int) (BakeoffResult, error) {
 	if warmEpochs <= 0 {
-		return BakeoffResult{}, fmt.Errorf("bakeoff: warmEpochs must be > 0 (the arms fork from the warm snapshot)")
+		return BakeoffResult{}, fmt.Errorf("warmEpochs must be > 0 (the arms fork from the warm snapshot)")
 	}
 	out := BakeoffResult{
 		Hosts:        hosts,
@@ -114,13 +114,13 @@ func Bakeoff(opts runner.Options, sink *telemetry.Sink, hosts, pcpus int, horizo
 	tuneBakeoffMigration(capCfg.Migration)
 	cp, err := cluster.CaptureWarmPrefix(capCfg, events)
 	if err != nil {
-		return out, fmt.Errorf("bakeoff: warm capture: %w", err)
+		return out, fmt.Errorf("warm capture: %w", err)
 	}
 
 	for _, arm := range out.Arms {
 		migCfg, rsCfg, err := cluster.ElasticityFor(arm.Elastic)
 		if err != nil {
-			return out, fmt.Errorf("bakeoff: %s: %w", arm.Name, err)
+			return out, fmt.Errorf("%s: %w", arm.Name, err)
 		}
 		tuneBakeoffMigration(migCfg)
 		fcfg := base
@@ -130,10 +130,10 @@ func Bakeoff(opts runner.Options, sink *telemetry.Sink, hosts, pcpus int, horizo
 		fcfg.Telemetry = telemetry.NewCollector(sink, false, "arm", arm.Name)
 		res, err := cluster.RunFleetFork(fcfg, events, cp)
 		if err != nil {
-			return out, fmt.Errorf("bakeoff: %s: %w", arm.Name, err)
+			return out, fmt.Errorf("%s: %w", arm.Name, err)
 		}
 		if err := fcfg.Telemetry.Err(); err != nil {
-			return out, fmt.Errorf("bakeoff: %s: %w", arm.Name, err)
+			return out, fmt.Errorf("%s: %w", arm.Name, err)
 		}
 		out.Fleets = append(out.Fleets, res)
 	}
@@ -160,25 +160,6 @@ func (r BakeoffResult) arm(name string) *cluster.FleetResult {
 		}
 	}
 	return nil
-}
-
-// Metrics flattens the per-arm accounting into benchmark keys
-// ("bakeoff/<arm>/cost_vcpu_seconds", ".../attainment",
-// ".../migrations", ".../replicas_created") for BENCH_cluster.json.
-func (r BakeoffResult) Metrics() map[string]float64 {
-	m := map[string]float64{}
-	for i, arm := range r.Arms {
-		if i >= len(r.Fleets) {
-			break
-		}
-		f := r.Fleets[i]
-		prefix := "bakeoff/" + arm.Name + "/"
-		m[prefix+"cost_vcpu_seconds"] = f.CostVCPUSeconds
-		m[prefix+"attainment"] = f.Attainment
-		m[prefix+"migrations"] = float64(f.Migrations)
-		m[prefix+"replicas_created"] = float64(f.ReplicasCreated)
-	}
-	return m
 }
 
 // Render produces the bake-off table and the head-to-head verdict.

@@ -54,16 +54,16 @@ type ClusterWarm struct {
 // validate rejects flag combinations the run cannot honour.
 func (w ClusterWarm) validate(hostCounts []int, tracing bool) error {
 	if w.Fork && w.Epochs <= 0 {
-		return fmt.Errorf("cluster: -warmfork requires -warm-epochs > 0")
+		return fmt.Errorf("-warmfork requires -warm-epochs > 0")
 	}
 	if w.CheckpointPath != "" && w.Epochs <= 0 {
-		return fmt.Errorf("cluster: -checkpoint requires -warm-epochs > 0")
+		return fmt.Errorf("-checkpoint requires -warm-epochs > 0")
 	}
 	if (w.CheckpointPath != "" || w.RestorePath != "") && len(hostCounts) != 1 {
-		return fmt.Errorf("cluster: -checkpoint/-restore need a single host count (got %d)", len(hostCounts))
+		return fmt.Errorf("-checkpoint/-restore need a single host count (got %d)", len(hostCounts))
 	}
 	if (w.Fork || w.RestorePath != "" || w.CheckpointPath != "") && tracing {
-		return fmt.Errorf("cluster: tracing is not checkpointable; drop -trace/-schedstats")
+		return fmt.Errorf("tracing is not checkpointable; drop -trace/-schedstats")
 	}
 	return nil
 }
@@ -90,7 +90,7 @@ func (w ClusterWarm) validate(hostCounts []int, tracing bool) error {
 // traces and stdout byte-identical.
 func Cluster(opts runner.Options, sink *telemetry.Sink, hostCounts []int, pcpus int, horizon, slo sim.Time, policies []string, elastic string, warm ClusterWarm) (ClusterResult, error) {
 	if len(hostCounts) == 0 {
-		return ClusterResult{}, fmt.Errorf("cluster: no host counts")
+		return ClusterResult{}, fmt.Errorf("no host counts")
 	}
 	migCfg, rsCfg, err := cluster.ElasticityFor(elastic)
 	if err != nil {
@@ -147,16 +147,16 @@ func Cluster(opts runner.Options, sink *telemetry.Sink, hostCounts []int, pcpus 
 		switch {
 		case warm.RestorePath != "":
 			if cp, err = cluster.LoadCheckpoint(warm.RestorePath); err != nil {
-				return out, fmt.Errorf("cluster: %d hosts: %w", hc, err)
+				return out, fmt.Errorf("%d hosts: %w", hc, err)
 			}
 		case fork || warm.CheckpointPath != "":
 			if cp, err = cluster.CaptureWarmPrefix(base, events); err != nil {
-				return out, fmt.Errorf("cluster: %d hosts: %w", hc, err)
+				return out, fmt.Errorf("%d hosts: %w", hc, err)
 			}
 		}
 		if warm.CheckpointPath != "" && warm.RestorePath == "" {
 			if err := cluster.SaveCheckpoint(warm.CheckpointPath, cp); err != nil {
-				return out, fmt.Errorf("cluster: %d hosts: %w", hc, err)
+				return out, fmt.Errorf("%d hosts: %w", hc, err)
 			}
 		}
 
@@ -179,10 +179,10 @@ func Cluster(opts runner.Options, sink *telemetry.Sink, hostCounts []int, pcpus 
 				res, err = cluster.RunFleet(fcfg, events)
 			}
 			if err != nil {
-				return out, fmt.Errorf("cluster: %d hosts, %s: %w", hc, policy, err)
+				return out, fmt.Errorf("%d hosts, %s: %w", hc, policy, err)
 			}
 			if err := col.Err(); err != nil {
-				return out, fmt.Errorf("cluster: %d hosts, %s: %w", hc, policy, err)
+				return out, fmt.Errorf("%d hosts, %s: %w", hc, policy, err)
 			}
 			out.Fleets[hc] = append(out.Fleets[hc], res)
 			if opts.Trace && opts.Report != nil {
@@ -220,21 +220,6 @@ func paretoEfficient(fleets []cluster.FleetResult) []bool {
 		}
 	}
 	return eff
-}
-
-// Metrics flattens the per-fleet cost and attainment into benchmark
-// keys ("<hosts>h/<policy>/cost_vcpu_seconds", ".../attainment") for
-// BENCH_cluster.json.
-func (r ClusterResult) Metrics() map[string]float64 {
-	m := map[string]float64{}
-	for _, hc := range r.HostCounts {
-		for _, f := range r.Fleets[hc] {
-			prefix := fmt.Sprintf("%dh/%s/", hc, f.Policy)
-			m[prefix+"cost_vcpu_seconds"] = f.CostVCPUSeconds
-			m[prefix+"attainment"] = f.Attainment
-		}
-	}
-	return m
 }
 
 // Render produces one table per host count, the cost-vs-attainment

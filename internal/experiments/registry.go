@@ -143,10 +143,6 @@ type Result struct {
 	// Report carries job wall clocks, derived seeds and per-run tracers
 	// in submission order.
 	Report *runner.Report
-	// Metrics carries scalar results worth benchmarking over time (the
-	// CLI folds them into the -benchjson output); nil for experiments
-	// that only render text.
-	Metrics map[string]float64
 }
 
 // Experiment is one registry entry. Name is the -run selector, Title
@@ -449,8 +445,7 @@ func Registry() []Experiment {
 			Desc:        "open-loop web load with VM arrivals/departures; reply-latency quantiles, SLO attainment and provisioned cost per registered scaling policy",
 			QuickParams: "2 hosts, 8 s churn",
 			FullParams:  "2 and 4 hosts, 16 s churn",
-			Run: func(c *Config) (Result, error) {
-				rep := &runner.Report{}
+			Run: wrap("cluster", func(c *Config, rep *runner.Report) (string, error) {
 				hostCounts := []int{2, 4}
 				horizon := 16 * sim.Second
 				if c.Quick {
@@ -465,47 +460,18 @@ func Registry() []Experiment {
 				}
 				r, err := Cluster(c.opts(rep), c.Telemetry, hostCounts, 4, horizon, 50*sim.Millisecond, c.Policies, c.Elastic, warm)
 				if err != nil {
-					return Result{}, fmt.Errorf("cluster: %w", err)
+					return "", err
 				}
-				res := Result{Name: "cluster", Text: r.Render(), Metrics: r.Metrics()}
-				if rep.Jobs > 0 {
-					res.Report = rep
-				}
-				return res, nil
-			},
-		},
-		{
-			Name:        "fleetscale",
-			Title:       "Fleet scale — bounded-lag executor scaling (hosts × workers)",
-			Desc:        "the same fleet run at several worker counts up to a thousand hosts; results must match bit for bit, wall clocks land in the bench JSON as a speedup series",
-			QuickParams: "10/100 hosts × 1/2/4/8 workers, 2 s churn",
-			FullParams:  "10/100/1000 hosts × 1/2/4/8 workers, 2 s churn",
-			Run: func(c *Config) (Result, error) {
-				rep := &runner.Report{}
-				hostCounts := []int{10, 100, 1000}
-				if c.Quick {
-					hostCounts = []int{10, 100}
-				}
-				r, err := FleetScale(c.opts(rep), hostCounts, []int{1, 2, 4, 8}, 4,
-					2*sim.Second, 50*sim.Millisecond)
-				if err != nil {
-					return Result{}, fmt.Errorf("fleetscale: %w", err)
-				}
-				res := Result{Name: "fleetscale", Text: r.Render(), Metrics: r.Metrics()}
-				if rep.Jobs > 0 {
-					res.Report = rep
-				}
-				return res, nil
-			},
+				return r.Render(), nil
+			}),
 		},
 		{
 			Name:        "warmfork",
 			Title:       "Warm-fork — simulate the warm prefix once, fork every policy",
-			Desc:        "per-policy straight runs vs one shared warm-prefix snapshot forked per policy; results must match bit for bit, wall clocks land in the bench JSON as the amortization series",
+			Desc:        "per-policy straight runs vs one shared warm-prefix snapshot forked per policy; results must match bit for bit",
 			QuickParams: "2 hosts, 20 epochs (16 warm) × all policies",
 			FullParams:  "2 hosts, 40 epochs (32 warm) × all policies",
-			Run: func(c *Config) (Result, error) {
-				rep := &runner.Report{}
+			Run: wrap("warmfork", func(c *Config, rep *runner.Report) (string, error) {
 				horizon := 20 * sim.Second
 				warmEpochs := 32
 				if c.Quick {
@@ -518,14 +484,10 @@ func Registry() []Experiment {
 				r, err := WarmFork(c.opts(rep), 2, 4, horizon, 50*sim.Millisecond,
 					warmEpochs, c.Policies)
 				if err != nil {
-					return Result{}, err
+					return "", err
 				}
-				res := Result{Name: "warmfork", Text: r.Render(), Metrics: r.Metrics()}
-				if rep.Jobs > 0 {
-					res.Report = rep
-				}
-				return res, nil
-			},
+				return r.Render(), nil
+			}),
 		},
 		{
 			Name:        "bakeoff",
@@ -533,8 +495,7 @@ func Registry() []Experiment {
 			Desc:        "vScale vCPU scaling vs live migration + replica autoscaling vs both, forked from one warm snapshot of one service-annotated trace; cost-vs-attainment per arm",
 			QuickParams: "4 hosts, 16 s churn (8 warm epochs)",
 			FullParams:  "4 hosts, 16 s churn (8 warm epochs)",
-			Run: func(c *Config) (Result, error) {
-				rep := &runner.Report{}
+			Run: wrap("bakeoff", func(c *Config, rep *runner.Report) (string, error) {
 				// Same size under -quick: the bake-off's verdict needs the
 				// full horizon (a shorter trace never reaches the overload
 				// that separates the arms).
@@ -546,14 +507,10 @@ func Registry() []Experiment {
 				r, err := Bakeoff(c.opts(rep), c.Telemetry, 4, 4, horizon, 50*sim.Millisecond,
 					warmEpochs)
 				if err != nil {
-					return Result{}, err
+					return "", err
 				}
-				res := Result{Name: "bakeoff", Text: r.Render(), Metrics: r.Metrics()}
-				if rep.Jobs > 0 {
-					res.Report = rep
-				}
-				return res, nil
-			},
+				return r.Render(), nil
+			}),
 		},
 		{
 			Name:        "extension",

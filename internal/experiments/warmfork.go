@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"fmt"
+	"reflect"
 	"strings"
 	"time"
 
@@ -15,9 +16,8 @@ import (
 // same policy scoreboard produced two ways — each policy straight
 // through (warm prefix re-simulated per policy) and forked from one
 // shared warm-prefix snapshot — with the results asserted identical
-// pairwise. Wall clocks and the speedup go into Metrics (the bench
-// JSON) only, never into the rendered text, which must be
-// byte-identical run to run.
+// pairwise. Wall clocks stay out of the rendered text, which must be
+// byte-identical run to run; TestWarmForkAmortization gates them.
 type WarmForkResult struct {
 	Hosts        int
 	PCPUsPerHost int
@@ -44,14 +44,14 @@ type WarmForkResult struct {
 // at the warm boundary, and forks every policy from the restored
 // snapshot — requiring each forked result to match its straight run
 // bit for bit. The warm:measure ratio is deliberately ≥ 1:1 (the
-// regime warm-fork exists for); the speedup lands in Metrics.
+// regime warm-fork exists for).
 func WarmFork(opts runner.Options, hosts, pcpus int, horizon, slo sim.Time, warmEpochs int, policies []string) (WarmForkResult, error) {
 	if len(policies) == 0 {
 		policies = cluster.PolicyNames()
 	}
 	epochs := int(horizon / cluster.DefaultEpoch)
 	if warmEpochs <= 0 || warmEpochs >= epochs {
-		return WarmForkResult{}, fmt.Errorf("warmfork: warm epochs %d outside (0, %d)", warmEpochs, epochs)
+		return WarmForkResult{}, fmt.Errorf("warm epochs %d outside (0, %d)", warmEpochs, epochs)
 	}
 	out := WarmForkResult{
 		Hosts:        hosts,
@@ -90,7 +90,7 @@ func WarmFork(opts runner.Options, hosts, pcpus int, horizon, slo sim.Time, warm
 		start := time.Now()
 		res, err := cluster.RunFleet(cfg, events)
 		if err != nil {
-			return out, fmt.Errorf("warmfork: straight %s: %w", p, err)
+			return out, fmt.Errorf("straight %s: %w", p, err)
 		}
 		out.StraightWall = append(out.StraightWall, time.Since(start).Seconds())
 		out.Fleets = append(out.Fleets, res)
@@ -100,7 +100,7 @@ func WarmFork(opts runner.Options, hosts, pcpus int, horizon, slo sim.Time, warm
 	start := time.Now()
 	cp, err := cluster.CaptureWarmPrefix(base, events)
 	if err != nil {
-		return out, fmt.Errorf("warmfork: capture: %w", err)
+		return out, fmt.Errorf("capture: %w", err)
 	}
 	out.WarmWall = time.Since(start).Seconds()
 	for i, p := range policies {
@@ -109,11 +109,11 @@ func WarmFork(opts runner.Options, hosts, pcpus int, horizon, slo sim.Time, warm
 		start := time.Now()
 		res, err := cluster.RunFleetFork(cfg, events, cp)
 		if err != nil {
-			return out, fmt.Errorf("warmfork: fork %s: %w", p, err)
+			return out, fmt.Errorf("fork %s: %w", p, err)
 		}
 		out.ForkWall = append(out.ForkWall, time.Since(start).Seconds())
 		if !sameFleetResult(out.Fleets[i], res) {
-			return out, fmt.Errorf("warmfork: %s: forked result differs from straight run", p)
+			return out, fmt.Errorf("%s: forked result differs from straight run", p)
 		}
 	}
 	return out, nil
@@ -137,40 +137,27 @@ func (r WarmForkResult) forkTotal() float64 {
 	return s
 }
 
-// Metrics flattens the two arms into bench keys for
-// BENCH_cluster.json's "warmfork" series: the per-arm totals, the
-// shared warm prefix cost, the amortization speedup, and the
-// per-policy wall pairs.
-func (r WarmForkResult) Metrics() map[string]float64 {
-	m := map[string]float64{
-		"policies":              float64(len(r.Policies)),
-		"warm_epochs":           float64(r.WarmEpochs),
-		"epochs":                float64(r.Epochs),
-		"straight_wall_seconds": r.straightTotal(),
-		"warm_wall_seconds":     r.WarmWall,
-		"fork_wall_seconds":     r.forkTotal(),
+// sameFleetResult compares two fleet results exactly (the histogram via
+// its rendered moments and sum, since it holds pointers).
+func sameFleetResult(a, b cluster.FleetResult) bool {
+	if a.Hist.String() != b.Hist.String() || a.Hist.Sum() != b.Hist.Sum() {
+		return false
 	}
-	if ft := r.forkTotal(); ft > 0 {
-		m["speedup"] = r.straightTotal() / ft
-	}
-	for i, p := range r.Policies {
-		m[p+"/straight_wall_seconds"] = r.StraightWall[i]
-		m[p+"/fork_wall_seconds"] = r.ForkWall[i]
-	}
-	return m
+	a.Hist, b.Hist = nil, nil
+	return reflect.DeepEqual(a, b)
 }
 
 // Render produces the deterministic summary: the fleet shape, the
 // identity statement, and the scoreboard (identical between arms by
-// construction). Wall clocks are deliberately absent — see Metrics.
+// construction). Wall clocks are deliberately absent.
 func (r WarmForkResult) Render() string {
 	var sb strings.Builder
 	fmt.Fprintf(&sb, "%d host(s), %d pCPUs/host, %v churn horizon (%d epochs, %d warm), SLO: reply within %v\n",
 		r.Hosts, r.PCPUsPerHost, r.Horizon, r.Epochs, r.WarmEpochs, r.SLO)
 	fmt.Fprintf(&sb, "each policy ran twice: straight through, and forked from one shared\n")
 	fmt.Fprintf(&sb, "%d-epoch warm-prefix snapshot; every forked result was required to\n", r.WarmEpochs)
-	sb.WriteString("match its straight run bit for bit (wall clocks and the amortization\n")
-	sb.WriteString("speedup are reported via the bench JSON, never here).\n\n")
+	sb.WriteString("match its straight run bit for bit (wall clocks are never printed\n")
+	sb.WriteString("here, so this output is byte-identical run to run).\n\n")
 	tbl := report.NewTable("Warm-fork: identical scoreboard from both arms",
 		"policy", "VMs", "offered", "replies", "p95", "SLO%", "reconfigs", "util%", "cost")
 	for i, p := range r.Policies {

@@ -73,8 +73,9 @@ type Context struct {
 
 // Report accumulates the accounting of one or more Run calls. All
 // fields are appended in submission order. The wall clocks are real
-// time, not virtual time: they measure the harness, not the simulation,
-// and feed the BENCH_experiments.json perf trajectory.
+// time, not virtual time: they measure the harness, not the
+// simulation. vscalesim prints them and the benchmark/ module reads
+// them.
 type Report struct {
 	// Jobs counts jobs executed.
 	Jobs int

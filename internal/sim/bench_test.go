@@ -4,8 +4,9 @@ import "testing"
 
 // The microbenchmarks below are the acceptance bar for the event-core
 // rewrite (see docs/performance.md): schedule+fire throughput, timer
-// rearm cost, and cancel-heavy mixed workloads. `make bench` records
-// their ns/op and allocs/op into BENCH_sim.json (vscale-simbench/v1).
+// rearm cost, and cancel-heavy mixed workloads. Run them with
+// `go test -run='^$' -bench=. -benchmem ./internal/sim/`; CI runs each
+// once as a smoke test.
 
 // BenchmarkSchedule measures one schedule+fire cycle on an otherwise
 // empty queue: the hot path of every engine event.
