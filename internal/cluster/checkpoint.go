@@ -14,7 +14,6 @@ import (
 	"vscale/internal/loadgen"
 	"vscale/internal/runner"
 	"vscale/internal/sim"
-	"vscale/internal/telemetry"
 	"vscale/internal/workload/httpd"
 	"vscale/internal/xen"
 )
@@ -678,38 +677,4 @@ func RunFleetFork(cfg FleetConfig, events []Event, cp *FleetCheckpoint) (FleetRe
 		return res, err
 	}
 	return res, nil
-}
-
-// RunFleetWarmFork is the warm-fork scoreboard driver: simulate the
-// shared warm-up prefix once, then fork one restored fleet per policy
-// from the snapshot and run each measured window. telemetryFor, when
-// non-nil, supplies each fork's collector (the prefix itself collects
-// nothing, matching the straight-through warm run). Results are
-// ordered like policies and each is byte-identical to RunFleet with
-// the same cfg.WarmEpochs and that policy.
-func RunFleetWarmFork(cfg FleetConfig, events []Event, policies []string, telemetryFor func(policy string) *telemetry.Collector) ([]FleetResult, error) {
-	if len(policies) == 0 {
-		return nil, fmt.Errorf("cluster: warm-fork needs at least one policy")
-	}
-	prefix := cfg
-	prefix.Telemetry = nil
-	cp, err := CaptureWarmPrefix(prefix, events)
-	if err != nil {
-		return nil, err
-	}
-	results := make([]FleetResult, 0, len(policies))
-	for _, p := range policies {
-		fcfg := cfg
-		fcfg.Policy = p
-		fcfg.Telemetry = nil
-		if telemetryFor != nil {
-			fcfg.Telemetry = telemetryFor(p)
-		}
-		r, err := RunFleetFork(fcfg, events, cp)
-		if err != nil {
-			return nil, fmt.Errorf("cluster: warm-fork policy %s: %w", p, err)
-		}
-		results = append(results, r)
-	}
-	return results, nil
 }

@@ -12,6 +12,31 @@ import (
 	"vscale/internal/telemetry"
 )
 
+// warmFork simulates cfg's warm prefix once, without telemetry, and
+// forks one restored fleet per policy from it, the CaptureWarmPrefix and
+// RunFleetFork pair the experiments and the benchmark use. Each fork
+// keeps cfg.Telemetry.
+func warmFork(t *testing.T, cfg FleetConfig, events []Event, policies ...string) []FleetResult {
+	t.Helper()
+	prefix := cfg
+	prefix.Telemetry = nil
+	cp, err := CaptureWarmPrefix(prefix, events)
+	if err != nil {
+		t.Fatal(err)
+	}
+	out := make([]FleetResult, 0, len(policies))
+	for _, p := range policies {
+		fcfg := cfg
+		fcfg.Policy = p
+		r, err := RunFleetFork(fcfg, events, cp)
+		if err != nil {
+			t.Fatalf("fork %s: %v", p, err)
+		}
+		out = append(out, r)
+	}
+	return out
+}
+
 // TestWarmForkIdentical is the correctness gate behind warm-fork: for
 // every policy, two seeds and both worker counts, the forked run
 // (shared warm prefix, restored at the warm boundary) must reproduce
@@ -36,10 +61,7 @@ func TestWarmForkIdentical(t *testing.T) {
 				}
 				straight = append(straight, r)
 			}
-			forked, err := RunFleetWarmFork(cfg, events, policies, nil)
-			if err != nil {
-				t.Fatal(err)
-			}
+			forked := warmFork(t, cfg, events, policies...)
 			for i, p := range policies {
 				assertSameResult(t, fmt.Sprintf("%s seed=%d workers=%d", p, seed, workers),
 					straight[i], forked[i])
@@ -60,19 +82,11 @@ func TestWarmForkTelemetryIdentical(t *testing.T) {
 		cfg := smallFleet("vscale", 2)
 		cfg.WarmEpochs = 3
 		events := GenTrace(DefaultTraceConfig(cfg.Horizon), cfg.Seed)
+		cfg.Telemetry = telemetry.NewCollector(sink, false, "policy", "vscale")
 		if fork {
-			results, err := RunFleetWarmFork(cfg, events, []string{"vscale"}, func(string) *telemetry.Collector {
-				return telemetry.NewCollector(sink, false, "policy", "vscale")
-			})
-			if err != nil {
-				t.Fatal(err)
-			}
-			_ = results
-		} else {
-			cfg.Telemetry = telemetry.NewCollector(sink, false, "policy", "vscale")
-			if _, err := RunFleet(cfg, events); err != nil {
-				t.Fatal(err)
-			}
+			warmFork(t, cfg, events, "vscale")
+		} else if _, err := RunFleet(cfg, events); err != nil {
+			t.Fatal(err)
 		}
 		return buf.String()
 	}

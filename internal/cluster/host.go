@@ -610,34 +610,7 @@ func (h *Host) ApplyTarget(name string, target int) {
 	if !ok || vm.retired {
 		return
 	}
-	k := vm.k
-	target = clampVCPUs(target, vm.vcpus)
-	for k.ActiveVCPUs() > target {
-		victim := -1
-		for i := k.NCPUs() - 1; i >= 1; i-- {
-			if !k.Frozen(i) {
-				victim = i
-				break
-			}
-		}
-		if victim < 0 || k.FreezeVCPU(victim) != nil {
-			return
-		}
-		vm.policyOps++
-	}
-	for k.ActiveVCPUs() < target {
-		cand := -1
-		for i := 1; i < k.NCPUs(); i++ {
-			if k.Frozen(i) {
-				cand = i
-				break
-			}
-		}
-		if cand < 0 || k.UnfreezeVCPU(cand) != nil {
-			return
-		}
-		vm.policyOps++
-	}
+	vm.policyOps += uint64(vm.k.ResizeActive(clampVCPUs(target, vm.vcpus)))
 }
 
 // ProvisionedVCPUSeconds returns the host's provisioned cost so far:

@@ -134,9 +134,6 @@ func New(cfg Config) *Controller {
 	}
 }
 
-// Config returns the controller's configuration.
-func (c *Controller) Config() Config { return c.cfg }
-
 // Services lists every service in registration order.
 func (c *Controller) Services() []*Service { return c.services }
 

@@ -63,6 +63,41 @@ func (k *Kernel) UnfreezeVCPU(target int) error {
 	return nil
 }
 
+// ResizeActive freezes the highest-numbered active vCPUs or unfreezes
+// the lowest-numbered frozen ones until target are active, and returns
+// how many it froze or unfroze. It stops early when no vCPU is left to
+// move or the balancer refuses one.
+func (k *Kernel) ResizeActive(target int) int {
+	ops := 0
+	for k.ActiveVCPUs() > target {
+		victim := -1
+		for i := len(k.cpus) - 1; i >= 1; i-- {
+			if !k.Frozen(i) {
+				victim = i
+				break
+			}
+		}
+		if victim < 0 || k.FreezeVCPU(victim) != nil {
+			return ops
+		}
+		ops++
+	}
+	for k.ActiveVCPUs() < target {
+		cand := -1
+		for i := 1; i < len(k.cpus); i++ {
+			if k.Frozen(i) {
+				cand = i
+				break
+			}
+		}
+		if cand < 0 || k.UnfreezeVCPU(cand) != nil {
+			return ops
+		}
+		ops++
+	}
+	return ops
+}
+
 // drainFrozen runs on a frozen CPU (typically right after the freeze
 // IPI): migrate every migratable thread to active CPUs, move pending
 // software timers to the master, and rebind device IRQs. The per-item

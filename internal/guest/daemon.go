@@ -103,8 +103,7 @@ func (d *daemon) poll() {
 	d.reconcile(target)
 }
 
-// reconcile freezes the highest-numbered active vCPUs or unfreezes the
-// lowest-numbered frozen ones until the active count matches target.
+// reconcile resizes the active-vCPU set to target (Kernel.ResizeActive).
 func (d *daemon) reconcile(target int) {
 	k := d.k
 	if d.reconfiguring {
@@ -119,57 +118,16 @@ func (d *daemon) reconcile(target int) {
 		k.eng.After(dly, "guest/slow-reconfig", func() {
 			d.reconfiguring = false
 			k.tracer().Hotplug(k.eng.Now(), k.dom.ID(), dly, "reconfig")
-			if k.ActiveVCPUs() > target {
-				for i := k.NCPUs() - 1; i >= 1; i-- {
-					if !k.Frozen(i) {
-						_ = k.FreezeVCPU(i)
-						break
-					}
-				}
-			} else if k.ActiveVCPUs() < target {
-				for i := 1; i < k.NCPUs(); i++ {
-					if k.Frozen(i) {
-						_ = k.UnfreezeVCPU(i)
-						break
-					}
-				}
+			if n := k.ActiveVCPUs(); n > target {
+				k.ResizeActive(n - 1)
+			} else if n < target {
+				k.ResizeActive(n + 1)
 			}
 			d.gov.ForceCurrent(k.ActiveVCPUs())
 		})
 		return
 	}
-	for k.ActiveVCPUs() > target {
-		victim := -1
-		for i := k.NCPUs() - 1; i >= 1; i-- {
-			if !k.Frozen(i) {
-				victim = i
-				break
-			}
-		}
-		if victim < 0 {
-			return
-		}
-		if err := k.FreezeVCPU(victim); err != nil {
-			return
-		}
-		d.Decisions++
-	}
-	for k.ActiveVCPUs() < target {
-		cand := -1
-		for i := 1; i < k.NCPUs(); i++ {
-			if k.Frozen(i) {
-				cand = i
-				break
-			}
-		}
-		if cand < 0 {
-			return
-		}
-		if err := k.UnfreezeVCPU(cand); err != nil {
-			return
-		}
-		d.Decisions++
-	}
+	d.Decisions += uint64(k.ResizeActive(target))
 }
 
 // DaemonStats reports daemon activity (zero values when disabled).

@@ -33,9 +33,6 @@ func NewKernelLock(k *Kernel, name string) *KernelLock {
 	return &KernelLock{k: k, Name: name}
 }
 
-// Held reports whether the lock is currently held.
-func (l *KernelLock) Held() bool { return l.holder != nil }
-
 // bucketFor hashes a synchronisation object id to a kernel lock.
 func (k *Kernel) bucketFor(id uint64) *KernelLock {
 	return k.buckets[(id*0x9e3779b97f4a7c15>>32)%uint64(len(k.buckets))]

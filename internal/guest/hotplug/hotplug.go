@@ -87,9 +87,6 @@ func NewSampler(version string, rand *sim.Rand) (*Sampler, error) {
 	return &Sampler{model: m, rand: rand}, nil
 }
 
-// Version returns the kernel version string.
-func (s *Sampler) Version() string { return s.model.Version }
-
 // Remove samples one CPU-removal operation.
 func (s *Sampler) Remove() Op {
 	total := s.model.DrawDown(s.rand)

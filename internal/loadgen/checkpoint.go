@@ -31,10 +31,7 @@ type State struct {
 // straight-through and forked runs pause at the same simulated time with
 // the same PRNG state, so both discard the same variate.
 func (g *Generator) Pause() {
-	if g.armed {
-		g.eng.Cancel(g.next)
-		g.armed = false
-	}
+	g.eng.Cancel(g.next)
 	g.paused = true
 }
 
@@ -48,15 +45,12 @@ func (g *Generator) Resume() {
 	g.arm()
 }
 
-// Paused reports whether the generator is holding its arrival stream.
-func (g *Generator) Paused() bool { return g.paused }
-
 // CheckpointState exports the generator's state. It errors unless the
 // generator is paused (or stopped) with every offered request terminal —
 // an undrained pipeline means in-flight closures the checkpoint cannot
 // represent.
 func (g *Generator) CheckpointState() (State, error) {
-	if g.armed {
+	if g.next.Pending() {
 		return State{}, fmt.Errorf("loadgen: arrival still armed; Pause before checkpointing")
 	}
 	if !g.paused && !g.stopped {
@@ -86,10 +80,7 @@ func (g *Generator) RestoreState(st State) error {
 	if err := g.winHist.Restore(st.WinHist); err != nil {
 		return fmt.Errorf("loadgen: window histogram: %w", err)
 	}
-	if g.armed {
-		g.eng.Cancel(g.next)
-		g.armed = false
-	}
+	g.eng.Cancel(g.next)
 	g.rand.SetState(st.Rand)
 	g.rate = st.Rate
 	g.stopped = st.Stopped

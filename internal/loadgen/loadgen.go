@@ -90,8 +90,7 @@ type Generator struct {
 	slo  sim.Time
 
 	rate    float64
-	next    sim.EventRef
-	armed   bool
+	next    sim.EventRef // the pending arrival, if any
 	stopped bool
 	paused  bool
 
@@ -140,20 +139,14 @@ func (g *Generator) SetRate(rps float64) {
 		return
 	}
 	g.rate = rps
-	if g.armed {
-		g.eng.Cancel(g.next)
-		g.armed = false
-	}
+	g.eng.Cancel(g.next)
 	g.arm()
 }
 
 // Stop halts the arrival process permanently. Requests already in
 // flight still complete and are accounted.
 func (g *Generator) Stop() {
-	if g.armed {
-		g.eng.Cancel(g.next)
-		g.armed = false
-	}
+	g.eng.Cancel(g.next)
 	g.stopped = true
 }
 
@@ -161,7 +154,7 @@ func (g *Generator) Stop() {
 // the arrival drawn from it, lies past the end of representable time
 // leaves the stream idle until the next SetRate.
 func (g *Generator) arm() {
-	if g.stopped || g.paused || g.armed || g.rate <= 0 {
+	if g.stopped || g.paused || g.next.Pending() || g.rate <= 0 {
 		return
 	}
 	mean := float64(sim.Second) / g.rate
@@ -173,13 +166,11 @@ func (g *Generator) arm() {
 		return
 	}
 	g.next = g.eng.After(d, "loadgen/arrival", func() {
-		g.armed = false
 		g.stats.Offered++
 		g.stats.SLOTotal++
 		g.srv.Offer()
 		g.arm()
 	})
-	g.armed = true
 }
 
 // complete is the server's per-request terminal callback.

@@ -1,44 +1,13 @@
 // Package metrics provides the measurement primitives used throughout
-// the vScale reproduction: counters, rate meters, streaming summaries,
-// exact-sample histograms/CDFs, and time-weighted gauges. All of them
-// operate on virtual time from internal/sim.
+// the vScale reproduction: streaming summaries, exact-sample quantiles,
+// and fixed-bucket latency histograms.
 package metrics
 
 import (
 	"fmt"
 	"math"
 	"sort"
-
-	"vscale/internal/sim"
 )
-
-// Counter is a monotonically increasing event count.
-type Counter struct {
-	n uint64
-}
-
-// Inc adds one.
-func (c *Counter) Inc() { c.n++ }
-
-// Add adds delta. The parameter is unsigned, so monotonicity holds by
-// construction (a negative delta cannot be expressed). The addition is
-// unchecked: a sum past 2^64-1 wraps around, which no simulation gets
-// anywhere near (that would be ~584 years of nanosecond-rate events).
-func (c *Counter) Add(delta uint64) { c.n += delta }
-
-// Value returns the current count.
-func (c *Counter) Value() uint64 { return c.n }
-
-// Reset zeroes the counter.
-func (c *Counter) Reset() { c.n = 0 }
-
-// Rate returns events per virtual second over the window [start, end].
-func (c *Counter) Rate(start, end sim.Time) float64 {
-	if end <= start {
-		return 0
-	}
-	return float64(c.n) / (end - start).Seconds()
-}
 
 // Summary accumulates scalar samples and exposes count/sum/mean/min/max
 // and variance via Welford's algorithm. It does not retain samples.
@@ -115,7 +84,7 @@ func (s *Summary) String() string {
 	return fmt.Sprintf("n=%d mean=%.3f min=%.3f max=%.3f", s.n, s.Mean(), s.Min(), s.Max())
 }
 
-// Sample retains every observation for exact quantiles and CDF export.
+// Sample retains every observation for exact quantiles.
 // The experiments retain at most a few hundred thousand samples, so the
 // memory cost is acceptable and exactness is preferred over sketches.
 type Sample struct {
@@ -191,36 +160,6 @@ func (s *Sample) Quantile(q float64) float64 {
 	return s.vs[lo]*(1-frac) + s.vs[hi]*frac
 }
 
-// CDF returns (value, cumulative fraction) pairs at up to points evenly
-// spaced ranks, suitable for plotting Figure-5-style curves.
-func (s *Sample) CDF(points int) []CDFPoint {
-	s.sort()
-	n := len(s.vs)
-	if n == 0 || points <= 0 {
-		return nil
-	}
-	if points > n {
-		points = n
-	}
-	out := make([]CDFPoint, 0, points)
-	for i := 1; i <= points; i++ {
-		idx := i*n/points - 1
-		out = append(out, CDFPoint{Value: s.vs[idx], Fraction: float64(idx+1) / float64(n)})
-	}
-	return out
-}
-
-// Values returns a copy of the retained values in sorted order.
-func (s *Sample) Values() []float64 {
-	s.sort()
-	out := make([]float64, len(s.vs))
-	copy(out, s.vs)
-	return out
-}
-
-// Reset discards retained values.
-func (s *Sample) Reset() { s.vs = s.vs[:0]; s.sorted = false }
-
 // Merge appends every value retained by o (which may be nil). It exists
 // so aggregators outside this package — trace.Merge combining per-run
 // tracers — can pool exact samples without access to the raw slice.
@@ -230,83 +169,4 @@ func (s *Sample) Merge(o *Sample) {
 	}
 	s.vs = append(s.vs, o.vs...)
 	s.sorted = false
-}
-
-// CDFPoint is one point of an empirical CDF.
-type CDFPoint struct {
-	Value    float64
-	Fraction float64
-}
-
-// TimeWeighted tracks the time-weighted average of a step function, e.g.
-// "number of active vCPUs over the run" or utilization.
-type TimeWeighted struct {
-	last     sim.Time
-	value    float64
-	weighted float64
-	started  bool
-	start    sim.Time
-}
-
-// Set records that the tracked quantity changed to v at time now.
-func (tw *TimeWeighted) Set(now sim.Time, v float64) {
-	if !tw.started {
-		tw.started = true
-		tw.start = now
-	} else {
-		tw.weighted += tw.value * float64(now-tw.last)
-	}
-	tw.last = now
-	tw.value = v
-}
-
-// Value returns the current level.
-func (tw *TimeWeighted) Value() float64 { return tw.value }
-
-// Average returns the time-weighted mean over [start, now].
-func (tw *TimeWeighted) Average(now sim.Time) float64 {
-	if !tw.started || now <= tw.start {
-		return tw.value
-	}
-	total := tw.weighted + tw.value*float64(now-tw.last)
-	return total / float64(now-tw.start)
-}
-
-// Series is an (x, y) series, used for figures plotted against request
-// rate, time, etc.
-type Series struct {
-	Name   string
-	Points []Point
-}
-
-// Point is one (x, y) sample of a Series.
-type Point struct {
-	X, Y float64
-}
-
-// Append adds a point.
-func (s *Series) Append(x, y float64) {
-	s.Points = append(s.Points, Point{X: x, Y: y})
-}
-
-// YAt returns the Y of the first point with the given X, and whether it
-// exists.
-func (s *Series) YAt(x float64) (float64, bool) {
-	for _, p := range s.Points {
-		if p.X == x {
-			return p.Y, true
-		}
-	}
-	return 0, false
-}
-
-// MaxY returns the largest Y in the series (0 if empty).
-func (s *Series) MaxY() float64 {
-	var m float64
-	for i, p := range s.Points {
-		if i == 0 || p.Y > m {
-			m = p.Y
-		}
-	}
-	return m
 }

@@ -8,25 +8,6 @@ import (
 	"vscale/internal/sim"
 )
 
-func TestCounter(t *testing.T) {
-	var c Counter
-	c.Inc()
-	c.Add(4)
-	if c.Value() != 5 {
-		t.Fatalf("value = %d", c.Value())
-	}
-	if r := c.Rate(0, 5*sim.Second); r != 1 {
-		t.Fatalf("rate = %f", r)
-	}
-	if r := c.Rate(sim.Second, sim.Second); r != 0 {
-		t.Fatal("zero window rate must be 0")
-	}
-	c.Reset()
-	if c.Value() != 0 {
-		t.Fatal("reset")
-	}
-}
-
 func TestSummaryMoments(t *testing.T) {
 	var s Summary
 	for _, v := range []float64{2, 4, 4, 4, 5, 5, 7, 9} {
@@ -133,91 +114,5 @@ func TestSampleQuantileMonotone(t *testing.T) {
 			t.Fatalf("quantile not monotone at q=%f: %f < %f", q, v, prev)
 		}
 		prev = v
-	}
-}
-
-func TestSampleCDF(t *testing.T) {
-	var s Sample
-	for i := 1; i <= 1000; i++ {
-		s.Observe(float64(i))
-	}
-	cdf := s.CDF(10)
-	if len(cdf) != 10 {
-		t.Fatalf("cdf points = %d", len(cdf))
-	}
-	if cdf[len(cdf)-1].Fraction != 1 {
-		t.Fatalf("last fraction = %f", cdf[len(cdf)-1].Fraction)
-	}
-	for i := 1; i < len(cdf); i++ {
-		if cdf[i].Value < cdf[i-1].Value || cdf[i].Fraction <= cdf[i-1].Fraction {
-			t.Fatalf("cdf not monotone: %+v", cdf)
-		}
-	}
-	if s.CDF(0) != nil {
-		t.Fatal("0-point CDF should be nil")
-	}
-	var empty Sample
-	if empty.CDF(5) != nil {
-		t.Fatal("empty CDF should be nil")
-	}
-}
-
-func TestSampleValuesSortedCopy(t *testing.T) {
-	var s Sample
-	s.Observe(3)
-	s.Observe(1)
-	s.Observe(2)
-	vs := s.Values()
-	if vs[0] != 1 || vs[1] != 2 || vs[2] != 3 {
-		t.Fatalf("values = %v", vs)
-	}
-	vs[0] = 99 // mutation must not leak back
-	if s.Min() != 1 {
-		t.Fatal("Values must return a copy")
-	}
-}
-
-func TestTimeWeightedAverage(t *testing.T) {
-	var tw TimeWeighted
-	tw.Set(0, 4)
-	tw.Set(2*sim.Second, 2) // 4 for 2s
-	tw.Set(3*sim.Second, 8) // 2 for 1s
-	// then 8 for 1s -> (8+2+8)/4 = 4.5
-	if avg := tw.Average(4 * sim.Second); math.Abs(avg-4.5) > 1e-9 {
-		t.Fatalf("avg = %f", avg)
-	}
-	if tw.Value() != 8 {
-		t.Fatalf("value = %f", tw.Value())
-	}
-}
-
-func TestTimeWeightedDegenerate(t *testing.T) {
-	var tw TimeWeighted
-	if tw.Average(0) != 0 {
-		t.Fatal("empty average")
-	}
-	tw.Set(sim.Second, 5)
-	if tw.Average(sim.Second) != 5 {
-		t.Fatal("zero-span average should be current value")
-	}
-}
-
-func TestSeries(t *testing.T) {
-	var s Series
-	s.Append(1, 10)
-	s.Append(2, 30)
-	s.Append(3, 20)
-	if y, ok := s.YAt(2); !ok || y != 30 {
-		t.Fatalf("YAt(2) = %f,%v", y, ok)
-	}
-	if _, ok := s.YAt(9); ok {
-		t.Fatal("YAt(9) should miss")
-	}
-	if s.MaxY() != 30 {
-		t.Fatalf("MaxY = %f", s.MaxY())
-	}
-	var empty Series
-	if empty.MaxY() != 0 {
-		t.Fatal("empty MaxY")
 	}
 }

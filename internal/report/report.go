@@ -1,14 +1,11 @@
-// Package report renders experiment results as fixed-width text tables
-// and series, matching the tables and figures of the paper for
-// side-by-side comparison.
+// Package report renders experiment results as fixed-width text tables,
+// matching the tables and figures of the paper for side-by-side
+// comparison.
 package report
 
 import (
 	"fmt"
-	"sort"
 	"strings"
-
-	"vscale/internal/metrics"
 )
 
 // Table is a simple fixed-width text table.
@@ -83,51 +80,6 @@ func (t *Table) String() string {
 		b.WriteString("\n")
 	}
 	return b.String()
-}
-
-// RenderSeries prints (x, y) series side by side, one row per x.
-func RenderSeries(title, xlabel string, series ...*metrics.Series) string {
-	t := NewTable(title, append([]string{xlabel}, names(series)...)...)
-	xs := map[float64]bool{}
-	for _, s := range series {
-		for _, p := range s.Points {
-			xs[p.X] = true
-		}
-	}
-	sorted := make([]float64, 0, len(xs))
-	for x := range xs {
-		sorted = append(sorted, x)
-	}
-	sort.Float64s(sorted)
-	for _, x := range sorted {
-		row := []string{fmt.Sprintf("%g", x)}
-		for _, s := range series {
-			if y, ok := s.YAt(x); ok {
-				row = append(row, fmt.Sprintf("%.2f", y))
-			} else {
-				row = append(row, "-")
-			}
-		}
-		t.AddRow(row...)
-	}
-	return t.String()
-}
-
-func names(series []*metrics.Series) []string {
-	out := make([]string, len(series))
-	for i, s := range series {
-		out[i] = s.Name
-	}
-	return out
-}
-
-// RenderCDF prints an empirical CDF as value/fraction pairs.
-func RenderCDF(title string, points []metrics.CDFPoint) string {
-	t := NewTable(title, "value", "cdf")
-	for _, p := range points {
-		t.AddRow(fmt.Sprintf("%.3f", p.Value), fmt.Sprintf("%.3f", p.Fraction))
-	}
-	return t.String()
 }
 
 // Bar renders a quick ASCII bar for a value in [0, max].

@@ -3,8 +3,6 @@ package report
 import (
 	"strings"
 	"testing"
-
-	"vscale/internal/metrics"
 )
 
 func TestTableRendering(t *testing.T) {
@@ -38,40 +36,6 @@ func TestAddRowfFormats(t *testing.T) {
 	}
 	if !strings.Contains(out, "7") {
 		t.Fatalf("int formatting wrong:\n%s", out)
-	}
-}
-
-func TestRenderSeriesAlignsByX(t *testing.T) {
-	a := &metrics.Series{Name: "a"}
-	a.Append(1, 10)
-	a.Append(2, 20)
-	b := &metrics.Series{Name: "b"}
-	b.Append(2, 200)
-	b.Append(3, 300)
-	out := RenderSeries("S", "x", a, b)
-	if !strings.Contains(out, "a") || !strings.Contains(out, "b") {
-		t.Fatal("series names missing")
-	}
-	// x=1 has no b value; x=3 has no a value.
-	for _, want := range []string{"10.00", "20.00", "200.00", "300.00", "-"} {
-		if !strings.Contains(out, want) {
-			t.Fatalf("missing %q in:\n%s", want, out)
-		}
-	}
-	// Rows sorted by x.
-	if strings.Index(out, "10.00") > strings.Index(out, "300.00") {
-		t.Fatal("rows not sorted by x")
-	}
-}
-
-func TestRenderCDF(t *testing.T) {
-	var s metrics.Sample
-	for i := 1; i <= 100; i++ {
-		s.Observe(float64(i))
-	}
-	out := RenderCDF("C", s.CDF(4))
-	if !strings.Contains(out, "1.000") {
-		t.Fatalf("CDF should reach 1.0:\n%s", out)
 	}
 }
 

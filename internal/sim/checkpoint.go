@@ -78,8 +78,8 @@ func (e *Engine) RestoreState(st EngineState) error {
 	if st.Now < e.now {
 		return fmt.Errorf("sim: restore to %v would move the clock backwards (now %v)", st.Now, e.now)
 	}
-	if next := e.peekLive(); next != nil && next.when < st.Now {
-		return fmt.Errorf("sim: pending event %q at %v predates restore time %v", next.label, next.when, st.Now)
+	if q := e.queue.a; len(q) > 0 && q[0].when < st.Now {
+		return fmt.Errorf("sim: pending event %q at %v predates restore time %v", q[0].label, q[0].when, st.Now)
 	}
 	e.now = st.Now
 	if st.Seq > e.seq {
@@ -93,7 +93,7 @@ func (e *Engine) RestoreState(st EngineState) error {
 	return nil
 }
 
-// PendingEvent describes one still-pending (live, uncancelled) event:
+// PendingEvent describes one still-pending event:
 // its deadline, its FIFO sequence number, and the debug label it was
 // scheduled under. Descriptors are how checkpoints record the event
 // queue — the owning component re-arms the matching event on restore.
@@ -103,22 +103,18 @@ type PendingEvent struct {
 	Label string `json:"label"`
 }
 
-// PendingEvents returns descriptors for every live pending event in
-// firing order (when, then FIFO sequence), one per unfired Series
-// element. Cancelled-but-uncollected entries are excluded.
+// PendingEvents returns descriptors for every pending event in firing
+// order (when, then FIFO sequence), one per unfired Series element.
 func (e *Engine) PendingEvents() []PendingEvent {
 	out := make([]PendingEvent, 0, len(e.queue.a))
 	for _, ev := range e.queue.a {
-		switch {
-		case ev == nil || ev.cancelled:
-		case ev.series != nil:
-			s := ev.series
+		if s := ev.series; s != nil {
 			for i := s.next; i < len(s.whens); i++ {
 				out = append(out, PendingEvent{When: s.whens[i], Seq: s.seq0 + uint64(i), Label: ev.label})
 			}
-		default:
-			out = append(out, PendingEvent{When: ev.when, Seq: ev.seq, Label: ev.label})
+			continue
 		}
+		out = append(out, PendingEvent{When: ev.when, Seq: ev.seq, Label: ev.label})
 	}
 	sort.Slice(out, func(i, j int) bool {
 		if out[i].When != out[j].When {
@@ -129,26 +125,24 @@ func (e *Engine) PendingEvents() []PendingEvent {
 	return out
 }
 
-// PurgeAll discards every queued event — live or cancelled — without
-// firing any of them, and returns how many live events were dropped
-// (every unfired element of a Series counts).
+// PurgeAll discards every queued event without firing any of them, and
+// returns how many events were dropped (every unfired element of a
+// Series counts).
 // It exists for restore: a freshly rebuilt component tree schedules
 // bootstrap events that the checkpoint's descriptor list supersedes.
 // Drop accounting is left untouched; RestoreState overwrites it anyway.
 func (e *Engine) PurgeAll() int {
-	live := 0
+	n := 0
 	for len(e.queue.a) > 0 {
 		ev := e.queue.popMin()
-		switch {
-		case ev.series != nil:
-			live += len(ev.series.whens) - ev.series.next
-		case !ev.cancelled:
-			live++
+		if s := ev.series; s != nil {
+			n += len(s.whens) - s.next
+		} else {
+			n++
 		}
 		e.recycle(ev)
 	}
-	e.nCancel = 0
-	return live
+	return n
 }
 
 // ResumeAt re-arms the ticker to fire at the absolute time a checkpoint

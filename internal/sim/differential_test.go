@@ -10,8 +10,9 @@ import (
 // events, cancel-as-tombstone, reschedule as cancel-and-repush — as a
 // reference implementation, and replays large randomized workloads
 // through both engines. The rewritten core (4-ary heap, pooled events,
-// in-place reschedule, compaction) must produce the identical firing
-// sequence, timestamps, and drop accounting.
+// in-place reschedule, in-place cancel) must produce the identical
+// firing sequence, timestamps, drop accounting, and count of queued
+// armings.
 
 type refEvent struct {
 	when      Time
@@ -134,7 +135,9 @@ type fireRec struct {
 // TestDifferentialEngineEquivalence replays ≥10^5 randomized
 // schedule/cancel/reschedule/advance operations — including events whose
 // bodies schedule children and cancel siblings — through both engines
-// and requires identical firing order, timestamps, and accounting.
+// and requires identical firing order, timestamps, and accounting. After
+// every operation the new engine must queue exactly the reference's live
+// armings.
 func TestDifferentialEngineEquivalence(t *testing.T) {
 	for _, seed := range []uint64{1, 7, 42, 1234} {
 		seed := seed
@@ -214,6 +217,9 @@ func TestDifferentialEngineEquivalence(t *testing.T) {
 						t.Fatal(err)
 					}
 					refEng.RunUntil(refEng.now + d)
+				}
+				if live := int(refEng.scheduled - refEng.cancelled - refEng.processed); newEng.Pending() != live {
+					t.Fatalf("op %d: %d events queued, reference has %d live", op, newEng.Pending(), live)
 				}
 			}
 			if err := newEng.Run(); err != nil {
@@ -456,8 +462,8 @@ func TestDifferentialSeriesEquivalence(t *testing.T) {
 					}
 				}
 				liveOthers := int(refEng.scheduled-refEng.cancelled-refEng.processed) - seriesLeft
-				if queued := newEng.Pending() - newEng.nCancel; queued != liveOthers+active {
-					t.Fatalf("op %d: %d live entries queued, want %d other live events + %d unfinished series",
+				if queued := newEng.Pending(); queued != liveOthers+active {
+					t.Fatalf("op %d: %d entries queued, want %d other live events + %d unfinished series",
 						op, queued, liveOthers, active)
 				}
 			}

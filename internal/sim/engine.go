@@ -7,18 +7,17 @@ import "fmt"
 type EventFunc func()
 
 // Event is one pending entry in the engine's priority queue. Events are
-// pooled: once fired or collected after a cancel they are recycled for
-// the next At/After call, so user code never holds a *Event directly —
-// it holds a generation-stamped EventRef instead.
+// pooled: once fired or cancelled they are recycled for the next
+// At/After call, so user code never holds a *Event directly — it holds
+// a generation-stamped EventRef instead.
 type Event struct {
-	when      Time
-	seq       uint64 // FIFO tie-break for simultaneous events
-	gen       uint64 // bumped on every recycle; stale EventRefs mismatch
-	index     int    // position in the heap array, -1 when not queued
-	fn        EventFunc
-	cancelled bool
-	label     string
-	series    *series // non-nil while the event stands for a Series element
+	when   Time
+	seq    uint64 // FIFO tie-break for simultaneous events
+	gen    uint64 // bumped on every recycle; stale EventRefs mismatch
+	index  int    // position in the heap array, -1 when not queued
+	fn     EventFunc
+	label  string
+	series *series // non-nil while the event stands for a Series element
 }
 
 // series is the engine side of one lazily expanded event series (see
@@ -34,27 +33,21 @@ type series struct {
 // EventRef is a handle to a scheduled event: the event plus the
 // generation it had when scheduled. Because events are pooled, a ref
 // whose generation no longer matches refers to an event that already
-// fired (or was cancelled and collected); Cancel and Reschedule treat
-// such stale refs as safe no-ops. The zero EventRef is valid and never
-// pending.
+// fired or was cancelled; Cancel and Reschedule treat such stale refs
+// as safe no-ops. The zero EventRef is valid and never pending.
 type EventRef struct {
 	ev  *Event
 	gen uint64
 }
 
-// live reports whether the ref still addresses its original, uncancelled
-// scheduling.
-func (r EventRef) live() bool {
-	return r.ev != nil && r.ev.gen == r.gen && !r.ev.cancelled
-}
-
-// Pending reports whether the event is still queued and will fire.
-func (r EventRef) Pending() bool { return r.live() }
+// Pending reports whether the event is still queued and will fire: the
+// ref still addresses its original scheduling.
+func (r EventRef) Pending() bool { return r.ev != nil && r.ev.gen == r.gen }
 
 // When returns the virtual time the event is scheduled for, or MaxTime
 // ("never") if the ref is stale, cancelled, or zero.
 func (r EventRef) When() Time {
-	if r.live() {
+	if r.Pending() {
 		return r.ev.when
 	}
 	return MaxTime
@@ -63,7 +56,7 @@ func (r EventRef) When() Time {
 // Label returns the debug label given at scheduling time, or "" if the
 // ref is no longer pending.
 func (r EventRef) Label() string {
-	if r.live() {
+	if r.Pending() {
 		return r.ev.label
 	}
 	return ""
@@ -144,16 +137,7 @@ func (h *eventHeap) down(i int) {
 // popMin removes and returns the earliest element.
 func (h *eventHeap) popMin() *Event {
 	ev := h.a[0]
-	n := len(h.a) - 1
-	last := h.a[n]
-	h.a[n] = nil
-	h.a = h.a[:n]
-	if n > 0 {
-		h.a[0] = last
-		last.index = 0
-		h.down(0)
-	}
-	ev.index = -1
+	h.remove(0)
 	return ev
 }
 
@@ -163,31 +147,27 @@ func (h *eventHeap) fix(ev *Event) {
 	h.up(ev.index)
 }
 
-// init heapifies the array in place (Floyd's method), used after
-// compaction rebuilds the backing slice.
-func (h *eventHeap) init() {
-	n := len(h.a)
-	for i, ev := range h.a {
-		ev.index = i
+// remove takes the element at i out of the heap: the last element
+// fills the hole and is sifted to its place.
+func (h *eventHeap) remove(i int) {
+	ev := h.a[i]
+	n := len(h.a) - 1
+	last := h.a[n]
+	h.a[n] = nil
+	h.a = h.a[:n]
+	if i < n {
+		h.a[i] = last
+		last.index = i
+		h.fix(last)
 	}
-	if n < 2 {
-		return
-	}
-	for i := (n - 2) / heapArity; i >= 0; i-- {
-		h.down(i)
-	}
+	ev.index = -1
 }
 
 // Observer receives every executed event (virtual timestamp plus the
 // label given at scheduling time). Cancelled events are never observed:
-// they are dropped silently when popped off the heap. Observers must be
-// pure with respect to simulation state — they exist for tracing.
+// Cancel takes them out of the queue. Observers must be pure with
+// respect to simulation state — they exist for tracing.
 type Observer func(at Time, label string)
-
-// compactMinLen is the smallest heap for which cancelled-entry
-// compaction is worth a rebuild; below it the lazy drain on pop is
-// cheaper.
-const compactMinLen = 32
 
 // Engine is the discrete-event simulation core: a virtual clock and an
 // ordered queue of future events. Engines are not safe for concurrent
@@ -197,7 +177,6 @@ type Engine struct {
 	seq     uint64
 	queue   eventHeap
 	free    []*Event // recycled events, reused by the next At/After
-	nCancel int      // cancelled entries currently in the heap
 	rand    *Rand
 	stopped bool
 	obs     Observer
@@ -259,7 +238,6 @@ func (e *Engine) recycle(ev *Event) {
 	ev.fn = nil
 	ev.label = ""
 	ev.series = nil
-	ev.cancelled = false
 	ev.gen++
 	e.free = append(e.free, ev)
 }
@@ -323,28 +301,26 @@ func (e *Engine) Series(whens []Time, label string, fn EventFunc) {
 	e.queue.push(ev)
 }
 
-// Cancel retires the arming behind ref. It is safe to cancel a stale or
-// zero ref (the event already fired, was already cancelled, or was never
-// scheduled); those calls are no-ops and do not count towards the
-// Cancelled drop accounting. Cancelled entries stay in the heap and are
-// collected lazily on pop, or eagerly when they exceed half the heap.
+// Cancel retires the arming behind ref: its event leaves the queue and
+// is recycled at once. It is safe to cancel a stale or zero ref (the
+// event already fired, was already cancelled, or was never scheduled);
+// those calls are no-ops and do not count towards the Cancelled drop
+// accounting.
 func (e *Engine) Cancel(ref EventRef) {
-	if !ref.live() {
+	if !ref.Pending() {
 		return
 	}
-	ref.ev.cancelled = true
 	e.Cancelled++
 	e.LastCancelAt = e.now
-	e.nCancel++
-	e.maybeCompact()
+	e.queue.remove(ref.ev.index)
+	e.recycle(ref.ev)
 }
 
 // Reschedule moves a still-pending arming to a new absolute time by
-// sifting the event in place — no cancel-marker is left in the heap and
-// no new entry is pushed, which is what makes steady-state timer rearm
-// allocation-free. It reports false (and does nothing) when ref is
-// stale, cancelled, or zero. ref itself remains valid and now addresses
-// the new deadline.
+// sifting the event in place — no new entry is pushed, which is what
+// makes steady-state timer rearm allocation-free. It reports false (and
+// does nothing) when ref is stale, cancelled, or zero. ref itself
+// remains valid and now addresses the new deadline.
 //
 // Accounting-wise a reschedule retires the previous arming and books a
 // new one (Cancelled++ and Scheduled++), and the new arming takes a
@@ -352,7 +328,7 @@ func (e *Engine) Cancel(ref EventRef) {
 // equivalent Cancel+After pair would have produced, so the rewrite is
 // observation-equivalent to the old cancel-and-repush timers.
 func (e *Engine) Reschedule(ref EventRef, when Time) bool {
-	if !ref.live() {
+	if !ref.Pending() {
 		return false
 	}
 	if when < e.now {
@@ -369,69 +345,23 @@ func (e *Engine) Reschedule(ref EventRef, when Time) bool {
 	return true
 }
 
-// maybeCompact rebuilds the heap without its cancelled entries once they
-// outnumber the live ones, so pathological cancel patterns cannot bloat
-// memory or slow every subsequent pop. Compaction only reorders the
-// internal array; pop order is a total order on (when, seq), so the
-// firing sequence is unaffected.
-func (e *Engine) maybeCompact() {
-	n := len(e.queue.a)
-	if n < compactMinLen || e.nCancel*2 <= n {
-		return
-	}
-	old := e.queue.a
-	live := old[:0]
-	for _, ev := range old {
-		if ev.cancelled {
-			ev.index = -1
-			e.recycle(ev)
-		} else {
-			live = append(live, ev)
-		}
-	}
-	for i := len(live); i < n; i++ {
-		old[i] = nil
-	}
-	e.queue.a = live
-	e.queue.init()
-	e.nCancel = 0
-}
-
-// Pending returns the number of events still queued, including cancelled
-// events not yet collected. A Series counts once: only its next element
-// is queued.
+// Pending returns the number of armings still queued. A Series counts
+// once: only its next element is queued.
 func (e *Engine) Pending() int { return len(e.queue.a) }
 
 // Stop makes the current Run/RunUntil call return after the in-flight
 // event completes.
 func (e *Engine) Stop() { e.stopped = true }
 
-// peekLive returns the earliest live event without removing it,
-// collecting cancelled entries off the top as it goes. It is the single
-// drain path shared by step and RunUntil's deadline check.
-func (e *Engine) peekLive() *Event {
-	for len(e.queue.a) > 0 {
-		ev := e.queue.a[0]
-		if !ev.cancelled {
-			return ev
-		}
-		e.queue.popMin()
-		e.nCancel--
-		e.recycle(ev)
-	}
-	return nil
-}
-
-// step pops and executes the next non-cancelled event. It reports false
-// when the queue is exhausted. The event is recycled before its body
-// runs, so the body (and anything it calls) can immediately reuse the
-// slot; its outstanding refs have gone stale by then.
+// step pops and executes the next event. It reports false when the
+// queue is exhausted. The event is recycled before its body runs, so
+// the body (and anything it calls) can immediately reuse the slot; its
+// outstanding refs have gone stale by then.
 func (e *Engine) step() bool {
-	ev := e.peekLive()
-	if ev == nil {
+	if len(e.queue.a) == 0 {
 		return false
 	}
-	e.queue.popMin()
+	ev := e.queue.popMin()
 	if ev.when < e.now {
 		panic("sim: event heap yielded an event in the past")
 	}
@@ -495,8 +425,7 @@ func (e *Engine) RunUntil(deadline Time) error {
 		if e.Limit != 0 && e.Processed >= e.Limit {
 			return fmt.Errorf("sim: event limit %d exceeded at %v", e.Limit, e.now)
 		}
-		next := e.peekLive()
-		if next == nil || next.when > deadline {
+		if len(e.queue.a) == 0 || e.queue.a[0].when > deadline {
 			break
 		}
 		e.step()

@@ -168,25 +168,31 @@ func TestEventPoolRecycles(t *testing.T) {
 	}
 }
 
-// TestCompaction: mass-cancelling must shrink the heap eagerly rather
-// than leaving tombstones until pop, while keeping counters and firing
-// intact.
-func TestCompaction(t *testing.T) {
+// TestCancelRemovesInPlace: Cancel takes its event out of the queue and
+// recycles it at once, so after every cancel Pending counts exactly the
+// live armings and the free list holds one more event, while counters
+// and firing stay intact.
+func TestCancelRemovesInPlace(t *testing.T) {
 	e := NewEngine(1)
 	var refs []EventRef
 	fired := 0
 	for i := 0; i < 1000; i++ {
 		refs = append(refs, e.After(Time(i+1)*Millisecond, "e", func() { fired++ }))
 	}
-	// Cancel two of every three: once tombstones exceed half the heap,
-	// compaction must drop them eagerly.
+	live := len(refs)
 	for i, r := range refs {
-		if i%3 != 0 {
-			e.Cancel(r)
+		if i%3 == 0 {
+			continue
 		}
-	}
-	if e.Pending() > 500 {
-		t.Fatalf("heap not compacted: %d pending", e.Pending())
+		free := len(e.free)
+		e.Cancel(r)
+		live--
+		if e.Pending() != live {
+			t.Fatalf("after cancel %d: Pending = %d, want %d live", i, e.Pending(), live)
+		}
+		if len(e.free) != free+1 {
+			t.Fatalf("after cancel %d: free list %d -> %d, want one recycled event", i, free, len(e.free))
+		}
 	}
 	if err := e.Run(); err != nil {
 		t.Fatal(err)

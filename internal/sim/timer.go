@@ -100,9 +100,6 @@ func (t *Ticker) Stop() {
 	t.ev = EventRef{}
 }
 
-// Running reports whether the ticker is armed or mid-callback.
-func (t *Ticker) Running() bool { return !t.stopped }
-
 // Period returns the tick period.
 func (t *Ticker) Period() Time { return t.period }
 
