@@ -106,6 +106,10 @@ func main() {
 		fmt.Fprintln(os.Stderr, "-runs must be >= 1")
 		os.Exit(2)
 	}
+	if *vcpus < 1 || *vcpus > guest.MaxVCPUs || *pcpus < 1 {
+		fmt.Fprintf(os.Stderr, "-vcpus must be in 1..%d and -pcpus >= 1\n", guest.MaxVCPUs)
+		os.Exit(2)
+	}
 
 	wantTrace := *traceOut != "" || *schedstats
 

@@ -25,12 +25,12 @@ import (
 //     the routing frontier.
 //   - The lag bound: no host runs more than lagEpochs epochs ahead of
 //     the slowest, bounding snapshot memory and placement staleness.
-//   - The boundary barrier: a boundary with control-plane work (the
-//     checkpoint capture, a telemetry collection epoch, an elasticity
-//     pass) waits for every host to park there, does that work in one
-//     fixed order and only then lets the hosts run their own boundary
-//     work. A collector or the elasticity layer makes every boundary a
-//     barrier, so the executor paces epoch by epoch while either is on.
+//   - The boundary barrier: a boundary with control-plane work (a
+//     telemetry collection epoch, an elasticity pass) waits for every
+//     host to park there, does that work in one fixed order and only
+//     then lets the hosts run their own boundary work. A collector or
+//     the elasticity layer makes every boundary a barrier, so the
+//     executor paces epoch by epoch while either is on.
 //
 // Everything a host does between gates — scheduling its batch, running
 // its engine, snapshotting, its per-boundary policy pass — is host-
@@ -48,11 +48,9 @@ type asyncFleet struct {
 	lead  int // run-ahead bound (0 while a collector or elasticity is on)
 	last  int // plan.epochs(); epoch index `last` is the drain step
 	// telFrom is the first boundary with a collection epoch (the warm
-	// boundary when a warm prefix is configured); ckpt is the capture
-	// boundary (cfg.CheckpointEpoch, 0 for none); stop, when > 0, is the
+	// boundary when a warm prefix is configured); stop, when > 0, is the
 	// boundary the run ends at with every host parked.
 	telFrom int
-	ckpt    int
 	stop    int
 
 	pool *runner.Pool
@@ -103,7 +101,7 @@ type hostSnap struct {
 var testEpochHook func(host, epoch int)
 
 // runBoundedLag executes the fleet; see asyncFleet. start is the first
-// epoch to run (the capture boundary when resuming from a checkpoint);
+// epoch to run (the warm boundary when forking from a checkpoint);
 // pre preloads the retained placement snapshots a restored run still
 // owes the router. A positive stop ends the run with every host parked
 // at that boundary — quiesced and, at the warm boundary, still unarmed
@@ -120,7 +118,6 @@ func runBoundedLag(cfg *FleetConfig, plan *epochPlan, hosts []*Host, pols []Scal
 		lead:          lagEpochs,
 		last:          plan.epochs(),
 		telFrom:       telemetryFrom(cfg),
-		ckpt:          cfg.CheckpointEpoch,
 		stop:          stop,
 		routed:        start,
 		done:          make([]int, len(hosts)),
@@ -136,10 +133,6 @@ func runBoundedLag(cfg *FleetConfig, plan *epochPlan, hosts []*Host, pols []Scal
 		f.batches[i] = make([][]routedEvent, f.last)
 		f.snaps[i] = map[int]hostSnap{}
 		f.done[i] = start
-		// A restored run starts with the capture boundary's policy pass
-		// still owed — the uninterrupted run performed it there after
-		// capturing.
-		f.pendingPolicy[i] = start > cfg.WarmEpochs
 	}
 	for _, rb := range pre {
 		for i := range hosts {
@@ -173,12 +166,10 @@ func runBoundedLag(cfg *FleetConfig, plan *epochPlan, hosts []*Host, pols []Scal
 	return f.capture(stop)
 }
 
-// gated reports whether boundary k has control-plane work — the
-// checkpoint capture, a collection epoch or an elasticity pass — and
-// so a barrier.
+// gated reports whether boundary k has control-plane work — a
+// collection epoch or an elasticity pass — and so a barrier.
 func (f *asyncFleet) gated(k int) bool {
-	return (f.ckpt > 0 && k == f.ckpt) ||
-		(f.cfg.Telemetry != nil && k >= f.telFrom) ||
+	return (f.cfg.Telemetry != nil && k >= f.telFrom) ||
 		(f.rt.el != nil && k > f.cfg.WarmEpochs)
 }
 
@@ -239,33 +230,16 @@ func (f *asyncFleet) route() error {
 
 // barrier is boundary k's control-plane work. It waits until every host
 // is parked at k (no host passes k before ctlDone >= k), then works
-// over the frozen fleet in a fixed order — capture,
-// collection epoch, post-capture load resume, elasticity pass — and
-// opens the gate. The capture is read-only, so a run that captures is
-// byte-identical to one that only quiesces; the hosts' own policy
-// passes follow the gate.
+// over the frozen fleet in a fixed order — collection epoch, then
+// elasticity pass — and opens the gate. The hosts' own policy passes
+// follow the gate.
 func (f *asyncFleet) barrier(k int) error {
 	if err := f.await(k); err != nil {
 		return err
 	}
 	now := f.plan.ends[k-1]
-	if k == f.ckpt && f.cfg.CheckpointPath != "" {
-		cp, err := f.capture(k)
-		if err == nil {
-			err = SaveCheckpoint(f.cfg.CheckpointPath, cp)
-		}
-		if err != nil {
-			f.fail(err, k, -1)
-			return err
-		}
-	}
 	if f.cfg.Telemetry != nil && k >= f.telFrom {
 		collectTelemetry(f.cfg.Telemetry, now, f.hosts, f.res, f.cfg.SLO, f.rt)
-	}
-	if k == f.ckpt {
-		for _, h := range f.hosts {
-			h.ResumeLoad()
-		}
 	}
 	if f.rt.el != nil && k > f.cfg.WarmEpochs {
 		f.rt.el.pass(k, now)
@@ -300,7 +274,7 @@ func (f *asyncFleet) capture(b int) (*FleetCheckpoint, error) {
 		ring = append(ring, RingBoundary{Boundary: x, Stats: stats, Committed: committed})
 	}
 	f.mu.Unlock()
-	return captureFleet(f.cfg, f.hosts, f.pols, f.rt, f.res, ring, b, f.plan.ends[b-1])
+	return captureFleet(f.cfg, f.hosts, f.rt, f.res, ring, b, f.plan.ends[b-1])
 }
 
 // gatherLocked assembles the fleet snapshot at boundary b, consuming
@@ -349,14 +323,10 @@ func (f *asyncFleet) advance(i int) {
 				return // park until boundary k's barrier opens
 			}
 			f.mu.Unlock()
-			if k > f.cfg.WarmEpochs {
-				t0 := time.Now()
-				h.boundaryPolicy(f.pols[i], f.plan.ends[k-1]-f.plan.starts[k-1])
-				f.mu.Lock()
-				f.hostWall[i] += time.Since(t0)
-			} else {
-				f.mu.Lock()
-			}
+			t0 := time.Now()
+			h.boundaryPolicy(f.pols[i], f.plan.ends[k-1]-f.plan.starts[k-1])
+			f.mu.Lock()
+			f.hostWall[i] += time.Since(t0)
 			f.pendingPolicy[i] = false
 			f.mu.Unlock()
 			continue

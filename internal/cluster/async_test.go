@@ -31,10 +31,9 @@ func assertSameResult(t *testing.T, label string, want, got FleetResult) {
 // runSerial is the executor's differential oracle: RunFleet's semantics
 // on one goroutine, with no pool, gates or run-ahead. Every host runs
 // epoch k, then boundary k+1's control-plane work runs in the
-// executor's barrier order (collection, post-capture load resume,
-// elasticity pass), then every host's policy pass. Placement keeps
-// every boundary snapshot instead of the executor's retained window. A
-// CheckpointEpoch quiesces and resumes but never writes a file.
+// executor's barrier order (collection, then elasticity pass), then
+// every host's policy pass. Placement keeps every boundary snapshot
+// instead of the executor's retained window.
 func runSerial(cfg FleetConfig, events []Event) (FleetResult, error) {
 	plan, err := prepareFleet(&cfg, events)
 	if err != nil {
@@ -78,11 +77,6 @@ func runSerial(cfg FleetConfig, events []Event) (FleetResult, error) {
 		b := k + 1
 		if b >= telemetryFrom(&cfg) {
 			collectTelemetry(cfg.Telemetry, plan.ends[k], hosts, &res, cfg.SLO, rt)
-		}
-		if b == cfg.CheckpointEpoch {
-			for _, h := range hosts {
-				h.ResumeLoad()
-			}
 		}
 		if b > cfg.WarmEpochs {
 			if rt.el != nil {
@@ -193,9 +187,9 @@ func TestExecutorThousandHosts(t *testing.T) {
 }
 
 // TestExecutorMatchesSerialBarriers drives every boundary-barrier step
-// at once — a warm prefix, a checkpoint quiesce, a telemetry collector
-// and the hybrid elasticity layer — and requires the serial
-// reference's result and JSONL stream byte for byte.
+// at once — a warm prefix, a telemetry collector and the hybrid
+// elasticity layer — and requires the serial reference's result and
+// JSONL stream byte for byte.
 func TestExecutorMatchesSerialBarriers(t *testing.T) {
 	run := func(fleet func(FleetConfig, []Event) (FleetResult, error), workers int) (FleetResult, string) {
 		var buf bytes.Buffer
@@ -206,7 +200,6 @@ func TestExecutorMatchesSerialBarriers(t *testing.T) {
 		cfg := elasticFleet(t, "hybrid", workers)
 		cfg.Policy = "pid"
 		cfg.WarmEpochs = 2
-		cfg.CheckpointEpoch = 5
 		cfg.Telemetry = telemetry.NewCollector(sink, false, "policy", "pid")
 		res, err := fleet(cfg, GenTrace(elasticTraceConfig(cfg.Horizon), cfg.Seed))
 		if err != nil {

@@ -5,6 +5,7 @@ import (
 	"encoding/hex"
 	"encoding/json"
 	"fmt"
+	"math"
 	"os"
 	"sort"
 	"strings"
@@ -32,21 +33,6 @@ import (
 // CheckpointVersion is the snapshot format identifier.
 const CheckpointVersion = "vscale-checkpoint/v1"
 
-// Checkpointable extends ScalingPolicy with control-state capture for
-// mid-run checkpoints. Policies with per-VM memory (pid, predictive)
-// implement it so a restored run decides exactly as the uninterrupted
-// one; the encoding must be deterministic for a given state (sort map
-// keys). Stateful policies that do not implement it restore as fresh
-// instances — the documented re-warm fallback: correct mechanisms,
-// but the controller re-learns its memory over the next epochs.
-type Checkpointable interface {
-	ScalingPolicy
-	// CheckpointPolicy returns the policy's decision state.
-	CheckpointPolicy() ([]byte, error)
-	// RestorePolicy overwrites the decision state from a capture.
-	RestorePolicy(data []byte) error
-}
-
 // VMCheckpoint is the semantic state of one VM resident on a host.
 type VMCheckpoint struct {
 	Name          string                 `json:"name"`
@@ -64,7 +50,8 @@ type VMCheckpoint struct {
 
 // HostCheckpoint is the semantic state of one quiesced host: engine
 // scalars, the descriptor list for its pending events, the pool, the
-// dom0 sampler, and every VM in admission order.
+// dom0 sampler, and every VM in admission order. Armed is always false:
+// only a disarmed host is captured, and restore rejects true.
 type HostCheckpoint struct {
 	Engine    sim.EngineState    `json:"engine"`
 	Pending   []sim.PendingEvent `json:"pending"`
@@ -105,9 +92,9 @@ type RingBoundary struct {
 }
 
 // CheckpointConfig is the identity of the run a snapshot belongs to;
-// restore cross-checks every field against the restoring FleetConfig
-// (Policy only for armed captures — a warm capture is policy-free by
-// construction).
+// restore cross-checks every field against the restoring FleetConfig.
+// A warm capture is policy- and elasticity-mode-free by construction:
+// one snapshot serves every fork.
 type CheckpointConfig struct {
 	Hosts        int      `json:"hosts"`
 	PCPUsPerHost int      `json:"pcpus_per_host"`
@@ -118,26 +105,19 @@ type CheckpointConfig struct {
 	SLO          sim.Time `json:"slo"`
 	LagEpochs    int      `json:"lag_epochs"`
 	WarmEpochs   int      `json:"warm_epochs"`
-	Policy       string   `json:"policy,omitempty"`
-	// Elastic names the elasticity mode of an armed capture ("" when the
-	// layer is off). Like Policy it is part of the run identity only once
-	// the capture is armed: a warm capture's elasticity bookkeeping is a
-	// pure function of the routed trace, so one warm checkpoint serves
-	// every elasticity mode.
-	Elastic string `json:"elastic,omitempty"`
 }
 
-// FleetCheckpoint is one complete fleet snapshot at an epoch boundary.
+// FleetCheckpoint is one complete fleet snapshot at the warm boundary.
+// Armed is always false, like every host's: restore rejects true.
 type FleetCheckpoint struct {
-	Version      string            `json:"version"`
-	Config       CheckpointConfig  `json:"config"`
-	Boundary     int               `json:"boundary"`
-	Now          sim.Time          `json:"now"`
-	Armed        bool              `json:"armed"`
-	Hosts        []HostCheckpoint  `json:"hosts"`
-	Router       RouterCheckpoint  `json:"router"`
-	Ring         []RingBoundary    `json:"ring,omitempty"`
-	PolicyStates []json.RawMessage `json:"policy_states,omitempty"`
+	Version  string           `json:"version"`
+	Config   CheckpointConfig `json:"config"`
+	Boundary int              `json:"boundary"`
+	Now      sim.Time         `json:"now"`
+	Armed    bool             `json:"armed"`
+	Hosts    []HostCheckpoint `json:"hosts"`
+	Router   RouterCheckpoint `json:"router"`
+	Ring     []RingBoundary   `json:"ring,omitempty"`
 	// Elasticity is the migration/replica-set control-plane state,
 	// present when the captured run had the elasticity layer built.
 	// Absent on older checkpoints and elasticity-free runs; a fork with
@@ -147,26 +127,29 @@ type FleetCheckpoint struct {
 }
 
 // checkpointableLabel reports whether a pending-event label names an
-// event the restore path knows how to re-arm. At a quiesced boundary
-// the only live events are pool tickers and vCPU hardware timers;
-// anything else in the queue means the fleet was not actually idle.
+// event the restore path knows how to re-arm. At a quiesced warm
+// boundary the only live events are the credit scheduler's tickers and
+// vCPU hardware timers; anything else in the queue means the fleet was
+// not actually idle (or, like the vScale ticker, already armed).
 func checkpointableLabel(label string) bool {
 	switch label {
-	case "xen/tick", "xen/acct", "xen/vscale":
+	case "xen/tick", "xen/acct":
 		return true
 	}
 	return strings.HasPrefix(label, "xen/vtimer/")
 }
 
 // CaptureState exports the host's semantic state. The host must be
-// parked at an epoch boundary, fully drained (the quiesce barrier ran
-// one epoch earlier), and its accounting synced by the boundary
-// Snapshot — the executor guarantees all three. Capture is read-only:
-// a run that captures and continues is byte-identical to one that
-// never captured.
+// disarmed, parked at an epoch boundary, fully drained (the quiesce
+// barrier ran one epoch earlier), and its accounting synced by the
+// boundary Snapshot — the warm-prefix executor guarantees all four.
+// Capture is read-only.
 func (h *Host) CaptureState() (HostCheckpoint, error) {
 	if h.err != nil {
 		return HostCheckpoint{}, fmt.Errorf("cluster: host %d faulted: %w", h.id, h.err)
+	}
+	if h.armed {
+		return HostCheckpoint{}, fmt.Errorf("cluster: host %d is armed; only a disarmed warm-prefix host is checkpointable", h.id)
 	}
 	if err := h.pool.QuiesceCheck(); err != nil {
 		return HostCheckpoint{}, fmt.Errorf("cluster: host %d: %w", h.id, err)
@@ -176,7 +159,6 @@ func (h *Host) CaptureState() (HostCheckpoint, error) {
 		Pending:   h.eng.PendingEvents(),
 		Dom0Rand:  h.d0.RandState(),
 		Dom0Reads: h.d0.Reads,
-		Armed:     h.armed,
 	}
 	for _, pe := range cp.Pending {
 		if !checkpointableLabel(pe.Label) {
@@ -215,18 +197,18 @@ func (h *Host) CaptureState() (HostCheckpoint, error) {
 	return cp, nil
 }
 
-// RestoreHost rebuilds one host from a capture: construct it disarmed,
-// replay the VM admissions (rate 0 — the captured generator state is
-// restored, not re-derived), settle the fresh component tree by
-// running it to the captured time (boot events fire, guests block,
+// RestoreHost rebuilds one host from a disarmed capture: construct it
+// disarmed, replay the VM admissions (rate 0 — the captured generator
+// state is restored, not re-derived), settle the fresh component tree
+// by running it to the captured time (boot events fire, guests block,
 // bootstrap tickers tick harmlessly), then purge the bootstrap event
 // queue, re-arm the captured descriptors in their original FIFO order,
 // and overwrite every layer's semantic state, the engine's scalars
-// last. cfg.Disarmed is forced; if the capture was armed the pool
-// extension is re-enabled (before the purge, so the descriptor re-arm
-// finds its ticker) and the per-VM daemons are re-created by the
-// kernel restore.
+// last. cfg.Disarmed is forced; the caller arms the host.
 func RestoreHost(id int, cfg HostConfig, cp HostCheckpoint) (*Host, error) {
+	if cp.Armed {
+		return nil, fmt.Errorf("cluster: host %d: checkpoint is armed; only a disarmed warm capture restores", id)
+	}
 	cfg.Disarmed = true
 	cfg.Tracer = nil
 	h, err := NewHost(id, cfg)
@@ -241,12 +223,6 @@ func RestoreHost(id int, cfg HostConfig, cp HostCheckpoint) (*Host, error) {
 	if err := h.RunEpoch(cp.Engine.Now); err != nil {
 		return nil, fmt.Errorf("cluster: host %d: settling rebuilt host: %w", id, err)
 	}
-	if cp.Armed {
-		if h.mech.Channel {
-			h.pool.EnableVScale()
-		}
-		h.armed = true
-	}
 	h.eng.PurgeAll()
 	// Re-arm in ascending captured sequence order: fresh sequence
 	// numbers ascend, so the relative FIFO order among re-armed events —
@@ -254,6 +230,9 @@ func RestoreHost(id int, cfg HostConfig, cp HostCheckpoint) (*Host, error) {
 	ordered := append([]sim.PendingEvent(nil), cp.Pending...)
 	sort.Slice(ordered, func(i, j int) bool { return ordered[i].Seq < ordered[j].Seq })
 	for _, pe := range ordered {
+		if pe.When < cp.Engine.Now {
+			return nil, fmt.Errorf("cluster: host %d: pending event %q at %v predates the checkpoint time %v", id, pe.Label, pe.When, cp.Engine.Now)
+		}
 		ok, err := h.pool.RearmPending(pe.Label, pe.When)
 		if err != nil {
 			return nil, fmt.Errorf("cluster: host %d: %w", id, err)
@@ -267,9 +246,6 @@ func RestoreHost(id int, cfg HostConfig, cp HostCheckpoint) (*Host, error) {
 	}
 	for i, name := range h.order {
 		vm, v := h.vms[name], cp.VMs[i]
-		if cp.Armed && h.mech.Hotplug {
-			vm.k.SetReconfigDelay(h.reconfigDelay())
-		}
 		if err := vm.k.RestoreState(v.Kernel); err != nil {
 			return nil, fmt.Errorf("cluster: host %d: VM %s: %w", id, name, err)
 		}
@@ -285,7 +261,9 @@ func RestoreHost(id int, cfg HostConfig, cp HostCheckpoint) (*Host, error) {
 		vm.policyOps = v.PolicyOps
 		vm.cost = v.Cost
 	}
-	h.d0.RestoreRand(cp.Dom0Rand)
+	if err := h.d0.RestoreRand(cp.Dom0Rand); err != nil {
+		return nil, fmt.Errorf("cluster: host %d: dom0 sampler: %w", id, err)
+	}
 	h.d0.Reads = cp.Dom0Reads
 	if err := h.eng.RestoreState(cp.Engine); err != nil {
 		return nil, fmt.Errorf("cluster: host %d: %w", id, err)
@@ -297,12 +275,10 @@ func RestoreHost(id int, cfg HostConfig, cp HostCheckpoint) (*Host, error) {
 	return h, nil
 }
 
-// captureFleet assembles a fleet snapshot from hosts parked at an
-// epoch boundary. ringCPs is the retained placement-snapshot window
-// (epochPlan.retained); pols supplies Checkpointable control state on
-// armed captures.
-func captureFleet(cfg *FleetConfig, hosts []*Host, pols []ScalingPolicy, rt *fleetRouter, res *FleetResult, ringCPs []RingBoundary, boundary int, now sim.Time) (*FleetCheckpoint, error) {
-	armed := hosts[0].armed
+// captureFleet assembles a fleet snapshot from disarmed hosts parked at
+// the warm boundary. ringCPs is the retained placement-snapshot window
+// (epochPlan.retained).
+func captureFleet(cfg *FleetConfig, hosts []*Host, rt *fleetRouter, res *FleetResult, ringCPs []RingBoundary, boundary int, now sim.Time) (*FleetCheckpoint, error) {
 	cp := &FleetCheckpoint{
 		Version: CheckpointVersion,
 		Config: CheckpointConfig{
@@ -318,11 +294,7 @@ func captureFleet(cfg *FleetConfig, hosts []*Host, pols []ScalingPolicy, rt *fle
 		},
 		Boundary: boundary,
 		Now:      now,
-		Armed:    armed,
 		Ring:     ringCPs,
-	}
-	if armed {
-		cp.Config.Policy = cfg.Policy
 	}
 	for i, h := range hosts {
 		hcp, err := h.CaptureState()
@@ -331,9 +303,6 @@ func captureFleet(cfg *FleetConfig, hosts []*Host, pols []ScalingPolicy, rt *fle
 		}
 		if hcp.Engine.Now != now {
 			return nil, fmt.Errorf("cluster: host %d parked at %v, boundary is %v", i, hcp.Engine.Now, now)
-		}
-		if hcp.Armed != armed {
-			return nil, fmt.Errorf("cluster: host %d armed=%v, host 0 armed=%v", i, hcp.Armed, armed)
 		}
 		cp.Hosts = append(cp.Hosts, hcp)
 	}
@@ -357,27 +326,12 @@ func captureFleet(cfg *FleetConfig, hosts []*Host, pols []ScalingPolicy, rt *fle
 	if res.Placements != nil {
 		cp.Router.Placements = append([]Placement(nil), res.Placements...)
 	}
-	if _, ok := pols[0].(Checkpointable); armed && ok {
-		// All hosts run the same policy type, so either every instance
-		// carries restorable state or none does (the re-warm fallback).
-		cp.PolicyStates = make([]json.RawMessage, len(pols))
-		for i, pol := range pols {
-			raw, err := pol.(Checkpointable).CheckpointPolicy()
-			if err != nil {
-				return nil, fmt.Errorf("cluster: host %d policy state: %w", i, err)
-			}
-			cp.PolicyStates[i] = raw
-		}
-	}
 	if rt.el != nil {
 		raw, err := rt.el.capture()
 		if err != nil {
 			return nil, err
 		}
 		cp.Elasticity = raw
-		if armed {
-			cp.Config.Elastic = rt.el.mode()
-		}
 	}
 	digest, err := cp.ComputeDigest()
 	if err != nil {
@@ -497,30 +451,33 @@ func (cp *FleetCheckpoint) validateAgainst(cfg *FleetConfig, plan *epochPlan) er
 		return fmt.Errorf("cluster: checkpoint time %v is not boundary %d (%v)", cp.Now, cp.Boundary, plan.ends[cp.Boundary-1])
 	}
 	if cp.Armed {
-		if cp.Boundary <= cfg.WarmEpochs {
-			return fmt.Errorf("cluster: armed checkpoint at boundary %d inside the warm prefix (%d)", cp.Boundary, cfg.WarmEpochs)
-		}
-		if id.Policy != cfg.Policy {
-			return fmt.Errorf("cluster: armed checkpoint of policy %q cannot restore as %q", id.Policy, cfg.Policy)
-		}
-		if id.Elastic != cfg.elasticMode() {
-			return fmt.Errorf("cluster: armed checkpoint of elasticity mode %q cannot restore as %q", id.Elastic, cfg.elasticMode())
-		}
-	} else if cp.Boundary != cfg.WarmEpochs {
-		return fmt.Errorf("cluster: disarmed checkpoint at boundary %d, warm boundary is %d", cp.Boundary, cfg.WarmEpochs)
+		return fmt.Errorf("cluster: checkpoint is armed; only a disarmed warm capture restores")
 	}
-	if cfg.CheckpointEpoch != 0 && cfg.CheckpointEpoch <= cp.Boundary {
-		return fmt.Errorf("cluster: CheckpointEpoch %d not past the restore boundary %d", cfg.CheckpointEpoch, cp.Boundary)
+	if cp.Boundary != cfg.WarmEpochs {
+		return fmt.Errorf("cluster: checkpoint at boundary %d, warm boundary is %d", cp.Boundary, cfg.WarmEpochs)
+	}
+	for i, h := range cp.Hosts {
+		if h.Engine.Now != cp.Now {
+			return fmt.Errorf("cluster: host %d checkpointed at %v, snapshot time is %v", i, h.Engine.Now, cp.Now)
+		}
 	}
 	if len(cp.Router.ProbeLog) != cfg.Hosts {
 		return fmt.Errorf("cluster: checkpoint probe log covers %d hosts, config %d", len(cp.Router.ProbeLog), cfg.Hosts)
 	}
-	// The executor indexes hosts by owner and places with the ring, so
-	// both must be exactly what a capture at this boundary carries: the
-	// digest is unkeyed and cannot vouch for a re-sealed edit.
+	// The executor indexes hosts by owner and places with the ring and
+	// the probe log, so all three must be exactly what a capture at this
+	// boundary carries: the digest is unkeyed and cannot vouch for a
+	// re-sealed edit.
 	for vm, host := range cp.Router.Owner {
 		if host < 0 || host >= cfg.Hosts {
 			return fmt.Errorf("cluster: checkpoint places VM %s on host %d of %d", vm, host, cfg.Hosts)
+		}
+	}
+	for i, log := range cp.Router.ProbeLog {
+		for _, p := range log {
+			if err := checkStat(p.Stat); err != nil {
+				return fmt.Errorf("cluster: checkpoint probe log of host %d: %w", i, err)
+			}
 		}
 	}
 	want := plan.retained(cp.Boundary)
@@ -535,6 +492,21 @@ func (cp *FleetCheckpoint) validateAgainst(cfg *FleetConfig, plan *epochPlan) er
 			return fmt.Errorf("cluster: ring boundary %d covers %d/%d hosts, config %d",
 				rb.Boundary, len(rb.Stats), len(rb.Committed), cfg.Hosts)
 		}
+		for _, stats := range rb.Stats {
+			for _, st := range stats {
+				if err := checkStat(st); err != nil {
+					return fmt.Errorf("cluster: ring boundary %d: %w", rb.Boundary, err)
+				}
+			}
+		}
+	}
+	return nil
+}
+
+// checkStat rejects a placement stat Algorithm 1 cannot weigh.
+func checkStat(st core.VMStat) error {
+	if !(st.Weight > 0) || math.IsInf(st.Weight, 0) {
+		return fmt.Errorf("VM %s has weight %v, want positive and finite", st.ID, st.Weight)
 	}
 	return nil
 }
@@ -593,13 +565,11 @@ func CaptureWarmPrefix(cfg FleetConfig, events []Event) (*FleetCheckpoint, error
 	return runBoundedLag(&cfg, plan, hosts, pols, rt, &res, 0, cfg.WarmEpochs, nil)
 }
 
-// RunFleetFork restores a fleet from a snapshot and runs it to
-// completion under cfg. For a warm (disarmed) capture this is the fork
-// half of warm-fork: mechanisms arm per cfg.Policy at the boundary and
-// the measured window begins; for an armed mid-run capture cfg.Policy
-// must match the capture and the run simply resumes. Either way the
+// RunFleetFork restores a fleet from a warm-prefix snapshot and runs it
+// to completion under cfg — the fork half of warm-fork: mechanisms arm
+// per cfg.Policy at the boundary and the measured window begins. The
 // suffix runs at cfg.Workers and the result is byte-identical to the
-// straight-through run with the same barriers.
+// straight-through run with the same warm prefix.
 func RunFleetFork(cfg FleetConfig, events []Event, cp *FleetCheckpoint) (FleetResult, error) {
 	plan, err := prepareFleet(&cfg, events)
 	if err != nil {
@@ -637,37 +607,15 @@ func RunFleetFork(cfg FleetConfig, events []Event, cp *FleetCheckpoint) (FleetRe
 	}
 	if rt.el != nil {
 		if cp.Elasticity == nil {
-			return FleetResult{}, fmt.Errorf("cluster: elasticity mode %q needs a checkpoint with elasticity state (captured by an elasticity-enabled run)", cfg.elasticMode())
+			return FleetResult{}, fmt.Errorf("cluster: the elasticity layer needs a checkpoint with elasticity state (captured by an elasticity-enabled run)")
 		}
 		rt.el.attachHosts(hosts)
 		if err := rt.el.restore(cp.Elasticity); err != nil {
 			return FleetResult{}, err
 		}
 	}
-	if cp.Armed {
-		for i, pol := range pols {
-			if i >= len(cp.PolicyStates) {
-				break
-			}
-			raw := cp.PolicyStates[i]
-			if len(raw) == 0 || string(raw) == "null" {
-				continue
-			}
-			c, ok := pol.(Checkpointable)
-			if !ok {
-				return FleetResult{}, fmt.Errorf("cluster: checkpoint carries state for policy %q, which cannot restore it", cfg.Policy)
-			}
-			if err := c.RestorePolicy(raw); err != nil {
-				return FleetResult{}, fmt.Errorf("cluster: host %d policy state: %w", i, err)
-			}
-		}
-		for _, h := range hosts {
-			h.ResumeLoad()
-		}
-	} else {
-		for _, h := range hosts {
-			h.Arm()
-		}
+	for _, h := range hosts {
+		h.Arm()
 	}
 
 	if _, err := runBoundedLag(&cfg, plan, hosts, pols, rt, &res, cp.Boundary, 0, cp.Ring); err != nil {

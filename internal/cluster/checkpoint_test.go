@@ -102,53 +102,29 @@ func TestWarmForkTelemetryIdentical(t *testing.T) {
 	}
 }
 
-// TestCheckpointRestoreIdentical: capturing mid-run and restoring from
-// the file reproduces the capturing run's result exactly, for stateful
-// (Checkpointable), daemon-driven and stateless policies.
-func TestCheckpointRestoreIdentical(t *testing.T) {
-	for _, policy := range []string{"pid", "predictive", "vscale", "static"} {
-		path := filepath.Join(t.TempDir(), "fleet.ckpt")
-		cfg := smallFleet(policy, 4)
-		cfg.CheckpointEpoch = 3
-		cfg.CheckpointPath = path
-		events := GenTrace(DefaultTraceConfig(cfg.Horizon), cfg.Seed)
-
-		want, err := RunFleet(cfg, events)
-		if err != nil {
-			t.Fatalf("%s capture run: %v", policy, err)
+// TestCaptureStateRefusesArmedHost: only a disarmed host is
+// checkpointable. A host built without Disarmed is armed from the
+// start, whatever its policy's mechanism, and is refused.
+func TestCaptureStateRefusesArmedHost(t *testing.T) {
+	for _, policy := range []string{"static", "vscale", "pid"} {
+		for _, disarmed := range []bool{false, true} {
+			pol, err := NewPolicy(policy)
+			if err != nil {
+				t.Fatal(err)
+			}
+			h, err := NewHost(0, HostConfig{PCPUs: 2, Seed: 1, Policy: pol, SLO: 20 * sim.Millisecond, Disarmed: disarmed})
+			if err != nil {
+				t.Fatal(err)
+			}
+			_, err = h.CaptureState()
+			if disarmed && err != nil {
+				t.Fatalf("%s: disarmed host refused: %v", policy, err)
+			}
+			if !disarmed && (err == nil || !strings.Contains(err.Error(), "armed")) {
+				t.Fatalf("%s: armed host captured, err = %v", policy, err)
+			}
 		}
-		cp, err := LoadCheckpoint(path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		rcfg := cfg
-		rcfg.CheckpointEpoch = 0
-		rcfg.CheckpointPath = ""
-		got, err := RunFleetFork(rcfg, events, cp)
-		if err != nil {
-			t.Fatalf("%s restored run: %v", policy, err)
-		}
-		assertSameResult(t, policy+" restore", want, got)
 	}
-}
-
-// TestCheckpointCaptureIsReadOnly: a run that quiesces and captures at
-// an epoch boundary produces the same result whether or not the
-// snapshot is written.
-func TestCheckpointCaptureIsReadOnly(t *testing.T) {
-	cfg := smallFleet("pid", 2)
-	cfg.CheckpointEpoch = 4
-	events := GenTrace(DefaultTraceConfig(cfg.Horizon), cfg.Seed)
-	ref, err := RunFleet(cfg, events)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg.CheckpointPath = filepath.Join(t.TempDir(), "fleet.ckpt")
-	res, err := RunFleet(cfg, events)
-	if err != nil {
-		t.Fatal(err)
-	}
-	assertSameResult(t, "written capture", ref, res)
 }
 
 // TestCheckpointDigestStable: the digest is a pure function of the
@@ -260,8 +236,10 @@ func reseal(t *testing.T, cp *FleetCheckpoint, edit func(*FleetCheckpoint)) *Fle
 }
 
 // TestRunFleetForkValidation: a snapshot only restores into the run it
-// came from, and a re-sealed edit of the structures the executor
-// indexes with is an error, not a panic.
+// came from, and a re-sealed edit of a value the restore or the
+// executor reads is an error, not a panic: the structures the executor
+// indexes with, the armed flags, RNG states, clocks, the freeze mask,
+// generator rates and placement weights.
 func TestRunFleetForkValidation(t *testing.T) {
 	cfg := smallFleet("vscale", 1)
 	cfg.Horizon = 8 * sim.Second
@@ -296,24 +274,69 @@ func TestRunFleetForkValidation(t *testing.T) {
 			t.Fatalf("%s mismatch restored without error", tc.name)
 		}
 	}
+	// liveVM is the first captured VM still running: its generator
+	// resumes at the fork.
+	liveVM := func(c *FleetCheckpoint) *VMCheckpoint {
+		for i := range c.Hosts {
+			for j := range c.Hosts[i].VMs {
+				if v := &c.Hosts[i].VMs[j]; !v.Retired {
+					return v
+				}
+			}
+		}
+		return nil
+	}
+	if liveVM(cp) == nil || len(cp.Hosts[0].Pending) == 0 {
+		t.Fatal("warm capture holds no live VM or no pending event on host 0")
+	}
 	tampers := []struct {
 		name string
 		edit func(c *FleetCheckpoint)
+		want string
 	}{
-		{"lag", func(c *FleetCheckpoint) { c.Config.LagEpochs = 2 }},
-		{"ring dropped", func(c *FleetCheckpoint) { c.Ring = c.Ring[1:] }},
-		{"ring reordered", func(c *FleetCheckpoint) { c.Ring[0], c.Ring[1] = c.Ring[1], c.Ring[0] }},
+		{"armed", func(c *FleetCheckpoint) { c.Armed = true }, "armed"},
+		{"host armed", func(c *FleetCheckpoint) { c.Hosts[0].Armed = true }, "armed"},
+		{"engine rand zero", func(c *FleetCheckpoint) { c.Hosts[0].Engine.Rand = sim.RandState{} }, "all-zero"},
+		{"kernel rand zero", func(c *FleetCheckpoint) { liveVM(c).Kernel.Rand = sim.RandState{} }, "all-zero"},
+		{"dom0 rand zero", func(c *FleetCheckpoint) { c.Hosts[0].Dom0Rand = sim.RandState{} }, "all-zero"},
+		{"generator rand zero", func(c *FleetCheckpoint) { liveVM(c).Gen.Rand = sim.RandState{} }, "all-zero"},
+		{"host clock", func(c *FleetCheckpoint) { c.Hosts[0].Engine.Now += sim.Second }, "snapshot time"},
+		{"pending before now", func(c *FleetCheckpoint) { c.Hosts[0].Pending[0].When = c.Now - 1 }, "predates"},
+		{"freeze mask", func(c *FleetCheckpoint) { liveVM(c).Kernel.FreezeMask = ^uint64(0) }, "freeze mask"},
+		{"generator rate", func(c *FleetCheckpoint) { liveVM(c).Gen.Rate = 1e300 }, "out of range"},
+		{"ring weight", func(c *FleetCheckpoint) {
+			for _, rb := range c.Ring {
+				for _, stats := range rb.Stats {
+					for i := range stats {
+						stats[i].Weight = 0
+					}
+				}
+			}
+		}, "weight 0"},
+		{"probe weight", func(c *FleetCheckpoint) {
+			for _, log := range c.Router.ProbeLog {
+				for i := range log {
+					log[i].Stat.Weight = -1
+				}
+			}
+		}, "weight -1"},
+		{"lag", func(c *FleetCheckpoint) { c.Config.LagEpochs = 2 }, "lag"},
+		{"ring dropped", func(c *FleetCheckpoint) { c.Ring = c.Ring[1:] }, "ring holds"},
+		{"ring reordered", func(c *FleetCheckpoint) { c.Ring[0], c.Ring[1] = c.Ring[1], c.Ring[0] }, "at slot 0"},
 		{"owner out of range", func(c *FleetCheckpoint) {
 			for vm := range c.Router.Owner {
 				c.Router.Owner[vm] = 99
 				break
 			}
-		}},
+		}, "on host 99"},
 	}
 	for _, tc := range tampers {
-		if _, err := RunFleetFork(cfg, events, reseal(t, cp, tc.edit)); err == nil {
-			t.Fatalf("re-sealed %s edit restored without error", tc.name)
-		}
+		t.Run(tc.name, func(t *testing.T) {
+			_, err := RunFleetFork(cfg, events, reseal(t, cp, tc.edit))
+			if err == nil || !strings.Contains(err.Error(), tc.want) {
+				t.Fatalf("re-sealed %s edit: err = %v, want one containing %q", tc.name, err, tc.want)
+			}
+		})
 	}
 	if _, err := RunFleetFork(cfg, events, cp); err != nil {
 		t.Fatalf("matching config rejected: %v", err)

@@ -17,6 +17,7 @@ import (
 	"strconv"
 	"strings"
 
+	"vscale/internal/guest"
 	"vscale/internal/sim"
 )
 
@@ -284,8 +285,8 @@ func ParseTrace(r io.Reader) ([]Event, error) {
 			if ev.VCPUs, err = strconv.Atoi(vs); err != nil {
 				return nil, fmt.Errorf("cluster: line %d: bad vcpus: %v", lineno, err)
 			}
-			if ev.VCPUs <= 0 {
-				return nil, fmt.Errorf("cluster: line %d: VM %s arrives with %d vcpus", lineno, ev.VM, ev.VCPUs)
+			if ev.VCPUs <= 0 || ev.VCPUs > guest.MaxVCPUs {
+				return nil, fmt.Errorf("cluster: line %d: VM %s arrives with %d vcpus, want 1..%d", lineno, ev.VM, ev.VCPUs, guest.MaxVCPUs)
 			}
 			rs, err := kv(fields[4], "rate")
 			if err != nil {

@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"vscale/internal/core"
+	"vscale/internal/guest"
 	"vscale/internal/sim"
 )
 
@@ -90,6 +91,7 @@ func TestParseTraceErrors(t *testing.T) {
 		{"arrive missing rate", hdr + "100 arrive vm0 vcpus=2\n", "arrive needs"},
 		{"arrive swapped keys", hdr + "100 arrive vm0 rate=5 vcpus=2\n", "want vcpus="},
 		{"arrive zero vcpus", hdr + "100 arrive vm0 vcpus=0 rate=100\n", "0 vcpus"},
+		{"arrive 65 vcpus", hdr + "100 arrive vm0 vcpus=65 rate=100\n", "65 vcpus"},
 		{"arrive negative rate", hdr + "100 arrive vm0 vcpus=2 rate=-3\n", "negative rate"},
 		{"arrive NaN rate", hdr + "100 arrive vm0 vcpus=2 rate=NaN\n", "non-finite rate"},
 		{"arrive Inf rate", hdr + "100 arrive vm0 vcpus=2 rate=Inf\n", "non-finite rate"},
@@ -212,6 +214,18 @@ func smallFleet(policy string, workers int) FleetConfig {
 		Drain:        sim.Second,
 		SLO:          20 * sim.Millisecond,
 		Workers:      workers,
+	}
+}
+
+// TestRunFleetRejectsOversizedVM: a VM larger than guest.MaxVCPUs (the
+// freeze mask's width) fails the run with an error instead of booting.
+func TestRunFleetRejectsOversizedVM(t *testing.T) {
+	cfg := smallFleet("static", 1)
+	tcfg := DefaultTraceConfig(cfg.Horizon)
+	tcfg.VCPUChoices = []int{guest.MaxVCPUs + 1}
+	_, err := RunFleet(cfg, GenTrace(tcfg, cfg.Seed))
+	if err == nil || !strings.Contains(err.Error(), "65 vCPUs") {
+		t.Fatalf("RunFleet with 65-vCPU VMs: err = %v, want a 65 vCPUs error", err)
 	}
 }
 

@@ -120,20 +120,6 @@ func ElasticityFor(mode string) (*MigrationConfig, *ReplicaSetConfig, error) {
 	return nil, nil, fmt.Errorf("cluster: unknown elasticity mode %q (want none, migrate, replicas or hybrid)", mode)
 }
 
-// elasticMode names the configured elasticity combination (the armed-
-// checkpoint compatibility signature, like Policy).
-func (cfg *FleetConfig) elasticMode() string {
-	switch {
-	case cfg.Migration != nil && cfg.ReplicaSet != nil:
-		return "hybrid"
-	case cfg.Migration != nil:
-		return "migrate"
-	case cfg.ReplicaSet != nil:
-		return "replicas"
-	}
-	return ""
-}
-
 // replicaSeedSalt derives replica VM seeds from their creation index,
 // on a stream disjoint from the trace-arrival seeds.
 const replicaSeedSalt = 0x7f4a7c159e3779b9
@@ -144,11 +130,9 @@ const replicaSeedSalt = 0x7f4a7c159e3779b9
 type migrationOp struct {
 	vm       string
 	src, dst int
-	vcpus    int
 	commitAt int // boundary index of the stop-and-copy cutover
 	downtime sim.Time
 	bytes    int64
-	rounds   int
 }
 
 // elasticity is the per-run control-plane state of the migration and
@@ -237,17 +221,6 @@ func (el *elasticity) attachHosts(hosts []*Host) {
 	if el.hostMigs == nil {
 		el.hostMigs = make([]int, len(hosts))
 	}
-}
-
-// mode names the configured combination.
-func (el *elasticity) mode() string {
-	switch {
-	case el.mig != nil && el.rsCfg != nil:
-		return "hybrid"
-	case el.mig != nil:
-		return "migrate"
-	}
-	return "replicas"
 }
 
 // observeEvent is the router's bookkeeping hook, called as each churn
@@ -550,8 +523,8 @@ func (el *elasticity) startOne(b int, now sim.Time) bool {
 		}
 		el.migrating[name] = true
 		el.inflight = append(el.inflight, &migrationOp{
-			vm: name, src: src, dst: dst, vcpus: vm.vcpus,
-			commitAt: cb, downtime: downtime, bytes: plan.Bytes, rounds: plan.Rounds,
+			vm: name, src: src, dst: dst,
+			commitAt: cb, downtime: downtime, bytes: plan.Bytes,
 		})
 		el.applyThrottles()
 		return true
@@ -608,48 +581,34 @@ func (el *elasticity) fanOut() {
 	}
 }
 
-// MigrationOpCheckpoint is one in-flight migration in a snapshot.
-type MigrationOpCheckpoint struct {
-	VM       string   `json:"vm"`
-	Src      int      `json:"src"`
-	Dst      int      `json:"dst"`
-	VCPUs    int      `json:"vcpus"`
-	CommitAt int      `json:"commit_at"`
-	Downtime sim.Time `json:"downtime"`
-	Bytes    int64    `json:"bytes"`
-	Rounds   int      `json:"rounds"`
-}
-
-// ElasticityCheckpoint is the layer's control state in a fleet
-// snapshot: bookkeeping maps, in-flight migrations, counters, and the
-// replica-set controller state.
+// ElasticityCheckpoint is the layer's control state in a warm-prefix
+// snapshot: bookkeeping maps, counters, and the replica-set controller
+// state. No elasticity pass runs before the warm boundary, so nothing
+// is in flight there and the counters are zero; they stay in the
+// format for the byte-identity of existing files.
 type ElasticityCheckpoint struct {
-	ReplicaSeq        int                     `json:"replica_seq"`
-	Rate              map[string]float64      `json:"rate,omitempty"`
-	Dirty             map[string]float64      `json:"dirty,omitempty"`
-	VCPUs             map[string]int          `json:"vcpus,omitempty"`
-	Inflight          []MigrationOpCheckpoint `json:"inflight,omitempty"`
-	HostMigrations    []int                   `json:"host_migrations"`
-	Migrations        int                     `json:"migrations"`
-	MigrationsAborted int                     `json:"migrations_aborted"`
-	MigrationDowntime sim.Time                `json:"migration_downtime"`
-	MigrationBytes    int64                   `json:"migration_bytes"`
-	ReplicasCreated   int                     `json:"replicas_created"`
-	ReplicasRetired   int                     `json:"replicas_retired"`
-	ReplicaFailures   int                     `json:"replica_failures"`
-	ReplicaSet        json.RawMessage         `json:"replicaset"`
+	ReplicaSeq        int                `json:"replica_seq"`
+	Rate              map[string]float64 `json:"rate,omitempty"`
+	Dirty             map[string]float64 `json:"dirty,omitempty"`
+	VCPUs             map[string]int     `json:"vcpus,omitempty"`
+	HostMigrations    []int              `json:"host_migrations"`
+	Migrations        int                `json:"migrations"`
+	MigrationsAborted int                `json:"migrations_aborted"`
+	MigrationDowntime sim.Time           `json:"migration_downtime"`
+	MigrationBytes    int64              `json:"migration_bytes"`
+	ReplicasCreated   int                `json:"replicas_created"`
+	ReplicasRetired   int                `json:"replicas_retired"`
+	ReplicaFailures   int                `json:"replica_failures"`
+	ReplicaSet        json.RawMessage    `json:"replicaset"`
 }
 
-// capture exports the layer's state. In-flight migrations are pure
-// control-plane state between their start and commit boundaries (the
-// cutover event is only scheduled at commit), so a quiesced capture
-// can carry them.
+// capture exports the layer's state.
 func (el *elasticity) capture() (json.RawMessage, error) {
 	rsRaw, err := el.rs.CheckpointState()
 	if err != nil {
 		return nil, err
 	}
-	cp := ElasticityCheckpoint{
+	return json.Marshal(ElasticityCheckpoint{
 		ReplicaSeq:        el.replicaSeq,
 		Rate:              el.rate,
 		Dirty:             el.dirty,
@@ -663,19 +622,11 @@ func (el *elasticity) capture() (json.RawMessage, error) {
 		ReplicasRetired:   el.res.ReplicasRetired,
 		ReplicaFailures:   el.res.ReplicaFailures,
 		ReplicaSet:        rsRaw,
-	}
-	for _, op := range el.inflight {
-		cp.Inflight = append(cp.Inflight, MigrationOpCheckpoint{
-			VM: op.vm, Src: op.src, Dst: op.dst, VCPUs: op.vcpus,
-			CommitAt: op.commitAt, Downtime: op.downtime, Bytes: op.bytes, Rounds: op.rounds,
-		})
-	}
-	return json.Marshal(cp)
+	})
 }
 
 // restore overwrites the layer's state from a capture (hosts must be
-// attached first) and reapplies the source-link throttles the
-// in-flight migrations held at capture time.
+// attached first).
 func (el *elasticity) restore(raw json.RawMessage) error {
 	var cp ElasticityCheckpoint
 	if err := json.Unmarshal(raw, &cp); err != nil {
@@ -708,15 +659,5 @@ func (el *elasticity) restore(raw json.RawMessage) error {
 	el.res.ReplicasCreated = cp.ReplicasCreated
 	el.res.ReplicasRetired = cp.ReplicasRetired
 	el.res.ReplicaFailures = cp.ReplicaFailures
-	el.inflight = nil
-	el.migrating = map[string]bool{}
-	for _, op := range cp.Inflight {
-		el.inflight = append(el.inflight, &migrationOp{
-			vm: op.VM, src: op.Src, dst: op.Dst, vcpus: op.VCPUs,
-			commitAt: op.CommitAt, downtime: op.Downtime, bytes: op.Bytes, rounds: op.Rounds,
-		})
-		el.migrating[op.VM] = true
-	}
-	el.applyThrottles()
 	return nil
 }

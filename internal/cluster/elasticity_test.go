@@ -2,8 +2,6 @@ package cluster
 
 import (
 	"bytes"
-	"encoding/json"
-	"path/filepath"
 	"reflect"
 	"strings"
 	"testing"
@@ -102,111 +100,39 @@ func TestElasticityWarmForkIdentical(t *testing.T) {
 	assertSameResult(t, "warm fork", straight, got)
 }
 
-// TestElasticityCheckpointRestoreIdentical captures an armed mid-run
-// snapshot of a hybrid fleet — including any in-flight migration and
-// the replica-set controller state — and checks the restored run
-// matches the straight-through one exactly.
-func TestElasticityCheckpointRestoreIdentical(t *testing.T) {
-	cfg := elasticFleet(t, "hybrid", 1)
-	events := GenTrace(elasticTraceConfig(cfg.Horizon), cfg.Seed)
-
-	path := filepath.Join(t.TempDir(), "fleet.ckpt")
-	ccfg := cfg
-	// Boundary 5 straddles a pre-copy on the reference trace, so the
-	// snapshot exercises the in-flight-op round trip.
-	ccfg.CheckpointEpoch = 5
-	ccfg.CheckpointPath = path
-	want, err := RunFleet(ccfg, events)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if want.Migrations == 0 || want.ReplicasCreated == 0 {
-		t.Fatalf("capture run fired migrations=%d replicas=%d; the restore check would be vacuous",
-			want.Migrations, want.ReplicasCreated)
-	}
-	cp, err := LoadCheckpoint(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if cp.Elasticity == nil {
-		t.Fatal("armed capture of a hybrid run carries no elasticity state")
-	}
-	if cp.Config.Elastic != "hybrid" {
-		t.Fatalf("armed capture records elasticity mode %q, want hybrid", cp.Config.Elastic)
-	}
-	var ecp ElasticityCheckpoint
-	if err := json.Unmarshal(cp.Elasticity, &ecp); err != nil {
-		t.Fatal(err)
-	}
-	t.Logf("captured elasticity state: %d in-flight ops, %d tracked rates, replica_seq=%d",
-		len(ecp.Inflight), len(ecp.Rate), ecp.ReplicaSeq)
-	if len(ecp.Inflight) == 0 {
-		t.Error("no migration in flight at the capture boundary; pick a boundary that straddles one")
-	}
-	got, err := RunFleetFork(cfg, events, cp)
-	if err != nil {
-		t.Fatal(err)
-	}
-	assertSameResult(t, "mid-run fork", want, got)
-}
-
-// TestElasticityForkValidation pins the restore-time identity checks:
-// an elasticity-enabled fork needs elasticity state in the snapshot,
-// and an armed capture's mode must match the restoring config.
+// TestElasticityForkValidation pins the restore-time elasticity check
+// on warm captures: an elasticity-free capture cannot fork with the
+// layer on, and a hybrid capture forks as every mode (with the layer
+// off its state is simply unused).
 func TestElasticityForkValidation(t *testing.T) {
 	base := smallFleet("vscale", 1)
 	base.Horizon = 4 * sim.Second
+	base.WarmEpochs = 2
 	events := GenTrace(elasticTraceConfig(base.Horizon), base.Seed)
 
-	// A plain (elasticity-free) armed capture…
-	ccfg := base
-	ccfg.CheckpointEpoch = 4
-	ccfg.CheckpointPath = filepath.Join(t.TempDir(), "plain.ckpt")
-	if _, err := RunFleet(ccfg, events); err != nil {
-		t.Fatal(err)
-	}
-	plain, err := LoadCheckpoint(ccfg.CheckpointPath)
+	plain, err := CaptureWarmPrefix(base, events)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if plain.Elasticity != nil {
 		t.Fatal("elasticity-free capture unexpectedly carries elasticity state")
 	}
-	// …cannot restore with the layer on: the armed mode signature
-	// mismatches before the missing state is even consulted.
-	fcfg := elasticFleet(t, "hybrid", 1)
-	if _, err := RunFleetFork(fcfg, events, plain); err == nil {
-		t.Fatal("fork with elasticity on from an elasticity-free armed capture: want error")
-	}
-
-	// A hybrid capture cannot restore as migrate-only (armed mode check).
 	hcfg := elasticFleet(t, "hybrid", 1)
-	hcfg.CheckpointEpoch = 4
-	hcfg.CheckpointPath = filepath.Join(t.TempDir(), "hybrid.ckpt")
-	if _, err := RunFleet(hcfg, events); err != nil {
-		t.Fatal(err)
-	}
-	hybrid, err := LoadCheckpoint(hcfg.CheckpointPath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	mcfg := elasticFleet(t, "migrate", 1)
-	if _, err := RunFleetFork(mcfg, events, hybrid); err == nil {
-		t.Fatal("hybrid armed capture restored as migrate: want error")
+	hcfg.WarmEpochs = 2
+	if _, err := RunFleetFork(hcfg, events, plain); err == nil || !strings.Contains(err.Error(), "elasticity state") {
+		t.Fatalf("fork with elasticity on from an elasticity-free capture: err = %v, want missing elasticity state", err)
 	}
 
-	// A warm (disarmed) elasticity capture serves any mode, including
-	// elasticity-off (the state is simply unused).
-	wcfg := elasticFleet(t, "hybrid", 1)
-	wcfg.WarmEpochs = 2
-	cp, err := CaptureWarmPrefix(wcfg, events)
+	hybrid, err := CaptureWarmPrefix(hcfg, events)
 	if err != nil {
 		t.Fatal(err)
 	}
-	vcfg := base
-	vcfg.WarmEpochs = 2
-	if _, err := RunFleetFork(vcfg, events, cp); err != nil {
-		t.Fatalf("warm elasticity capture restored with the layer off: %v", err)
+	for _, mode := range []string{"none", "migrate", "replicas", "hybrid"} {
+		fcfg := elasticFleet(t, mode, 1)
+		fcfg.WarmEpochs = 2
+		if _, err := RunFleetFork(fcfg, events, hybrid); err != nil {
+			t.Fatalf("hybrid warm capture forked as %s: %v", mode, err)
+		}
 	}
 }
 

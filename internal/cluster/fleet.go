@@ -93,15 +93,6 @@ type FleetConfig struct {
 	// (trace, seed), fork every policy variant from the snapshot
 	// (docs/checkpoint.md).
 	WarmEpochs int
-	// CheckpointEpoch, when > 0, quiesces the fleet over epoch
-	// CheckpointEpoch-1, captures it at that boundary, resumes the load
-	// and continues. Must lie strictly between WarmEpochs and the number
-	// of churn epochs; incompatible with Tracers (not checkpointable).
-	CheckpointEpoch int
-	// CheckpointPath is where the CheckpointEpoch capture is written. An
-	// empty path runs the identical quiesce barrier without writing a
-	// file — the reference arm of the restore-identity tests.
-	CheckpointPath string
 	// Migration, when non-nil, enables the live-migration rebalance
 	// pass: a control-plane sweep at post-warm epoch boundaries that
 	// starts pre-copy migrations from the most committed host and
@@ -251,15 +242,6 @@ func prepareFleet(cfg *FleetConfig, events []Event) (*epochPlan, error) {
 			return nil, err
 		}
 	}
-	if cfg.CheckpointEpoch != 0 {
-		if cfg.CheckpointEpoch <= cfg.WarmEpochs || cfg.CheckpointEpoch >= plan.epochs() {
-			return nil, fmt.Errorf("cluster: CheckpointEpoch %d outside (%d, %d)",
-				cfg.CheckpointEpoch, cfg.WarmEpochs, plan.epochs())
-		}
-		if cfg.Tracers != nil {
-			return nil, fmt.Errorf("cluster: tracers are not checkpointable")
-		}
-	}
 	return plan, nil
 }
 
@@ -309,12 +291,10 @@ func telemetryFrom(cfg *FleetConfig) int {
 }
 
 // quiesceBefore reports whether epoch k must run with the quiesce
-// barrier armed at its start, so the fleet is drained at boundary k+1 —
-// true for the epoch preceding the warm boundary and the one preceding
-// the checkpoint boundary.
+// barrier armed at its start, so the fleet is drained at boundary k+1:
+// true for the epoch preceding the warm boundary.
 func quiesceBefore(cfg *FleetConfig, k int) bool {
-	return (cfg.WarmEpochs > 0 && k == cfg.WarmEpochs-1) ||
-		(cfg.CheckpointEpoch > 0 && k == cfg.CheckpointEpoch-1)
+	return cfg.WarmEpochs > 0 && k == cfg.WarmEpochs-1
 }
 
 // aggregate folds the finished hosts into the result: a fixed walk in

@@ -260,8 +260,8 @@ func (h *Host) addVM(name string, vcpus int, rate float64, seed uint64) error {
 	if _, dup := h.vms[name]; dup {
 		return fmt.Errorf("cluster: host %d: duplicate VM %q", h.id, name)
 	}
-	if vcpus <= 0 {
-		return fmt.Errorf("cluster: host %d: VM %q with %d vCPUs", h.id, name, vcpus)
+	if vcpus <= 0 || vcpus > guest.MaxVCPUs {
+		return fmt.Errorf("cluster: host %d: VM %q with %d vCPUs, want 1..%d", h.id, name, vcpus, guest.MaxVCPUs)
 	}
 	dom := h.pool.AddDomain(name, scenario.WeightPerVCPU*float64(vcpus), vcpus, nil)
 
@@ -322,9 +322,9 @@ func (h *Host) reconfigDelay() func(r *sim.Rand) sim.Time {
 // start): every live VM's generator pauses there, and VMs admitted at
 // or after it boot paused, so by the epoch's end boundary all in-flight
 // requests have drained and the host is checkpointable. The executor
-// schedules it for the epoch preceding a capture boundary, right after
+// schedules it for the epoch preceding the warm boundary, right after
 // that epoch's churn batch, so the event sequence is identical in the
-// capturing, the restored and the straight-through run.
+// capturing, the forked and the straight-through run.
 func (h *Host) ScheduleQuiesce(at sim.Time) {
 	h.pauseFrom = at
 	h.eng.At(at, "cluster/quiesce", func() {
@@ -365,19 +365,6 @@ func (h *Host) Arm() {
 		}
 		vm.gen.Resume()
 		vm.gen.TakeWindow() // discard: the measured window starts here
-	}
-}
-
-// ResumeLoad releases the quiesce barrier without touching mechanisms
-// or accounting windows — the post-capture resume of a mid-run
-// checkpoint (and of the run restored from it), which must observe
-// exactly what the uninterrupted run would have.
-func (h *Host) ResumeLoad() {
-	h.pauseFrom = 0
-	for _, name := range h.order {
-		if vm := h.vms[name]; !vm.retired {
-			vm.gen.Resume()
-		}
 	}
 }
 

@@ -1,10 +1,6 @@
 package cluster
 
-import (
-	"encoding/json"
-	"fmt"
-	"math"
-)
+import "math"
 
 // PIDConfig parameterises the pid policy.
 type PIDConfig struct {
@@ -189,41 +185,6 @@ func (p *pidPolicy) Decide(o VMObservation) int {
 		}
 	}
 	return clamped
-}
-
-// pidStateCheckpoint mirrors pidState for the checkpoint encoding.
-type pidStateCheckpoint struct {
-	Integral float64 `json:"integral"`
-	PrevErr  float64 `json:"prev_err"`
-	HasPrev  bool    `json:"has_prev"`
-}
-
-// CheckpointPolicy exports the per-VM controller memory (Checkpointable).
-// The encoding is a JSON map keyed by VM name; encoding/json sorts map
-// keys, so equal states encode identically.
-func (p *pidPolicy) CheckpointPolicy() ([]byte, error) {
-	out := make(map[string]pidStateCheckpoint, len(p.vms))
-	for vm, st := range p.vms {
-		out[vm] = pidStateCheckpoint{Integral: st.integral, PrevErr: st.prevErr, HasPrev: st.hasPrev}
-	}
-	data, err := json.Marshal(out)
-	if err != nil {
-		return nil, fmt.Errorf("cluster: pid state: %w", err)
-	}
-	return data, nil
-}
-
-// RestorePolicy overwrites the controller memory from a capture.
-func (p *pidPolicy) RestorePolicy(data []byte) error {
-	in := map[string]pidStateCheckpoint{}
-	if err := json.Unmarshal(data, &in); err != nil {
-		return fmt.Errorf("cluster: pid state: %w", err)
-	}
-	p.vms = make(map[string]*pidState, len(in))
-	for vm, st := range in {
-		p.vms[vm] = &pidState{integral: st.Integral, prevErr: st.PrevErr, hasPrev: st.HasPrev}
-	}
-	return nil
 }
 
 // clampVCPUs bounds a target to [1, max].

@@ -1,10 +1,6 @@
 package cluster
 
-import (
-	"encoding/json"
-	"fmt"
-	"math"
-)
+import "math"
 
 // PredictiveConfig parameterises the predictive policy.
 type PredictiveConfig struct {
@@ -114,38 +110,4 @@ func (p *predictivePolicy) Decide(o VMObservation) int {
 		}
 	}
 	return clampVCPUs(target, o.MaxVCPUs)
-}
-
-// holtStateCheckpoint mirrors holtState for the checkpoint encoding.
-type holtStateCheckpoint struct {
-	Level float64 `json:"level"`
-	Trend float64 `json:"trend"`
-	Init  bool    `json:"init"`
-}
-
-// CheckpointPolicy exports the per-VM forecast memory (Checkpointable);
-// a JSON map keyed by VM name, deterministic via sorted map keys.
-func (p *predictivePolicy) CheckpointPolicy() ([]byte, error) {
-	out := make(map[string]holtStateCheckpoint, len(p.vms))
-	for vm, st := range p.vms {
-		out[vm] = holtStateCheckpoint{Level: st.level, Trend: st.trend, Init: st.init}
-	}
-	data, err := json.Marshal(out)
-	if err != nil {
-		return nil, fmt.Errorf("cluster: predictive state: %w", err)
-	}
-	return data, nil
-}
-
-// RestorePolicy overwrites the forecast memory from a capture.
-func (p *predictivePolicy) RestorePolicy(data []byte) error {
-	in := map[string]holtStateCheckpoint{}
-	if err := json.Unmarshal(data, &in); err != nil {
-		return fmt.Errorf("cluster: predictive state: %w", err)
-	}
-	p.vms = make(map[string]*holtState, len(in))
-	for vm, st := range in {
-		p.vms[vm] = &holtState{level: st.Level, trend: st.Trend, init: st.Init}
-	}
-	return nil
 }

@@ -77,40 +77,6 @@ func (g *Governor) Observe(optimal int) int {
 	return g.current
 }
 
-// GovernorState is the decision state of a Governor for checkpointing
-// (docs/checkpoint.md). Bounds and hysteresis are configuration, carried
-// only so restore can cross-check them.
-type GovernorState struct {
-	MinVCPUs       int `json:"min_vcpus"`
-	MaxVCPUs       int `json:"max_vcpus"`
-	DownHysteresis int `json:"down_hysteresis"`
-	Current        int `json:"current"`
-	DownTarget     int `json:"down_target"`
-	DownCount      int `json:"down_count"`
-}
-
-// State exports the governor's decision state.
-func (g *Governor) State() GovernorState {
-	return GovernorState{
-		MinVCPUs:       g.MinVCPUs,
-		MaxVCPUs:       g.MaxVCPUs,
-		DownHysteresis: g.DownHysteresis,
-		Current:        g.current,
-		DownTarget:     g.downTarget,
-		DownCount:      g.downCount,
-	}
-}
-
-// Restore overwrites the governor's decision state from a checkpoint.
-func (g *Governor) Restore(st GovernorState) {
-	g.MinVCPUs = st.MinVCPUs
-	g.MaxVCPUs = st.MaxVCPUs
-	g.DownHysteresis = st.DownHysteresis
-	g.current = st.Current
-	g.downTarget = st.DownTarget
-	g.downCount = st.DownCount
-}
-
 // ForceCurrent resets the governor's view (used when an external actor —
 // e.g. the dom0 baseline — changed the vCPU count).
 func (g *Governor) ForceCurrent(cur int) {

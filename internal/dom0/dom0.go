@@ -171,4 +171,4 @@ func (d *Dom0) HotplugVCPU(kernel costmodel.HotplugModel, online bool) sim.Time 
 func (d *Dom0) RandState() sim.RandState { return d.rand.State() }
 
 // RestoreRand overwrites the sampler's PRNG state from a checkpoint.
-func (d *Dom0) RestoreRand(st sim.RandState) { d.rand.SetState(st) }
+func (d *Dom0) RestoreRand(st sim.RandState) error { return d.rand.SetState(st) }

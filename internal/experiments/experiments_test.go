@@ -427,10 +427,16 @@ func TestClusterShape(t *testing.T) {
 		cost[f.Policy] = f.CostVCPUSeconds
 	}
 	out := r.Render()
-	for _, want := range []string{"Cluster: 2 host(s)", "static", "hotplug", "vscale", "pid", "predictive",
-		"SLO", "central dom0 monitoring", "Cost-vs-attainment frontier", "Pareto-efficient"} {
+	for _, want := range []string{"Cluster: 2 host(s)", "SLO", "central dom0 monitoring",
+		"Cost-vs-attainment frontier", "Pareto-efficient"} {
 		if !strings.Contains(out, want) {
 			t.Fatalf("render missing %q:\n%s", want, out)
+		}
+	}
+	// All five registered policies compete: each opens a scoreboard row.
+	for _, p := range []string{"static", "hotplug", "vscale", "pid", "predictive"} {
+		if !strings.Contains(out, "\n"+p+" ") {
+			t.Fatalf("render has no %q row:\n%s", p, out)
 		}
 	}
 	// Scaling policies must provision less than the static ceiling.
@@ -613,11 +619,15 @@ func TestClusterWarmForkIdentity(t *testing.T) {
 			t.Fatalf("fleet %d differs across arms", i)
 		}
 	}
-	// Flag validation: fork without a warm prefix, and files with
-	// multiple host counts, are rejected.
+	// Flag validation: fork without a warm prefix, a traced fork, and
+	// files with multiple host counts are rejected.
 	if _, err := Cluster(runner.Options{BaseSeed: 3}, nil, []int{2}, 4, 4*sim.Second,
 		50*sim.Millisecond, nil, "", ClusterWarm{Fork: true}); err == nil {
 		t.Fatal("-warmfork without -warm-epochs accepted")
+	}
+	if _, err := Cluster(runner.Options{BaseSeed: 3, Trace: true}, nil, []int{2}, 4, 4*sim.Second,
+		50*sim.Millisecond, nil, "", ClusterWarm{Epochs: 4, Fork: true}); err == nil || !strings.Contains(err.Error(), "not checkpointable") {
+		t.Fatalf("-warmfork with -trace: err = %v, want not checkpointable", err)
 	}
 	if _, err := Cluster(runner.Options{BaseSeed: 3}, nil, []int{1, 2}, 4, 4*sim.Second,
 		50*sim.Millisecond, nil, "", ClusterWarm{Epochs: 4, CheckpointPath: path}); err == nil {

@@ -3,18 +3,18 @@ package guest
 import (
 	"fmt"
 
-	"vscale/internal/core"
 	"vscale/internal/sim"
 )
 
 // Checkpoint support for the guest kernel (docs/checkpoint.md). Like the
 // hypervisor layer, a kernel can only be captured when quiesced: every
 // vCPU idle and blocked, every thread sleeping on a wait queue (or
-// exited), no kernel locks held, no in-flight continuations. In that
-// shape all remaining guest state is plain data — counters, integrals,
-// PRNG state, and the daemon's next poll deadline — and the thread
-// graph of a freshly rebuilt kernel is structurally identical, so
-// restore is field overwrite plus wait-queue reordering.
+// exited), no kernel locks held, no in-flight continuations, and no
+// vScale daemon (the warm prefix runs disarmed). In that shape all
+// remaining guest state is plain data — counters, integrals and PRNG
+// state — and the thread graph of a freshly rebuilt kernel is
+// structurally identical, so restore is field overwrite plus wait-queue
+// reordering.
 
 // GuestCPUCheckpoint is the semantic state of one (idle) guest CPU.
 type GuestCPUCheckpoint struct {
@@ -59,17 +59,6 @@ type TWCheckpoint struct {
 	Start   sim.Time `json:"start"`
 }
 
-// DaemonCheckpoint is the state of the vScale daemon, including the
-// absolute deadline of its next scheduled channel poll (-1 when none is
-// pending, e.g. after StopDaemon ran and the final no-op poll fired).
-type DaemonCheckpoint struct {
-	Gov        core.GovernorState `json:"gov"`
-	Stopped    bool               `json:"stopped"`
-	Reads      uint64             `json:"reads"`
-	Decisions  uint64             `json:"decisions"`
-	NextPollAt sim.Time           `json:"next_poll_at"`
-}
-
 // KernelCheckpoint is the semantic state of a quiesced kernel.
 type KernelCheckpoint struct {
 	Rand        sim.RandState        `json:"rand"`
@@ -82,7 +71,6 @@ type KernelCheckpoint struct {
 	CPUs        []GuestCPUCheckpoint `json:"cpus"`
 	Threads     []ThreadCheckpoint   `json:"threads"`
 	Buckets     []LockCheckpoint     `json:"buckets"`
-	Daemon      *DaemonCheckpoint    `json:"daemon,omitempty"`
 }
 
 // QuiesceCheck verifies the kernel is in the only shape this layer can
@@ -93,6 +81,9 @@ func (k *Kernel) QuiesceCheck() error {
 	}
 	if k.traceEV != nil {
 		return fmt.Errorf("guest %s: active-vCPU trace ticker is incompatible with checkpointing", k.dom.Name)
+	}
+	if k.daemon != nil {
+		return fmt.Errorf("guest %s: a running vScale daemon is not checkpointable", k.dom.Name)
 	}
 	for _, c := range k.cpus {
 		switch {
@@ -116,12 +107,7 @@ func (k *Kernel) QuiesceCheck() error {
 			return fmt.Errorf("guest %s: cpu %d holds %d kernel locks", k.dom.Name, c.id, c.locksHeld)
 		case c.resched.Armed():
 			return fmt.Errorf("guest %s: cpu %d has a deferred resched pending", k.dom.Name, c.id)
-		}
-		if c.id == 0 && k.daemon != nil {
-			if n := len(c.timers); n > 1 {
-				return fmt.Errorf("guest %s: cpu 0 has %d software timers (daemon poll plus %d unknown)", k.dom.Name, n, n-1)
-			}
-		} else if len(c.timers) != 0 {
+		case len(c.timers) != 0:
 			return fmt.Errorf("guest %s: cpu %d has %d software timers pending", k.dom.Name, c.id, len(c.timers))
 		}
 	}
@@ -156,9 +142,6 @@ func (k *Kernel) QuiesceCheck() error {
 		if len(d.completions) != 0 {
 			return fmt.Errorf("guest %s: device %s has %d undelivered completions", k.dom.Name, d.Name, len(d.completions))
 		}
-	}
-	if k.daemon != nil && k.daemon.reconfiguring {
-		return fmt.Errorf("guest %s: slow reconfiguration in flight", k.dom.Name)
 	}
 	return nil
 }
@@ -209,27 +192,13 @@ func (k *Kernel) CaptureState() KernelCheckpoint {
 			PVParks:      l.PVParks,
 		})
 	}
-	if d := k.daemon; d != nil {
-		dc := &DaemonCheckpoint{
-			Gov:        d.gov.State(),
-			Stopped:    d.stopped,
-			Reads:      d.Reads,
-			Decisions:  d.Decisions,
-			NextPollAt: -1,
-		}
-		if timers := k.cpus[0].timers; len(timers) == 1 {
-			dc.NextPollAt = timers[0].at
-		}
-		cp.Daemon = dc
-	}
 	return cp
 }
 
 // RestoreState overwrites the kernel's semantic state from a capture.
 // The kernel must have been rebuilt with the same thread population (same
-// spawn order) and be quiesced. A captured daemon is re-created if the
-// rebuilt kernel lacks one (the warm-fork path defers daemon start), and
-// its next poll is re-registered at the captured absolute deadline.
+// spawn order) and be quiesced. A freeze mask may name only vCPUs 1 up
+// to the VM's size: vCPU 0 is the master and never freezes.
 func (k *Kernel) RestoreState(cp KernelCheckpoint) error {
 	if err := k.QuiesceCheck(); err != nil {
 		return fmt.Errorf("guest: restore target not quiesced: %w", err)
@@ -254,7 +223,12 @@ func (k *Kernel) RestoreState(cp KernelCheckpoint) error {
 			return fmt.Errorf("guest %s: thread %q on invalid CPU %d", k.dom.Name, t.Name, tc.CPU)
 		}
 	}
-	k.rand.SetState(cp.Rand)
+	if valid := uint64(1)<<uint(len(k.cpus)) - 2; cp.FreezeMask&^valid != 0 {
+		return fmt.Errorf("guest %s: freeze mask %#x names vCPUs outside 1..%d", k.dom.Name, cp.FreezeMask, len(k.cpus)-1)
+	}
+	if err := k.rand.SetState(cp.Rand); err != nil {
+		return fmt.Errorf("guest %s: %w", k.dom.Name, err)
+	}
 	k.freezeMask = cp.FreezeMask
 	k.activeTW = metricTW{
 		last:    cp.ActiveTW.Last,
@@ -290,22 +264,6 @@ func (k *Kernel) RestoreState(cp KernelCheckpoint) error {
 		l.Acquisitions = lc.Acquisitions
 		l.Contended = lc.Contended
 		l.PVParks = lc.PVParks
-	}
-	if cp.Daemon != nil {
-		if k.daemon == nil {
-			k.cfg.VScale.Enabled = true
-			k.daemon = newDaemon(k)
-		}
-		d := k.daemon
-		d.gov.Restore(cp.Daemon.Gov)
-		d.stopped = cp.Daemon.Stopped
-		d.Reads = cp.Daemon.Reads
-		d.Decisions = cp.Daemon.Decisions
-		if cp.Daemon.NextPollAt >= 0 {
-			d.restorePollAt(cp.Daemon.NextPollAt)
-		}
-	} else if k.daemon != nil {
-		return fmt.Errorf("guest %s: rebuilt kernel has a daemon the checkpoint lacks", k.dom.Name)
 	}
 	return nil
 }
@@ -396,30 +354,6 @@ func (m *Mutex) CheckpointState() (MutexCheckpoint, error) {
 func (m *Mutex) RestoreState(cp MutexCheckpoint) {
 	m.Acquisitions = cp.Acquisitions
 	m.Contended = cp.Contended
-}
-
-// restorePollAt re-registers the daemon's poll as a software timer at
-// its captured absolute deadline — the restore counterpart of schedule,
-// preserving the captured phase instead of now+period. Unlike addTimer
-// it does NOT arm the vCPU's hardware timer: the engine-level deadline
-// is re-armed from the checkpoint's descriptor list so it keeps its
-// captured FIFO position.
-func (d *daemon) restorePollAt(at sim.Time) {
-	c := d.k.cpus[0]
-	fn := func() {
-		if d.stopped {
-			return
-		}
-		d.poll()
-		d.schedule()
-	}
-	i := 0
-	for i < len(c.timers) && c.timers[i].at <= at {
-		i++
-	}
-	c.timers = append(c.timers, timerEntry{})
-	copy(c.timers[i+1:], c.timers[i:])
-	c.timers[i] = timerEntry{at: at, fn: fn}
 }
 
 // SetReconfigDelay installs (or replaces) the per-resize latency hook —

@@ -174,6 +174,10 @@ type timerEntry struct {
 	fn func()
 }
 
+// MaxVCPUs is the largest VM the guest kernel models: its freeze mask
+// holds one bit per vCPU in a uint64.
+const MaxVCPUs = 64
+
 // Kernel is the guest OS of one domain.
 type Kernel struct {
 	eng  *sim.Engine

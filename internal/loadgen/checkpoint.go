@@ -72,16 +72,22 @@ func (g *Generator) CheckpointState() (State, error) {
 
 // RestoreState overwrites the generator from a capture and leaves it
 // paused; the restoring fleet calls Resume at the barrier, in admission
-// order, exactly as the straight-through run does.
+// order, exactly as the straight-through run does. A rate that
+// sim.CheckRate rejects is an error here, not a panic at Resume.
 func (g *Generator) RestoreState(st State) error {
+	if err := sim.CheckRate(st.Rate); err != nil {
+		return fmt.Errorf("loadgen: %w", err)
+	}
 	if err := g.hist.Restore(st.Hist); err != nil {
 		return fmt.Errorf("loadgen: latency histogram: %w", err)
 	}
 	if err := g.winHist.Restore(st.WinHist); err != nil {
 		return fmt.Errorf("loadgen: window histogram: %w", err)
 	}
+	if err := g.rand.SetState(st.Rand); err != nil {
+		return fmt.Errorf("loadgen: %w", err)
+	}
 	g.eng.Cancel(g.next)
-	g.rand.SetState(st.Rand)
 	g.rate = st.Rate
 	g.stopped = st.Stopped
 	g.paused = true

@@ -150,8 +150,8 @@ const WeightPerVCPU = 128.0
 // Build assembles the host, VM under test and background VMs. Guests are
 // booted; the scheduler is started.
 func Build(s Setup) *Built {
-	if s.PCPUs <= 0 || s.VMVCPUs <= 0 {
-		panic("scenario: PCPUs and VMVCPUs must be positive")
+	if s.PCPUs <= 0 || s.VMVCPUs <= 0 || s.VMVCPUs > guest.MaxVCPUs {
+		panic(fmt.Sprintf("scenario: need PCPUs > 0 and VMVCPUs in 1..%d", guest.MaxVCPUs))
 	}
 	if s.ConsolidationRatio == 0 {
 		s.ConsolidationRatio = 2

@@ -32,12 +32,14 @@ type RandState [4]uint64
 // SetState resumes the exact variate stream.
 func (r *Rand) State() RandState { return r.s }
 
-// SetState overwrites the generator's internal state.
-func (r *Rand) SetState(st RandState) {
+// SetState overwrites the generator's internal state. It rejects the
+// all-zero state, which xoshiro cannot escape.
+func (r *Rand) SetState(st RandState) error {
 	if st[0]|st[1]|st[2]|st[3] == 0 {
-		panic("sim: SetState with all-zero xoshiro state")
+		return fmt.Errorf("sim: all-zero xoshiro state")
 	}
 	r.s = st
+	return nil
 }
 
 // EngineState is the semantic scalar state of an Engine: everything the
@@ -81,11 +83,13 @@ func (e *Engine) RestoreState(st EngineState) error {
 	if q := e.queue.a; len(q) > 0 && q[0].when < st.Now {
 		return fmt.Errorf("sim: pending event %q at %v predates restore time %v", q[0].label, q[0].when, st.Now)
 	}
+	if err := e.rand.SetState(st.Rand); err != nil {
+		return err
+	}
 	e.now = st.Now
 	if st.Seq > e.seq {
 		e.seq = st.Seq
 	}
-	e.rand.SetState(st.Rand)
 	e.Processed = st.Processed
 	e.Scheduled = st.Scheduled
 	e.Cancelled = st.Cancelled

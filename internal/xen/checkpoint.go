@@ -217,9 +217,10 @@ func (pool *Pool) RestoreState(cp PoolCheckpoint) error {
 
 // RearmPending re-arms the pool-owned event behind a checkpointed
 // descriptor label at the recorded absolute deadline. It recognises the
-// scheduler tickers ("xen/tick", "xen/acct", "xen/vscale") and per-vCPU
-// one-shot timers ("xen/vtimer/<domain>.<vcpu>"). It reports whether the
-// label belongs to this pool; unknown pool labels are errors.
+// credit scheduler's tickers ("xen/tick", "xen/acct") and per-vCPU
+// one-shot timers ("xen/vtimer/<domain>.<vcpu>"); a checkpointed pool is
+// disarmed, so it has no vScale ticker. It reports whether the label
+// belongs to this pool; unknown pool labels are errors.
 func (pool *Pool) RearmPending(label string, at sim.Time) (bool, error) {
 	switch label {
 	case "xen/tick":
@@ -227,12 +228,6 @@ func (pool *Pool) RearmPending(label string, at sim.Time) (bool, error) {
 		return true, nil
 	case "xen/acct":
 		pool.acctTicker.ResumeAt(at)
-		return true, nil
-	case "xen/vscale":
-		if pool.vscaleTicker == nil {
-			return true, fmt.Errorf("xen: checkpoint has a vscale tick but the extension is disabled")
-		}
-		pool.vscaleTicker.ResumeAt(at)
 		return true, nil
 	}
 	rest, ok := strings.CutPrefix(label, "xen/vtimer/")
