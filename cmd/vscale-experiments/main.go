@@ -13,9 +13,8 @@
 // printed tables are byte-identical for every worker count.
 //
 // -policies selects the scaling policies the cluster experiment
-// competes, resolved through the cluster policy registry ('all' or a
-// comma-separated subset of static, hotplug, vscale, pid, predictive,
-// plus anything linked in via cluster.RegisterPolicy).
+// competes ('all' or a comma-separated subset of static, hotplug,
+// vscale, pid, predictive; see cluster.PolicyNames).
 //
 // -warm-epochs gives every cluster fleet a policy-neutral warm-up
 // prefix; -warmfork simulates it once per host count and forks each
@@ -49,7 +48,7 @@ func main() {
 	quick := flag.Bool("quick", false, "shrink sweeps for a fast pass")
 	parallel := flag.Int("parallel", 0, "worker pool size per experiment (default GOMAXPROCS)")
 	window := flag.Float64("window", 20, "Apache measurement window per load level, seconds")
-	policies := flag.String("policies", "all", "comma-separated scaling policies for the cluster experiment (or 'all'; registry names)")
+	policies := flag.String("policies", "all", "scaling policies for the cluster experiment: 'all' or a comma-separated subset of "+strings.Join(cluster.PolicyNames(), ", "))
 	warmEpochs := flag.Int("warm-epochs", 0, "policy-neutral warm-up prefix for cluster fleets, epochs (0 = experiment defaults)")
 	warmFork := flag.Bool("warmfork", false, "cluster: simulate the warm prefix once per host count and fork every policy from the snapshot (requires -warm-epochs)")
 	checkpointFlag := flag.String("checkpoint", "", "cluster: write the warm-prefix snapshot (vscale-checkpoint/v1) to this file")
@@ -77,6 +76,11 @@ func main() {
 			fmt.Fprintln(os.Stderr, err)
 		}
 	}()
+
+	if err := sim.CheckSpan(*window, sim.Second); err != nil {
+		fmt.Fprintf(os.Stderr, "-window: %v\n", err)
+		os.Exit(2)
+	}
 
 	registry := experiments.Registry()
 	if *list {

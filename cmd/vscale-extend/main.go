@@ -10,12 +10,15 @@
 //
 // Each -vm is name:weight:consumption[:maxVCPUs[:capPCPUs]], where
 // consumption is the VM's CPU time over the last period (Go duration
-// syntax: 35ms, 1.2ms, ...).
+// syntax: 35ms, 1.2ms, ...). The weight must be positive, the
+// consumption non-negative; a maxVCPUs or capPCPUs of 0 means
+// unconstrained. A malformed flag or spec exits with status 2.
 package main
 
 import (
 	"flag"
 	"fmt"
+	"math"
 	"os"
 	"strconv"
 	"strings"
@@ -40,6 +43,14 @@ func main() {
 
 	if len(vms) == 0 {
 		fmt.Fprintln(os.Stderr, "no VMs given; try: -vm hpc:512:76ms:4 -vm desktop:256:3ms:2")
+		os.Exit(2)
+	}
+	if *pcpus < 1 {
+		fmt.Fprintf(os.Stderr, "-pcpus %d: need at least one pCPU\n", *pcpus)
+		os.Exit(2)
+	}
+	if err := sim.CheckSpan(*periodMs, sim.Millisecond); err != nil {
+		fmt.Fprintf(os.Stderr, "-period-ms %g: %v\n", *periodMs, err)
 		os.Exit(2)
 	}
 	period := sim.FromMillis(*periodMs)
@@ -81,15 +92,24 @@ func parseVM(spec string) (core.VMStat, error) {
 	if err != nil {
 		return core.VMStat{}, fmt.Errorf("weight: %v", err)
 	}
+	if !finite(w) || w <= 0 {
+		return core.VMStat{}, fmt.Errorf("weight %g: need a finite value > 0", w)
+	}
 	cons, err := time.ParseDuration(parts[2])
 	if err != nil {
 		return core.VMStat{}, fmt.Errorf("consumption: %v", err)
+	}
+	if cons < 0 {
+		return core.VMStat{}, fmt.Errorf("consumption %v: need >= 0", cons)
 	}
 	st := core.VMStat{ID: parts[0], Weight: w, Consumption: sim.Time(cons)}
 	if len(parts) > 3 {
 		n, err := strconv.Atoi(parts[3])
 		if err != nil {
 			return core.VMStat{}, fmt.Errorf("maxVCPUs: %v", err)
+		}
+		if n < 0 {
+			return core.VMStat{}, fmt.Errorf("maxVCPUs %d: need >= 0 (0 = unconstrained)", n)
 		}
 		st.MaxVCPUs = n
 		st.UP = n == 1
@@ -99,7 +119,12 @@ func parseVM(spec string) (core.VMStat, error) {
 		if err != nil {
 			return core.VMStat{}, fmt.Errorf("capPCPUs: %v", err)
 		}
+		if !finite(c) || c < 0 {
+			return core.VMStat{}, fmt.Errorf("capPCPUs %g: need a finite value >= 0 (0 = uncapped)", c)
+		}
 		st.CapPCPUs = c
 	}
 	return st, nil
 }
+
+func finite(f float64) bool { return !math.IsNaN(f) && !math.IsInf(f, 0) }

@@ -110,6 +110,17 @@ func main() {
 		fmt.Fprintf(os.Stderr, "-vcpus must be in 1..%d and -pcpus >= 1\n", guest.MaxVCPUs)
 		os.Exit(2)
 	}
+	checkSpan := func(name string, v float64, unit sim.Time) {
+		if err := sim.CheckSpan(v, unit); err != nil {
+			fmt.Fprintf(os.Stderr, "-%s: %v\n", name, err)
+			os.Exit(2)
+		}
+	}
+	checkSpan("max", *maxSecs, sim.Second)
+	if *sloMs != 0 {
+		checkSpan("slo", *sloMs, sim.Millisecond)
+	}
+	checkSpan("telemetry-epoch", telemetryEpoch.Seconds(), sim.Second)
 
 	wantTrace := *traceOut != "" || *schedstats
 

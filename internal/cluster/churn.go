@@ -66,19 +66,17 @@ type Event struct {
 
 // TraceConfig parameterises GenTrace.
 type TraceConfig struct {
-	// Horizon bounds the trace: no event is emitted at or past it.
+	// Horizon bounds the trace: no event is emitted at or past it. It
+	// also scales the per-VM lifecycle: each VM lives a uniform
+	// Horizon/3 to Horizon (a VM whose departure would land past the
+	// horizon simply lives to the end), and changes workload phase
+	// every Horizon/6 on average (exponential).
 	Horizon sim.Time
 	// InitialVMs arrive staggered shortly after t=0.
 	InitialVMs int
 	// ArrivalEvery is the mean inter-arrival time of later VMs
 	// (exponential); zero disables later arrivals.
 	ArrivalEvery sim.Time
-	// LifetimeMin/Max bound each VM's uniform lifetime. A VM whose
-	// departure would land past the horizon simply lives to the end.
-	LifetimeMin, LifetimeMax sim.Time
-	// PhaseEvery is the mean time between workload-phase changes per VM
-	// (exponential); zero disables phase changes.
-	PhaseEvery sim.Time
 	// VCPUChoices and RateChoices are drawn uniformly per arrival/phase.
 	VCPUChoices []int
 	RateChoices []float64
@@ -100,9 +98,6 @@ func DefaultTraceConfig(horizon sim.Time) TraceConfig {
 		Horizon:      horizon,
 		InitialVMs:   4,
 		ArrivalEvery: horizon / 8,
-		LifetimeMin:  horizon / 3,
-		LifetimeMax:  horizon,
-		PhaseEvery:   horizon / 6,
 		VCPUChoices:  []int{2, 4},
 		RateChoices:  []float64{500, 1500, 3000},
 	}
@@ -118,10 +113,8 @@ func GenTrace(cfg TraceConfig, seed uint64) []Event {
 	if len(cfg.VCPUChoices) == 0 || len(cfg.RateChoices) == 0 {
 		panic("cluster: GenTrace needs vCPU and rate choices")
 	}
-	if cfg.LifetimeMax < cfg.LifetimeMin {
-		panic("cluster: LifetimeMax < LifetimeMin")
-	}
 	rand := sim.NewRand(seed)
+	phaseEvery := cfg.Horizon / 6
 	var events []Event
 	seq := 0
 
@@ -144,13 +137,9 @@ func GenTrace(cfg TraceConfig, seed uint64) []Event {
 			ev.DirtyBps = cfg.DirtyBpsChoices[rand.Intn(len(cfg.DirtyBpsChoices))]
 		}
 		events = append(events, ev)
-		life := cfg.LifetimeMax
-		if cfg.LifetimeMax > cfg.LifetimeMin {
-			life = rand.Duration(cfg.LifetimeMin, cfg.LifetimeMax)
-		}
-		depart := at + life
-		if cfg.PhaseEvery > 0 {
-			for pt := at + rand.ExpDuration(cfg.PhaseEvery); pt < depart && pt < cfg.Horizon; pt += rand.ExpDuration(cfg.PhaseEvery) {
+		depart := at + rand.Duration(cfg.Horizon/3, cfg.Horizon)
+		if phaseEvery > 0 {
+			for pt := at + rand.ExpDuration(phaseEvery); pt < depart && pt < cfg.Horizon; pt += rand.ExpDuration(phaseEvery) {
 				events = append(events, Event{
 					At:      pt,
 					Kind:    EventPhase,

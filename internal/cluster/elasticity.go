@@ -21,6 +21,22 @@ import (
 // whatever the host pacing, and the results stay byte-identical across
 // worker counts (docs/cluster.md).
 
+// Migration and replica-admission constants.
+const (
+	// migMaxPerPass bounds migrations started per pass.
+	migMaxPerPass = 1
+	// dirtyBpsDefault is the memory dirtying rate (bytes/s at full CPU
+	// utilisation) for VMs whose trace carries no dirty= hint.
+	dirtyBpsDefault float64 = 200e6
+	// guestLinkShare is the fraction of its I/O link a source host's
+	// guests keep while an outbound migration occupies the rest.
+	guestLinkShare float64 = 0.5
+	// maxCommitFactor caps replica admission: a host may not exceed
+	// maxCommitFactor * PCPUs committed vCPUs after placing a replica
+	// (exceeding it raises a ReplicaFailure condition instead).
+	maxCommitFactor float64 = 2
+)
+
 // MigrationConfig enables the rebalance/consolidate migration pass.
 type MigrationConfig struct {
 	// Model parameterises the pre-copy iterative-copy math.
@@ -30,25 +46,14 @@ type MigrationConfig struct {
 	// TriggerVCPUs is the minimum committed-vCPU gap between the
 	// hottest host and the chosen destination before a migration starts.
 	TriggerVCPUs int
-	// MaxPerPass bounds migrations started per pass.
-	MaxPerPass int
-	// DirtyBpsDefault is the memory dirtying rate (bytes/s at full CPU
-	// utilisation) for VMs whose trace carries no dirty= hint.
-	DirtyBpsDefault float64
-	// GuestLinkShare is the fraction of its I/O link a source host's
-	// guests keep while an outbound migration occupies the rest.
-	GuestLinkShare float64
 }
 
 // DefaultMigrationConfig returns the documented defaults.
 func DefaultMigrationConfig() MigrationConfig {
 	return MigrationConfig{
-		Model:           migration.DefaultConfig(),
-		Every:           1,
-		TriggerVCPUs:    2,
-		MaxPerPass:      1,
-		DirtyBpsDefault: 200e6,
-		GuestLinkShare:  0.5,
+		Model:        migration.DefaultConfig(),
+		Every:        1,
+		TriggerVCPUs: 2,
 	}
 }
 
@@ -63,15 +68,6 @@ func (c *MigrationConfig) Validate() error {
 	if c.TriggerVCPUs < 1 {
 		return fmt.Errorf("cluster: migration TriggerVCPUs %d < 1", c.TriggerVCPUs)
 	}
-	if c.MaxPerPass < 1 {
-		return fmt.Errorf("cluster: migration MaxPerPass %d < 1", c.MaxPerPass)
-	}
-	if c.DirtyBpsDefault < 0 {
-		return fmt.Errorf("cluster: negative DirtyBpsDefault")
-	}
-	if c.GuestLinkShare <= 0 || c.GuestLinkShare > 1 {
-		return fmt.Errorf("cluster: GuestLinkShare %g outside (0, 1]", c.GuestLinkShare)
-	}
 	return nil
 }
 
@@ -79,26 +75,16 @@ func (c *MigrationConfig) Validate() error {
 type ReplicaSetConfig struct {
 	// Controller parameterises the per-service scaling decisions.
 	Controller replicaset.Config
-	// MaxCommitFactor caps replica admission: a host may not exceed
-	// MaxCommitFactor * PCPUs committed vCPUs after placing a replica
-	// (exceeding it raises a ReplicaFailure condition instead).
-	MaxCommitFactor float64
 }
 
 // DefaultReplicaSetConfig returns the documented defaults.
 func DefaultReplicaSetConfig() ReplicaSetConfig {
-	return ReplicaSetConfig{Controller: replicaset.DefaultConfig(), MaxCommitFactor: 2}
+	return ReplicaSetConfig{Controller: replicaset.DefaultConfig()}
 }
 
 // Validate rejects unusable replica-set parameters.
 func (c *ReplicaSetConfig) Validate() error {
-	if err := c.Controller.Validate(); err != nil {
-		return err
-	}
-	if c.MaxCommitFactor <= 0 {
-		return fmt.Errorf("cluster: MaxCommitFactor %g <= 0", c.MaxCommitFactor)
-	}
-	return nil
+	return c.Controller.Validate()
 }
 
 // ElasticityFor maps a -elastic mode flag to the config pair.
@@ -314,7 +300,7 @@ func (el *elasticity) applyThrottles() {
 		scale := 1.0
 		for _, op := range el.inflight {
 			if op.src == i {
-				scale = el.mig.GuestLinkShare
+				scale = guestLinkShare
 				break
 			}
 		}
@@ -419,7 +405,7 @@ func (el *elasticity) scaleUp(s *replicaset.Service, b int) {
 	}
 	stats, committed := el.liveState()
 	h := pickHost(el.cfg.PCPUsPerHost, el.cfg.Epoch, stats, el.noProbes, committed, el.zeroExtra, vcpus, &el.scratch)
-	if float64(committed[h]+vcpus) > el.rsCfg.MaxCommitFactor*float64(el.cfg.PCPUsPerHost) {
+	if float64(committed[h]+vcpus) > maxCommitFactor*float64(el.cfg.PCPUsPerHost) {
 		el.rs.Fail(s.Name, b, replicaset.ReasonFailureCreate,
 			fmt.Sprintf("no host admits %d vCPUs under the commit cap", vcpus))
 		el.res.ReplicaFailures++
@@ -461,14 +447,14 @@ func (el *elasticity) scaleDown(s *replicaset.Service, b int) {
 	}
 }
 
-// start begins up to MaxPerPass pre-copy migrations: from the most
+// start begins up to migMaxPerPass pre-copy migrations: from the most
 // committed host with no outbound migration, the first admission-order
 // VM whose pre-copy plan converges on a commit boundary it will still
 // be alive at, toward the host Algorithm 1 picks — provided the
 // committed-vCPU gap clears the trigger and the destination never
 // hosted a VM of that name.
 func (el *elasticity) start(b int, now sim.Time) {
-	for n := 0; n < el.mig.MaxPerPass; n++ {
+	for n := 0; n < migMaxPerPass; n++ {
 		if !el.startOne(b, now) {
 			return
 		}
@@ -502,7 +488,7 @@ func (el *elasticity) startOne(b int, now sim.Time) bool {
 		if vm.retired || el.migrating[name] {
 			continue
 		}
-		plan := migration.PreCopy(el.mig.Model, int64(vm.vcpus)*el.mig.Model.MemBytesPerVCPU, el.dirtyRate(vm))
+		plan := migration.PreCopy(el.mig.Model, int64(vm.vcpus)*migration.MemBytesPerVCPU, el.dirtyRate(vm))
 		cb, ok := el.commitBoundary(b, now+plan.Duration)
 		if !ok {
 			continue
@@ -536,7 +522,7 @@ func (el *elasticity) startOne(b int, now sim.Time) bool {
 // vCPU time over the boundary epoch: an idle VM dirties almost
 // nothing, a saturated one dirties at its full hinted rate.
 func (el *elasticity) dirtyRate(vm *hostVM) float64 {
-	base := el.mig.DirtyBpsDefault
+	base := dirtyBpsDefault
 	if d, ok := el.dirty[vm.name]; ok {
 		base = d
 	}

@@ -37,8 +37,8 @@ type FleetConfig struct {
 	// PCPUsPerHost sizes each host's domU pool.
 	PCPUsPerHost int
 	// Policy names the fleet-wide VM scaling policy; RunFleet
-	// instantiates one fresh instance per host from the registry (see
-	// RegisterPolicy), so stateful controllers never leak state across
+	// instantiates one fresh instance per host by name (see
+	// NewPolicy), so stateful controllers never leak state across
 	// runs — and never share state across hosts, which is what lets each
 	// host run its policy pass on its own timeline. Controllers key
 	// their memory per VM name and VMs never migrate, so per-host
@@ -327,7 +327,7 @@ func aggregate(cfg *FleetConfig, hosts []*Host, res *FleetResult) error {
 	// Price a central VCPU-Bal-style monitoring pass over this fleet,
 	// using a seed-stable dom0 sampler so the figure does not depend on
 	// per-host RNG positions.
-	d0 := dom0.New(dom0.DefaultConfig(), sim.NewRand(cfg.Seed^0x2545f491))
+	d0 := dom0.New(sim.NewRand(cfg.Seed ^ 0x2545f491))
 	for _, lat := range d0.FleetSweep(vmsPerHost, dom0.Idle) {
 		res.CentralSweep += lat
 	}

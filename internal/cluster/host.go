@@ -145,7 +145,7 @@ func NewHost(id int, cfg HostConfig) (*Host, error) {
 		mech:      mech,
 		eng:       eng,
 		pool:      pool,
-		d0:        dom0.New(dom0.DefaultConfig(), sim.NewRand(cfg.Seed^0x5bd1e995)),
+		d0:        dom0.New(sim.NewRand(cfg.Seed ^ 0x5bd1e995)),
 		hotplug:   model,
 		vms:       map[string]*hostVM{},
 		armed:     !cfg.Disarmed,

@@ -14,43 +14,42 @@ import (
 	"vscale/internal/sim"
 )
 
+// MemBytesPerVCPU sizes a VM's memory image proportionally to its vCPU
+// count: 64 MiB per vCPU.
+const MemBytesPerVCPU int64 = 64 << 20
+
+const (
+	// stopCopyBytes is the convergence threshold: once a round leaves
+	// at most this many dirty bytes the next copy happens with the VM
+	// stopped. 8 MiB is small enough that a mostly idle VM converges in
+	// one round, large enough that a hot VM takes several.
+	stopCopyBytes int64 = 8 << 20
+	// downtimeFloor is the fixed cutover cost (pause, device state,
+	// resume handshake) added to the stop-and-copy transfer time.
+	downtimeFloor = 3 * sim.Millisecond
+)
+
 // Config parameterises the pre-copy model.
 type Config struct {
 	// LinkBps is the migration link budget in bits per second. The
-	// cluster throttles guest I/O while a migration holds the link (see
-	// cluster.MigrationConfig.GuestLinkShare).
+	// cluster throttles guest I/O while a migration holds the link.
 	LinkBps float64
-	// MemBytesPerVCPU sizes a VM's memory image proportionally to its
-	// vCPU count.
-	MemBytesPerVCPU int64
 	// MaxRounds caps the iterative copy phase: a VM that dirties memory
 	// faster than the link drains it would otherwise never converge.
 	MaxRounds int
-	// StopCopyBytes is the convergence threshold: once a round leaves
-	// at most this many dirty bytes the next copy happens with the VM
-	// stopped.
-	StopCopyBytes int64
-	// DowntimeFloor is the fixed cutover cost (pause, device state,
-	// resume handshake) added to the stop-and-copy transfer time.
-	DowntimeFloor sim.Time
 	// DowntimeCap bounds the modeled downtime; non-convergent
 	// migrations stop-and-copy whatever is left, and the cap keeps the
 	// blackout within one scheduling epoch. Zero means uncapped.
 	DowntimeCap sim.Time
 }
 
-// DefaultConfig returns a 10 Gbps migration link, 64 MiB of memory per
-// vCPU, and an 8 MiB stop-and-copy threshold — small enough that a
-// mostly idle VM converges in one round, large enough that a hot VM
-// takes several.
+// DefaultConfig returns a 10 Gbps migration link, at most 8 copy
+// rounds and a 100 ms downtime cap.
 func DefaultConfig() Config {
 	return Config{
-		LinkBps:         10e9,
-		MemBytesPerVCPU: 64 << 20,
-		MaxRounds:       8,
-		StopCopyBytes:   8 << 20,
-		DowntimeFloor:   3 * sim.Millisecond,
-		DowntimeCap:     100 * sim.Millisecond,
+		LinkBps:     10e9,
+		MaxRounds:   8,
+		DowntimeCap: 100 * sim.Millisecond,
 	}
 }
 
@@ -59,17 +58,11 @@ func (c Config) Validate() error {
 	if c.LinkBps <= 0 {
 		return fmt.Errorf("migration: LinkBps must be positive, got %g", c.LinkBps)
 	}
-	if c.MemBytesPerVCPU <= 0 {
-		return fmt.Errorf("migration: MemBytesPerVCPU must be positive, got %d", c.MemBytesPerVCPU)
-	}
 	if c.MaxRounds < 1 {
 		return fmt.Errorf("migration: MaxRounds must be >= 1, got %d", c.MaxRounds)
 	}
-	if c.StopCopyBytes < 0 {
-		return fmt.Errorf("migration: StopCopyBytes must be >= 0, got %d", c.StopCopyBytes)
-	}
-	if c.DowntimeFloor < 0 || c.DowntimeCap < 0 {
-		return fmt.Errorf("migration: downtime floor/cap must be >= 0")
+	if c.DowntimeCap < 0 {
+		return fmt.Errorf("migration: downtime cap must be >= 0")
 	}
 	return nil
 }
@@ -84,11 +77,11 @@ type Plan struct {
 	// Duration is the live pre-copy phase: the VM keeps running on the
 	// source for this long before cutover.
 	Duration sim.Time
-	// Downtime is the stop-and-copy blackout: DowntimeFloor plus the
+	// Downtime is the stop-and-copy blackout: downtimeFloor plus the
 	// residual dirty transfer, bounded by DowntimeCap.
 	Downtime sim.Time
 	// Converged reports whether the dirty set shrank below
-	// StopCopyBytes (false means the round cap forced the cutover).
+	// stopCopyBytes (false means the round cap forced the cutover).
 	Converged bool
 }
 
@@ -96,13 +89,13 @@ type Plan struct {
 // at dirtyBps bytes per second. Round i copies the bytes left dirty by
 // round i-1 (round 1 copies everything); the copy takes bytes/byteRate
 // seconds, during which the guest dirties dirtyBps * t fresh bytes.
-// The iteration stops when the residue fits StopCopyBytes or MaxRounds
+// The iteration stops when the residue fits stopCopyBytes or MaxRounds
 // is hit, and the residue moves during the stop-and-copy blackout.
 func PreCopy(cfg Config, memBytes int64, dirtyBps float64) Plan {
 	byteRate := cfg.LinkBps / 8
 	p := Plan{Converged: true}
 	if memBytes <= 0 {
-		p.Downtime = cfg.DowntimeFloor
+		p.Downtime = downtimeFloor
 		return p
 	}
 	toCopy := float64(memBytes)
@@ -113,15 +106,15 @@ func PreCopy(cfg Config, memBytes int64, dirtyBps float64) Plan {
 		p.Bytes += int64(toCopy)
 		p.Duration += sim.Time(t * float64(sim.Second))
 		dirtied := dirtyBps * t
-		if dirtied <= float64(cfg.StopCopyBytes) || r == cfg.MaxRounds {
+		if dirtied <= float64(stopCopyBytes) || r == cfg.MaxRounds {
 			residue = dirtied
-			p.Converged = dirtied <= float64(cfg.StopCopyBytes)
+			p.Converged = dirtied <= float64(stopCopyBytes)
 			break
 		}
 		toCopy = dirtied
 	}
 	p.Bytes += int64(residue)
-	dt := cfg.DowntimeFloor + sim.Time(residue/byteRate*float64(sim.Second))
+	dt := downtimeFloor + sim.Time(residue/byteRate*float64(sim.Second))
 	if cfg.DowntimeCap > 0 && dt > cfg.DowntimeCap {
 		dt = cfg.DowntimeCap
 	}

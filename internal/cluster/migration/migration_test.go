@@ -15,8 +15,8 @@ func TestPreCopyIdleVMConvergesInOneRound(t *testing.T) {
 	if !p.Converged {
 		t.Fatalf("idle VM: want convergence")
 	}
-	if p.Downtime != cfg.DowntimeFloor {
-		t.Fatalf("idle VM: downtime %v, want the floor %v", p.Downtime, cfg.DowntimeFloor)
+	if p.Downtime != downtimeFloor {
+		t.Fatalf("idle VM: downtime %v, want the floor %v", p.Downtime, downtimeFloor)
 	}
 	if p.Bytes != 128<<20 {
 		t.Fatalf("idle VM: want one full image copy, got %d bytes", p.Bytes)
@@ -35,8 +35,8 @@ func TestPreCopyHotVMHitsRoundCap(t *testing.T) {
 	if p.Converged {
 		t.Fatalf("hot VM: must not report convergence at the round cap")
 	}
-	if p.Downtime <= cfg.DowntimeFloor {
-		t.Fatalf("hot VM: downtime %v should exceed the floor %v", p.Downtime, cfg.DowntimeFloor)
+	if p.Downtime <= downtimeFloor {
+		t.Fatalf("hot VM: downtime %v should exceed the floor %v", p.Downtime, downtimeFloor)
 	}
 }
 
@@ -71,7 +71,7 @@ func TestPreCopyZeroMemory(t *testing.T) {
 	if p.Rounds != 0 || p.Bytes != 0 || p.Duration != 0 {
 		t.Fatalf("zero-memory VM: want an empty plan, got %+v", p)
 	}
-	if p.Downtime != cfg.DowntimeFloor {
+	if p.Downtime != downtimeFloor {
 		t.Fatalf("zero-memory VM: downtime %v, want the floor", p.Downtime)
 	}
 }

@@ -3,7 +3,6 @@ package cluster
 import (
 	"fmt"
 	"strings"
-	"sync"
 
 	"vscale/internal/sim"
 )
@@ -70,8 +69,8 @@ type Mechanism struct {
 }
 
 // ScalingPolicy decides how each VM of a fleet resizes. One instance
-// is created per fleet run (RunFleet instantiates it from the registry
-// by name), so a policy may keep per-VM controller state across
+// is created per fleet run (RunFleet instantiates it from the policies
+// table by name), so a policy may keep per-VM controller state across
 // epochs.
 //
 // Every method is called from the single-threaded control plane, never
@@ -81,8 +80,6 @@ type Mechanism struct {
 // handed (no clocks, no global RNG) to preserve the fleet's
 // byte-identical determinism across worker counts.
 type ScalingPolicy interface {
-	// Name returns the registry key (also the report label).
-	Name() string
 	// Mechanism reports the guest-side plumbing the policy needs.
 	Mechanism() Mechanism
 	// Decide returns the VM's target active-vCPU count for the next
@@ -92,83 +89,45 @@ type ScalingPolicy interface {
 	Decide(obs VMObservation) int
 }
 
-// policyName implements the Name/String half of ScalingPolicy so the
-// built-ins stay one-liner structs; String makes every policy print as
-// its registry key (the enum the registry replaced printed the same).
-type policyName string
-
-func (n policyName) Name() string   { return string(n) }
-func (n policyName) String() string { return string(n) }
-
-// ---------------------------------------------------------------------
-// Registry
-// ---------------------------------------------------------------------
-
-// PolicyFactory builds a fresh policy instance for one fleet run.
-type PolicyFactory func() ScalingPolicy
-
-var policyRegistry = struct {
-	sync.Mutex
-	names     []string // registration order (the report order)
-	factories map[string]PolicyFactory
-}{factories: map[string]PolicyFactory{}}
-
-// RegisterPolicy adds a policy under name. Registering an empty or
-// duplicate name is an error: a duplicate would silently shadow an
-// existing contender in every experiment keyed by name.
-func RegisterPolicy(name string, f PolicyFactory) error {
-	if name == "" {
-		return fmt.Errorf("cluster: policy name must be non-empty")
-	}
-	if strings.ContainsAny(name, ", \t\n") {
-		return fmt.Errorf("cluster: policy name %q must not contain commas or spaces", name)
-	}
-	if f == nil {
-		return fmt.Errorf("cluster: policy %q needs a factory", name)
-	}
-	policyRegistry.Lock()
-	defer policyRegistry.Unlock()
-	if _, dup := policyRegistry.factories[name]; dup {
-		return fmt.Errorf("cluster: policy %q already registered", name)
-	}
-	policyRegistry.factories[name] = f
-	policyRegistry.names = append(policyRegistry.names, name)
-	return nil
+// policies lists every scaling policy by name, in the canonical report
+// order. Adding a policy is adding a row.
+var policies = []struct {
+	name string
+	new  func() ScalingPolicy
+}{
+	{"static", func() ScalingPolicy { return staticPolicy{} }},
+	{"hotplug", func() ScalingPolicy { return hotplugPolicy{} }},
+	{"vscale", func() ScalingPolicy { return vscalePolicy{} }},
+	{"pid", newPIDPolicy},
+	{"predictive", newPredictivePolicy},
 }
 
-// mustRegisterPolicy registers the built-ins at init.
-func mustRegisterPolicy(name string, f PolicyFactory) {
-	if err := RegisterPolicy(name, f); err != nil {
-		panic(err)
-	}
-}
-
-// PolicyNames lists the registered policy names in registration order:
-// the built-ins first (static, hotplug, vscale, pid, predictive), then
-// external registrations.
+// PolicyNames lists the policy names in report order: static, hotplug,
+// vscale, pid, predictive.
 func PolicyNames() []string {
-	policyRegistry.Lock()
-	defer policyRegistry.Unlock()
-	return append([]string(nil), policyRegistry.names...)
+	names := make([]string, len(policies))
+	for i, p := range policies {
+		names[i] = p.name
+	}
+	return names
 }
 
-// NewPolicy instantiates a fresh policy by registry name. An unknown
-// name yields an error listing every registered name.
+// NewPolicy instantiates a fresh policy by name. An unknown name yields
+// an error listing every known name.
 func NewPolicy(name string) (ScalingPolicy, error) {
-	policyRegistry.Lock()
-	f, ok := policyRegistry.factories[name]
-	policyRegistry.Unlock()
-	if !ok {
-		return nil, fmt.Errorf("cluster: unknown policy %q (known: %s)",
-			name, strings.Join(PolicyNames(), ", "))
+	for _, p := range policies {
+		if p.name == name {
+			return p.new(), nil
+		}
 	}
-	return f(), nil
+	return nil, fmt.Errorf("cluster: unknown policy %q (known: %s)",
+		name, strings.Join(PolicyNames(), ", "))
 }
 
 // ParsePolicies parses a comma-separated policy selection as the CLIs'
 // -policies flag accepts it: "all" (or the empty string) selects every
-// registered policy in registration order; otherwise each name must be
-// registered, and duplicates are rejected.
+// policy in report order; otherwise each name must be known, and
+// duplicates are rejected.
 func ParsePolicies(s string) ([]string, error) {
 	s = strings.TrimSpace(s)
 	if s == "" || s == "all" {
@@ -196,25 +155,14 @@ func ParsePolicies(s string) ([]string, error) {
 	return out, nil
 }
 
-func init() {
-	// Registration order is the canonical report order.
-	mustRegisterPolicy("static", func() ScalingPolicy { return staticPolicy{} })
-	mustRegisterPolicy("hotplug", func() ScalingPolicy { return hotplugPolicy{} })
-	mustRegisterPolicy("vscale", func() ScalingPolicy { return vscalePolicy{} })
-	mustRegisterPolicy("pid", func() ScalingPolicy { return NewPIDPolicy(DefaultPIDConfig()) })
-	mustRegisterPolicy("predictive", func() ScalingPolicy { return NewPredictivePolicy(DefaultPredictiveConfig()) })
-}
-
 // ---------------------------------------------------------------------
-// The paper's three policies as registry entries
+// The paper's three policies
 // ---------------------------------------------------------------------
 
 // staticPolicy never resizes: every VM keeps all its vCPUs online
 // (unmodified Xen/Linux).
 type staticPolicy struct{}
 
-func (staticPolicy) Name() string             { return "static" }
-func (staticPolicy) String() string           { return "static" }
 func (staticPolicy) Mechanism() Mechanism     { return Mechanism{} }
 func (staticPolicy) Decide(VMObservation) int { return 0 }
 
@@ -224,8 +172,6 @@ func (staticPolicy) Decide(VMObservation) int { return 0 }
 // XenStore write and the guest CPU-hotplug latency (VCPU-Bal).
 type hotplugPolicy struct{}
 
-func (hotplugPolicy) Name() string   { return "hotplug" }
-func (hotplugPolicy) String() string { return "hotplug" }
 func (hotplugPolicy) Mechanism() Mechanism {
 	return Mechanism{Channel: true, Daemon: true, Hotplug: true}
 }
@@ -236,7 +182,5 @@ func (hotplugPolicy) Decide(VMObservation) int { return 0 }
 // 10 ms and freezes/unfreezes vCPUs at µs cost.
 type vscalePolicy struct{}
 
-func (vscalePolicy) Name() string             { return "vscale" }
-func (vscalePolicy) String() string           { return "vscale" }
 func (vscalePolicy) Mechanism() Mechanism     { return Mechanism{Channel: true, Daemon: true} }
 func (vscalePolicy) Decide(VMObservation) int { return 0 }

@@ -2,43 +2,34 @@ package cluster
 
 import "math"
 
-// PIDConfig parameterises the pid policy.
-type PIDConfig struct {
-	// TargetRatio places the p95-latency setpoint as a fraction of the
-	// SLO: the controller sizes each VM so its epoch p95 settles at
-	// TargetRatio*SLO, leaving headroom before requests start missing.
-	TargetRatio float64
-	// Kp, Ki, Kd are the gains on the normalized latency error
-	// e = (p95 - setpoint)/setpoint. The controller is velocity-form:
-	// the correction is applied relative to the current active count.
-	Kp, Ki, Kd float64
-	// AddStep caps the additive increase per epoch (AIMD's AI term): a
-	// latency spike grows the VM by at most AddStep vCPUs per epoch.
-	AddStep int
-	// DecreaseFactor bounds the multiplicative decrease per epoch
-	// (AIMD's MD term): a shrink keeps at least DecreaseFactor of the
+// Gains of the pid policy: a proportional-dominant controller with a
+// conservative integral, tuned so a demand step settles within two or
+// three epochs with at most one epoch of overshoot.
+const (
+	// pidTargetRatio places the p95-latency setpoint as a fraction of
+	// the SLO: the controller sizes each VM so its epoch p95 settles at
+	// pidTargetRatio*SLO, leaving headroom before requests start
+	// missing.
+	pidTargetRatio float64 = 0.8
+	// pidKp, pidKi and pidKd are the gains on the normalized latency
+	// error e = (p95 - setpoint)/setpoint. The controller is
+	// velocity-form: the correction is applied relative to the current
+	// active count.
+	pidKp float64 = 2.0
+	pidKi float64 = 0.4
+	pidKd float64 = 0.3
+	// pidAddStep caps the additive increase per epoch (AIMD's AI term):
+	// a latency spike grows the VM by at most pidAddStep vCPUs per
+	// epoch.
+	pidAddStep = 2
+	// pidDecreaseFactor bounds the multiplicative decrease per epoch
+	// (AIMD's MD term): a shrink keeps at least pidDecreaseFactor of the
 	// current active count, so one quiet epoch cannot collapse the VM.
-	DecreaseFactor float64
-	// IntegralClamp bounds |integral| as a backstop against windup
+	pidDecreaseFactor float64 = 0.5
+	// pidIntegralClamp bounds |integral| as a backstop against windup
 	// beyond what conditional integration already prevents.
-	IntegralClamp float64
-}
-
-// DefaultPIDConfig returns the gains used by the registered "pid"
-// policy: a proportional-dominant controller with a conservative
-// integral, tuned so a demand step settles within two or three epochs
-// with at most one epoch of overshoot.
-func DefaultPIDConfig() PIDConfig {
-	return PIDConfig{
-		TargetRatio:    0.8,
-		Kp:             2.0,
-		Ki:             0.4,
-		Kd:             0.3,
-		AddStep:        2,
-		DecreaseFactor: 0.5,
-		IntegralClamp:  3,
-	}
-}
+	pidIntegralClamp float64 = 3
+)
 
 // pidState is one VM's controller memory.
 type pidState struct {
@@ -49,36 +40,17 @@ type pidState struct {
 
 // pidPolicy is a per-VM PID/AIMD feedback controller closing the loop
 // on application latency rather than CPU demand: it targets an epoch
-// p95 of TargetRatio*SLO using the load generator's windowed
+// p95 of pidTargetRatio*SLO using the load generator's windowed
 // histogram, grows additively under latency pressure and shrinks
 // multiplicatively when the VM runs cold, with conditional-integration
 // anti-windup for targets unreachable at the VM's vCPU ceiling.
 type pidPolicy struct {
-	policyName
-	cfg PIDConfig
 	vms map[string]*pidState
 }
 
-// NewPIDPolicy builds a pid controller with the given gains (zero
-// fields fall back to DefaultPIDConfig values).
-func NewPIDPolicy(cfg PIDConfig) ScalingPolicy {
-	def := DefaultPIDConfig()
-	if cfg.TargetRatio <= 0 {
-		cfg.TargetRatio = def.TargetRatio
-	}
-	if cfg.Kp == 0 {
-		cfg.Kp = def.Kp
-	}
-	if cfg.AddStep <= 0 {
-		cfg.AddStep = def.AddStep
-	}
-	if cfg.DecreaseFactor <= 0 || cfg.DecreaseFactor >= 1 {
-		cfg.DecreaseFactor = def.DecreaseFactor
-	}
-	if cfg.IntegralClamp <= 0 {
-		cfg.IntegralClamp = def.IntegralClamp
-	}
-	return &pidPolicy{policyName: "pid", cfg: cfg, vms: map[string]*pidState{}}
+// newPIDPolicy builds the pid controller.
+func newPIDPolicy() ScalingPolicy {
+	return &pidPolicy{vms: map[string]*pidState{}}
 }
 
 func (p *pidPolicy) Mechanism() Mechanism { return Mechanism{} }
@@ -111,7 +83,7 @@ func demandFloor(o VMObservation) int {
 
 func (p *pidPolicy) Decide(o VMObservation) int {
 	st := p.state(o.VM)
-	setpoint := p.cfg.TargetRatio * o.SLO.Milliseconds()
+	setpoint := pidTargetRatio * o.SLO.Milliseconds()
 	if setpoint <= 0 {
 		return 0 // no objective to control against
 	}
@@ -150,17 +122,17 @@ func (p *pidPolicy) Decide(o VMObservation) int {
 	}
 	st.prevErr, st.hasPrev = e, true
 
-	raw := float64(o.ActiveVCPUs) + p.cfg.Kp*e + p.cfg.Ki*st.integral + p.cfg.Kd*deriv
+	raw := float64(o.ActiveVCPUs) + pidKp*e + pidKi*st.integral + pidKd*deriv
 	target := int(math.Round(raw))
 
 	// AIMD asymmetry: bound growth additively and shrink
 	// multiplicatively, and never shrink below what the VM consumed.
 	if target > o.ActiveVCPUs {
-		if max := o.ActiveVCPUs + p.cfg.AddStep; target > max {
+		if max := o.ActiveVCPUs + pidAddStep; target > max {
 			target = max
 		}
 	} else if target < o.ActiveVCPUs {
-		if floor := int(math.Ceil(float64(o.ActiveVCPUs) * p.cfg.DecreaseFactor)); target < floor {
+		if floor := int(math.Ceil(float64(o.ActiveVCPUs) * pidDecreaseFactor)); target < floor {
 			target = floor
 		}
 		if floor := demandFloor(o); target < floor {
@@ -177,11 +149,11 @@ func (p *pidPolicy) Decide(o VMObservation) int {
 	saturatedLow := clamped == 1 && e < 0
 	if !saturatedHigh && !saturatedLow {
 		st.integral += e
-		if st.integral > p.cfg.IntegralClamp {
-			st.integral = p.cfg.IntegralClamp
+		if st.integral > pidIntegralClamp {
+			st.integral = pidIntegralClamp
 		}
-		if st.integral < -p.cfg.IntegralClamp {
-			st.integral = -p.cfg.IntegralClamp
+		if st.integral < -pidIntegralClamp {
+			st.integral = -pidIntegralClamp
 		}
 	}
 	return clamped

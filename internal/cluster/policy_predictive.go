@@ -2,32 +2,22 @@ package cluster
 
 import "math"
 
-// PredictiveConfig parameterises the predictive policy.
-type PredictiveConfig struct {
-	// Alpha and Beta are Holt's double-exponential smoothing factors
-	// for the demand level and its linear trend.
-	Alpha, Beta float64
-	// Headroom multiplies the one-epoch-ahead demand forecast before
+// Smoothing of the predictive policy.
+const (
+	// predAlpha and predBeta are Holt's double-exponential smoothing
+	// factors for the demand level and its linear trend.
+	predAlpha float64 = 0.5
+	predBeta  float64 = 0.3
+	// predHeadroom multiplies the one-epoch-ahead demand forecast before
 	// the ceiling, so the provisioned count leads demand instead of
 	// chasing it.
-	Headroom float64
-	// PressureAttainment is the windowed-attainment threshold below
+	predHeadroom float64 = 1.25
+	// predPressureAttainment is the windowed-attainment threshold below
 	// which one extra vCPU is added on top of the forecast: consumption
 	// under-reports demand exactly when the VM is being throttled, and
 	// the attainment slip is the tell.
-	PressureAttainment float64
-}
-
-// DefaultPredictiveConfig returns the smoothing used by the registered
-// "predictive" policy.
-func DefaultPredictiveConfig() PredictiveConfig {
-	return PredictiveConfig{
-		Alpha:              0.5,
-		Beta:               0.3,
-		Headroom:           1.25,
-		PressureAttainment: 0.9,
-	}
-}
+	predPressureAttainment float64 = 0.9
+)
 
 // holtState is one VM's demand-forecast memory (Holt's linear
 // exponential smoothing: a level plus a trend).
@@ -43,28 +33,12 @@ type holtState struct {
 // the predictive policy moves before it does: a VM ramping across
 // epochs gets its next vCPU while the trend is still climbing.
 type predictivePolicy struct {
-	policyName
-	cfg PredictiveConfig
 	vms map[string]*holtState
 }
 
-// NewPredictivePolicy builds a predictive policy (zero fields fall
-// back to DefaultPredictiveConfig values).
-func NewPredictivePolicy(cfg PredictiveConfig) ScalingPolicy {
-	def := DefaultPredictiveConfig()
-	if cfg.Alpha <= 0 || cfg.Alpha > 1 {
-		cfg.Alpha = def.Alpha
-	}
-	if cfg.Beta <= 0 || cfg.Beta > 1 {
-		cfg.Beta = def.Beta
-	}
-	if cfg.Headroom <= 0 {
-		cfg.Headroom = def.Headroom
-	}
-	if cfg.PressureAttainment <= 0 || cfg.PressureAttainment > 1 {
-		cfg.PressureAttainment = def.PressureAttainment
-	}
-	return &predictivePolicy{policyName: "predictive", cfg: cfg, vms: map[string]*holtState{}}
+// newPredictivePolicy builds the predictive policy.
+func newPredictivePolicy() ScalingPolicy {
+	return &predictivePolicy{vms: map[string]*holtState{}}
 }
 
 func (p *predictivePolicy) Mechanism() Mechanism { return Mechanism{} }
@@ -90,21 +64,21 @@ func (p *predictivePolicy) Decide(o VMObservation) int {
 		st.level, st.trend, st.init = demand, 0, true
 	} else {
 		prev := st.level
-		st.level = p.cfg.Alpha*demand + (1-p.cfg.Alpha)*(st.level+st.trend)
-		st.trend = p.cfg.Beta*(st.level-prev) + (1-p.cfg.Beta)*st.trend
+		st.level = predAlpha*demand + (1-predAlpha)*(st.level+st.trend)
+		st.trend = predBeta*(st.level-prev) + (1-predBeta)*st.trend
 	}
 
 	forecast := st.level + st.trend
 	if forecast < 0 {
 		forecast = 0
 	}
-	target := int(math.Ceil(forecast*p.cfg.Headroom - 1e-9))
+	target := int(math.Ceil(forecast*predHeadroom - 1e-9))
 
 	// Consumption is a throughput signal, not an intent signal: when
 	// the VM is squeezed it consumes less while wanting more. A slipped
 	// epoch attainment (or a growing backlog with nothing delivered)
 	// overrides the forecast with one step up.
-	if o.Offered > 0 && (o.Attainment < p.cfg.PressureAttainment || (o.Replies == 0 && o.InFlight > 0)) {
+	if o.Offered > 0 && (o.Attainment < predPressureAttainment || (o.Replies == 0 && o.InFlight > 0)) {
 		if t := o.ActiveVCPUs + 1; t > target {
 			target = t
 		}

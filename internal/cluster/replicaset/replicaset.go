@@ -29,6 +29,11 @@ const (
 	ReasonFailureCreate = "FailureCreate"
 )
 
+// readyAfter is the readiness gate: a replica born at boundary b counts
+// (receives load, votes in the windowed attainment) only from boundary
+// b+readyAfter on. Anchors are ready immediately.
+const readyAfter = 1
+
 // Config parameterises the controller.
 type Config struct {
 	// MaxReplicas caps a service's live member count, anchors included.
@@ -38,10 +43,6 @@ type Config struct {
 	// ScaleDownAbove: scale in when windowed attainment exceeds this
 	// (and a removable replica exists).
 	ScaleDownAbove float64
-	// ReadyAfter is the readiness gate: a replica born at boundary b
-	// counts (receives load, votes in the windowed attainment) only
-	// from boundary b+ReadyAfter on. Anchors are ready immediately.
-	ReadyAfter int
 	// Cooldown is the minimum number of boundaries between scaling
 	// actions (or placement failures) of one service.
 	Cooldown int
@@ -55,7 +56,6 @@ func DefaultConfig() Config {
 		MaxReplicas:    3,
 		ScaleUpBelow:   0.90,
 		ScaleDownAbove: 0.995,
-		ReadyAfter:     1,
 		Cooldown:       2,
 	}
 }
@@ -72,8 +72,8 @@ func (c Config) Validate() error {
 		return fmt.Errorf("replicaset: ScaleUpBelow %g > ScaleDownAbove %g would oscillate",
 			c.ScaleUpBelow, c.ScaleDownAbove)
 	}
-	if c.ReadyAfter < 0 || c.Cooldown < 0 {
-		return fmt.Errorf("replicaset: ReadyAfter/Cooldown must be >= 0")
+	if c.Cooldown < 0 {
+		return fmt.Errorf("replicaset: Cooldown must be >= 0")
 	}
 	return nil
 }
@@ -84,7 +84,7 @@ type Member struct {
 	VM   string `json:"vm"`
 	Host int    `json:"host"`
 	// Born is the boundary the member was admitted at; readiness counts
-	// from Born + ReadyAfter for replicas.
+	// from Born + readyAfter for replicas.
 	Born int `json:"born"`
 	// Anchor marks trace-owned members: the controller never retires
 	// them, and a service whose anchors are all gone is wound down.
@@ -196,7 +196,7 @@ func (c *Controller) Tick(b int) {
 	for _, s := range c.services {
 		for i := range s.Members {
 			m := &s.Members[i]
-			if !m.Ready && !m.Retired && b >= m.Born+c.cfg.ReadyAfter {
+			if !m.Ready && !m.Retired && b >= m.Born+readyAfter {
 				m.Ready = true
 			}
 		}

@@ -18,7 +18,7 @@ func TestScaleUpGatedOnReadiness(t *testing.T) {
 	if d := c.Decide("web", 4, 0.5, 1000); d != 0 {
 		t.Fatalf("cooldown must hold, got %d", d)
 	}
-	// Cooldown over but the replica is not ready yet at b=5? ReadyAfter=1
+	// Cooldown over but the replica is not ready yet at b=5? readyAfter=1
 	// means ready from b=4; Tick promotes it.
 	c.Tick(5)
 	if m := c.Member("web/r0"); m == nil || !m.Ready {

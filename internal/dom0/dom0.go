@@ -42,38 +42,22 @@ func (w Workload) String() string {
 	}
 }
 
-// Config parameterises the dom0 model.
-type Config struct {
-	// PerVMReadCost is the base libxl cost of reading one VM's CPU
-	// consumption when dom0 is idle (paper: ~480 µs).
-	PerVMReadCost sim.Time
-
-	// Busy fractions: the probability that a toolstack operation finds
-	// dom0's event loop busy forwarding I/O, and the distribution of the
-	// resulting queueing delay per VM read. Fitted to Figure 4: network
-	// I/O inflates a 50-VM sweep from ~24 ms to >6 ms average with ~30 ms
-	// maxima.
-	DiskBusyProb, NetBusyProb     float64
-	DiskDelayMean, DiskDelaySigma float64 // log-normal, microseconds
-	NetDelayMean, NetDelaySigma   float64
-}
-
-// DefaultConfig returns parameters fitted to the paper's measurements.
-func DefaultConfig() Config {
-	return Config{
-		PerVMReadCost:  costmodel.LibxlPerVMRead,
-		DiskBusyProb:   0.35,
-		NetBusyProb:    0.55,
-		DiskDelayMean:  160, // µs median extra per read under disk I/O
-		DiskDelaySigma: 0.9,
-		NetDelayMean:   320, // µs median extra per read under network I/O
-		NetDelaySigma:  1.1,
-	}
-}
+// Toolstack queueing parameters fitted to Figure 4: the probability
+// that a toolstack operation finds dom0's event loop busy forwarding
+// I/O, and the log-normal queueing delay per VM read (median in
+// microseconds, σ). Network I/O inflates a 50-VM sweep from ~24 ms to
+// >6 ms average with ~30 ms maxima.
+const (
+	diskBusyProb   float64 = 0.35
+	netBusyProb    float64 = 0.55
+	diskDelayMean  float64 = 160 // µs median extra per read under disk I/O
+	diskDelaySigma float64 = 0.9
+	netDelayMean   float64 = 320 // µs median extra per read under network I/O
+	netDelaySigma  float64 = 1.1
+)
 
 // Dom0 models the control domain's toolstack.
 type Dom0 struct {
-	cfg  Config
 	rand *sim.Rand
 
 	// Reads counts completed monitoring sweeps.
@@ -81,8 +65,8 @@ type Dom0 struct {
 }
 
 // New creates a dom0 model.
-func New(cfg Config, rand *sim.Rand) *Dom0 {
-	return &Dom0{cfg: cfg, rand: rand}
+func New(rand *sim.Rand) *Dom0 {
+	return &Dom0{rand: rand}
 }
 
 // ReadVMStats returns the latency of one monitoring sweep over nVMs
@@ -108,7 +92,7 @@ func (d *Dom0) ReadVMStats(nVMs int, w Workload) sim.Time {
 	var total sim.Time
 	for i := 0; i < nVMs; i++ {
 		// Base cost with mild per-read jitter (±10%).
-		base := d.cfg.PerVMReadCost
+		base := costmodel.LibxlPerVMRead
 		jitter := sim.Time(float64(base) * 0.1 * (2*d.rand.Float64() - 1))
 		total += base + jitter
 		total += d.queueDelay(w)
@@ -123,9 +107,9 @@ func (d *Dom0) queueDelay(w Workload) sim.Time {
 	case Idle:
 		return 0
 	case DiskIO:
-		prob, mean, sigma = d.cfg.DiskBusyProb, d.cfg.DiskDelayMean, d.cfg.DiskDelaySigma
+		prob, mean, sigma = diskBusyProb, diskDelayMean, diskDelaySigma
 	case NetworkIO:
-		prob, mean, sigma = d.cfg.NetBusyProb, d.cfg.NetDelayMean, d.cfg.NetDelaySigma
+		prob, mean, sigma = netBusyProb, netDelayMean, netDelaySigma
 	default:
 		return 0
 	}
@@ -150,20 +134,6 @@ func (d *Dom0) FleetSweep(vmsPerHost []int, w Workload) []sim.Time {
 		out[h] = d.ReadVMStats(n, w)
 	}
 	return out
-}
-
-// HotplugVCPU returns the latency of the dom0-driven vCPU reconfiguration
-// path used by VCPU-Bal: a XenStore write (dom0→domU via XenBus) plus the
-// guest's CPU hotplug operation, sampled from the given kernel model.
-// Compare with the vScale balancer's 2.1 µs master cost.
-func (d *Dom0) HotplugVCPU(kernel costmodel.HotplugModel, online bool) sim.Time {
-	lat := costmodel.XenStoreWrite
-	if online {
-		lat += kernel.DrawUp(d.rand)
-	} else {
-		lat += kernel.DrawDown(d.rand)
-	}
-	return lat
 }
 
 // RandState exports the sampler's PRNG state for a checkpoint

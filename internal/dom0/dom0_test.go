@@ -8,7 +8,7 @@ import (
 )
 
 func TestReadScalesLinearlyWithVMs(t *testing.T) {
-	d := New(DefaultConfig(), sim.NewRand(1))
+	d := New(sim.NewRand(1))
 	avg := func(n int) sim.Time {
 		var sum sim.Time
 		const reps = 200
@@ -30,7 +30,7 @@ func TestReadScalesLinearlyWithVMs(t *testing.T) {
 }
 
 func TestIOLoadInflatesMonitoring(t *testing.T) {
-	d := New(DefaultConfig(), sim.NewRand(2))
+	d := New(sim.NewRand(2))
 	avg := func(w Workload) (sim.Time, sim.Time) {
 		var sum, max sim.Time
 		const reps = 500
@@ -62,36 +62,15 @@ func TestIOLoadInflatesMonitoring(t *testing.T) {
 func TestChannelBeatsDom0ByOrdersOfMagnitude(t *testing.T) {
 	// The decentralised vScale channel (0.91µs) vs the cheapest possible
 	// dom0 sweep (1 VM, idle): >400x.
-	d := New(DefaultConfig(), sim.NewRand(3))
+	d := New(sim.NewRand(3))
 	cheapest := d.ReadVMStats(1, Idle)
 	if cheapest < 400*costmodel.ChannelRead {
 		t.Fatalf("dom0 %v vs channel %v: expected >400x gap", cheapest, costmodel.ChannelRead)
 	}
 }
 
-func TestHotplugPathLatency(t *testing.T) {
-	d := New(DefaultConfig(), sim.NewRand(4))
-	m, _ := costmodel.HotplugModelFor("v-3.14.15")
-	var on, off sim.Time
-	const n = 200
-	for i := 0; i < n; i++ {
-		on += d.HotplugVCPU(m, true)
-		off += d.HotplugVCPU(m, false)
-	}
-	on /= n
-	off /= n
-	if on < costmodel.XenStoreWrite {
-		t.Fatal("online path must include the XenStore write")
-	}
-	// Removing a vCPU through dom0 is milliseconds; the vScale balancer
-	// is 2.1µs on the master — the paper's 100x-100,000x headline.
-	if off < 2*sim.Millisecond {
-		t.Fatalf("offline path = %v, want ms-scale", off)
-	}
-}
-
 func TestFleetSweepPerHostCosts(t *testing.T) {
-	d := New(DefaultConfig(), sim.NewRand(6))
+	d := New(sim.NewRand(6))
 	const reps = 200
 	hosts := []int{0, 1, 10, 50}
 	sums := make([]sim.Time, len(hosts))
@@ -119,7 +98,7 @@ func TestFleetSweepPerHostCosts(t *testing.T) {
 }
 
 func TestDegenerateInputs(t *testing.T) {
-	d := New(DefaultConfig(), sim.NewRand(5))
+	d := New(sim.NewRand(5))
 	if d.ReadVMStats(0, NetworkIO) != 0 {
 		t.Fatal("0 VMs should cost nothing")
 	}

@@ -107,7 +107,6 @@ func AblationHotplugPath(opts runner.Options, app string) (AblationResult, error
 	flicker := &workload.Slideshow{
 		BurstMin: 100 * sim.Millisecond, BurstMax: 250 * sim.Millisecond,
 		IdleMin: 80 * sim.Millisecond, IdleMax: 200 * sim.Millisecond,
-		Threads: 2,
 	}
 	fast := func(s *scenario.Setup) { s.Background = flicker }
 	model, ok := costmodel.HotplugModelFor("v-2.6.32")

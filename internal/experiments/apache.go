@@ -3,7 +3,6 @@ package experiments
 import (
 	"fmt"
 
-	"vscale/internal/guest"
 	"vscale/internal/report"
 	"vscale/internal/runner"
 	"vscale/internal/scenario"
@@ -150,5 +149,3 @@ func (r ApacheResult) PeakReply(mode scenario.Mode) float64 {
 	}
 	return peak
 }
-
-var _ = guest.DefaultConfig // sibling-file import symmetry

@@ -21,7 +21,7 @@ type ClusterResult struct {
 	PCPUsPerHost int
 	Horizon      sim.Time
 	SLO          sim.Time
-	// Policies is the reporting order (the registry selection the runs
+	// Policies is the reporting order (the policy selection the runs
 	// were made with).
 	Policies []string
 	// Fleets maps host count → one FleetResult per Policies entry.
@@ -73,7 +73,7 @@ func (w ClusterWarm) validate(hostCounts []int, tracing bool) error {
 // host count) and replayed under every selected scaling policy, so the
 // policies compete on identical VM lifecycles and the tail-latency and
 // cost differences are attributable to scaling alone. policies names
-// registry entries (cluster.PolicyNames order when empty). Fleets run
+// scaling policies (cluster.PolicyNames order when empty). Fleets run
 // one after another; each fleet fans its hosts across opts.Workers.
 //
 // sink (which may be nil) receives live per-epoch telemetry: each

@@ -15,7 +15,6 @@ import (
 	"vscale/internal/guest/hotplug"
 	"vscale/internal/metrics"
 	"vscale/internal/report"
-	"vscale/internal/scenario"
 	"vscale/internal/sim"
 	"vscale/internal/workload"
 	"vscale/internal/xen"
@@ -89,7 +88,7 @@ type Figure4Result struct {
 // Figure4 sweeps the dom0 monitoring cost.
 func Figure4(vmCounts []int, reps int) Figure4Result {
 	r := sim.NewRand(42)
-	d := dom0.New(dom0.DefaultConfig(), r)
+	d := dom0.New(r)
 	out := Figure4Result{VMCounts: vmCounts, Reps: reps,
 		Stats: make(map[dom0.Workload]map[int][3]float64)}
 	for _, w := range []dom0.Workload{dom0.Idle, dom0.DiskIO, dom0.NetworkIO} {
@@ -297,5 +296,3 @@ func (r Figure5Result) Render() string {
 	}
 	return t.String()
 }
-
-var _ = scenario.Baseline // used by sibling files in this package

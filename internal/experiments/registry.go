@@ -39,8 +39,8 @@ type Config struct {
 	// to its stream. Experiment stdout is unaffected.
 	Telemetry *telemetry.Sink
 	// Policies selects the scaling policies the cluster experiment
-	// competes (registry names, see cluster.ParsePolicies); empty means
-	// every registered policy.
+	// competes (policy names, see cluster.ParsePolicies); empty means
+	// every policy.
 	Policies []string
 	// WarmEpochs gives every cluster fleet run a policy-neutral warm
 	// prefix of that many epochs (the warmfork experiment uses it to
@@ -400,11 +400,7 @@ func Registry() []Experiment {
 				if c.Quick {
 					rates = []float64{2, 4, 6, 8, 10}
 				}
-				window := c.Window
-				if window <= 0 {
-					window = 20 * sim.Second
-				}
-				r, err := Apache(c.opts(rep), rates, window, nil)
+				r, err := Apache(c.opts(rep), rates, c.Window, nil)
 				if err != nil {
 					return "", err
 				}

@@ -3,6 +3,7 @@ package guest
 import (
 	"vscale/internal/core"
 	"vscale/internal/costmodel"
+	"vscale/internal/xen"
 )
 
 // daemon is the vScale user-space daemon: a real-time task pinned to
@@ -29,14 +30,9 @@ type daemon struct {
 }
 
 func newDaemon(k *Kernel) *daemon {
-	cfg := k.cfg.VScale
-	min := cfg.MinVCPUs
-	if min < 1 {
-		min = 1
-	}
 	return &daemon{
 		k:   k,
-		gov: core.NewGovernor(min, k.NCPUs(), k.NCPUs(), cfg.DownHysteresis),
+		gov: core.NewGovernor(1, k.NCPUs(), k.NCPUs(), downHysteresis),
 	}
 }
 
@@ -81,7 +77,7 @@ func (d *daemon) poll() {
 		return // extension has not ticked yet
 	}
 	optimal := ext.OptimalVCPUs
-	period := k.dom.Pool().Config().VScalePeriod
+	period := xen.VScalePeriod
 	if !k.cfg.VScale.UsePureCeil {
 		margin := k.cfg.VScale.CeilMargin
 		optimal = core.OptimalWithMargin(ext.Extend, period, margin, k.NCPUs())

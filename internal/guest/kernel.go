@@ -21,18 +21,25 @@ import (
 	"vscale/internal/xen"
 )
 
+// Linux-like scheduler constants used in every experiment.
+const (
+	// timerTick is the timer interrupt period (1000 Hz Linux default:
+	// 1 ms).
+	timerTick = sim.Millisecond
+	// tickCost is the CPU charged per timer interrupt.
+	tickCost = 2 * sim.Microsecond
+	// timeslice is the round-robin slice between runnable threads on one
+	// CPU (stands in for CFS's sched_latency share).
+	timeslice = 6 * sim.Millisecond
+	// balanceTicks is the periodic load-balance cadence, in ticks.
+	balanceTicks = 20
+	// downHysteresis is how many consecutive lower readings the vScale
+	// daemon needs before freezing vCPUs (see core.Governor).
+	downHysteresis = 3
+)
+
 // Config parameterises a guest kernel.
 type Config struct {
-	// Tick is the timer interrupt period (1000 Hz Linux default: 1 ms).
-	Tick sim.Time
-	// TickCost is the CPU charged per timer interrupt.
-	TickCost sim.Time
-	// Timeslice is the round-robin slice between runnable threads on one
-	// CPU (stands in for CFS's sched_latency share).
-	Timeslice sim.Time
-	// BalanceInterval is the periodic load-balance cadence, in ticks.
-	BalanceTicks int
-
 	// PVSpinlock enables paravirtual ticket spinlocks: kernel lock
 	// waiters spin up to PVSpinThreshold of CPU time, then block the
 	// vCPU until kicked by the releasing CPU.
@@ -57,12 +64,6 @@ type VScaleConfig struct {
 	// Period is how often the daemon polls the vScale channel (paper
 	// default: 10 ms, matching the hypervisor recalculation period).
 	Period sim.Time
-	// DownHysteresis is how many consecutive lower readings are needed
-	// before freezing vCPUs (see core.Governor).
-	DownHysteresis int
-	// MinVCPUs bounds scaling down (>= 1).
-	MinVCPUs int
-
 	// CeilMargin is subtracted from the extendability (in pCPUs) before
 	// the ceiling when sizing the VM (see core.OptimalWithMargin). Zero
 	// with UsePureCeil reproduces Algorithm 1's pure ceiling.
@@ -86,17 +87,11 @@ type VScaleConfig struct {
 // DefaultConfig returns the Linux-like defaults used in the experiments.
 func DefaultConfig() Config {
 	return Config{
-		Tick:            sim.Millisecond,
-		TickCost:        2 * sim.Microsecond,
-		Timeslice:       6 * sim.Millisecond,
-		BalanceTicks:    20,
 		PVSpinThreshold: 30 * sim.Microsecond,
 		KernelLockHold:  4 * sim.Microsecond,
 		VScale: VScaleConfig{
-			Period:         10 * sim.Millisecond,
-			DownHysteresis: 3,
-			MinVCPUs:       1,
-			CeilMargin:     0.55,
+			Period:     10 * sim.Millisecond,
+			CeilMargin: 0.55,
 		},
 		Seed: 1,
 	}
@@ -248,9 +243,6 @@ type TracePoint struct {
 // NewKernel builds a guest kernel for dom and attaches it as the
 // domain's guest OS.
 func NewKernel(dom *xen.Domain, cfg Config) *Kernel {
-	if cfg.Tick <= 0 || cfg.Timeslice <= 0 {
-		panic("guest: Tick and Timeslice must be positive")
-	}
 	k := &Kernel{
 		eng:     dom.Pool().Engine(),
 		dom:     dom,
@@ -263,7 +255,7 @@ func NewKernel(dom *xen.Domain, cfg Config) *Kernel {
 		k.buckets = append(k.buckets, NewKernelLock(k, fmt.Sprintf("futex-bucket-%d", i)))
 	}
 	for i := 0; i < dom.VCPUCount(); i++ {
-		c := &cpu{k: k, id: i, vcpu: dom.VCPU(i), timesliceLeft: cfg.Timeslice}
+		c := &cpu{k: k, id: i, vcpu: dom.VCPU(i), timesliceLeft: timeslice}
 		cc := c
 		c.tick = sim.NewTimer(k.eng, fmt.Sprintf("guest/%s/tick%d", dom.Name, i), func() { k.tickFire(cc) })
 		c.seg = sim.NewTimer(k.eng, "guest/seg", func() { k.segmentDone(cc) })
@@ -362,7 +354,7 @@ func (k *Kernel) Dispatched(id int) {
 		c.lhpActive = false
 		k.tracer().LHP(k.eng.Now(), k.dom.ID(), c.id, k.eng.Now()-c.lhpSince)
 	}
-	c.tick.Reset(k.cfg.Tick)
+	c.tick.Reset(timerTick)
 	k.resume(c)
 }
 
@@ -390,7 +382,7 @@ func (k *Kernel) DeliverEvent(id int, port *xen.Port) {
 	c := k.cpus[id]
 	switch port.Kind {
 	case xen.PortVIRQTimer:
-		k.chargeInterrupt(c, k.cfg.TickCost)
+		k.chargeInterrupt(c, tickCost)
 		k.processTimers(c)
 	case xen.PortIPI:
 		c.stats.ReschedIPIs++
@@ -622,9 +614,9 @@ func (k *Kernel) idealSlice(c *cpu) sim.Time {
 	if n < 1 {
 		n = 1
 	}
-	s := k.cfg.Timeslice / sim.Time(n)
-	if s < k.cfg.Tick {
-		s = k.cfg.Tick
+	s := timeslice / sim.Time(n)
+	if s < timerTick {
+		s = timerTick
 	}
 	return s
 }
@@ -664,7 +656,7 @@ func (k *Kernel) preemptNow(c *cpu) {
 		// kernel machinery); leave it alone.
 		return
 	}
-	if k.eng.Now()-c.pickedAt < k.cfg.Tick {
+	if k.eng.Now()-c.pickedAt < timerTick {
 		return // wakeup granularity: don't thrash
 	}
 	// Find the first woken thread wanting to preempt and move it to the
@@ -752,13 +744,13 @@ func (k *Kernel) tickFire(c *cpu) {
 	}
 	c.stats.TimerInterrupts++
 	c.tickCount++
-	k.chargeInterrupt(c, k.cfg.TickCost)
+	k.chargeInterrupt(c, tickCost)
 	k.processTimers(c)
 
 	// Round-robin between runnable threads unless the CPU is inside a
 	// kernel spinlock or critical section (non-preemptible context).
 	if c.kspin == nil && c.current != nil && !c.current.inKernelCritical() {
-		c.timesliceLeft -= k.cfg.Tick
+		c.timesliceLeft -= timerTick
 		if c.timesliceLeft <= 0 && len(c.rq) > 0 {
 			k.rotate(c)
 		}
@@ -770,13 +762,13 @@ func (k *Kernel) tickFire(c *cpu) {
 		k.resume(c)
 	}
 
-	if k.cfg.BalanceTicks > 0 && c.tickCount%k.cfg.BalanceTicks == 0 {
+	if c.tickCount%balanceTicks == 0 {
 		k.periodicBalance(c)
 	}
 	// Dynamic ticks: keep ticking only while there is work; goIdle may
 	// have stopped the timer during this handler.
 	if c.running && (c.current != nil || len(c.rq) > 0) {
-		c.tick.Reset(k.cfg.Tick)
+		c.tick.Reset(timerTick)
 	}
 }
 

@@ -16,7 +16,7 @@ type WaitQueue struct {
 	id uint64
 	// items[head:] are the queued items. Dequeues advance head and shift
 	// the survivors down once the consumed prefix is half the slice, so
-	// a Backlog-sized accept queue keeps its backing array at O(1)
+	// a listen-backlog-sized accept queue keeps its backing array at O(1)
 	// amortised cost per item.
 	items   []any
 	head    int

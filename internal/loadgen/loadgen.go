@@ -27,9 +27,6 @@ type Config struct {
 	// SLO count toward attainment, everything else (slow replies,
 	// timeouts, drops) counts against it.
 	SLO sim.Time
-	// Buckets overrides the latency-histogram bounds (in milliseconds).
-	// Defaults to metrics.DefaultLatencyBuckets.
-	Buckets []float64
 }
 
 // Stats is a point-in-time snapshot of a generator's accounting.
@@ -110,10 +107,7 @@ type Generator struct {
 // (fork it from the VM's stream for per-entity isolation). Call Start
 // to begin injecting.
 func New(eng *sim.Engine, srv *httpd.Server, rand *sim.Rand, cfg Config) *Generator {
-	bounds := cfg.Buckets
-	if bounds == nil {
-		bounds = metrics.DefaultLatencyBuckets()
-	}
+	bounds := metrics.DefaultLatencyBuckets()
 	g := &Generator{
 		eng:     eng,
 		srv:     srv,

@@ -175,44 +175,6 @@ func (h *Histogram) Quantile(q float64) float64 {
 	return h.max
 }
 
-// AttainmentBelow returns the fraction of observations <= slo. The
-// boundary is exact when slo coincides with a bucket bound; otherwise
-// the partial bucket is linearly interpolated. With no observations it
-// returns 1 (an unused service has not violated anything).
-func (h *Histogram) AttainmentBelow(slo float64) float64 {
-	if h.n == 0 {
-		return 1
-	}
-	if slo >= h.max {
-		return 1
-	}
-	if slo < h.min {
-		return 0
-	}
-	var cum float64
-	for i, c := range h.counts {
-		lo := 0.0
-		if i > 0 {
-			lo = h.bounds[i-1]
-		}
-		var hi float64
-		if i < len(h.bounds) {
-			hi = h.bounds[i]
-		} else {
-			hi = h.max
-		}
-		if slo >= hi {
-			cum += float64(c)
-			continue
-		}
-		if slo > lo && hi > lo {
-			cum += float64(c) * (slo - lo) / (hi - lo)
-		}
-		break
-	}
-	return cum / float64(h.n)
-}
-
 // Buckets returns (upper bound, count) pairs including the overflow
 // bucket (bound +Inf), for export and tests.
 func (h *Histogram) Buckets() []BucketCount {

@@ -82,25 +82,6 @@ func TestHistogramOverflowBucket(t *testing.T) {
 	}
 }
 
-func TestHistogramAttainment(t *testing.T) {
-	h := NewHistogram(unitBounds(100))
-	for v := 1; v <= 100; v++ {
-		h.Observe(float64(v))
-	}
-	for _, tc := range []struct{ slo, want float64 }{
-		{100, 1}, {1000, 1}, {50, 0.5}, {95, 0.95}, {0.5, 0},
-	} {
-		got := h.AttainmentBelow(tc.slo)
-		if math.Abs(got-tc.want) > 1e-9 {
-			t.Errorf("AttainmentBelow(%g) = %g, want %g", tc.slo, got, tc.want)
-		}
-	}
-	empty := NewHistogram(unitBounds(4))
-	if got := empty.AttainmentBelow(1); got != 1 {
-		t.Errorf("empty AttainmentBelow = %g, want 1", got)
-	}
-}
-
 func TestHistogramMergeAssociative(t *testing.T) {
 	bounds := ExpBuckets(0.1, 2, 12)
 	fill := func(seed, n int) *Histogram {

@@ -28,22 +28,6 @@ func (t *Table) AddRow(cells ...string) {
 	t.Rows = append(t.Rows, cells)
 }
 
-// AddRowf appends a row built from values via %v (floats get %.2f).
-func (t *Table) AddRowf(cells ...any) {
-	row := make([]string, 0, len(cells))
-	for _, c := range cells {
-		switch v := c.(type) {
-		case float64:
-			row = append(row, fmt.Sprintf("%.2f", v))
-		case float32:
-			row = append(row, fmt.Sprintf("%.2f", v))
-		default:
-			row = append(row, fmt.Sprint(v))
-		}
-	}
-	t.AddRow(row...)
-}
-
 // String renders the table.
 func (t *Table) String() string {
 	widths := make([]int, len(t.Columns))

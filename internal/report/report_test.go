@@ -27,18 +27,6 @@ func TestTableRendering(t *testing.T) {
 	}
 }
 
-func TestAddRowfFormats(t *testing.T) {
-	tb := NewTable("", "a", "b", "c")
-	tb.AddRowf("x", 3.14159, 7)
-	out := tb.String()
-	if !strings.Contains(out, "3.14") || strings.Contains(out, "3.14159") {
-		t.Fatalf("float formatting wrong:\n%s", out)
-	}
-	if !strings.Contains(out, "7") {
-		t.Fatalf("int formatting wrong:\n%s", out)
-	}
-}
-
 func TestBar(t *testing.T) {
 	if Bar(5, 10, 10) != "#####" {
 		t.Fatalf("bar = %q", Bar(5, 10, 10))

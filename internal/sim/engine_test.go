@@ -354,7 +354,6 @@ func TestTickerRestartWithinCallback(t *testing.T) {
 	tk = NewTicker(e, "tick", Millisecond, func() {
 		n++
 		if n == 1 {
-			tk.SetPeriod(2 * Millisecond)
 			tk.Start() // re-phase from inside the callback
 		}
 		if n == 3 {
@@ -365,8 +364,9 @@ func TestTickerRestartWithinCallback(t *testing.T) {
 	if err := e.Run(); err != nil {
 		t.Fatal(err)
 	}
-	// 1ms (n=1), then 3ms (n=2), then 5ms (n=3).
-	if n != 3 || e.Now() != 5*Millisecond {
+	// 1ms (n=1), then 2ms (n=2), then 3ms (n=3): the restart arms the
+	// only pending tick, so none fires twice.
+	if n != 3 || e.Now() != 3*Millisecond {
 		t.Fatalf("n=%d now=%v", n, e.Now())
 	}
 }
@@ -454,18 +454,6 @@ func TestRandExpMean(t *testing.T) {
 	}
 }
 
-func TestRandPerm(t *testing.T) {
-	r := NewRand(17)
-	p := r.Perm(50)
-	seen := make([]bool, 50)
-	for _, v := range p {
-		if v < 0 || v >= 50 || seen[v] {
-			t.Fatalf("invalid permutation %v", p)
-		}
-		seen[v] = true
-	}
-}
-
 func TestRandFork(t *testing.T) {
 	r := NewRand(21)
 	f := r.Fork()
@@ -509,6 +497,40 @@ func TestCheckRate(t *testing.T) {
 	for _, bad := range []float64{math.NaN(), math.Inf(1), math.Inf(-1), -1, 1.5e9, 1e-10, 1e-300, math.SmallestNonzeroFloat64} {
 		if err := CheckRate(bad); err == nil {
 			t.Fatalf("CheckRate(%g) = nil, want error", bad)
+		}
+	}
+}
+
+func TestCheckSpan(t *testing.T) {
+	for _, tc := range []struct {
+		v    float64
+		unit Time
+		ok   bool
+	}{
+		{1, Second, true},
+		{0.001, Second, true},
+		{1e-9, Second, true},
+		{50, Millisecond, true},
+		{1, Nanosecond, true},
+		{9.2e9, Second, true},
+		{0, Second, false},
+		{-1, Second, false},
+		{-5, Millisecond, false},
+		{math.NaN(), Second, false},
+		{math.Inf(1), Second, false},
+		{math.Inf(-1), Millisecond, false},
+		{1e300, Second, false},
+		{9.3e9, Second, false},
+		{1e-10, Second, false},
+		{0.5, Nanosecond, false},
+		{math.SmallestNonzeroFloat64, Second, false},
+	} {
+		err := CheckSpan(tc.v, tc.unit)
+		if (err == nil) != tc.ok {
+			t.Errorf("CheckSpan(%g, %v) = %v, want ok=%v", tc.v, tc.unit, err, tc.ok)
+		}
+		if err == nil && FromSeconds(tc.v*tc.unit.Seconds()) <= 0 {
+			t.Errorf("CheckSpan(%g, %v) accepted a span that converts to %v", tc.v, tc.unit, FromSeconds(tc.v*tc.unit.Seconds()))
 		}
 	}
 }

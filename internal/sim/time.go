@@ -88,6 +88,24 @@ func CheckRate(perSec float64) error {
 	return nil
 }
 
+// CheckSpan reports whether v, in the given unit (Second, Millisecond,
+// ...), is a span the simulator can schedule: finite, at least one
+// nanosecond and below MaxTime. Command-line durations are checked
+// where they enter, so a bad flag fails with an error instead of
+// converting to a zero or negative virtual time.
+func CheckSpan(v float64, unit Time) error {
+	switch {
+	case math.IsNaN(v) || math.IsInf(v, 0):
+		return fmt.Errorf("non-finite span %g", v)
+	case v <= 0:
+		return fmt.Errorf("non-positive span %g", v)
+	}
+	if ns := v * float64(unit); ns < 1 || ns >= float64(MaxTime) {
+		return fmt.Errorf("span %g out of range: %g ns not in [1 ns, %d ns]", v, ns, int64(MaxTime))
+	}
+	return nil
+}
+
 // checkNonNegative panics if d is negative; scheduling into the past is
 // always a programming error in the simulation.
 func checkNonNegative(d Time) {

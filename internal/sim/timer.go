@@ -102,11 +102,3 @@ func (t *Ticker) Stop() {
 
 // Period returns the tick period.
 func (t *Ticker) Period() Time { return t.period }
-
-// SetPeriod changes the period; it takes effect at the next (re)arm.
-func (t *Ticker) SetPeriod(p Time) {
-	if p <= 0 {
-		panic("sim: ticker period must be positive")
-	}
-	t.period = p
-}

@@ -92,14 +92,6 @@ func (s *Series) Add(delta float64) { s.value += delta }
 // Value returns the current gauge/counter value.
 func (s *Series) Value() float64 { return s.value }
 
-// SetSummary replaces a summary series: observation count, exact sum,
-// and the quantile points in ascending quantile order.
-func (s *Series) SetSummary(count uint64, sum float64, quantiles []Quantile) {
-	s.count = count
-	s.sum = sum
-	s.quantiles = append(s.quantiles[:0], quantiles...)
-}
-
 // SetFromHistogram fills a summary series from a metrics.Histogram at
 // the given quantiles (ascending), reusing the series' quantile slice.
 func (s *Series) SetFromHistogram(h *metrics.Histogram, qs ...float64) {

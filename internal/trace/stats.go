@@ -76,9 +76,6 @@ type VCPUStat struct {
 	FutexWakes         uint64
 }
 
-// DwellOf returns the dwell time in state s.
-func (v *VCPUStat) DwellOf(s VState) sim.Time { return v.Dwell[s] }
-
 // Snapshot is the finalized schedstats view, safe to render repeatedly.
 type Snapshot struct {
 	End   sim.Time

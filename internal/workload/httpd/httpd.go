@@ -15,55 +15,51 @@ import (
 	"vscale/internal/sim"
 )
 
-// Config parameterises the server/client pair.
-type Config struct {
-	// Workers is the Apache worker-thread pool size.
-	Workers int
-	// RequestCPU is the per-request worker CPU time (parse + file read
+// The paper's Apache setup: a 16 KB file served over 1 GbE.
+const (
+	// requestCPU is the per-request worker CPU time (parse + file read
 	// + send for the 16 KB file).
-	RequestCPU sim.Time
-	// SoftirqCost is the per-interrupt network-stack cost.
-	SoftirqCost sim.Time
-	// FileSize is the reply body size in bytes.
-	FileSize int
-	// LinkBps is the network link speed in bits/second.
-	LinkBps float64
-	// WireDelay is the one-way wire latency.
-	WireDelay sim.Time
-	// Backlog bounds the accept queue; connections arriving beyond it
+	requestCPU = 240 * sim.Microsecond
+	// softirqCost is the per-interrupt network-stack cost.
+	softirqCost = 15 * sim.Microsecond
+	// fileSize is the reply body size in bytes.
+	fileSize = 16 * 1024
+	// wireDelay is the one-way wire latency.
+	wireDelay = 50 * sim.Microsecond
+	// backlog bounds the accept queue; connections arriving beyond it
 	// are dropped (listen backlog).
-	Backlog int
-	// Timeout is the client's per-request timeout (httperf --timeout);
-	// requests not answered in time count as errors, not replies, even
-	// though the server spent CPU on them — which is what makes the
-	// baseline's reply rate *decline* past saturation.
-	Timeout sim.Time
+	backlog = 511
 
-	// DelayPenaltyThreshold and DelayPenalty model the TCP slow path: a
+	// delayPenaltyThreshold and delayPenalty model the TCP slow path: a
 	// request whose RX interrupt sat undelivered longer than the
 	// threshold (a preempted interrupt-bound vCPU, Figure 1c) costs
 	// extra CPU when finally served — out-of-order/backlog processing
 	// and retransmitted segments. Guest-internal queueing does NOT
 	// trigger it, only hypervisor-level interrupt delay, so a VM whose
 	// vCPUs are scheduled promptly (vScale) never pays it.
-	DelayPenaltyThreshold sim.Time
-	DelayPenalty          sim.Time
+	delayPenaltyThreshold = 8 * sim.Millisecond
+	delayPenalty          = 600 * sim.Microsecond
+)
+
+// Config parameterises the server/client pair.
+type Config struct {
+	// Workers is the Apache worker-thread pool size.
+	Workers int
+	// LinkBps is the network link speed in bits/second.
+	LinkBps float64
+	// Timeout is the client's per-request timeout (httperf --timeout);
+	// requests not answered in time count as errors, not replies, even
+	// though the server spent CPU on them — which is what makes the
+	// baseline's reply rate *decline* past saturation.
+	Timeout sim.Time
 }
 
 // DefaultConfig matches the paper's setup: 16 KB file over 1 GbE.
 func DefaultConfig() Config {
 	return Config{
-		Workers:     32,
-		RequestCPU:  240 * sim.Microsecond,
-		SoftirqCost: 15 * sim.Microsecond,
-		FileSize:    16 * 1024,
-		LinkBps:     1e9,
-		WireDelay:   50 * sim.Microsecond,
-		Backlog:     511,
-		Timeout:     500 * sim.Millisecond,
-
-		DelayPenaltyThreshold: 8 * sim.Millisecond,
-		DelayPenalty:          600 * sim.Microsecond,
+		Workers: 32,
+		LinkBps: 1e9,
+		Timeout: 500 * sim.Millisecond,
 	}
 }
 
@@ -89,9 +85,6 @@ func (l *Link) SetBps(bps float64) {
 	}
 }
 
-// Bps returns the link's current bit rate.
-func (l *Link) Bps() float64 { return l.bps }
-
 // Send enqueues size bytes and returns the departure (transfer-complete)
 // time.
 func (l *Link) Send(size int) sim.Time {
@@ -103,20 +96,6 @@ func (l *Link) Send(size int) sim.Time {
 	ser := sim.Time(float64(size*8) / l.bps * float64(sim.Second))
 	l.nextFree = start + ser
 	return l.nextFree
-}
-
-// Utilization returns the fraction of time the link has been busy up to
-// now (approximate: based on the last departure).
-func (l *Link) Utilization() float64 {
-	now := l.eng.Now()
-	if now == 0 {
-		return 0
-	}
-	busy := l.nextFree
-	if busy > now {
-		busy = now
-	}
-	return float64(busy) / float64(now)
 }
 
 // request tracks one client connection through the system.
@@ -151,7 +130,6 @@ type Server struct {
 	// Xen/Linux — and pv-spinlocks recover part of it.
 	acceptMu *guest.Mutex
 	link     *Link
-	app      *workloadApp
 
 	conn metrics.Summary // connection times (ms)
 	resp metrics.Summary // response times (ms)
@@ -173,10 +151,6 @@ type Server struct {
 	OnComplete func(lat sim.Time, ok bool)
 }
 
-// workloadApp is a minimal stand-in for workload.App to avoid an import
-// cycle (httpd is imported by workload consumers, not by workload).
-type workloadApp struct{ threads int }
-
 // NewServer builds the server: a network device bound to vCPU0 and a
 // worker pool blocked on the accept queue. It rejects malformed
 // configurations up front so a bad sweep parameter surfaces as an error
@@ -188,9 +162,9 @@ func NewServer(k *guest.Kernel, link *Link, cfg Config) (*Server, error) {
 	if link == nil {
 		return nil, fmt.Errorf("httpd: nil link")
 	}
-	s := &Server{k: k, cfg: cfg, link: link, app: &workloadApp{}}
-	s.dev = k.NewDevice("eth0", 0, cfg.SoftirqCost)
-	s.acceptQ = k.NewWaitQueue(cfg.Backlog)
+	s := &Server{k: k, cfg: cfg, link: link}
+	s.dev = k.NewDevice("eth0", 0, softirqCost)
+	s.acceptQ = k.NewWaitQueue(backlog)
 	s.acceptMu = k.NewMutex()
 	for w := 0; w < cfg.Workers; w++ {
 		s.spawnWorker(w)
@@ -203,14 +177,8 @@ func validate(cfg Config) error {
 	switch {
 	case cfg.Workers <= 0:
 		return fmt.Errorf("httpd: Workers = %d, need > 0", cfg.Workers)
-	case cfg.RequestCPU <= 0:
-		return fmt.Errorf("httpd: RequestCPU = %v, need > 0", cfg.RequestCPU)
-	case cfg.FileSize <= 0:
-		return fmt.Errorf("httpd: FileSize = %d, need > 0", cfg.FileSize)
 	case cfg.LinkBps <= 0:
 		return fmt.Errorf("httpd: LinkBps = %g, need > 0", cfg.LinkBps)
-	case cfg.Backlog <= 0:
-		return fmt.Errorf("httpd: Backlog = %d, need > 0", cfg.Backlog)
 	case cfg.Timeout <= 0:
 		return fmt.Errorf("httpd: Timeout = %v, need > 0", cfg.Timeout)
 	}
@@ -230,9 +198,7 @@ func (s *Server) fail(err error) {
 func (s *Server) Err() error { return s.err }
 
 func (s *Server) spawnWorker(id int) {
-	s.app.threads++
 	k := s.k
-	cfg := s.cfg
 	var prog guest.ProgramFunc
 	phase := 0
 	var cur *request
@@ -252,9 +218,9 @@ func (s *Server) spawnWorker(id int) {
 			return guest.ActUnlock{M: s.acceptMu}
 		case 3: // request work: parse + read the 16 KB file + build reply
 			phase = 4
-			work := cfg.RequestCPU
+			work := requestCPU
 			if cur.slowPath {
-				work += cfg.DelayPenalty
+				work += delayPenalty
 			}
 			return guest.ActCompute{D: work}
 		case 4: // transmit the reply over the shared link
@@ -262,8 +228,8 @@ func (s *Server) spawnWorker(id int) {
 			r := cur
 			cur = nil
 			return guest.ActCall{Cost: 5 * sim.Microsecond, F: func(t *guest.Thread) {
-				dep := s.link.Send(cfg.FileSize)
-				k.Engine().At(dep+cfg.WireDelay, "httpd/reply", func() {
+				dep := s.link.Send(fileSize)
+				k.Engine().At(dep+wireDelay, "httpd/reply", func() {
 					s.finish(r)
 				})
 			}}
@@ -302,13 +268,12 @@ func (s *Server) finish(r *request) {
 type Client struct {
 	k    *guest.Kernel
 	s    *Server
-	cfg  Config
 	rand *sim.Rand
 }
 
 // NewClient pairs a client with a server.
 func NewClient(s *Server, rand *sim.Rand) *Client {
-	return &Client{k: s.k, s: s, cfg: s.cfg, rand: rand}
+	return &Client{k: s.k, s: s, rand: rand}
 }
 
 // Run offers ratePerSec connections/s for the given duration, starting
@@ -350,7 +315,7 @@ func (c *Client) Run(ratePerSec float64, duration sim.Time) error {
 func (s *Server) Offer() {
 	eng := s.k.Engine()
 	r := &request{t0: eng.Now()}
-	wire := s.cfg.WireDelay
+	wire := wireDelay
 	eng.After(wire, "httpd/syn", func() {
 		synArrived := eng.Now()
 		s.dev.Raise(func(cpuID int) {
@@ -358,7 +323,7 @@ func (s *Server) Offer() {
 			// sat pending behind a preempted vCPU, the connection takes
 			// the TCP slow path (backlog processing, possible client
 			// retransmission) and will cost extra CPU to serve.
-			if eng.Now()-synArrived > s.cfg.DelayPenaltyThreshold {
+			if eng.Now()-synArrived > delayPenaltyThreshold {
 				r.slowPath = true
 			}
 			r.connected = eng.Now() + wire
@@ -367,7 +332,7 @@ func (s *Server) Offer() {
 			eng.After(2*wire, "httpd/get", func() {
 				sent := eng.Now()
 				s.dev.Raise(func(cpuID int) {
-					if eng.Now()-sent > s.cfg.DelayPenaltyThreshold {
+					if eng.Now()-sent > delayPenaltyThreshold {
 						r.slowPath = true
 					}
 					if !s.acceptQ.Post(r, cpuID) {

@@ -39,10 +39,6 @@ func TestLinkSerialization(t *testing.T) {
 	if dep2 != 2*want {
 		t.Fatalf("second departure = %v, want serialized %v", dep2, 2*want)
 	}
-	if u := link.Utilization(); u != 0 {
-		// now == 0, utilization degenerate
-		t.Fatalf("utilization at t0 = %f", u)
-	}
 }
 
 func TestLinkCapacityBound(t *testing.T) {

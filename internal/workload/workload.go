@@ -1,7 +1,7 @@
 // Package workload provides the application harness and generic program
 // builders used to model the paper's workloads: an App groups the
 // threads of one multithreaded application and records its execution
-// time; Loop/Seq build Programs from action lists; KernelBuild and
+// time; RandLoop builds Programs from action lists; KernelBuild and
 // Slideshow model the calibration workload of Table 2 and the
 // interactive background VMs of §5.2.1.
 package workload
@@ -59,47 +59,6 @@ func (a *App) ExecTime() sim.Time {
 		return 0
 	}
 	return a.finished - a.started
-}
-
-// Seq is a Program yielding a fixed list of actions, then exiting.
-type Seq struct {
-	Actions []guest.Action
-	i       int
-}
-
-// Next implements guest.Program.
-func (s *Seq) Next(t *guest.Thread) guest.Action {
-	if s.i >= len(s.Actions) {
-		return guest.ActExit{}
-	}
-	a := s.Actions[s.i]
-	s.i++
-	return a
-}
-
-// Loop repeats Body(iter) for N iterations, then exits. When Forever is
-// set it never exits (background load).
-type Loop struct {
-	N       int
-	Forever bool
-	Body    func(iter int) []guest.Action
-
-	iter int
-	buf  []guest.Action
-}
-
-// Next implements guest.Program.
-func (l *Loop) Next(t *guest.Thread) guest.Action {
-	for len(l.buf) == 0 {
-		if !l.Forever && l.iter >= l.N {
-			return guest.ActExit{}
-		}
-		l.buf = l.Body(l.iter)
-		l.iter++
-	}
-	a := l.buf[0]
-	l.buf = l.buf[1:]
-	return a
 }
 
 // KernelBuild models a parallel kernel compile (the workload behind the
@@ -169,27 +128,25 @@ type Slideshow struct {
 	BurstMin, BurstMax sim.Time
 	// IdleMin/Max is the think time between pictures.
 	IdleMin, IdleMax sim.Time
-	// Threads is the number of decode threads (the paper's background
-	// VMs have 2 vCPUs).
-	Threads int
-	// Uncorrelated lets each thread follow its own picture schedule
-	// instead of decoding jointly.
-	Uncorrelated bool
 }
 
+// slideshowThreads is the number of decode threads (the paper's
+// background VMs have 2 vCPUs).
+const slideshowThreads = 2
+
 // DefaultSlideshow returns the burst/idle profile used in the
-// experiments: decode bursts of 250–500 ms separated by 400–1000 ms of
-// think time (~35% duty cycle per thread). With the 2:1 consolidation of
-// §5.2.1 this keeps total demand fluctuating around the pool capacity,
-// which is the regime where baseline VMs suffer scheduling delays and
-// vScale has slack to exploit.
+// experiments: decode bursts of 600–1200 ms separated by 150–350 ms of
+// think time, a heavy but bursty duty cycle of roughly 65–90% per
+// thread, less the wait at each picture's join. With the 2:1
+// consolidation of §5.2.1 this keeps total demand fluctuating around
+// the pool capacity, which is the regime where baseline VMs suffer
+// scheduling delays and vScale has slack to exploit.
 func DefaultSlideshow() Slideshow {
 	return Slideshow{
 		BurstMin: 600 * sim.Millisecond,
 		BurstMax: 1200 * sim.Millisecond,
 		IdleMin:  150 * sim.Millisecond,
 		IdleMax:  350 * sim.Millisecond,
-		Threads:  2,
 	}
 }
 
@@ -200,10 +157,10 @@ type slideshowSched struct {
 	idle, burst []sim.Time
 }
 
-func (sc *slideshowSched) entry(i int, s Slideshow, r *sim.Rand, first bool) (sim.Time, sim.Time) {
+func (sc *slideshowSched) entry(i int, s Slideshow, r *sim.Rand) (sim.Time, sim.Time) {
 	for len(sc.idle) <= i {
 		lo := s.IdleMin
-		if first && len(sc.idle) == 0 {
+		if len(sc.idle) == 0 {
 			// Stagger the first picture so background VMs do not burst
 			// in lockstep at boot.
 			lo = 0
@@ -215,38 +172,16 @@ func (sc *slideshowSched) entry(i int, s Slideshow, r *sim.Rand, first bool) (si
 }
 
 // Start launches the slideshow threads (they run forever) on app's
-// kernel.
+// kernel. Both threads follow one schedule and join on a barrier after
+// each picture (the decode threads split one image).
 func (s Slideshow) Start(app *App) {
-	n := s.Threads
-	if n <= 0 {
-		n = 2
-	}
-	if s.Uncorrelated {
-		for i := 0; i < n; i++ {
-			ss := s
-			app.Go("slideshow", &RandLoop{Forever: true, Body: func(iter int) []any {
-				idleLo := ss.IdleMin
-				if iter == 0 {
-					idleLo = 0
-				}
-				return []any{
-					RandSleep(idleLo, ss.IdleMax),
-					RandCompute(ss.BurstMin, ss.BurstMax),
-				}
-			}})
-		}
-		return
-	}
-	// Correlated: both threads follow one schedule and join on a barrier
-	// after each picture (the decode threads split one image).
 	sched := &slideshowSched{}
-	join := app.k.NewBarrier(n, 0)
-	for i := 0; i < n; i++ {
-		ss := s
+	join := app.k.NewBarrier(slideshowThreads, 0)
+	for i := 0; i < slideshowThreads; i++ {
 		app.Go("slideshow", &RandLoop{Forever: true, Body: func(iter int) []any {
 			return []any{
 				Dynamic(func(t *guest.Thread) []guest.Action {
-					idle, burst := sched.entry(iter, ss, t.Rand(), true)
+					idle, burst := sched.entry(iter, s, t.Rand())
 					return []guest.Action{
 						guest.ActSleep{D: idle},
 						guest.ActCompute{D: burst},
@@ -278,8 +213,10 @@ func expand(t *guest.Thread, a any) guest.Action {
 	}
 }
 
-// RandLoop is Loop with placeholder support: Body may return
-// randCompute/randSleep placeholders via RandCompute/RandSleep.
+// RandLoop repeats Body(iter) for N iterations, then exits; when
+// Forever is set it never exits (background load). Body may return
+// randCompute/randSleep placeholders via RandCompute/RandSleep and
+// Dynamic nodes as well as plain guest actions.
 type RandLoop struct {
 	N       int
 	Forever bool

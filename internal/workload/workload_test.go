@@ -22,8 +22,8 @@ func TestAppTracksCompletion(t *testing.T) {
 	app := NewApp(k, "test")
 	doneCalled := false
 	app.OnDone = func(a *App) { doneCalled = true }
-	app.Go("a", &Seq{Actions: []guest.Action{guest.ActCompute{D: 10 * sim.Millisecond}}})
-	app.Go("b", &Seq{Actions: []guest.Action{guest.ActCompute{D: 30 * sim.Millisecond}}})
+	app.Go("a", &RandLoop{N: 1, Body: func(int) []any { return []any{guest.ActCompute{D: 10 * sim.Millisecond}} }})
+	app.Go("b", &RandLoop{N: 1, Body: func(int) []any { return []any{guest.ActCompute{D: 30 * sim.Millisecond}} }})
 	if app.Done() {
 		t.Fatal("done before running")
 	}
@@ -43,31 +43,15 @@ func TestAppTracksCompletion(t *testing.T) {
 	}
 }
 
-func TestSeqExhaustsAndExits(t *testing.T) {
-	eng, pool, k := newGuest(t, 1, 1)
-	app := NewApp(k, "seq")
-	th := app.Go("s", &Seq{Actions: []guest.Action{
-		guest.ActCompute{D: sim.Millisecond},
-		guest.ActSleep{D: sim.Millisecond},
-		guest.ActCompute{D: sim.Millisecond},
-	}})
-	pool.Start()
-	k.Boot()
-	if err := eng.RunUntil(sim.Second); err != nil {
-		t.Fatal(err)
-	}
-	if th.State() != guest.ThreadExited {
-		t.Fatalf("state = %v", th.State())
-	}
-}
-
+// TestLoopCounts: a finite RandLoop runs its body exactly N times, then
+// its thread exits.
 func TestLoopCounts(t *testing.T) {
 	eng, pool, k := newGuest(t, 1, 1)
 	app := NewApp(k, "loop")
 	iters := 0
-	app.Go("l", &Loop{N: 5, Body: func(i int) []guest.Action {
+	th := app.Go("l", &RandLoop{N: 5, Body: func(i int) []any {
 		iters++
-		return []guest.Action{guest.ActCompute{D: sim.Millisecond}}
+		return []any{guest.ActCompute{D: sim.Millisecond}, guest.ActSleep{D: sim.Millisecond}}
 	}})
 	pool.Start()
 	k.Boot()
@@ -77,8 +61,8 @@ func TestLoopCounts(t *testing.T) {
 	if iters != 5 {
 		t.Fatalf("iterations = %d", iters)
 	}
-	if !app.Done() {
-		t.Fatal("loop app incomplete")
+	if th.State() != guest.ThreadExited || !app.Done() {
+		t.Fatalf("loop app incomplete: thread state %v", th.State())
 	}
 }
 
@@ -199,24 +183,5 @@ func TestSlideshowCorrelatedThreadsBurstTogether(t *testing.T) {
 	ratio := a / b
 	if ratio < 0.8 || ratio > 1.25 {
 		t.Fatalf("correlated threads diverged: ratio %.2f", ratio)
-	}
-}
-
-func TestSlideshowUncorrelated(t *testing.T) {
-	eng := sim.NewEngine(13)
-	pool := xen.NewPool(eng, xen.DefaultConfig(4))
-	dom := pool.AddDomain("bg", 256, 2, nil)
-	k := guest.NewKernel(dom, guest.DefaultConfig())
-	app := NewApp(k, "show")
-	s := DefaultSlideshow()
-	s.Uncorrelated = true
-	s.Start(app)
-	pool.Start()
-	k.Boot()
-	if err := eng.RunUntil(5 * sim.Second); err != nil {
-		t.Fatal(err)
-	}
-	if dom.TotalRunTime == 0 {
-		t.Fatal("uncorrelated slideshow never ran")
 	}
 }

@@ -265,12 +265,8 @@ func (pool *Pool) EnableVScale() {
 	if pool.vscaleTicker != nil {
 		return
 	}
-	period := pool.cfg.VScalePeriod
-	if period <= 0 {
-		period = 10 * sim.Millisecond
-	}
 	pool.cfg.VScale = true
-	pool.vscaleTicker = sim.NewTicker(pool.eng, "xen/vscale", period, pool.vscaleTick)
+	pool.vscaleTicker = sim.NewTicker(pool.eng, "xen/vscale", VScalePeriod, pool.vscaleTick)
 	if pool.started {
 		pool.vscaleTicker.Start()
 	}

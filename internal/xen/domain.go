@@ -288,9 +288,6 @@ func (d *Domain) AllocIRQ(name string, vcpu int) *Port {
 	return p
 }
 
-// IRQPorts returns the domain's device interrupt ports.
-func (d *Domain) IRQPorts() []*Port { return d.irqPorts }
-
 // RebindIRQ changes an IRQ port's bound vCPU (Xen's event-channel
 // rebinding; the cost of the hypercall is charged by the guest caller).
 func (d *Domain) RebindIRQ(p *Port, vcpu int) {

@@ -38,6 +38,22 @@ func (p SchedPolicy) String() string {
 	}
 }
 
+// Xen 4.5 credit-scheduler periods. The model is calibrated against
+// them, so they are constants rather than configuration.
+const (
+	// timeSlice is the scheduling time slice (Xen default 30 ms).
+	timeSlice = 30 * sim.Millisecond
+	// burnTick is the credit-burn tick (Xen default 10 ms).
+	burnTick = 10 * sim.Millisecond
+	// acctPeriod is the credit accounting period (Xen default 30 ms).
+	acctPeriod = 30 * sim.Millisecond
+)
+
+// VScalePeriod is the vScale extension's extendability recalculation
+// period (paper default 10 ms). The guest daemon sizes its VM from
+// extendability over the same period.
+const VScalePeriod = 10 * sim.Millisecond
+
 // Config holds the scheduler parameters of a CPU pool. The zero value is
 // not usable; call DefaultConfig.
 type Config struct {
@@ -46,19 +62,10 @@ type Config struct {
 
 	// PCPUs is the number of physical CPUs in the pool.
 	PCPUs int
-	// Slice is the scheduling time slice (Xen default 30 ms).
-	Slice sim.Time
-	// Tick is the credit-burn tick (Xen default 10 ms).
-	Tick sim.Time
-	// Acct is the credit accounting period (Xen default 30 ms).
-	Acct sim.Time
 
 	// VScale enables the vScale scheduler extension: the extendability
 	// ticker and the hypercall surface used by the guest daemon.
 	VScale bool
-	// VScalePeriod is the extendability recalculation period (paper
-	// default 10 ms).
-	VScalePeriod sim.Time
 
 	// PerVCPUWeight reverts to unpatched Xen 4.5 semantics where weight
 	// is effectively per-vCPU: a domain's credit share scales with its
@@ -70,13 +77,7 @@ type Config struct {
 
 // DefaultConfig returns Xen 4.5 defaults over nPCPUs physical CPUs.
 func DefaultConfig(nPCPUs int) Config {
-	return Config{
-		PCPUs:        nPCPUs,
-		Slice:        30 * sim.Millisecond,
-		Tick:         10 * sim.Millisecond,
-		Acct:         30 * sim.Millisecond,
-		VScalePeriod: 10 * sim.Millisecond,
-	}
+	return Config{PCPUs: nPCPUs}
 }
 
 // PCPU is one physical CPU of a pool.
@@ -135,23 +136,16 @@ func NewPool(eng *sim.Engine, cfg Config) *Pool {
 	if cfg.PCPUs <= 0 {
 		panic("xen: pool needs at least one pCPU")
 	}
-	if cfg.Slice <= 0 || cfg.Tick <= 0 || cfg.Acct <= 0 {
-		panic("xen: scheduler periods must be positive")
-	}
 	pool := &Pool{eng: eng, cfg: cfg}
 	for i := 0; i < cfg.PCPUs; i++ {
 		p := &PCPU{pool: pool, id: i, idle: true}
 		p.sliceTimer = sim.NewTimer(eng, fmt.Sprintf("xen/slice/p%d", i), func() { pool.dispatch(p) })
 		pool.pcpus = append(pool.pcpus, p)
 	}
-	pool.tickTicker = sim.NewTicker(eng, "xen/tick", cfg.Tick, pool.tick)
-	pool.acctTicker = sim.NewTicker(eng, "xen/acct", cfg.Acct, pool.acct)
+	pool.tickTicker = sim.NewTicker(eng, "xen/tick", burnTick, pool.tick)
+	pool.acctTicker = sim.NewTicker(eng, "xen/acct", acctPeriod, pool.acct)
 	if cfg.VScale {
-		period := cfg.VScalePeriod
-		if period <= 0 {
-			period = 10 * sim.Millisecond
-		}
-		pool.vscaleTicker = sim.NewTicker(eng, "xen/vscale", period, pool.vscaleTick)
+		pool.vscaleTicker = sim.NewTicker(eng, "xen/vscale", VScalePeriod, pool.vscaleTick)
 	}
 	return pool
 }
@@ -182,9 +176,6 @@ func (pool *Pool) traceState(v *VCPU, to trace.VState) {
 		pool.tr.VCPUState(pool.eng.Now(), v.dom.id, v.id, v.pcpu.id, to)
 	}
 }
-
-// Config returns the pool configuration.
-func (pool *Pool) Config() Config { return pool.cfg }
 
 // PCPUs returns the pool's physical CPUs.
 func (pool *Pool) PCPUs() []*PCPU { return pool.pcpus }
@@ -315,8 +306,8 @@ func (pool *Pool) burnRunning(v *VCPU) {
 	}
 	v.dispatchedAt = now
 	v.credits -= delta
-	if v.credits < -pool.cfg.Acct {
-		v.credits = -pool.cfg.Acct
+	if v.credits < -acctPeriod {
+		v.credits = -acctPeriod
 	}
 	if pool.cfg.Policy == PolicyVRT {
 		// Weighted virtual runtime: a vCPU of a heavy domain ages slower.
@@ -401,7 +392,7 @@ func (pool *Pool) dispatch(p *PCPU) {
 	pool.traceState(next, trace.VRun)
 	p.current = next
 	p.Switches++
-	p.sliceTimer.Reset(pool.cfg.Slice)
+	p.sliceTimer.Reset(timeSlice)
 
 	next.dom.guest.Dispatched(next.id)
 	pool.flushPending(next)
@@ -578,7 +569,7 @@ func (pool *Pool) wake(v *VCPU) {
 	case PolicyVRT:
 		// Sleep bonus: a waking vCPU may not lag the pack by more than
 		// one slice, and never leads it (no hoarding of virtual time).
-		if floor := pool.minVruntime() - pool.cfg.Slice; v.vruntime < floor {
+		if floor := pool.minVruntime() - timeSlice; v.vruntime < floor {
 			v.vruntime = floor
 		}
 	default:
@@ -654,7 +645,8 @@ func (pool *Pool) Block(v *VCPU) {
 }
 
 // Yield implements SCHED_yield: put the running vCPU at the back of its
-// priority class (used by pv-spinlocks when a waiter gives up its slice).
+// priority class. No guest path calls it (pv-spinlock waiters park with
+// Block); the scheduler tests drive it directly.
 func (pool *Pool) Yield(v *VCPU) {
 	if v.state != StateRunning {
 		return
@@ -680,7 +672,7 @@ func (pool *Pool) tick() {
 		}
 		pool.burnRunning(v)
 		if pool.cfg.Policy == PolicyVRT {
-			if len(p.runq) > 0 && p.runq[0].vruntime+pool.cfg.Tick < v.vruntime {
+			if len(p.runq) > 0 && p.runq[0].vruntime+burnTick < v.vruntime {
 				pool.dispatch(p)
 			}
 			continue
@@ -741,7 +733,7 @@ func (pool *Pool) acct() {
 			totalWeight += pool.effectiveWeight(d)
 		}
 	}
-	totalCredit := float64(pool.cfg.Acct) * float64(pool.cfg.PCPUs)
+	totalCredit := float64(acctPeriod) * float64(pool.cfg.PCPUs)
 
 	for _, d := range pool.domains {
 		if !active(d) {
@@ -757,7 +749,7 @@ func (pool *Pool) acct() {
 		}
 		share := pool.effectiveWeight(d) / totalWeight * totalCredit
 		if d.CapPCPUs > 0 {
-			if maxShare := d.CapPCPUs * float64(pool.cfg.Acct); share > maxShare {
+			if maxShare := d.CapPCPUs * float64(acctPeriod); share > maxShare {
 				share = maxShare
 			}
 		}
@@ -771,8 +763,8 @@ func (pool *Pool) acct() {
 				continue
 			}
 			v.credits += per
-			if v.credits > pool.cfg.Acct {
-				v.credits = pool.cfg.Acct // anti-hoarding clamp
+			if v.credits > acctPeriod {
+				v.credits = acctPeriod // anti-hoarding clamp
 			}
 			if v.pri == PriBoost {
 				v.pri = PriUnder
