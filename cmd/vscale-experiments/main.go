@@ -26,18 +26,15 @@ package main
 import (
 	"flag"
 	"fmt"
-	"io"
 	"os"
 	"strings"
 	"time"
 
+	"vscale/internal/cli"
 	"vscale/internal/cluster"
 	"vscale/internal/experiments"
-	"vscale/internal/profiling"
-	"vscale/internal/report"
 	"vscale/internal/scenario"
 	"vscale/internal/sim"
-	"vscale/internal/telemetry"
 	"vscale/internal/trace"
 )
 
@@ -55,27 +52,8 @@ func main() {
 	restoreFlag := flag.String("restore", "", "cluster: fork the policies from a previously written snapshot instead of simulating the warm prefix")
 	elasticFlag := flag.String("elastic", "", "cluster fleet elasticity mode: none | migrate | replicas | hybrid (default none; see docs/cluster.md)")
 	seed := flag.Uint64("seed", 1, "base seed for per-run seed derivation")
-	traceOut := flag.String("trace", "", "write a Chrome trace-event JSON of all runs to this path")
-	schedstats := flag.Bool("schedstats", false, "print aggregate per-vCPU scheduling statistics")
-	tracecap := flag.Int("tracecap", trace.DefaultRingCapacity, "trace ring capacity (events) per run")
-	cpuProfile := flag.String("cpuprofile", "", "write a pprof CPU profile to this path")
-	memProfile := flag.String("memprofile", "", "write a pprof heap profile to this path on exit")
-	telemetryAddr := flag.String("telemetry-addr", "", "serve a Prometheus /metrics scrape endpoint on this host:port while experiments run")
-	telemetryOut := flag.String("telemetry-out", "", "write deterministic per-epoch telemetry JSONL (vscale-telemetry/v1) to this path")
-	telemetryLinger := flag.Duration("telemetry-linger", 0, "keep serving the final telemetry snapshot this long after the experiments finish")
+	outputs := cli.Register(flag.CommandLine)
 	flag.Parse()
-
-	stopCPU, err := profiling.StartCPU(*cpuProfile)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
-	}
-	defer stopCPU()
-	defer func() {
-		if err := profiling.WriteHeap(*memProfile); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-		}
-	}()
 
 	if err := sim.CheckSpan(*window, sim.Second); err != nil {
 		fmt.Fprintf(os.Stderr, "-window: %v\n", err)
@@ -123,29 +101,9 @@ func main() {
 		os.Exit(2)
 	}
 
-	// Live telemetry: the scrape endpoint and the JSONL stream both hang
-	// off one sink; diagnostics go to stderr so stdout stays
-	// byte-identical with telemetry on or off.
-	var telemetryFile *os.File
-	if *telemetryOut != "" {
-		f, err := os.Create(*telemetryOut)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		telemetryFile = f
-	}
-	var telemetryW io.Writer
-	if telemetryFile != nil {
-		telemetryW = telemetryFile
-	}
-	sink, err := telemetry.NewSink(*telemetryAddr, telemetryW)
-	if err != nil {
+	if err := outputs.Start(); err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)
-	}
-	if srv := sink.Server(); srv != nil {
-		fmt.Fprintf(os.Stderr, "telemetry: serving /metrics on http://%s\n", srv.Addr())
 	}
 
 	cfg := experiments.NewConfig()
@@ -153,15 +111,15 @@ func main() {
 	cfg.Window = sim.FromSeconds(*window)
 	cfg.Workers = *parallel
 	cfg.BaseSeed = *seed
-	cfg.Trace = *traceOut != "" || *schedstats
-	cfg.TraceCapacity = *tracecap
+	cfg.Trace = outputs.Tracing()
+	cfg.TraceCapacity = outputs.TraceCapacity()
 	cfg.Policies = pols
 	cfg.WarmEpochs = *warmEpochs
 	cfg.WarmFork = *warmFork
 	cfg.CheckpointPath = *checkpointFlag
 	cfg.RestorePath = *restoreFlag
 	cfg.Elastic = *elasticFlag
-	cfg.Telemetry = sink
+	cfg.Telemetry = outputs.Sink()
 
 	out := os.Stdout
 	start := time.Now()
@@ -182,57 +140,13 @@ func main() {
 		}
 	}
 
-	if *traceOut != "" || *schedstats {
-		// Each simulation ran with a private tracer; stitch the timelines
-		// into one export, run0/, run1/, ... in submission order.
-		tr := trace.Merge(tracers...)
-		if tr == nil {
-			tr = trace.New(trace.Config{RingCapacity: 1})
-		}
-		end := tr.MaxAt()
-		if *traceOut != "" {
-			f, err := os.Create(*traceOut)
-			if err != nil {
-				fmt.Fprintln(os.Stderr, err)
-				os.Exit(1)
-			}
-			if err := tr.WriteChrome(f, end); err != nil {
-				fmt.Fprintln(os.Stderr, err)
-				os.Exit(1)
-			}
-			if err := f.Close(); err != nil {
-				fmt.Fprintln(os.Stderr, err)
-				os.Exit(1)
-			}
-			fmt.Fprintf(out, "\nwrote Chrome trace to %s (%d events recorded, %d dropped)\n",
-				*traceOut, tr.Total(), tr.Dropped())
-		}
-		if *schedstats {
-			fmt.Fprintln(out)
-			fmt.Fprint(out, report.RenderSchedStats(tr.Snapshot(end)))
-		}
-	}
-
 	// Timing goes to stderr so stdout stays byte-identical across
 	// -parallel settings.
 	fmt.Fprintf(os.Stderr, "\nall experiments done in %v (modes: %v)\n",
 		time.Since(start).Round(time.Millisecond), scenario.Modes())
 
-	if telemetryFile != nil {
-		if err := telemetryFile.Close(); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		fmt.Fprintf(os.Stderr, "wrote telemetry JSONL to %s\n", *telemetryOut)
-	}
-	if sink.Server() != nil && *telemetryLinger > 0 {
-		// Hold the final snapshot up so scrapers (CI, a browser, a
-		// Prometheus instance mid-interval) don't race a fast run's exit.
-		fmt.Fprintf(os.Stderr, "telemetry: lingering %v on http://%s/metrics\n",
-			*telemetryLinger, sink.Server().Addr())
-		time.Sleep(*telemetryLinger)
-	}
-	if err := sink.Close(); err != nil {
+	if err := outputs.Finish(out, tracers); err != nil {
 		fmt.Fprintln(os.Stderr, err)
+		os.Exit(1)
 	}
 }

@@ -34,7 +34,7 @@ func TestFlagValidation(t *testing.T) {
 		{[]string{"-vm", "a:256:5ms:2:NaN"}, `-vm "a:256:5ms:2:NaN"`},
 		{[]string{"-vm", "a:256:5ms:2:Inf"}, `-vm "a:256:5ms:2:Inf"`},
 	} {
-		code, stderr := clitest.Run(t, tc.args...)
+		code, _, stderr := clitest.Run(t, tc.args...)
 		if code != 2 || !strings.Contains(stderr, tc.want) || strings.Contains(stderr, "panic") {
 			t.Errorf("%v: exit %d, stderr %q; want exit 2 naming %s", tc.args, code, stderr, tc.want)
 		}
@@ -44,7 +44,7 @@ func TestFlagValidation(t *testing.T) {
 // TestUnconstrainedZeros: a maxVCPUs or capPCPUs of 0 keeps meaning
 // "unconstrained" and is accepted.
 func TestUnconstrainedZeros(t *testing.T) {
-	if code, stderr := clitest.Run(t, "-vm", "a:256:5ms:0:0", "-vm", "b:512:0s"); code != 0 {
+	if code, _, stderr := clitest.Run(t, "-vm", "a:256:5ms:0:0", "-vm", "b:512:0s"); code != 0 {
 		t.Fatalf("exit %d, stderr %q", code, stderr)
 	}
 }

@@ -19,10 +19,12 @@
 // (splitmix64), fanned across -parallel workers; the per-run outputs are
 // printed in run order and are independent of the worker count.
 //
-// -trace writes a Chrome trace-event JSON file loadable in Perfetto
-// (ui.perfetto.dev) or chrome://tracing; with -runs > 1 the per-run
-// timelines are stitched with trace.Merge under run0/, run1/, ...
-// track prefixes. -schedstats prints per-vCPU scheduling statistics.
+// The observability flags are the ones every simulator command shares
+// (internal/cli). -trace writes a Chrome trace-event JSON file loadable
+// in Perfetto (ui.perfetto.dev) or chrome://tracing; with -runs > 1 the
+// per-run timelines are stitched with trace.Merge under run0/, run1/,
+// ... track prefixes. -schedstats prints per-vCPU scheduling
+// statistics.
 //
 // -telemetry-addr serves a Prometheus /metrics endpoint with the latest
 // collection epoch while the simulation runs; -telemetry-out writes the
@@ -35,16 +37,14 @@ package main
 import (
 	"flag"
 	"fmt"
-	"io"
 	"os"
 	"strconv"
 	"strings"
 	"time"
 
+	"vscale/internal/cli"
 	"vscale/internal/guest"
 	"vscale/internal/loadgen"
-	"vscale/internal/profiling"
-	"vscale/internal/report"
 	"vscale/internal/runner"
 	"vscale/internal/scenario"
 	"vscale/internal/sim"
@@ -65,28 +65,13 @@ func main() {
 	seed := flag.Uint64("seed", 1, "simulation seed (base seed when -runs > 1)")
 	runs := flag.Int("runs", 1, "number of repeats with derived per-run seeds")
 	parallel := flag.Int("parallel", 0, "worker pool size for -runs (default GOMAXPROCS)")
-	traceOut := flag.String("trace", "", "write a Chrome trace-event JSON file to this path")
-	schedstats := flag.Bool("schedstats", false, "print per-vCPU scheduling statistics")
-	tracecap := flag.Int("tracecap", trace.DefaultRingCapacity, "trace ring capacity (events)")
 	activetrace := flag.Bool("activetrace", false, "print the active-vCPU trace")
 	sloMs := flag.Float64("slo", 50, "httpd per-request SLO, milliseconds")
 	nobg := flag.Bool("dedicated", false, "no background VMs")
 	maxSecs := flag.Float64("max", 600, "simulation deadline, seconds")
-	cpuProfile := flag.String("cpuprofile", "", "write a pprof CPU profile to this path")
-	memProfile := flag.String("memprofile", "", "write a pprof heap profile to this path on exit")
-	telemetryAddr := flag.String("telemetry-addr", "", "serve a Prometheus /metrics scrape endpoint on this host:port while the simulation runs")
-	telemetryOut := flag.String("telemetry-out", "", "write deterministic per-epoch telemetry JSONL (vscale-telemetry/v1) to this path")
 	telemetryEpoch := flag.Duration("telemetry-epoch", 500*time.Millisecond, "telemetry collection period, virtual time")
+	outputs := cli.Register(flag.CommandLine)
 	flag.Parse()
-
-	stopCPU, err := profiling.StartCPU(*cpuProfile)
-	fatal(err)
-	defer stopCPU()
-	defer func() {
-		if err := profiling.WriteHeap(*memProfile); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-		}
-	}()
 
 	var mode scenario.Mode
 	switch *modeStr {
@@ -122,28 +107,11 @@ func main() {
 	}
 	checkSpan("telemetry-epoch", telemetryEpoch.Seconds(), sim.Second)
 
-	wantTrace := *traceOut != "" || *schedstats
+	fatal(outputs.Start())
 
-	// Live telemetry: scrape endpoint and JSONL stream share one sink.
 	// Each run gets its own buffered collector (labelled run=<i>), and
 	// the buffers are flushed in submission order after the run barrier,
 	// so the JSONL stream is byte-identical for every -parallel setting.
-	// Diagnostics go to stderr; stdout is identical with telemetry off.
-	var telemetryFile *os.File
-	if *telemetryOut != "" {
-		f, err := os.Create(*telemetryOut)
-		fatal(err)
-		telemetryFile = f
-	}
-	var telemetryW io.Writer
-	if telemetryFile != nil {
-		telemetryW = telemetryFile
-	}
-	sink, err := telemetry.NewSink(*telemetryAddr, telemetryW)
-	fatal(err)
-	if srv := sink.Server(); srv != nil {
-		fmt.Fprintf(os.Stderr, "telemetry: serving /metrics on http://%s\n", srv.Addr())
-	}
 	cols := make([]*telemetry.Collector, *runs)
 	epoch := sim.FromSeconds(telemetryEpoch.Seconds())
 
@@ -164,64 +132,42 @@ func main() {
 			b.K.StartTrace(100 * sim.Millisecond)
 		}
 
-		col := telemetry.NewCollector(sink, true,
+		col := telemetry.NewCollector(outputs.Sink(), true,
 			"run", strconv.Itoa(runIdx), "mode", *modeStr, "workload", *wl)
 		cols[runIdx] = col
-		var telGen *loadgen.Generator // set by the httpd branch
+		var gen *loadgen.Generator // set by the httpd branch
 		var observe func(now sim.Time)
 		if col != nil {
-			observe = func(now sim.Time) { collectScenario(col, b, telGen, *sloMs, now) }
+			observe = func(now sim.Time) { collectScenario(col, b, gen, *sloMs, now) }
 		}
 
 		fmt.Fprintf(&out, "host: %d pCPUs, VM: %d vCPUs, %d background VMs, mode: %v, workload: %s, seed: %d\n",
 			s.PCPUs, s.VMVCPUs, len(b.BG), mode, *wl, runSeed)
 
-		printResult := func(r scenario.AppResult) {
-			status := "completed"
-			if r.TimedOut {
-				status = "deadline reached"
-			}
-			fmt.Fprintf(&out, "%s: exec=%v  vm-wait=%v  ipis/vcpu/s=%.1f  avg-active-vcpus=%.2f\n",
-				status, r.ExecTime, r.WaitTime, r.IPIsPerVCPUSec, r.AvgActiveVCPUs)
-		}
-
+		var launch func(k *guest.Kernel) *workload.App
 		switch {
 		case strings.HasPrefix(*wl, "npb:"):
-			app := strings.TrimPrefix(*wl, "npb:")
-			p, err := npb.ProfileFor(app)
+			p, err := npb.ProfileFor(strings.TrimPrefix(*wl, "npb:"))
 			if err != nil {
 				return "", err
 			}
-			res, err := b.RunAppObserved(func(k *guest.Kernel) *workload.App {
+			launch = func(k *guest.Kernel) *workload.App {
 				return npb.Launch(k, p, *vcpus, guest.SpinBudgetFromCount(*spin))
-			}, sim.FromSeconds(*maxSecs), epoch, observe)
-			if err != nil {
-				return "", err
 			}
-			printResult(res)
 		case strings.HasPrefix(*wl, "parsec:"):
-			app := strings.TrimPrefix(*wl, "parsec:")
-			p, err := parsec.ProfileFor(app)
+			p, err := parsec.ProfileFor(strings.TrimPrefix(*wl, "parsec:"))
 			if err != nil {
 				return "", err
 			}
-			res, err := b.RunAppObserved(func(k *guest.Kernel) *workload.App {
+			launch = func(k *guest.Kernel) *workload.App {
 				return parsec.Launch(k, p, *vcpus, guest.SpinBudgetFromCount(*spin))
-			}, sim.FromSeconds(*maxSecs), epoch, observe)
-			if err != nil {
-				return "", err
 			}
-			printResult(res)
-		case *wl == "kernel-build":
-			res, err := b.RunAppObserved(func(k *guest.Kernel) *workload.App {
+		case *wl == "kernel-build": // forever-workload: reports the deadline window
+			launch = func(k *guest.Kernel) *workload.App {
 				app := workload.NewApp(k, "kernel-build")
 				workload.NewKernelBuild(k, 2**vcpus).Start(app)
 				return app
-			}, sim.FromSeconds(*maxSecs), epoch, observe)
-			if err != nil {
-				return "", err
 			}
-			printResult(res) // forever-workload: reports the deadline window
 		case strings.HasPrefix(*wl, "httpd:"):
 			rateK, err := strconv.ParseFloat(strings.TrimPrefix(*wl, "httpd:"), 64)
 			if err != nil {
@@ -236,21 +182,20 @@ func main() {
 			if err != nil {
 				return "", err
 			}
-			gen := loadgen.New(b.Eng, srv, sim.NewRand(runSeed+7), loadgen.Config{
+			gen = loadgen.New(b.Eng, srv, sim.NewRand(runSeed+7), loadgen.Config{
 				SLO: sim.FromMillis(*sloMs),
 			})
-			telGen = gen
 			warm := scenario.DefaultWarmup
-			if err := runObserved(b.Eng, warm, epoch, observe); err != nil {
+			if err := b.RunObserved(warm, epoch, observe); err != nil {
 				return "", err
 			}
 			window := sim.FromSeconds(*maxSecs)
 			gen.SetRate(rateK * 1000) // engine parked at warm: load starts now
-			if err := runObserved(b.Eng, warm+window, epoch, observe); err != nil {
+			if err := b.RunObserved(warm+window, epoch, observe); err != nil {
 				return "", err
 			}
 			gen.Stop()
-			if err := runObserved(b.Eng, warm+window+2*sim.Second, epoch, observe); err != nil {
+			if err := b.RunObserved(warm+window+2*sim.Second, epoch, observe); err != nil {
 				return "", err
 			}
 			if err := srv.Err(); err != nil {
@@ -268,6 +213,18 @@ func main() {
 		default:
 			return "", fmt.Errorf("unknown workload %q", *wl)
 		}
+		if launch != nil {
+			r, err := b.RunAppObserved(launch, sim.FromSeconds(*maxSecs), epoch, observe)
+			if err != nil {
+				return "", err
+			}
+			status := "completed"
+			if r.TimedOut {
+				status = "deadline reached"
+			}
+			fmt.Fprintf(&out, "%s: exec=%v  vm-wait=%v  ipis/vcpu/s=%.1f  avg-active-vcpus=%.2f\n",
+				status, r.ExecTime, r.WaitTime, r.IPIsPerVCPUSec, r.AvgActiveVCPUs)
+		}
 
 		if *activetrace {
 			fmt.Fprintln(&out, "\nactive-vCPU trace:")
@@ -283,8 +240,8 @@ func main() {
 	outs, err := runner.Run(runner.Options{
 		Workers:       *parallel,
 		BaseSeed:      *seed,
-		Trace:         wantTrace,
-		TraceCapacity: *tracecap,
+		Trace:         outputs.Tracing(),
+		TraceCapacity: outputs.TraceCapacity(),
 		Report:        rep,
 	}, *runs, func(ctx runner.Context) (string, error) {
 		runSeed := *seed
@@ -303,15 +260,6 @@ func main() {
 		col.Flush()
 		fatal(col.Err())
 	}
-	if telemetryFile != nil {
-		fatal(telemetryFile.Close())
-		fmt.Fprintf(os.Stderr, "wrote telemetry JSONL to %s\n", *telemetryOut)
-	}
-	defer func() {
-		if err := sink.Close(); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-		}
-	}()
 
 	for i, o := range outs {
 		if *runs > 1 {
@@ -328,25 +276,23 @@ func main() {
 			rep.JobWallMax().Round(time.Millisecond))
 	}
 
-	if wantTrace {
-		tr := trace.Merge(rep.LiveTracers()...)
-		if tr == nil {
-			tr = trace.New(trace.Config{RingCapacity: 1})
-		}
-		end := tr.MaxAt()
-		if *traceOut != "" {
-			f, err := os.Create(*traceOut)
-			fatal(err)
-			fatal(tr.WriteChrome(f, end))
-			fatal(f.Close())
-			fmt.Printf("\nwrote Chrome trace to %s (%d events recorded, %d dropped)\n",
-				*traceOut, tr.Total(), tr.Dropped())
-		}
-		if *schedstats {
-			fmt.Println()
-			fmt.Print(report.RenderSchedStats(tr.Snapshot(end)))
-		}
+	fatal(outputs.Finish(os.Stdout, rep.LiveTracers()))
+}
+
+// collectScenario samples the scenario's one host and its VM under test
+// at an epoch boundary and closes the collector's epoch. The host is
+// labelled host="0", so its series share the fleet's label schema. The
+// background slideshow VMs stay out of the catalog: they are scenery,
+// and their per-VM series would dwarf the signal at 2:1 consolidation.
+// gen is non-nil only for the httpd workload, whose SLO is sloMs.
+func collectScenario(col *telemetry.Collector, b *scenario.Built, gen *loadgen.Generator, sloMs float64, now sim.Time) {
+	col.Clock(now)
+	col.Host("0", b.Pool, b.Tracer)
+	col.VM("0", "vm", b.K, 0, gen)
+	if gen != nil {
+		col.SLO(sloMs)
 	}
+	col.EpochDone(now)
 }
 
 func fatal(err error) {

@@ -307,7 +307,7 @@ func aggregate(cfg *FleetConfig, hosts []*Host, res *FleetResult) error {
 	var scratch loadgen.Stats
 	vmsPerHost := make([]int, len(hosts))
 	for i, h := range hosts {
-		util += h.Util()
+		util += h.pool.Util()
 		vmsPerHost[i] = len(h.order)
 		res.CostVCPUSeconds += h.ProvisionedVCPUSeconds()
 		for _, name := range h.order {

@@ -616,13 +616,3 @@ func (h *Host) ProvisionedVCPUSeconds() float64 {
 	}
 	return total
 }
-
-// Util returns the host's pCPU busy fraction up to now.
-func (h *Host) Util() float64 {
-	now := h.eng.Now()
-	if now == 0 {
-		return 0
-	}
-	total := float64(now) * float64(h.cfg.PCPUs)
-	return 1 - float64(h.pool.Idle())/total
-}

@@ -31,10 +31,8 @@ func collectTelemetry(col *telemetry.Collector, now sim.Time, hosts []*Host, res
 	}
 	reg := col.Registry()
 
-	reg.GaugeSeries("vscale_sim_seconds",
-		"Virtual time of the fleet simulation at this collection epoch.").Set(now.Seconds())
-	reg.GaugeSeries("vscale_telemetry_epoch",
-		"Collection epoch index within this fleet run.").Set(float64(col.Epoch()))
+	col.Clock(now)
+	col.SLO(slo.Milliseconds())
 
 	// Fleet-wide churn counters come from the control plane's own
 	// accounting.
@@ -53,126 +51,41 @@ func collectTelemetry(col *telemetry.Collector, now sim.Time, hosts []*Host, res
 	}
 	var load loadgen.Stats
 	var reconfigs uint64
+	var cost float64
 	for _, h := range hosts {
 		host := strconv.Itoa(h.id)
-
-		reg.GaugeSeries("vscale_host_util_ratio",
-			"pCPU busy fraction of the host since boot.", "host", host).Set(h.Util())
+		hostCost := h.ProvisionedVCPUSeconds()
+		cost += hostCost
+		col.Host(host, h.pool, h.cfg.Tracer)
 		reg.GaugeSeries("vscale_host_active_vms",
 			"Non-retired VMs resident on the host.", "host", host).Set(float64(h.ActiveVMs()))
 		reg.GaugeSeries("vscale_host_committed_vcpus",
 			"vCPUs provisioned across the host's non-retired VMs.", "host", host).Set(float64(h.CommittedVCPUs()))
-		reg.CounterSeries("vscale_host_idle_seconds_total",
-			"Summed pCPU idle time of the host.", "host", host).Set(h.pool.Idle().Seconds())
-		reg.CounterSeries("vscale_host_sched_ticks_total",
-			"vScale extendability recalculations on the host.", "host", host).Set(float64(h.pool.VScaleTicks))
-		reg.CounterSeries("vscale_host_engine_events_total",
-			"Simulation events processed by the host's engine.", "host", host).Set(float64(h.eng.Processed))
 		reg.CounterSeries("vscale_host_provisioned_vcpu_seconds_total",
 			"Provisioned cost of the host's VMs: integral of active vCPUs over each VM's lifetime.",
-			"host", host).Set(h.ProvisionedVCPUSeconds())
+			"host", host).Set(hostCost)
 		if rt != nil && rt.el != nil {
 			reg.CounterSeries("vscale_host_migrations_total",
 				"Stop-and-copy cutovers committed with this host as the source.",
 				"host", host).Set(float64(rt.el.hostMigs[h.id]))
 		}
 
-		var switches uint64
-		runq := 0
-		for _, p := range h.pool.PCPUs() {
-			switches += p.Switches
-			runq += p.QueueLen()
-		}
-		reg.CounterSeries("vscale_host_context_switches_total",
-			"vCPU context switches across the host's pCPUs.", "host", host).Set(float64(switches))
-		reg.GaugeSeries("vscale_host_runq_len",
-			"Runnable vCPUs queued across the host's pCPUs.", "host", host).Set(float64(runq))
-
-		// Always-exact schedstats, when the fleet runs with tracers: the
-		// dwell/LHP/wakeup aggregates the paper's figures are built on,
-		// folded per host (sums and maxima only, so the random map walk
-		// inside Snapshot cannot leak nondeterminism).
-		if h.cfg.Tracer != nil {
-			snap := h.cfg.Tracer.Snapshot(now)
-			var wake, lhp, steals, ipis uint64
-			var lhpTime sim.Time
-			for _, v := range snap.VCPUs {
-				wake += v.WakeCount
-				lhp += v.LHPCount
-				lhpTime += v.LHPTotal
-				steals += v.Steals
-				ipis += v.IPICount
-			}
-			reg.CounterSeries("vscale_host_wakeups_total",
-				"RUNNABLE-to-RUN transitions across the host's vCPUs.", "host", host).Set(float64(wake))
-			reg.CounterSeries("vscale_host_lhp_total",
-				"Lock-holder preemption incidents on the host.", "host", host).Set(float64(lhp))
-			reg.CounterSeries("vscale_host_lhp_seconds_total",
-				"Total time vCPUs spent descheduled while holding a lock.", "host", host).Set(lhpTime.Seconds())
-			reg.CounterSeries("vscale_host_steals_total",
-				"Runqueue steals to idle pCPUs on the host.", "host", host).Set(float64(steals))
-			reg.CounterSeries("vscale_host_ipis_total",
-				"Inter-vCPU IPIs delivered on the host.", "host", host).Set(float64(ipis))
-		}
-
 		for _, name := range h.order {
 			vm := h.vms[name]
-			labels := []string{"host", host, "vm", name}
+			_, decisions := vm.k.DaemonStats()
+			reconfigs += decisions + vm.policyOps
+			load.Add(vm.gen.Stats())
+			_ = fleetHist.Merge(vm.gen.Hist())
 			if vm.retired {
 				// A departed VM's series freeze at their last values, like
 				// a real exporter whose target went away mid-scrape cycle;
 				// its terminal load still counts into the fleet aggregate.
-				st := vm.gen.Stats()
-				load.Add(st)
-				_ = fleetHist.Merge(vm.gen.Hist())
-				_, decisions := vm.k.DaemonStats()
-				reconfigs += decisions + vm.policyOps
 				continue
 			}
-
-			reg.GaugeSeries("vscale_vm_vcpus",
-				"vCPUs provisioned to the VM.", labels...).Set(float64(vm.vcpus))
-			reg.GaugeSeries("vscale_vm_active_vcpus",
-				"vCPUs the guest balancer currently keeps unfrozen.", labels...).Set(float64(vm.k.ActiveVCPUs()))
-			reg.CounterSeries("vscale_vm_cpu_seconds_total",
-				"CPU time consumed by the VM's vCPUs.", labels...).Set(vm.dom.TotalRunTime.Seconds())
-			reg.CounterSeries("vscale_vm_wait_seconds_total",
-				"Scheduling delay accumulated by the VM's vCPUs.", labels...).Set(vm.dom.TotalWaitTime.Seconds())
-			reg.GaugeSeries("vscale_vm_offered_rps",
-				"Current offered request rate of the VM's load generator.", labels...).Set(vm.gen.Rate())
-
-			var credits sim.Time
-			for i := 0; i < vm.dom.VCPUCount(); i++ {
-				credits += vm.dom.VCPU(i).Credits()
-			}
-			reg.GaugeSeries("vscale_vm_credit_ns",
-				"Summed credit-scheduler balance of the VM's vCPUs, virtual ns.", labels...).Set(float64(credits))
-
-			_, decisions := vm.k.DaemonStats()
-			reconfigs += decisions + vm.policyOps
-			reg.CounterSeries("vscale_vm_reconfigs_total",
-				"Scaling actions taken by the VM's daemon or the control-plane policy.",
-				labels...).Set(float64(decisions + vm.policyOps))
+			col.VM(host, name, vm.k, vm.policyOps, vm.gen)
 			reg.CounterSeries("vscale_vm_provisioned_vcpu_seconds_total",
 				"Provisioned cost of the VM: integral of its active vCPU count since boot.",
-				labels...).Set(vm.k.ActiveVCPUSeconds())
-
-			st := vm.gen.Stats()
-			load.Add(st)
-			reg.CounterSeries("vscale_vm_offered_requests_total",
-				"Requests injected into the VM by the open-loop generator.", labels...).Set(float64(st.Offered))
-			reg.CounterSeries("vscale_vm_replies_total",
-				"Replies delivered within the server timeout.", labels...).Set(float64(st.Replies))
-			reg.CounterSeries("vscale_vm_errors_total",
-				"Request timeouts and backlog drops.", labels...).Set(float64(st.Errors))
-			reg.CounterSeries("vscale_vm_slo_ok_total",
-				"Replies delivered within the SLO.", labels...).Set(float64(st.SLOOk))
-
-			vmHist := vm.gen.Hist()
-			_ = fleetHist.Merge(vmHist)
-			reg.SummarySeries("vscale_vm_reply_latency_ms",
-				"Reply latency of the VM's requests, milliseconds.", labels...).
-				SetFromHistogram(vmHist, 0.5, 0.95, 0.99)
+				"host", host, "vm", name).Set(vm.k.ActiveVCPUSeconds())
 		}
 	}
 
@@ -184,16 +97,10 @@ func collectTelemetry(col *telemetry.Collector, now sim.Time, hosts []*Host, res
 		"Errors across the whole fleet.").Set(float64(load.Errors))
 	reg.CounterSeries("vscale_fleet_reconfigs_total",
 		"Scaling actions taken across every VM of the fleet.").Set(float64(reconfigs))
-	var cost float64
-	for _, h := range hosts {
-		cost += h.ProvisionedVCPUSeconds()
-	}
 	reg.CounterSeries("vscale_fleet_provisioned_vcpu_seconds_total",
 		"Provisioned cost across the whole fleet, vCPU-seconds.").Set(cost)
 	reg.GaugeSeries("vscale_fleet_slo_attainment_ratio",
 		"Fraction of offered requests answered within the SLO so far.").Set(load.Attainment())
-	reg.GaugeSeries("vscale_fleet_slo_ms",
-		"The per-request latency objective, milliseconds.").Set(slo.Milliseconds())
 	reg.SummarySeries("vscale_fleet_reply_latency_ms",
 		"Reply latency across the whole fleet, milliseconds.").
 		SetFromHistogram(fleetHist, 0.5, 0.95, 0.99)

@@ -151,7 +151,8 @@ func TestFleetTelemetryScrape(t *testing.T) {
 		"# TYPE vscale_host_util_ratio gauge",
 		"# TYPE vscale_vm_cpu_seconds_total counter",
 		"# TYPE vscale_vm_reply_latency_ms summary",
-		`policy="static"`, `host="0"`, `quantile="0.99"`,
+		"# TYPE vscale_fleet_reply_latency_ms summary",
+		`policy="static"`, `host="0"`, `vm="`, `quantile="0.99"`,
 	} {
 		if !strings.Contains(body, want) {
 			t.Fatalf("scrape missing %q:\n%s", want, body)

@@ -58,11 +58,6 @@ type Setup struct {
 	PCPUs int
 	// VMVCPUs is the vCPU count of the VM under test.
 	VMVCPUs int
-	// BackgroundVMs overrides the background-VM count; when 0, enough
-	// 2-vCPU slideshow VMs are launched to reach ConsolidationRatio.
-	BackgroundVMs int
-	// ConsolidationRatio is vCPUs per pCPU (paper: 2).
-	ConsolidationRatio float64
 	// Mode is the configuration under test.
 	Mode Mode
 	// Policy selects the hypervisor scheduling policy (credit default;
@@ -112,13 +107,17 @@ type Setup struct {
 // 4-vCPU VM, 2:1 consolidation.
 func DefaultSetup() Setup {
 	return Setup{
-		PCPUs:              8,
-		VMVCPUs:            4,
-		ConsolidationRatio: 2,
-		Mode:               Baseline,
-		Seed:               1,
+		PCPUs:   8,
+		VMVCPUs: 4,
+		Mode:    Baseline,
+		Seed:    1,
 	}
 }
+
+// ConsolidationRatio is the vCPUs per pCPU that Build fills a host up
+// to with 2-vCPU slideshow VMs (the paper's 2:1, §5.2.1), unless
+// Setup.NoBackground is set.
+const ConsolidationRatio = 2
 
 // Built is an assembled scenario ready to run workloads on.
 type Built struct {
@@ -153,9 +152,6 @@ func Build(s Setup) *Built {
 	if s.PCPUs <= 0 || s.VMVCPUs <= 0 || s.VMVCPUs > guest.MaxVCPUs {
 		panic(fmt.Sprintf("scenario: need PCPUs > 0 and VMVCPUs in 1..%d", guest.MaxVCPUs))
 	}
-	if s.ConsolidationRatio == 0 {
-		s.ConsolidationRatio = 2
-	}
 	eng := sim.NewEngine(s.Seed)
 	tr := s.Tracer
 	if tr != nil {
@@ -185,16 +181,9 @@ func Build(s Setup) *Built {
 
 	b := &Built{Setup: s, Eng: eng, Pool: pool, VM: vm, K: k, Tracer: tr}
 
-	nbg := s.BackgroundVMs
-	if nbg == 0 && !s.NoBackground {
-		want := int(s.ConsolidationRatio*float64(s.PCPUs)) - s.VMVCPUs
-		nbg = want / 2
-		if nbg < 0 {
-			nbg = 0
-		}
-	}
-	if s.NoBackground {
-		nbg = 0
+	nbg := 0
+	if !s.NoBackground {
+		nbg = max((ConsolidationRatio*s.PCPUs-s.VMVCPUs)/2, 0)
 	}
 	show := workload.DefaultSlideshow()
 	if s.LightBackground {
@@ -246,14 +235,11 @@ func (b *Built) RunApp(launch func(k *guest.Kernel) *workload.App, deadline sim.
 	return b.RunAppObserved(launch, deadline, 0, nil)
 }
 
-// RunAppObserved is RunApp with a periodic observation hook: observe is
-// called with the engine parked at every epoch boundary (and once at
-// the end of the run), so telemetry collectors can sample kernel, pool
-// and domain state without scheduling a single engine event. The event
-// stream — and therefore every simulation result — is identical to
-// RunApp's: the run is merely chunked into epoch-length RunUntil calls,
-// and observe must only read. epoch <= 0 or a nil observe degenerates
-// to a single RunUntil.
+// RunAppObserved is RunApp with a periodic observation hook. It runs
+// through RunObserved's epoch loop: observe sees the engine parked at
+// every multiple of epoch on the engine clock, and once where the run
+// ends, when the application completes or the deadline passes. Every
+// result is the same as RunApp's.
 func (b *Built) RunAppObserved(launch func(k *guest.Kernel) *workload.App, deadline, epoch sim.Time, observe func(now sim.Time)) (AppResult, error) {
 	startWait := b.VM.TotalWaitTime
 	var startIPIs uint64
@@ -264,25 +250,8 @@ func (b *Built) RunAppObserved(launch func(k *guest.Kernel) *workload.App, deadl
 
 	app := launch(b.K)
 	app.OnDone = func(*workload.App) { b.Eng.Stop() }
-	stop := start + deadline
-	if observe == nil || epoch <= 0 {
-		if err := b.Eng.RunUntil(stop); err != nil {
-			return AppResult{}, fmt.Errorf("scenario %q: %w", b.Setup.Mode, err)
-		}
-	} else {
-		for i := 1; ; i++ {
-			next := start + sim.Time(i)*epoch
-			if next > stop {
-				next = stop
-			}
-			if err := b.Eng.RunUntil(next); err != nil {
-				return AppResult{}, fmt.Errorf("scenario %q: %w", b.Setup.Mode, err)
-			}
-			observe(b.Eng.Now())
-			if app.Done() || b.Eng.Now() >= stop {
-				break
-			}
-		}
+	if err := b.runEpochs(start+deadline, epoch, observe, app.Done); err != nil {
+		return AppResult{}, fmt.Errorf("scenario %q: %w", b.Setup.Mode, err)
 	}
 	end := b.Eng.Now()
 
@@ -305,6 +274,38 @@ func (b *Built) RunAppObserved(launch func(k *guest.Kernel) *workload.App, deadl
 	}
 	b.FinishTrace()
 	return res, nil
+}
+
+// RunObserved advances the engine to stop with a periodic observation
+// hook: observe is called with the engine parked at every multiple of
+// epoch on the engine clock, and once at stop, so telemetry collectors
+// can sample kernel, pool and domain state without scheduling a single
+// engine event. The boundaries do not depend on where a leg starts, so
+// consecutive legs (a warm-up, a measured window, a drain) collect on
+// one grid. Chunking a run into RunUntil calls never reorders or drops
+// events, so every simulation result is the same as one RunUntil(stop),
+// and observe must only read. epoch <= 0 or a nil observe degenerates
+// to that single call.
+func (b *Built) RunObserved(stop, epoch sim.Time, observe func(now sim.Time)) error {
+	return b.runEpochs(stop, epoch, observe, nil)
+}
+
+// runEpochs is RunObserved that also ends at the first boundary where
+// done (when non-nil) reports true.
+func (b *Built) runEpochs(stop, epoch sim.Time, observe func(now sim.Time), done func() bool) error {
+	if observe == nil || epoch <= 0 {
+		return b.Eng.RunUntil(stop)
+	}
+	for {
+		next := min((b.Eng.Now()/epoch+1)*epoch, stop)
+		if err := b.Eng.RunUntil(next); err != nil {
+			return err
+		}
+		observe(b.Eng.Now())
+		if b.Eng.Now() >= stop || done != nil && done() {
+			return nil
+		}
+	}
 }
 
 // FinishTrace copies the engine's event counters into the scenario's

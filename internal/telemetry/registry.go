@@ -3,6 +3,8 @@
 // periodic simulation-time collection epochs, exposed two ways — a
 // /metrics scrape endpoint served alongside a running simulation
 // (server.go) and a deterministic JSONL time-series stream (sink.go).
+// The host and VM families every simulated host exports are defined
+// once, in hostvm.go.
 //
 // Everything in the registry is stamped with virtual time only and
 // sampled at epoch boundaries while the simulation engines are parked,

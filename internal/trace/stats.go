@@ -91,6 +91,37 @@ type Snapshot struct {
 	EngScheduled, EngCancelled, EngFired uint64
 }
 
+// Totals is the sum over every traced vCPU of the counters that need no
+// finalizing: wakeups, lock-holder preemptions, steals and delivered
+// IPIs.
+type Totals struct {
+	Wakeups, LHPs, Steals, IPIs uint64
+	LHPTime                     sim.Time
+}
+
+// Totals sums the per-vCPU accumulators in place. Unlike Snapshot it
+// builds no rows, so an exporter can read it every epoch without
+// allocating. A nil tracer has zero totals.
+func (t *Tracer) Totals() Totals {
+	var tot Totals
+	if t == nil {
+		return tot
+	}
+	for _, d := range t.doms {
+		if d == nil {
+			continue
+		}
+		for _, a := range d.vcpus {
+			tot.Wakeups += uint64(a.wakeLat.Count())
+			tot.LHPs += a.lhpCount
+			tot.LHPTime += a.lhpTotal
+			tot.Steals += a.steals
+			tot.IPIs += uint64(a.ipiLat.Count())
+		}
+	}
+	return tot
+}
+
 // Snapshot finalizes the schedstats at end: every in-progress dwell is
 // closed at end without mutating the live accounting, so tracing can
 // continue afterwards.

@@ -45,6 +45,9 @@ func TestNilTracerIsDisabled(t *testing.T) {
 	if len(snap.VCPUs) != 0 {
 		t.Fatal("nil tracer snapshot has vCPUs")
 	}
+	if tr.Totals() != (Totals{}) {
+		t.Fatal("nil tracer has non-zero totals")
+	}
 	var buf bytes.Buffer
 	if err := tr.WriteChrome(&buf, 200); err != nil {
 		t.Fatalf("nil WriteChrome: %v", err)
@@ -190,6 +193,38 @@ func TestLHPAccounting(t *testing.T) {
 	v := tr.Snapshot(30 * sim.Millisecond).VCPUs[0]
 	if v.LHPCount != 2 || v.LHPTotal != 10*sim.Millisecond || v.LHPMax != 7*sim.Millisecond {
 		t.Fatalf("LHP = (%d, %v, %v), want (2, 10ms, 7ms)", v.LHPCount, v.LHPTotal, v.LHPMax)
+	}
+}
+
+// TestTotalsMatchSnapshot: Totals is the sum of the Snapshot rows'
+// wakeup, LHP, steal and IPI counts, across domains, and reading it
+// allocates nothing.
+func TestTotalsMatchSnapshot(t *testing.T) {
+	tr := New(Config{RingCapacity: 16})
+	tr.RegisterDomain(0, "vm", 2, 0)
+	tr.RegisterDomain(1, "bg0", 1, 0)
+	tr.VCPUState(sim.Millisecond, 0, 0, 0, VRunnable)
+	tr.VCPUState(3*sim.Millisecond, 0, 0, 0, VRun)
+	tr.VCPUState(4*sim.Millisecond, 1, 0, 1, VRunnable)
+	tr.VCPUState(5*sim.Millisecond, 1, 0, 1, VRun)
+	tr.LHP(6*sim.Millisecond, 0, 1, 2*sim.Millisecond)
+	tr.LHP(7*sim.Millisecond, 1, 0, 3*sim.Millisecond)
+	tr.Migrate(8*sim.Millisecond, 0, 1, 0, 1)
+	tr.IPIDelivery(9*sim.Millisecond, 1, 0, sim.Microsecond)
+	tr.IPIDelivery(9*sim.Millisecond, 0, 0, sim.Microsecond)
+	var want Totals
+	for _, v := range tr.Snapshot(10 * sim.Millisecond).VCPUs {
+		want.Wakeups += v.WakeCount
+		want.LHPs += v.LHPCount
+		want.LHPTime += v.LHPTotal
+		want.Steals += v.Steals
+		want.IPIs += v.IPICount
+	}
+	if got := tr.Totals(); got != want || got != (Totals{Wakeups: 2, LHPs: 2, LHPTime: 5 * sim.Millisecond, Steals: 1, IPIs: 2}) {
+		t.Fatalf("Totals = %+v, snapshot sums %+v", got, want)
+	}
+	if n := testing.AllocsPerRun(10, func() { tr.Totals() }); n != 0 {
+		t.Fatalf("Totals allocated %v times, want 0", n)
 	}
 }
 

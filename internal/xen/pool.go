@@ -852,6 +852,15 @@ func (d *Domain) HypercallCPUFreeze(vcpu int, freeze bool) {
 	}
 }
 
+// Util returns the pool's pCPU busy fraction since boot (0 at time 0).
+func (pool *Pool) Util() float64 {
+	now := pool.eng.Now()
+	if now == 0 {
+		return 0
+	}
+	return 1 - float64(pool.Idle())/(float64(now)*float64(len(pool.pcpus)))
+}
+
 // Idle returns the pool's aggregate pCPU idle time (including currently
 // idling pCPUs up to now).
 func (pool *Pool) Idle() sim.Time {

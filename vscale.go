@@ -81,8 +81,10 @@ const (
 	VScalePVLock = scenario.VScalePVLock
 )
 
-// Setup describes a simulated host: pool size, the VM under test,
-// background desktops and the configuration under test.
+// Setup describes a simulated host: pool size, the VM under test and
+// the configuration under test. Unless NoBackground is set, slideshow
+// desktops of 2 vCPUs each fill the rest of the host up to the paper's
+// fixed 2 vCPUs per pCPU (scenario.ConsolidationRatio).
 type Setup = scenario.Setup
 
 // Scenario is an assembled host ready to run workloads.
