@@ -167,7 +167,7 @@ func TestPickHostPrefersIdleHost(t *testing.T) {
 	epoch := 500 * sim.Millisecond
 	probes := make([][]core.VMStat, 2)
 	noExtra := []int{0, 0}
-	var scratch []core.VMStat
+	var scratch pickScratch
 	// Host 0 is saturated by two full-throttle competitors; host 1 idle.
 	stats := [][]core.VMStat{
 		{probeStat(4, 4, epoch), probeStat(4, 4, epoch)},

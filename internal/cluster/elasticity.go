@@ -158,7 +158,7 @@ type elasticity struct {
 	// Reusable pickHost inputs for boundary-time (probe-free) placement.
 	noProbes  [][]core.VMStat
 	zeroExtra []int
-	scratch   []core.VMStat
+	scratch   pickScratch
 	statsBuf  [][]core.VMStat
 	commBuf   []int
 }

@@ -33,12 +33,13 @@ func probeStat(vcpus, pcpus int, epoch sim.Time) core.VMStat {
 // that boundary), plus the newcomer's probe. Ties break toward fewer
 // committed vCPUs (committed[i]+committedExtra[i], the snapshot value
 // corrected for placements since), then the lower host index, so
-// placement is deterministic. scratch is the reusable candidate buffer.
-func pickHost(pcpus int, epoch sim.Time, stats, probes [][]core.VMStat, committed []int, committedExtra []int, vcpus int, scratch *[]core.VMStat) int {
+// placement is deterministic. scratch is the caller's reusable working
+// memory.
+func pickHost(pcpus int, epoch sim.Time, stats, probes [][]core.VMStat, committed []int, committedExtra []int, vcpus int, scratch *pickScratch) int {
 	best := 0
 	bestExtend := sim.Time(-1)
 	newProbe := probeStat(vcpus, pcpus, epoch)
-	cand := *scratch
+	cand := scratch.cand
 	for i := range probes {
 		var base []core.VMStat
 		var comm int
@@ -54,8 +55,8 @@ func pickHost(pcpus int, epoch sim.Time, stats, probes [][]core.VMStat, committe
 		cand = append(cand, base...)
 		cand = append(cand, probes[i]...)
 		cand = append(cand, newProbe)
-		res := core.ComputeExtendability(cand, pcpus, epoch)
-		extend := res[len(res)-1].Extend
+		scratch.res = core.ComputeExtendability(scratch.res, cand, pcpus, epoch)
+		extend := scratch.res[len(cand)-1].Extend
 		switch {
 		case extend > bestExtend:
 			best, bestExtend = i, extend
@@ -69,6 +70,13 @@ func pickHost(pcpus int, epoch sim.Time, stats, probes [][]core.VMStat, committe
 			}
 		}
 	}
-	*scratch = cand
+	scratch.cand = cand
 	return best
+}
+
+// pickScratch is pickHost's working memory, reused across calls: the
+// candidate set Algorithm 1 is probed with and its results.
+type pickScratch struct {
+	cand []core.VMStat
+	res  []core.Extendability
 }

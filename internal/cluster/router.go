@@ -140,8 +140,8 @@ type fleetRouter struct {
 	probeLog       [][]placedProbe
 	probes         [][]core.VMStat
 	committedExtra []int
-	// scratch is pickHost's candidate buffer, reused across arrivals.
-	scratch []core.VMStat
+	// scratch is pickHost's working memory, reused across arrivals.
+	scratch pickScratch
 	// telHist is collectTelemetry's reusable fleet-wide merge target,
 	// allocated once per run instead of once per collection epoch.
 	telHist *metrics.Histogram

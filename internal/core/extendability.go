@@ -10,6 +10,7 @@ package core
 import (
 	"fmt"
 	"math"
+	"slices"
 
 	"vscale/internal/sim"
 )
@@ -88,7 +89,10 @@ func ceilDivEps(a, b float64) int {
 // ComputeExtendability implements Algorithm 1 of the paper. Given the
 // per-VM stats for one period of length t over a pool of P pCPUs, it
 // computes each VM's fair share, CPU extendability and optimal vCPU
-// count.
+// count, one result per VM in order. The results are written into dst,
+// a buffer the caller owns: dst is truncated, grown if its capacity is
+// short, refilled and returned, so a caller that passes the previous
+// result back in allocates nothing. A nil dst is fine.
 //
 // VMs that under-used their fair allocation (releasers) contribute the
 // difference to a machine-wide slack; their extendability is pinned to
@@ -101,7 +105,7 @@ func ceilDivEps(a, b float64) int {
 //
 // It panics if P <= 0, t <= 0, or any weight is non-positive, since those
 // are configuration errors.
-func ComputeExtendability(vms []VMStat, P int, t sim.Time) []Extendability {
+func ComputeExtendability(dst []Extendability, vms []VMStat, P int, t sim.Time) []Extendability {
 	if P <= 0 {
 		panic(fmt.Sprintf("core: non-positive pool size %d", P))
 	}
@@ -109,7 +113,7 @@ func ComputeExtendability(vms []VMStat, P int, t sim.Time) []Extendability {
 		panic(fmt.Sprintf("core: non-positive period %v", t))
 	}
 	if len(vms) == 0 {
-		return nil
+		return dst[:0]
 	}
 
 	var totalWeight float64
@@ -123,7 +127,7 @@ func ComputeExtendability(vms []VMStat, P int, t sim.Time) []Extendability {
 	period := float64(t)
 	poolTime := period * float64(P)
 
-	out := make([]Extendability, len(vms))
+	out := slices.Grow(dst[:0], len(vms))[:len(vms)]
 	var slack float64 // c_slack: unused CPU capacity this period
 	var competitorWeight float64
 

@@ -17,7 +17,7 @@ func vm(id string, w float64, consumedPCPUs float64) VMStat {
 func TestExtendabilityAllEqualAllBusy(t *testing.T) {
 	// 4 VMs, equal weight, all consuming everything: each gets P/4.
 	vms := []VMStat{vm("a", 1, 2), vm("b", 1, 2), vm("c", 1, 2), vm("d", 1, 2)}
-	res := ComputeExtendability(vms, 8, t10ms)
+	res := ComputeExtendability(nil, vms, 8, t10ms)
 	for _, r := range res {
 		if !r.Competitor {
 			t.Fatalf("%s should be a competitor", r.ID)
@@ -37,7 +37,7 @@ func TestExtendabilityAllEqualAllBusy(t *testing.T) {
 func TestExtendabilityReleaserDonatesSlack(t *testing.T) {
 	// Two VMs on 4 pCPUs, equal weight. b is nearly idle; a is busy.
 	vms := []VMStat{vm("busy", 1, 2.0), vm("idle", 1, 0.2)}
-	res := ComputeExtendability(vms, 4, t10ms)
+	res := ComputeExtendability(nil, vms, 4, t10ms)
 	// fair share each: 2 pCPUs. idle released 1.8 pCPUs of slack.
 	if !res[0].Competitor || res[1].Competitor {
 		t.Fatalf("roles wrong: %+v", res)
@@ -62,7 +62,7 @@ func TestExtendabilitySlackSplitByWeight(t *testing.T) {
 		vm("c3", 3, 3.0),
 		{ID: "rel", Weight: 4, Consumption: sim.Time(1.0 * float64(t10ms))},
 	}
-	res := ComputeExtendability(vms, 8, t10ms)
+	res := ComputeExtendability(nil, vms, 8, t10ms)
 	// fair: c1 = 1 pCPU, c3 = 3, rel = 4. rel consumed 1 → slack 3.
 	if got := float64(res[0].Extend) / float64(t10ms); math.Abs(got-(1+3.0/4*1)) > 1e-9 {
 		t.Fatalf("c1 extend = %f pCPUs", got)
@@ -88,7 +88,7 @@ func TestExtendabilityConservation(t *testing.T) {
 				Consumption: sim.Time(r.Float64() * 2 * float64(P) / float64(n) * float64(t10ms)),
 			}
 		}
-		res := ComputeExtendability(vms, P, t10ms)
+		res := ComputeExtendability(nil, vms, P, t10ms)
 		var sum float64
 		haveCompetitor := false
 		for i, re := range res {
@@ -124,7 +124,7 @@ func TestExtendabilityMaxMinFairness(t *testing.T) {
 				Consumption: sim.Time(r.Float64() * float64(P) * float64(t10ms)),
 			}
 		}
-		res := ComputeExtendability(vms, P, t10ms)
+		res := ComputeExtendability(nil, vms, P, t10ms)
 		for _, re := range res {
 			if re.Extend < re.FairShare {
 				return false
@@ -141,10 +141,10 @@ func TestExtendabilityVCPUCountManipulationImmune(t *testing.T) {
 	// A VM cannot gain extendability by changing its configured vCPU
 	// count (MaxVCPUs only clamps downward).
 	base := []VMStat{vm("a", 1, 3), vm("b", 1, 0.5)}
-	r1 := ComputeExtendability(base, 8, t10ms)
+	r1 := ComputeExtendability(nil, base, 8, t10ms)
 	withMax := []VMStat{base[0], base[1]}
 	withMax[0].MaxVCPUs = 16
-	r2 := ComputeExtendability(withMax, 8, t10ms)
+	r2 := ComputeExtendability(nil, withMax, 8, t10ms)
 	if r1[0].Extend != r2[0].Extend {
 		t.Fatalf("extendability changed with vCPU count: %v vs %v", r1[0].Extend, r2[0].Extend)
 	}
@@ -164,7 +164,7 @@ func TestExtendabilityFairShareMonotoneInWeight(t *testing.T) {
 	}
 	prev := sim.Time(0)
 	for w := 0.5; w <= 8; w += 0.5 {
-		res := ComputeExtendability(mk(w), 8, t10ms)
+		res := ComputeExtendability(nil, mk(w), 8, t10ms)
 		if res[0].FairShare < prev {
 			t.Fatalf("fair share not monotone in weight at w=%f", w)
 		}
@@ -184,7 +184,7 @@ func TestExtendabilityCompetitorsOrderedByWeight(t *testing.T) {
 		{ID: "w4", Weight: 4, Consumption: 8 * t10ms},
 		{ID: "rel", Weight: 1, Consumption: 0},
 	}
-	res := ComputeExtendability(vms, 8, t10ms)
+	res := ComputeExtendability(nil, vms, 8, t10ms)
 	if !(res[0].Extend < res[1].Extend && res[1].Extend < res[2].Extend) {
 		t.Fatalf("competitor extendability not ordered by weight: %+v", res)
 	}
@@ -195,7 +195,7 @@ func TestExtendabilityReservationAndCap(t *testing.T) {
 		{ID: "capped", Weight: 1, Consumption: 4 * t10ms, CapPCPUs: 1.5},
 		{ID: "reserved", Weight: 1, Consumption: 0, ReservationPCPUs: 3},
 	}
-	res := ComputeExtendability(vms, 8, t10ms)
+	res := ComputeExtendability(nil, vms, 8, t10ms)
 	if got := float64(res[0].Extend) / float64(t10ms); got > 1.5+1e-9 {
 		t.Fatalf("cap violated: %f pCPUs", got)
 	}
@@ -212,7 +212,7 @@ func TestExtendabilityMaxVCPUsClamp(t *testing.T) {
 		{ID: "small", Weight: 1, Consumption: 8 * t10ms, MaxVCPUs: 4},
 		{ID: "idle", Weight: 1, Consumption: 0},
 	}
-	res := ComputeExtendability(vms, 16, t10ms)
+	res := ComputeExtendability(nil, vms, 16, t10ms)
 	if res[0].OptimalVCPUs != 4 {
 		t.Fatalf("optimal = %d, want clamp at 4", res[0].OptimalVCPUs)
 	}
@@ -226,7 +226,7 @@ func TestExtendabilityUPVM(t *testing.T) {
 		{ID: "up", Weight: 4, Consumption: 1 * t10ms, UP: true},
 		vm("other", 1, 0.1),
 	}
-	res := ComputeExtendability(vms, 8, t10ms)
+	res := ComputeExtendability(nil, vms, 8, t10ms)
 	if res[0].OptimalVCPUs != 1 {
 		t.Fatalf("UP VM optimal = %d, want 1", res[0].OptimalVCPUs)
 	}
@@ -245,7 +245,7 @@ func TestExtendabilityOptimalAtLeastOne(t *testing.T) {
 				MaxVCPUs:    1 + r.Intn(8),
 			}
 		}
-		for _, re := range ComputeExtendability(vms, 1+r.Intn(8), t10ms) {
+		for _, re := range ComputeExtendability(nil, vms, 1+r.Intn(8), t10ms) {
 			if re.OptimalVCPUs < 1 {
 				return false
 			}
@@ -263,7 +263,7 @@ func TestExtendabilityCeilingGrantsPartialVCPU(t *testing.T) {
 		{ID: "a", Weight: 5, Consumption: 8 * t10ms},
 		{ID: "b", Weight: 11, Consumption: 8 * t10ms},
 	}
-	res := ComputeExtendability(vms, 8, t10ms)
+	res := ComputeExtendability(nil, vms, 8, t10ms)
 	if got := float64(res[0].Extend) / float64(t10ms); math.Abs(got-2.5) > 1e-9 {
 		t.Fatalf("extend = %f pCPUs, want 2.5", got)
 	}
@@ -275,7 +275,7 @@ func TestExtendabilityCeilingGrantsPartialVCPU(t *testing.T) {
 func TestExtendabilityExactIntegerNoExtraVCPU(t *testing.T) {
 	// Exactly 2.0 pCPUs must yield 2 vCPUs, not 3, despite float noise.
 	vms := []VMStat{vm("a", 1, 3), vm("b", 1, 3), vm("c", 1, 3), vm("d", 1, 3)}
-	res := ComputeExtendability(vms, 8, t10ms)
+	res := ComputeExtendability(nil, vms, 8, t10ms)
 	for _, re := range res {
 		if re.OptimalVCPUs != 2 {
 			t.Fatalf("%s optimal = %d, want exactly 2", re.ID, re.OptimalVCPUs)
@@ -284,13 +284,13 @@ func TestExtendabilityExactIntegerNoExtraVCPU(t *testing.T) {
 }
 
 func TestExtendabilityEmptyAndPanics(t *testing.T) {
-	if got := ComputeExtendability(nil, 4, t10ms); got != nil {
+	if got := ComputeExtendability(nil, nil, 4, t10ms); got != nil {
 		t.Fatal("nil input should give nil output")
 	}
 	for _, tc := range []func(){
-		func() { ComputeExtendability([]VMStat{vm("a", 1, 1)}, 0, t10ms) },
-		func() { ComputeExtendability([]VMStat{vm("a", 1, 1)}, 4, 0) },
-		func() { ComputeExtendability([]VMStat{vm("a", 0, 1)}, 4, t10ms) },
+		func() { ComputeExtendability(nil, []VMStat{vm("a", 1, 1)}, 0, t10ms) },
+		func() { ComputeExtendability(nil, []VMStat{vm("a", 1, 1)}, 4, 0) },
+		func() { ComputeExtendability(nil, []VMStat{vm("a", 0, 1)}, 4, t10ms) },
 	} {
 		func() {
 			defer func() {
@@ -305,7 +305,7 @@ func TestExtendabilityEmptyAndPanics(t *testing.T) {
 
 func TestPoolSlack(t *testing.T) {
 	vms := []VMStat{vm("busy", 1, 2.0), vm("idle", 1, 0.5)}
-	res := ComputeExtendability(vms, 4, t10ms)
+	res := ComputeExtendability(nil, vms, 4, t10ms)
 	want := sim.Time(1.5 * float64(t10ms))
 	if got := PoolSlack(vms, res); got != want {
 		t.Fatalf("slack = %v, want %v", got, want)

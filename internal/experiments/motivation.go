@@ -70,37 +70,29 @@ func Motivation(opts runner.Options, duration sim.Time) (MotivationResult, error
 			ring[i] = k.NewSpinVar()
 		}
 		for th := 0; th < 4; th++ {
-			th := th
 			pred, own := ring[(th+3)%4], ring[th]
-			app.Go(fmt.Sprintf("ring.%d", th), &workload.RandLoop{Forever: true, Body: func(i int) []any {
-				acts := []any{workload.RandCompute(900*sim.Microsecond, 1100*sim.Microsecond)}
+			app.Go(fmt.Sprintf("ring.%d", th), &workload.RandLoop{Forever: true, Body: func(i int, ops *workload.Ops) {
+				ops.RandCompute(900*sim.Microsecond, 1100*sim.Microsecond)
 				if th != 0 {
-					acts = append(acts, guest.ActSpinWait{S: pred, Gen: uint64(i + 1)})
+					ops.Do(guest.SpinWait(pred, uint64(i+1)))
 				} else if i > 0 {
-					acts = append(acts, guest.ActSpinWait{S: pred, Gen: uint64(i)})
+					ops.Do(guest.SpinWait(pred, uint64(i)))
 				}
-				acts = append(acts, guest.ActSpinSet{S: own})
-				return acts
+				ops.Do(guest.SpinSet(own))
 			}})
 		}
 		// Futex ping-pong: the wakeups land on busy vCPUs, so their IPIs
 		// pend whenever the hypervisor has the target descheduled.
 		pq := k.NewWaitQueue(0)
-		app.Go("pong", &workload.RandLoop{Forever: true, Body: func(i int) []any {
-			return []any{guest.ActDequeue{Q: pq}, guest.ActCompute{D: 200 * sim.Microsecond}}
+		app.Go("pong", &workload.RandLoop{Forever: true, Body: func(_ int, ops *workload.Ops) {
+			ops.Do(guest.Dequeue(pq), guest.Compute(200*sim.Microsecond))
 		}})
-		app.Go("ping", &workload.RandLoop{Forever: true, Body: func(i int) []any {
-			return []any{
-				guest.ActCompute{D: sim.Millisecond},
-				guest.ActEnqueue{Q: pq, Item: i},
-			}
+		app.Go("ping", &workload.RandLoop{Forever: true, Body: func(i int, ops *workload.Ops) {
+			ops.Do(guest.Compute(sim.Millisecond), guest.Enqueue(pq, i))
 		}})
 		dev := k.NewDevice("blk", 0, 10*sim.Microsecond)
-		app.Go("io", &workload.RandLoop{Forever: true, Body: func(i int) []any {
-			return []any{
-				guest.ActIO{Dev: dev, Service: 2 * sim.Millisecond},
-				guest.ActCompute{D: 200 * sim.Microsecond},
-			}
+		app.Go("io", &workload.RandLoop{Forever: true, Body: func(_ int, ops *workload.Ops) {
+			ops.Do(guest.IO(dev, 2*sim.Millisecond), guest.Compute(200*sim.Microsecond))
 		}})
 
 		if err := b.Eng.RunUntil(duration); err != nil {

@@ -14,14 +14,14 @@ import (
 // dequeueForever is a consumer Program that dequeues from q forever.
 type dequeueForever struct{ q *WaitQueue }
 
-func (p dequeueForever) Next(*Thread) Action { return ActDequeue{Q: p.q} }
+func (p dequeueForever) Next(*Thread) Action { return Dequeue(p.q) }
 
 // busyEnv boots a one-vCPU guest whose vCPU is kept running by a
 // compute-bound thread, so interrupts are delivered synchronously.
 func busyEnv(t *testing.T) *testEnv {
 	t.Helper()
 	e := newEnv(t, 1, 1, nil, nil)
-	e.spawn("busy", ActCompute{D: 1000 * sim.Second})
+	e.spawn("busy", Compute(1000*sim.Second))
 	return e
 }
 
@@ -66,5 +66,51 @@ func TestWaitQueuePostDequeueAllocs(t *testing.T) {
 	}
 	if q.Len() != 0 || q.Waiters() != 1 || q.Posts != 3*104 {
 		t.Fatalf("consumer fell behind: len=%d waiters=%d posts=%d", q.Len(), q.Waiters(), q.Posts)
+	}
+}
+
+// cycle is a Program that repeats acts forever without allocating.
+type cycle struct {
+	acts []Action
+	i    int
+}
+
+func (p *cycle) Next(*Thread) Action {
+	a := p.acts[p.i]
+	p.i = (p.i + 1) % len(p.acts)
+	return a
+}
+
+// TestContendedMutexRoundAllocs pins the mutex slow paths to typed
+// continuations: two threads on two vCPUs take turns on one mutex, so
+// every lock finds it held and futex-waits, and every unlock hands it
+// over and wakes the waiter with a reschedule IPI. Once warmed, a round
+// allocates nothing.
+func TestContendedMutexRoundAllocs(t *testing.T) {
+	e := newEnv(t, 2, 2, nil, nil)
+	m := e.k.NewMutex()
+	for i := 0; i < 2; i++ {
+		e.k.Spawn("locker", Uthread, &cycle{acts: []Action{
+			Lock(m),
+			Compute(300 * sim.Microsecond),
+			Unlock(m),
+			Compute(100 * sim.Microsecond),
+		}}, nil)
+	}
+	e.run(t, 50*sim.Millisecond)
+	round := func() {
+		if err := e.eng.RunUntil(e.eng.Now() + 800*sim.Microsecond); err != nil {
+			t.Fatal(err)
+		}
+	}
+	contended, ipis := m.Contended, e.k.CPUStatsOf(0).ReschedIPIs+e.k.CPUStatsOf(1).ReschedIPIs
+	if n := testing.AllocsPerRun(100, round); n != 0 {
+		t.Fatalf("contended lock/unlock round allocated %v times, want 0", n)
+	}
+	if m.Contended-contended < 100 {
+		t.Fatalf("%d contended acquisitions in 101 rounds: the slow path was not exercised", m.Contended-contended)
+	}
+	if e.k.CPUStatsOf(0).ReschedIPIs+e.k.CPUStatsOf(1).ReschedIPIs == ipis {
+		t.Fatal("no reschedule IPIs: the wakes were not remote")
 	}
 }

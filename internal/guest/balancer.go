@@ -38,7 +38,7 @@ func (k *Kernel) FreezeVCPU(target int) error {
 	// Step (4): reschedule IPI; the send cost lands on the master, the
 	// delivery triggers the target's drain via resume().
 	k.chargeInterrupt(master, costmodel.RescheduleIPISend)
-	k.softirq("guest/freeze-ipi", func() { k.dom.SendIPI(0, target) })
+	k.softirq("guest/freeze-ipi", k.cpus[target], softirqIPI, 0)
 	return nil
 }
 
@@ -59,7 +59,7 @@ func (k *Kernel) UnfreezeVCPU(target int) error {
 	k.activeTW.set(k.eng.Now(), float64(k.ActiveVCPUs()))
 	k.dom.HypercallCPUFreeze(target, false)
 	k.chargeInterrupt(master, costmodel.RescheduleIPISend)
-	k.softirq("guest/unfreeze-ipi", func() { k.dom.SendIPI(0, target) })
+	k.softirq("guest/unfreeze-ipi", k.cpus[target], softirqIPI, 0)
 	return nil
 }
 

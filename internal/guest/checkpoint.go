@@ -27,7 +27,7 @@ type GuestCPUCheckpoint struct {
 
 // ThreadCheckpoint is the semantic state of one thread. The scheduler
 // linkage (which queue, which phase) is structural: a quiesced worker is
-// always sleeping in ActDequeue phase 1, so only the identity-invariant
+// always sleeping in a Dequeue action's phase 1, so only the identity-invariant
 // counters and the CPU affinity are recorded. Mailbox is deliberately
 // not captured: a sleeping consumer's mailbox holds a stale item that is
 // always overwritten before the next read.
@@ -109,23 +109,23 @@ func (k *Kernel) QuiesceCheck() error {
 			return fmt.Errorf("guest %s: cpu %d has a deferred resched pending", k.dom.Name, c.id)
 		case len(c.timers) != 0:
 			return fmt.Errorf("guest %s: cpu %d has %d software timers pending", k.dom.Name, c.id, len(c.timers))
+		case len(c.softirqs) != 0:
+			return fmt.Errorf("guest %s: cpu %d has %d softirqs in flight", k.dom.Name, c.id, len(c.softirqs))
 		}
 	}
 	for _, t := range k.threads {
 		if t.state != ThreadSleeping && t.state != ThreadExited {
 			return fmt.Errorf("guest %s: thread %q is %v", k.dom.Name, t.Name, t.state)
 		}
-		if t.kcont != nil || t.kspinGranted {
+		if t.kcont.op != opNone || t.kspinGranted {
 			return fmt.Errorf("guest %s: thread %q is inside a kernel critical section", k.dom.Name, t.Name)
 		}
-		if t.spin != nil {
+		if t.spin.active {
 			return fmt.Errorf("guest %s: thread %q has an in-progress spin wait", k.dom.Name, t.Name)
 		}
-		if t.pending != nil {
-			if _, ok := t.pending.(ActDequeue); !ok {
-				return fmt.Errorf("guest %s: thread %q blocked in %T (only ActDequeue is checkpointable)",
-					k.dom.Name, t.Name, t.pending)
-			}
+		if kind := t.pending.kind; kind != actNone && kind != actDequeue {
+			return fmt.Errorf("guest %s: thread %q blocked in %v (only dequeue is checkpointable)",
+				k.dom.Name, t.Name, kind)
 		}
 	}
 	for _, l := range k.buckets {

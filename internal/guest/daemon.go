@@ -25,15 +25,26 @@ type daemon struct {
 	// timer firing becomes a no-op and does not re-arm.
 	stopped bool
 
+	// fire is the poll timer's body, bound once.
+	fire func()
+
 	// Reads counts channel polls, Decisions counts reconcile actions.
 	Reads, Decisions uint64
 }
 
 func newDaemon(k *Kernel) *daemon {
-	return &daemon{
+	d := &daemon{
 		k:   k,
 		gov: core.NewGovernor(1, k.NCPUs(), k.NCPUs(), downHysteresis),
 	}
+	d.fire = func() {
+		if d.stopped {
+			return
+		}
+		d.poll()
+		d.schedule()
+	}
+	return d
 }
 
 func (d *daemon) start() {
@@ -46,13 +57,7 @@ func (d *daemon) schedule() {
 	if period <= 0 {
 		period = 10 * 1000 * 1000 // 10 ms
 	}
-	k.addTimer(k.cpus[0], k.eng.Now()+period, func() {
-		if d.stopped {
-			return
-		}
-		d.poll()
-		d.schedule()
-	})
+	k.addTimer(k.cpus[0], k.eng.Now()+period, d.fire)
 }
 
 // StopDaemon halts the vScale daemon's poll loop, if one is running. A

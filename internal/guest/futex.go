@@ -82,11 +82,7 @@ func (k *Kernel) kernelSpinExpired(c *cpu, t *Thread) {
 		l := c.kspin
 		l.PVParks++
 		c.pvParked = true
-		k.softirq("guest/pv-park", func() {
-			if c.pvParked {
-				k.pool.Block(c.vcpu)
-			}
-		})
+		k.softirq("guest/pv-park", c, softirqPVPark, 0)
 		return
 	}
 	t.segKind = segKernelSpin
@@ -125,7 +121,7 @@ func (k *Kernel) grantKernelLock(c *cpu) {
 	c.kspin = nil
 	if c.pvParked {
 		c.pvParked = false
-		k.softirq("guest/pv-kick", func() { k.dom.KickVCPU(c.id) })
+		k.softirq("guest/pv-kick", c, softirqKick, 0)
 		// On dispatch, resume() sees kspinGranted and completes the
 		// acquire immediately.
 		c.current.kspinGranted = true

@@ -16,7 +16,7 @@ type seq struct {
 
 func (s *seq) Next(t *Thread) Action {
 	if s.i >= len(s.actions) {
-		return ActExit{}
+		return Exit()
 	}
 	a := s.actions[s.i]
 	s.i++
@@ -34,7 +34,7 @@ type loop struct {
 func (l *loop) Next(t *Thread) Action {
 	for len(l.buf) == 0 {
 		if l.i >= l.n {
-			return ActExit{}
+			return Exit()
 		}
 		l.buf = l.body(l.i)
 		l.i++
@@ -84,7 +84,7 @@ func (e *testEnv) run(t *testing.T, until sim.Time) {
 
 func TestSingleThreadCompute(t *testing.T) {
 	e := newEnv(t, 1, 1, nil, nil)
-	th := e.spawn("w", ActCompute{D: 100 * sim.Millisecond})
+	th := e.spawn("w", Compute(100*sim.Millisecond))
 	e.run(t, sim.Second)
 	if th.State() != ThreadExited {
 		t.Fatalf("state = %v", th.State())
@@ -103,8 +103,8 @@ func TestSingleThreadCompute(t *testing.T) {
 
 func TestThreadsShareOneVCPU(t *testing.T) {
 	e := newEnv(t, 1, 1, nil, nil)
-	a := e.spawn("a", ActCompute{D: 50 * sim.Millisecond})
-	b := e.spawn("b", ActCompute{D: 50 * sim.Millisecond})
+	a := e.spawn("a", Compute(50*sim.Millisecond))
+	b := e.spawn("b", Compute(50*sim.Millisecond))
 	e.run(t, sim.Second)
 	if a.State() != ThreadExited || b.State() != ThreadExited {
 		t.Fatal("threads did not finish")
@@ -126,7 +126,7 @@ func TestLoadBalancingSpreadsThreads(t *testing.T) {
 	e := newEnv(t, 4, 4, nil, nil)
 	ths := make([]*Thread, 4)
 	for i := range ths {
-		ths[i] = e.spawn("w", ActCompute{D: 200 * sim.Millisecond})
+		ths[i] = e.spawn("w", Compute(200*sim.Millisecond))
 	}
 	e.run(t, sim.Second)
 	// With 4 vCPUs on 4 pCPUs, all should finish in ~200ms (parallel).
@@ -143,9 +143,9 @@ func TestLoadBalancingSpreadsThreads(t *testing.T) {
 func TestSleepWakesOnTime(t *testing.T) {
 	e := newEnv(t, 1, 1, nil, nil)
 	th := e.spawn("s",
-		ActCompute{D: sim.Millisecond},
-		ActSleep{D: 200 * sim.Millisecond},
-		ActCompute{D: sim.Millisecond},
+		Compute(sim.Millisecond),
+		Sleep(200*sim.Millisecond),
+		Compute(sim.Millisecond),
 	)
 	e.run(t, sim.Second)
 	if th.State() != ThreadExited {
@@ -166,10 +166,10 @@ func TestMutexMutualExclusionAndHandoff(t *testing.T) {
 	mk := func() Program {
 		return &loop{n: 20, body: func(int) []Action {
 			return []Action{
-				ActLock{M: m},
-				ActCompute{D: 500 * sim.Microsecond},
-				ActUnlock{M: m},
-				ActCompute{D: 100 * sim.Microsecond},
+				Lock(m),
+				Compute(500 * sim.Microsecond),
+				Unlock(m),
+				Compute(100 * sim.Microsecond),
 			}
 		}}
 	}
@@ -198,13 +198,13 @@ func TestCondWaitSignal(t *testing.T) {
 	cv := e.k.NewCond()
 	var waiterDone, signalerDone bool
 	e.k.Spawn("waiter", Uthread, &seq{actions: []Action{
-		ActLock{M: m},
-		ActCondWait{C: cv, M: m},
-		ActUnlock{M: m},
+		Lock(m),
+		CondWait(cv, m),
+		Unlock(m),
 	}}, func(*Thread) { waiterDone = true })
 	e.k.Spawn("signaler", Uthread, &seq{actions: []Action{
-		ActCompute{D: 50 * sim.Millisecond},
-		ActCondSignal{C: cv},
+		Compute(50 * sim.Millisecond),
+		CondSignal(cv),
 	}}, func(*Thread) { signalerDone = true })
 	e.run(t, sim.Second)
 	if !waiterDone || !signalerDone {
@@ -222,14 +222,14 @@ func TestCondBroadcastWakesAll(t *testing.T) {
 	done := 0
 	for i := 0; i < 5; i++ {
 		e.k.Spawn("waiter", Uthread, &seq{actions: []Action{
-			ActLock{M: m},
-			ActCondWait{C: cv, M: m},
-			ActUnlock{M: m},
+			Lock(m),
+			CondWait(cv, m),
+			Unlock(m),
 		}}, func(*Thread) { done++ })
 	}
 	e.k.Spawn("caster", Uthread, &seq{actions: []Action{
-		ActCompute{D: 20 * sim.Millisecond},
-		ActCondBroadcast{C: cv},
+		Compute(20 * sim.Millisecond),
+		CondBroadcast(cv),
 	}}, func(*Thread) { done++ })
 	e.run(t, sim.Second)
 	if done != 6 {
@@ -245,7 +245,7 @@ func TestBarrierSpinFastPath(t *testing.T) {
 	done := 0
 	for i := 0; i < 4; i++ {
 		e.k.Spawn("omp", Uthread, &loop{n: 50, body: func(int) []Action {
-			return []Action{ActCompute{D: sim.Millisecond}, ActBarrierWait{B: b}}
+			return []Action{Compute(sim.Millisecond), BarrierWait(b)}
 		}}, func(*Thread) { done++ })
 	}
 	e.run(t, sim.Second)
@@ -268,7 +268,7 @@ func TestBarrierPassivePolicyUsesFutex(t *testing.T) {
 		i := i
 		e.k.Spawn("omp", Uthread, &loop{n: 20, body: func(int) []Action {
 			// Skewed compute so waiters really sleep.
-			return []Action{ActCompute{D: sim.Time(i+1) * sim.Millisecond}, ActBarrierWait{B: b}}
+			return []Action{Compute(sim.Time(i+1) * sim.Millisecond), BarrierWait(b)}
 		}}, func(*Thread) { done++ })
 	}
 	e.run(t, 2*sim.Second)
@@ -298,10 +298,10 @@ func TestBarrierSpinBudgetFallsBack(t *testing.T) {
 	b := e.k.NewBarrier(2, 100*sim.Microsecond)
 	done := 0
 	e.k.Spawn("fast", Uthread, &loop{n: 10, body: func(int) []Action {
-		return []Action{ActCompute{D: 100 * sim.Microsecond}, ActBarrierWait{B: b}}
+		return []Action{Compute(100 * sim.Microsecond), BarrierWait(b)}
 	}}, func(*Thread) { done++ })
 	e.k.Spawn("slow", Uthread, &loop{n: 10, body: func(int) []Action {
-		return []Action{ActCompute{D: 5 * sim.Millisecond}, ActBarrierWait{B: b}}
+		return []Action{Compute(5 * sim.Millisecond), BarrierWait(b)}
 	}}, func(*Thread) { done++ })
 	e.run(t, sim.Second)
 	if done != 2 {
@@ -322,10 +322,10 @@ func TestSpinVarPipeline(t *testing.T) {
 	sv := e.k.NewSpinVar()
 	done := 0
 	e.k.Spawn("producer", Uthread, &loop{n: 10, body: func(int) []Action {
-		return []Action{ActCompute{D: sim.Millisecond}, ActSpinSet{S: sv}}
+		return []Action{Compute(sim.Millisecond), SpinSet(sv)}
 	}}, func(*Thread) { done++ })
 	e.k.Spawn("consumer", Uthread, &loop{n: 10, body: func(i int) []Action {
-		return []Action{ActSpinWait{S: sv, Gen: uint64(i + 1)}, ActCompute{D: 500 * sim.Microsecond}}
+		return []Action{SpinWait(sv, uint64(i+1)), Compute(500 * sim.Microsecond)}
 	}}, func(*Thread) { done++ })
 	e.run(t, sim.Second)
 	if done != 2 {
@@ -340,7 +340,7 @@ func TestTimerInterruptRate(t *testing.T) {
 	// Paper Table 2: a busy vCPU takes ~1000 timer interrupts/s; an idle
 	// one takes none (dynamic ticks).
 	e := newEnv(t, 2, 2, nil, nil)
-	e.spawn("busy", ActCompute{D: 2 * sim.Second})
+	e.spawn("busy", Compute(2*sim.Second))
 	e.run(t, sim.Second)
 	s0, s1 := e.k.CPUStatsOf(0), e.k.CPUStatsOf(1)
 	busyTicks := s0.TimerInterrupts + s1.TimerInterrupts
@@ -357,8 +357,8 @@ func TestDeviceInterruptWakesSleeper(t *testing.T) {
 	e := newEnv(t, 1, 2, nil, nil)
 	dev := e.k.NewDevice("net", 0, 5*sim.Microsecond)
 	th := e.k.Spawn("io", Uthread, &seq{actions: []Action{
-		ActIO{Dev: dev, Service: 10 * sim.Millisecond},
-		ActCompute{D: sim.Millisecond},
+		IO(dev, 10*sim.Millisecond),
+		Compute(sim.Millisecond),
 	}}, nil)
 	e.run(t, sim.Second)
 	if th.State() != ThreadExited {
@@ -379,7 +379,7 @@ func TestFreezeMigratesThreadsAndQuiesces(t *testing.T) {
 	e := newEnv(t, 4, 4, nil, nil)
 	for i := 0; i < 8; i++ {
 		e.k.Spawn("build", Uthread, &loop{n: 100000, body: func(int) []Action {
-			return []Action{ActCompute{D: 5 * sim.Millisecond}, ActSleep{D: sim.Millisecond}}
+			return []Action{Compute(5 * sim.Millisecond), Sleep(sim.Millisecond)}
 		}}, nil)
 	}
 	e.pool.Start()
@@ -422,7 +422,7 @@ func TestUnfreezeRebalances(t *testing.T) {
 	e := newEnv(t, 2, 2, nil, nil)
 	for i := 0; i < 4; i++ {
 		e.k.Spawn("w", Uthread, &loop{n: 1000000, body: func(int) []Action {
-			return []Action{ActCompute{D: sim.Millisecond}}
+			return []Action{Compute(sim.Millisecond)}
 		}}, nil)
 	}
 	e.pool.Start()
@@ -486,7 +486,7 @@ func TestDaemonScalesDownUnderContention(t *testing.T) {
 	kA := NewKernel(domA, cfg)
 	for i := 0; i < 4; i++ {
 		kA.Spawn("w", Uthread, &loop{n: 1 << 30, body: func(int) []Action {
-			return []Action{ActCompute{D: sim.Millisecond}}
+			return []Action{Compute(sim.Millisecond)}
 		}}, nil)
 	}
 
@@ -494,7 +494,7 @@ func TestDaemonScalesDownUnderContention(t *testing.T) {
 	kB := NewKernel(domB, DefaultConfig())
 	for i := 0; i < 4; i++ {
 		kB.Spawn("w", Uthread, &loop{n: 1 << 30, body: func(int) []Action {
-			return []Action{ActCompute{D: sim.Millisecond}}
+			return []Action{Compute(sim.Millisecond)}
 		}}, nil)
 	}
 
@@ -531,14 +531,14 @@ func TestDaemonScalesBackUpWhenAlone(t *testing.T) {
 	kA := NewKernel(domA, cfg)
 	for i := 0; i < 4; i++ {
 		kA.Spawn("w", Uthread, &loop{n: 1 << 30, body: func(int) []Action {
-			return []Action{ActCompute{D: sim.Millisecond}}
+			return []Action{Compute(sim.Millisecond)}
 		}}, nil)
 	}
 
 	domB := pool.AddDomain("bg", 768, 4, nil)
 	kB := NewKernel(domB, DefaultConfig())
 	for i := 0; i < 4; i++ {
-		kB.Spawn("w", Uthread, &seq{actions: []Action{ActCompute{D: sim.Second}}}, nil)
+		kB.Spawn("w", Uthread, &seq{actions: []Action{Compute(sim.Second)}}, nil)
 	}
 
 	pool.Start()
@@ -568,9 +568,9 @@ func TestPVSpinlockParksAndRecovers(t *testing.T) {
 	for i := 0; i < 4; i++ {
 		e.k.Spawn("locker", Uthread, &loop{n: 200, body: func(int) []Action {
 			return []Action{
-				ActLock{M: m},
-				ActCompute{D: 50 * sim.Microsecond},
-				ActUnlock{M: m},
+				Lock(m),
+				Compute(50 * sim.Microsecond),
+				Unlock(m),
 			}
 		}}, func(*Thread) { done++ })
 	}
@@ -583,7 +583,7 @@ func TestPVSpinlockParksAndRecovers(t *testing.T) {
 func TestActiveVCPUTrace(t *testing.T) {
 	e := newEnv(t, 2, 4, nil, nil)
 	e.k.StartTrace(10 * sim.Millisecond)
-	e.spawn("w", ActCompute{D: 100 * sim.Millisecond})
+	e.spawn("w", Compute(100*sim.Millisecond))
 	e.pool.Start()
 	e.k.Boot()
 	if err := e.eng.RunUntil(50 * sim.Millisecond); err != nil {
@@ -619,7 +619,7 @@ func TestGuestDeterminism(t *testing.T) {
 		done := 0
 		for i := 0; i < 4; i++ {
 			e.k.Spawn("omp", Uthread, &loop{n: 30, body: func(int) []Action {
-				return []Action{ActCompute{D: 2 * sim.Millisecond}, ActBarrierWait{B: b}}
+				return []Action{Compute(2 * sim.Millisecond), BarrierWait(b)}
 			}}, func(th *Thread) {
 				done++
 				if th.ExitAt > last {
@@ -671,14 +671,14 @@ func TestWaitingTimeVisibleUnderContention(t *testing.T) {
 		k := NewKernel(dom, DefaultConfig())
 		for i := 0; i < 2; i++ {
 			k.Spawn("w", Uthread, &loop{n: 1 << 30, body: func(int) []Action {
-				return []Action{ActCompute{D: sim.Millisecond}}
+				return []Action{Compute(sim.Millisecond)}
 			}}, nil)
 		}
 		dom2 := pool.AddDomain("bg", 256, 2, nil)
 		k2 := NewKernel(dom2, DefaultConfig())
 		for i := 0; i < 2; i++ {
 			k2.Spawn("w", Uthread, &loop{n: 1 << 30, body: func(int) []Action {
-				return []Action{ActCompute{D: sim.Millisecond}}
+				return []Action{Compute(sim.Millisecond)}
 			}}, nil)
 		}
 		pool.Start()

@@ -72,14 +72,14 @@ func TestInvariantsUnderRandomScaling(t *testing.T) {
 			b := k.NewBarrier(3, 50*sim.Microsecond)
 			for i := 0; i < 3; i++ {
 				k.Spawn("barrier", Uthread, &loop{n: 1 << 30, body: func(int) []Action {
-					return []Action{ActCompute{D: 800 * sim.Microsecond}, ActBarrierWait{B: b}}
+					return []Action{Compute(800 * sim.Microsecond), BarrierWait(b)}
 				}}, nil)
 			}
 			for i := 0; i < 3; i++ {
 				k.Spawn("locker", Uthread, &loop{n: 1 << 30, body: func(int) []Action {
 					return []Action{
-						ActLock{M: m}, ActCompute{D: 100 * sim.Microsecond}, ActUnlock{M: m},
-						ActSleep{D: 500 * sim.Microsecond},
+						Lock(m), Compute(100 * sim.Microsecond), Unlock(m),
+						Sleep(500 * sim.Microsecond),
 					}
 				}}, nil)
 			}
@@ -151,7 +151,7 @@ func TestInvariantsUnderPVLockScaling(t *testing.T) {
 	kbg := NewKernel(domBG, DefaultConfig())
 	for i := 0; i < 2; i++ {
 		kbg.Spawn("hog", Uthread, &loop{n: 1 << 30, body: func(int) []Action {
-			return []Action{ActCompute{D: sim.Millisecond}}
+			return []Action{Compute(sim.Millisecond)}
 		}}, nil)
 	}
 	dom := pool.AddDomain("vm", 256, 4, nil)
@@ -162,7 +162,7 @@ func TestInvariantsUnderPVLockScaling(t *testing.T) {
 	m := k.NewMutex()
 	for i := 0; i < 6; i++ {
 		k.Spawn("locker", Uthread, &loop{n: 1 << 30, body: func(int) []Action {
-			return []Action{ActLock{M: m}, ActCompute{D: 30 * sim.Microsecond}, ActUnlock{M: m}}
+			return []Action{Lock(m), Compute(30 * sim.Microsecond), Unlock(m)}
 		}}, nil)
 	}
 	pool.Start()

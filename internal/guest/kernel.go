@@ -154,6 +154,12 @@ type cpu struct {
 	idle    *sim.Timer
 	resched *sim.Timer
 
+	// softirqs are this CPU's deferred side effects still queued, in
+	// the order they were raised; runSoftirq, bound once in NewKernel,
+	// performs the oldest.
+	softirqs   []softirq
+	runSoftirq func()
+
 	// locksHeld counts kernel locks currently held by this CPU; being
 	// descheduled with locksHeld > 0 is a lock-holder preemption.
 	locksHeld int
@@ -261,6 +267,7 @@ func NewKernel(dom *xen.Domain, cfg Config) *Kernel {
 		c.seg = sim.NewTimer(k.eng, "guest/seg", func() { k.segmentDone(cc) })
 		c.idle = sim.NewTimer(k.eng, "guest/idle-block", func() { k.idleBlock(cc) })
 		c.resched = sim.NewTimer(k.eng, "guest/need-resched", func() { k.preemptNow(cc) })
+		c.runSoftirq = func() { k.doSoftirq(cc) }
 		k.cpus = append(k.cpus, c)
 	}
 	if cfg.VScale.Enabled {
@@ -516,10 +523,17 @@ func (k *Kernel) segmentDone(c *cpu) {
 // runCont executes the thread's stashed kernel continuation if present,
 // otherwise advances the action state machine.
 func (k *Kernel) runCont(c *cpu, t *Thread) {
-	if t.kcont != nil {
-		fn := t.kcont
-		t.kcont = nil
-		fn()
+	if t.kcont.op != opNone {
+		kc := t.kcont
+		t.kcont = kcont{}
+		if kc.held {
+			k.runFutexOp(t, kc)
+			k.releaseKernelLock(kc.c, kc.l)
+		} else {
+			// The lock was granted: start the hold.
+			t.kcont = kc
+			k.chargeFutexHold(t)
+		}
 		// The continuation may have slept the thread or armed a new
 		// segment. If the thread is still current with nothing armed,
 		// arm whatever segment it set up (possibly zero-length).
@@ -543,11 +557,7 @@ func (k *Kernel) resume(c *cpu) {
 		// been granted, so after the event is handled the vCPU re-parks
 		// — exactly the re-check-and-poll loop of paravirtual ticket
 		// spinlocks.
-		k.softirq("guest/pv-repark", func() {
-			if c.pvParked && c.running {
-				k.pool.Block(c.vcpu)
-			}
-		})
+		k.softirq("guest/pv-repark", c, softirqPVRepark, 0)
 		return
 	}
 	if k.Frozen(c.id) && c.kspin == nil && !c.pvParked {
@@ -574,7 +584,7 @@ func (k *Kernel) resume(c *cpu) {
 // satisfied while the thread was off-CPU: it completes after one more
 // spin check instead of the full budget.
 func (k *Kernel) maybeShortcutSpin(t *Thread) {
-	if t.spin != nil && t.spin.satisfied {
+	if t.spin.active && t.spin.satisfied {
 		t.segRemaining = costmodel.SpinCheck
 	}
 	if t.kspinGranted {
@@ -819,9 +829,49 @@ func (k *Kernel) deviceForPort(p *xen.Port) *Device {
 	return nil
 }
 
-// softirq defers a hypervisor-visible side effect (IPI send, vCPU kick)
-// to a zero-delay event so that nested hypervisor scheduling never
-// re-enters guest state mid-update.
-func (k *Kernel) softirq(label string, fn func()) {
-	k.eng.After(0, label, fn)
+// softirqKind is a hypervisor-visible side effect on one CPU.
+type softirqKind uint8
+
+const (
+	softirqKick     softirqKind = iota // kick the vCPU
+	softirqIPI                         // send it a reschedule IPI
+	softirqPVPark                      // block it: pv-spin threshold spent
+	softirqPVRepark                    // re-block it after a spurious wakeup
+)
+
+// softirq is one queued side effect; from is an IPI's sending CPU.
+type softirq struct {
+	kind softirqKind
+	from int
+}
+
+// softirq defers a hypervisor-visible side effect on c (IPI send, vCPU
+// kick, pv-spinlock park) to a zero-delay event so that nested
+// hypervisor scheduling never re-enters guest state mid-update. The
+// label names the reason. Every softirq is a zero-delay event, so c's
+// fire in the order they were raised, which is the order doSoftirq
+// takes them off c.softirqs.
+func (k *Kernel) softirq(label string, c *cpu, kind softirqKind, from int) {
+	c.softirqs = append(c.softirqs, softirq{kind: kind, from: from})
+	k.eng.After(0, label, c.runSoftirq)
+}
+
+// doSoftirq performs c's oldest queued side effect.
+func (k *Kernel) doSoftirq(c *cpu) {
+	s := c.softirqs[0]
+	c.softirqs = slices.Delete(c.softirqs, 0, 1)
+	switch s.kind {
+	case softirqKick:
+		k.dom.KickVCPU(c.id)
+	case softirqIPI:
+		k.dom.SendIPI(s.from, c.id)
+	case softirqPVPark:
+		if c.pvParked {
+			k.pool.Block(c.vcpu)
+		}
+	case softirqPVRepark:
+		if c.pvParked && c.running {
+			k.pool.Block(c.vcpu)
+		}
+	}
 }

@@ -70,7 +70,7 @@ func (k *Kernel) enqueue(c *cpu, t *Thread, kick bool) {
 	// Remote or sleeping CPU: reschedule IPI (Linux ttwu_queue). The
 	// hypervisor decides the delivery latency: immediate if the vCPU
 	// runs, on next dispatch if queued, a wakeup if blocked.
-	k.softirq("guest/kick", func() { k.dom.KickVCPU(c.id) })
+	k.softirq("guest/kick", c, softirqKick, 0)
 }
 
 // wakeThread transitions a sleeping thread to runnable and enqueues it
@@ -99,7 +99,7 @@ func (k *Kernel) wakeThread(t *Thread, from int) {
 	}
 	// Remote wakeup: reschedule IPI to the target vCPU; the IPI handler
 	// performs the preemption check on delivery.
-	k.softirq("guest/resched-ipi", func() { k.dom.SendIPI(from, c.id) })
+	k.softirq("guest/resched-ipi", c, softirqIPI, from)
 }
 
 // idlePull implements idle balancing: an idling CPU pulls one runnable
@@ -242,19 +242,21 @@ func (d *Device) deliver(c *cpu) {
 	}
 }
 
-// ioAdvance executes ActIO: submit, sleep until the completion interrupt
-// wakes the thread, then finish.
-func (k *Kernel) ioAdvance(c *cpu, t *Thread, a ActIO) {
+// ioAdvance executes an IO action: submit, sleep until the completion
+// interrupt wakes the thread, then finish.
+func (k *Kernel) ioAdvance(c *cpu, t *Thread, service sim.Time) {
 	switch t.phase {
 	case 0:
 		t.phase = 1
-		dev := a.Dev
-		tt := t
-		// The device completes after its service time and interrupts the
-		// bound vCPU; the handler wakes the sleeping thread.
-		k.eng.After(a.Service, "guest/io-complete", func() {
-			dev.Raise(func(cpuID int) { k.wakeThread(tt, cpuID) })
-		})
+		if t.ioDone == nil {
+			// The device completes after its service time and
+			// interrupts the bound vCPU; the handler wakes the sleeping
+			// thread. The thread sleeps in this action until then, so
+			// its pending action still names the device.
+			t.ioWake = func(cpuID int) { k.wakeThread(t, cpuID) }
+			t.ioDone = func() { t.pending.dev.Raise(t.ioWake) }
+		}
+		k.eng.After(service, "guest/io-complete", t.ioDone)
 		k.sleepCurrent(c, t)
 	default:
 		k.complete(c, t)

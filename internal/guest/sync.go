@@ -56,7 +56,7 @@ func SpinBudgetFromCount(count uint64) sim.Time {
 	return b
 }
 
-// barrierAdvance is the ActBarrierWait phase machine.
+// barrierAdvance is the BarrierWait phase machine.
 //
 // Phases: 0 arrive → (last: release; else spin or sleep)
 //
@@ -72,7 +72,7 @@ func (k *Kernel) barrierAdvance(c *cpu, t *Thread, b *Barrier) {
 		}
 		if b.SpinBudget > 0 {
 			t.phase = 1
-			t.spin = &spinWait{targetGen: b.gen + 1}
+			t.spin = spinWait{active: true, targetGen: b.gen + 1}
 			b.spinners = append(b.spinners, t)
 			t.segKind = segUserSpin
 			t.segRemaining = b.SpinBudget
@@ -81,14 +81,14 @@ func (k *Kernel) barrierAdvance(c *cpu, t *Thread, b *Barrier) {
 		}
 		k.barrierSleep(c, t, b)
 	case 1:
-		if t.spin != nil && t.spin.satisfied {
-			t.spin = nil
+		if t.spin.active && t.spin.satisfied {
+			t.spin = spinWait{}
 			k.complete(c, t)
 			return
 		}
 		// Spin budget exhausted: deregister and take the futex path.
 		k.dropSpinner(b, t)
-		t.spin = nil
+		t.spin = spinWait{}
 		k.barrierSleep(c, t, b)
 	case 2:
 		// Woken by the releasing thread.
@@ -105,42 +105,95 @@ func (k *Kernel) barrierAdvance(c *cpu, t *Thread, b *Barrier) {
 // the slow path must not be lost), enqueue. Phase 2 resumes after wake.
 func (k *Kernel) barrierSleep(c *cpu, t *Thread, b *Barrier) {
 	t.phase = 2
-	gen := b.gen
-	l := k.bucketFor(b.id)
-	doSleep := func() {
-		k.chargeFutexHold(c, l, func() {
-			if b.gen != gen {
-				return // released while entering the kernel; phase 2 completes
-			}
-			k.chargeSyscall(t)
-			k.futexEnqueue(c, t, b.id)
-		})
-	}
-	if k.acquireKernelLock(c, l) {
-		doSleep()
-		return
-	}
-	t.kcont = doSleep
+	k.futexSlowPath(c, t, opBarrierSleep, b.id, b.gen)
 }
 
-// chargeFutexHold runs fn after charging the kernel-lock hold time,
-// then releases the lock. fn runs while holding the lock (it may sleep
-// the thread; release still happens).
+// futexSlowPath runs op under the futex bucket lock of the object with
+// the given id: it stashes the continuation, then either starts the
+// hold at once or lets the CPU spin until the lock is granted.
+func (k *Kernel) futexSlowPath(c *cpu, t *Thread, op futexOp, id, gen uint64) {
+	l := k.bucketFor(id)
+	t.kcont = kcont{op: op, c: c, l: l, gen: gen}
+	if k.acquireKernelLock(c, l) {
+		k.chargeFutexHold(t)
+	}
+}
+
+// chargeFutexHold charges the kernel-lock hold time on the thread's
+// stashed continuation; when it has run, the continuation's op runs
+// while holding the lock (it may sleep the thread; release still
+// happens).
 //
 // To keep the discrete model simple the hold time is charged as an
-// immediate interrupt-style stretch before fn, and the release happens
-// synchronously. A holder preempted during the hold keeps the lock until
-// its vCPU runs again — which is exactly the LHP window.
-func (k *Kernel) chargeFutexHold(c *cpu, l *KernelLock, fn func()) {
-	hold := k.cfg.KernelLockHold
-	t := c.current
+// immediate interrupt-style stretch before the op, and the release
+// happens synchronously. A holder preempted during the hold keeps the
+// lock until its vCPU runs again — which is exactly the LHP window.
+func (k *Kernel) chargeFutexHold(t *Thread) {
+	t.kcont.held = true
 	t.segKind = segWork
-	t.segRemaining = hold
-	t.kcont = func() {
-		fn()
-		k.releaseKernelLock(c, l)
+	t.segRemaining = k.cfg.KernelLockHold
+	k.startSegment(t.kcont.c)
+}
+
+// runFutexOp is the critical section of a held continuation: the body
+// of t's futex slow path, run under the bucket lock.
+func (k *Kernel) runFutexOp(t *Thread, kc kcont) {
+	c, a := kc.c, t.pending
+	switch kc.op {
+	case opBarrierSleep:
+		if a.b.gen != kc.gen {
+			return // released while entering the kernel; phase 2 completes
+		}
+		k.chargeSyscall(t)
+		k.futexEnqueue(c, t, a.b.id)
+	case opBarrierWake:
+		n := k.futexWakeAll(c, a.b.id, -1)
+		// Wake cost lands after the critical section.
+		resumeSegmentCost(t, wakeCost(n))
+	case opMutexWait:
+		m := a.m
+		if m.owner == nil {
+			// The owner released while we entered the kernel.
+			m.owner = t
+			m.Acquisitions++
+			return // phase 1 completes without sleeping
+		}
+		k.chargeSyscall(t)
+		k.futexEnqueue(c, t, m.id)
+	case opMutexWake:
+		m := a.m
+		if q := k.futexQ(m.id); len(q.waiters) > 0 {
+			m.owner = q.waiters[0]
+			m.Acquisitions++
+		} else {
+			m.owner = nil
+		}
+		n := k.futexWakeAll(c, m.id, 1)
+		resumeSegmentCost(t, wakeCost(n))
+	case opCondWait:
+		// Release the mutex, waking one mutex waiter if present, then
+		// sleep on the condvar. The waker cost is folded into the hold.
+		m := a.m
+		m.owner = nil
+		if k.futexWaiterCount(m.id) > 0 {
+			if q := k.futexQ(m.id); len(q.waiters) > 0 {
+				m.owner = q.waiters[0]
+				m.Acquisitions++
+			}
+			k.futexWakeAll(c, m.id, 1)
+		}
+		k.chargeSyscall(t)
+		k.futexEnqueue(c, t, a.c.id)
+	case opCondWake:
+		n := 1
+		if a.kind == actCondBroadcast {
+			n = -1
+		}
+		woken := k.futexWakeAll(c, a.c.id, n)
+		resumeSegmentCost(t, wakeCost(woken))
+	default:
+		panic("guest: bad futex op")
 	}
-	k.startSegment(c)
 }
 
 // barrierRelease: the last arriver flips the generation, releases all
@@ -162,25 +215,13 @@ func (k *Kernel) barrierRelease(c *cpu, t *Thread, b *Barrier) {
 		return
 	}
 	// Futex wake path: bucket lock + per-wake cost.
-	l := k.bucketFor(b.id)
-	wake := func() {
-		k.chargeFutexHold(c, l, func() {
-			n := k.futexWakeAll(c, b.id, -1)
-			// Wake cost lands after the critical section.
-			resumeSegmentCost(t, wakeCost(n))
-		})
-	}
-	if k.acquireKernelLock(c, l) {
-		wake()
-		return
-	}
-	t.kcont = wake
+	k.futexSlowPath(c, t, opBarrierWake, b.id, 0)
 }
 
 // satisfySpinner marks a user-level spinner's condition as met; if it is
 // executing right now its spin segment is truncated to one more check.
 func (k *Kernel) satisfySpinner(t *Thread) {
-	if t.spin == nil {
+	if !t.spin.active {
 		return
 	}
 	t.spin.satisfied = true
@@ -244,24 +285,7 @@ func (k *Kernel) mutexLockAdvance(c *cpu, t *Thread, m *Mutex) {
 		// so an unlock racing with the slow path is not lost.
 		m.Contended++
 		t.phase = 1
-		l := k.bucketFor(m.id)
-		wait := func() {
-			k.chargeFutexHold(c, l, func() {
-				if m.owner == nil {
-					// The owner released while we entered the kernel.
-					m.owner = t
-					m.Acquisitions++
-					return // phase 1 completes without sleeping
-				}
-				k.chargeSyscall(t)
-				k.futexEnqueue(c, t, m.id)
-			})
-		}
-		if k.acquireKernelLock(c, l) {
-			wait()
-			return
-		}
-		t.kcont = wait
+		k.futexSlowPath(c, t, opMutexWait, m.id, 0)
 	case 1:
 		// Ownership was transferred by the unlocker before waking us.
 		k.complete(c, t)
@@ -287,26 +311,8 @@ func (k *Kernel) mutexUnlockAdvance(c *cpu, t *Thread, m *Mutex) {
 		// Keep ownership until the transfer happens under the bucket
 		// lock, so a racing fast-path lock cannot sneak in and be
 		// clobbered by the transfer.
-		l := k.bucketFor(m.id)
 		t.phase = 1
-		wake := func() {
-			k.chargeFutexHold(c, l, func() {
-				if q := k.futexQ(m.id); len(q.waiters) > 0 {
-					next := q.waiters[0]
-					m.owner = next
-					m.Acquisitions++
-				} else {
-					m.owner = nil
-				}
-				n := k.futexWakeAll(c, m.id, 1)
-				resumeSegmentCost(t, wakeCost(n))
-			})
-		}
-		if k.acquireKernelLock(c, l) {
-			wake()
-			return
-		}
-		t.kcont = wake
+		k.futexSlowPath(c, t, opMutexWake, m.id, 0)
 	case 1:
 		k.complete(c, t)
 	default:
@@ -335,42 +341,19 @@ func (k *Kernel) NewCond() *Cond {
 // condWaitAdvance: phase 0 = unlock mutex and sleep on the cond futex;
 // phase 1 = woken, reacquire the mutex (delegates to the mutex lock
 // machine by rewriting the pending action).
-func (k *Kernel) condWaitAdvance(c *cpu, t *Thread, a ActCondWait) {
+func (k *Kernel) condWaitAdvance(c *cpu, t *Thread, cv *Cond, m *Mutex) {
 	switch t.phase {
 	case 0:
-		m := a.M
 		if m.owner != t {
 			panic("guest: cond wait without holding the mutex")
 		}
 		// Release the mutex, waking one mutex waiter if present, then
 		// sleep on the condvar — all under the condvar bucket lock.
 		t.phase = 1
-		l := k.bucketFor(a.C.id)
-		wait := func() {
-			k.chargeFutexHold(c, l, func() {
-				m.owner = nil
-				var cost sim.Time
-				if k.futexWaiterCount(m.id) > 0 {
-					if q := k.futexQ(m.id); len(q.waiters) > 0 {
-						next := q.waiters[0]
-						m.owner = next
-						m.Acquisitions++
-					}
-					cost += wakeCost(k.futexWakeAll(c, m.id, 1))
-				}
-				k.chargeSyscall(t)
-				_ = cost // waker cost folded into the hold segment
-				k.futexEnqueue(c, t, a.C.id)
-			})
-		}
-		if k.acquireKernelLock(c, l) {
-			wait()
-			return
-		}
-		t.kcont = wait
+		k.futexSlowPath(c, t, opCondWait, cv.id, 0)
 	case 1:
 		// Reacquire the mutex: morph into a lock action (phase 0).
-		t.pending = ActLock{M: a.M}
+		t.pending = Lock(m)
 		t.phase = 0
 		k.advance(c, t)
 	default:
@@ -392,23 +375,8 @@ func (k *Kernel) condSignalAdvance(c *cpu, t *Thread, cv *Cond, broadcast bool) 
 			k.complete(c, t)
 			return
 		}
-		l := k.bucketFor(cv.id)
 		t.phase = 1
-		n := 1
-		if broadcast {
-			n = -1
-		}
-		wake := func() {
-			k.chargeFutexHold(c, l, func() {
-				woken := k.futexWakeAll(c, cv.id, n)
-				resumeSegmentCost(t, wakeCost(woken))
-			})
-		}
-		if k.acquireKernelLock(c, l) {
-			wake()
-			return
-		}
-		t.kcont = wake
+		k.futexSlowPath(c, t, opCondWake, cv.id, 0)
 	case 1:
 		k.complete(c, t)
 	default:
@@ -441,23 +409,23 @@ func (s *SpinVar) Gen() uint64 { return s.gen }
 // spinWaitAdvance: phase 0 = begin spinning (or pass immediately);
 // phase 1 = spin segment ended, which only happens via satisfaction
 // because the budget is unbounded.
-func (k *Kernel) spinWaitAdvance(c *cpu, t *Thread, a ActSpinWait) {
+func (k *Kernel) spinWaitAdvance(c *cpu, t *Thread, s *SpinVar, gen uint64) {
 	switch t.phase {
 	case 0:
-		if a.S.gen >= a.Gen {
+		if s.gen >= gen {
 			k.chargeAndContinue(c, t, costmodel.SpinCheck)
 			t.phase = 2
 			return
 		}
 		t.phase = 1
-		t.spin = &spinWait{targetGen: a.Gen}
-		a.S.spinners = append(a.S.spinners, t)
+		t.spin = spinWait{active: true, targetGen: gen}
+		s.spinners = append(s.spinners, t)
 		t.segKind = segUserSpin
 		t.segRemaining = sim.Time(1) << 50
 		k.startSegment(c)
 	case 1:
-		if t.spin == nil || t.spin.satisfied {
-			t.spin = nil
+		if !t.spin.active || t.spin.satisfied {
+			t.spin = spinWait{}
 			k.complete(c, t)
 			return
 		}
@@ -480,7 +448,7 @@ func (k *Kernel) spinSetAdvance(c *cpu, t *Thread, s *SpinVar) {
 		s.gen++
 		kept := s.spinners[:0]
 		for _, sp := range s.spinners {
-			if sp.spin != nil && s.gen >= sp.spin.targetGen {
+			if sp.spin.active && s.gen >= sp.spin.targetGen {
 				k.satisfySpinner(sp)
 			} else {
 				kept = append(kept, sp)

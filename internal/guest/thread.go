@@ -50,7 +50,7 @@ const (
 	ThreadRunning
 	// ThreadSleeping: blocked (futex, condvar, I/O, timed sleep).
 	ThreadSleeping
-	// ThreadExited: the program returned ActExit.
+	// ThreadExited: the program returned an Exit action.
 	ThreadExited
 )
 
@@ -78,93 +78,42 @@ const (
 	segKernelSpin
 )
 
-// Program is a workload state machine: the kernel calls Next each time
-// the previous action completed, and executes the returned action on the
-// thread. Programs run strictly single-threaded per Thread.
-type Program interface {
-	Next(t *Thread) Action
-}
-
-// ProgramFunc adapts a function to the Program interface.
-type ProgramFunc func(t *Thread) Action
-
-// Next implements Program.
-func (f ProgramFunc) Next(t *Thread) Action { return f(t) }
-
-// Action is one step of a Program. Exactly the types in this package
-// implement it.
-type Action interface{ isAction() }
-
-// ActCompute runs D of pure CPU work.
-type ActCompute struct{ D sim.Time }
-
-// ActExit terminates the thread.
-type ActExit struct{}
-
-// ActSleep blocks the thread for D (timer wakeup).
-type ActSleep struct{ D sim.Time }
-
-// ActBarrierWait joins an OpenMP-style barrier (spin-then-futex
-// according to the barrier's spin budget).
-type ActBarrierWait struct{ B *Barrier }
-
-// ActLock acquires a futex-based mutex (user fast path; kernel slow path
-// with bucket spinlock on contention).
-type ActLock struct{ M *Mutex }
-
-// ActUnlock releases a mutex, waking one waiter if present.
-type ActUnlock struct{ M *Mutex }
-
-// ActCondWait atomically releases M and sleeps on C; on wakeup it
-// re-acquires M before completing.
-type ActCondWait struct {
-	C *Cond
-	M *Mutex
-}
-
-// ActCondSignal wakes one waiter of C.
-type ActCondSignal struct{ C *Cond }
-
-// ActCondBroadcast wakes all waiters of C.
-type ActCondBroadcast struct{ C *Cond }
-
-// ActSpinWait busy-waits (pure user-level spinning, no futex fallback —
-// the ad-hoc synchronisation of NPB's lu) until S's generation reaches
-// Gen.
-type ActSpinWait struct {
-	S   *SpinVar
-	Gen uint64
-}
-
-// ActSpinSet advances S's generation, releasing spinners waiting for it.
-type ActSpinSet struct{ S *SpinVar }
-
-// ActIO submits an I/O of the given service time on a Device and blocks
-// until its completion interrupt is processed.
-type ActIO struct {
-	Dev     *Device
-	Service sim.Time
-}
-
-func (ActCompute) isAction()       {}
-func (ActExit) isAction()          {}
-func (ActSleep) isAction()         {}
-func (ActBarrierWait) isAction()   {}
-func (ActLock) isAction()          {}
-func (ActUnlock) isAction()        {}
-func (ActCondWait) isAction()      {}
-func (ActCondSignal) isAction()    {}
-func (ActCondBroadcast) isAction() {}
-func (ActSpinWait) isAction()      {}
-func (ActSpinSet) isAction()       {}
-func (ActIO) isAction()            {}
-
-// spinWait tracks an in-progress user-level spin.
+// spinWait tracks an in-progress user-level spin; the zero value means
+// the thread is not spinning.
 type spinWait struct {
-	v         *SpinVar
+	active    bool
 	targetGen uint64
 	satisfied bool
-	futexNext bool // fall back to futex when the budget expires (barriers)
+}
+
+// futexOp names the kernel critical section a thread runs under a futex
+// bucket lock: the slow path of its pending barrier, mutex or condvar
+// action.
+type futexOp uint8
+
+const (
+	opNone         futexOp = iota
+	opBarrierSleep         // re-check the generation, futex-wait
+	opBarrierWake          // futex-wake every sleeper
+	opMutexWait            // re-check the owner, futex-wait
+	opMutexWake            // hand ownership to the first waiter, wake it
+	opCondWait             // release the mutex, futex-wait on the condvar
+	opCondWake             // futex-wake one or all condvar waiters
+)
+
+// kcont is a thread's stashed kernel continuation: it runs when the
+// current segment completes. Before held, the thread waits for lock l
+// (spinning, or granted while its vCPU was preempted) and the grant
+// starts the hold; once held, the hold time has been charged and op
+// runs under l, which is then released. The synchronisation object op
+// acts on is the thread's pending action's.
+type kcont struct {
+	op   futexOp
+	held bool
+	c    *cpu
+	l    *KernelLock
+	// gen is the barrier generation seen on arrival (opBarrierSleep).
+	gen uint64
 }
 
 // Thread is one schedulable guest entity.
@@ -184,16 +133,25 @@ type Thread struct {
 	segRemaining sim.Time
 	segKind      segKind
 
-	spin         *spinWait
+	spin         spinWait
 	kspinGranted bool
 	// wakePreempt marks a freshly woken thread that may preempt the
 	// running one (CFS wakeup preemption); cleared when picked.
 	wakePreempt bool
 	// kcont is a stashed kernel continuation: it runs when the current
 	// segment completes (contended-lock grants and critical sections).
-	kcont func()
+	kcont kcont
 
-	// Mailbox receives the item taken by ActDequeue.
+	// sleptOn is the CPU the thread went to sleep on in its last Sleep
+	// action; timerWake (bound on the first Sleep) wakes it from there.
+	sleptOn   int
+	timerWake func()
+	// ioDone completes the thread's in-flight I/O by raising its device
+	// with ioWake; both are bound on the thread's first I/O.
+	ioDone func()
+	ioWake func(cpuID int)
+
+	// Mailbox receives the item taken by a Dequeue action.
 	Mailbox any
 
 	// onExit runs when the thread exits (harness completion tracking).
@@ -213,7 +171,7 @@ type Thread struct {
 // Such threads are neither rotated nor migrated — the kernel runs
 // spinlock critical sections with preemption disabled, and the stashed
 // continuations are bound to the executing CPU.
-func (t *Thread) inKernelCritical() bool { return t.kcont != nil || t.kspinGranted }
+func (t *Thread) inKernelCritical() bool { return t.kcont.op != opNone || t.kspinGranted }
 
 // ID returns the thread id.
 func (t *Thread) ID() int { return t.id }
@@ -278,53 +236,55 @@ func (k *Kernel) Threads() []*Thread { return k.threads }
 // advance executes the action state machine of thread t (current on c)
 // after its segment completed.
 func (k *Kernel) advance(c *cpu, t *Thread) {
-	if t.pending == nil {
+	a := t.pending
+	switch a.kind {
+	case actNone:
 		k.fetch(c, t)
-		return
-	}
-	switch a := t.pending.(type) {
-	case ActCompute:
-		t.CPUTime += a.D
+	case actCompute:
+		t.CPUTime += a.d
 		k.complete(c, t)
-	case ActExit:
-		panic("guest: ActExit should not reach advance")
-	case ActSleep:
+	case actExit:
+		panic("guest: Exit should not reach advance")
+	case actSleep:
 		// Phase 0: go to sleep; the timer wake re-queues the thread, and
 		// completion happens when it runs again (phase 1).
 		if t.phase == 0 {
 			t.phase = 1
-			at := k.eng.Now() + a.D
-			k.addTimer(c, at, func() { k.wakeThread(t, c.id) })
+			if t.timerWake == nil {
+				t.timerWake = func() { k.wakeThread(t, t.sleptOn) }
+			}
+			t.sleptOn = c.id
+			k.addTimer(c, k.eng.Now()+a.d, t.timerWake)
 			k.sleepCurrent(c, t)
 			return
 		}
 		k.complete(c, t)
-	case ActBarrierWait:
-		k.barrierAdvance(c, t, a.B)
-	case ActLock:
-		k.mutexLockAdvance(c, t, a.M)
-	case ActUnlock:
-		k.mutexUnlockAdvance(c, t, a.M)
-	case ActCondWait:
-		k.condWaitAdvance(c, t, a)
-	case ActCondSignal:
-		k.condSignalAdvance(c, t, a.C, false)
-	case ActCondBroadcast:
-		k.condSignalAdvance(c, t, a.C, true)
-	case ActSpinWait:
-		k.spinWaitAdvance(c, t, a)
-	case ActSpinSet:
-		k.spinSetAdvance(c, t, a.S)
-	case ActIO:
-		k.ioAdvance(c, t, a)
-	case ActDequeue:
-		k.dequeueAdvance(c, t, a.Q)
-	case ActEnqueue:
-		k.enqueueAdvance(c, t, a)
-	case ActCall:
-		k.callAdvance(c, t, a)
+	case actBarrierWait:
+		k.barrierAdvance(c, t, a.b)
+	case actLock:
+		k.mutexLockAdvance(c, t, a.m)
+	case actUnlock:
+		k.mutexUnlockAdvance(c, t, a.m)
+	case actCondWait:
+		k.condWaitAdvance(c, t, a.c, a.m)
+	case actCondSignal:
+		k.condSignalAdvance(c, t, a.c, false)
+	case actCondBroadcast:
+		k.condSignalAdvance(c, t, a.c, true)
+	case actSpinWait:
+		k.spinWaitAdvance(c, t, a.s, a.gen)
+	case actSpinSet:
+		k.spinSetAdvance(c, t, a.s)
+	case actIO:
+		k.ioAdvance(c, t, a.d)
+	case actDequeue:
+		k.dequeueAdvance(c, t, a.q)
+	case actEnqueue:
+		k.enqueueAdvance(c, t, a.q, a.item)
+	case actCall:
+		k.callAdvance(c, t, a.d, a.f)
 	default:
-		panic(fmt.Sprintf("guest: unknown action %T", t.pending))
+		panic(fmt.Sprintf("guest: unknown action %v", a.kind))
 	}
 }
 
@@ -333,15 +293,17 @@ func (k *Kernel) fetch(c *cpu, t *Thread) {
 	a := t.prog.Next(t)
 	t.pending = a
 	t.phase = 0
-	switch a := a.(type) {
-	case ActCompute:
-		if a.D < 0 {
+	switch a.kind {
+	case actNone:
+		panic("guest: program " + t.Name + " returned the zero Action")
+	case actCompute:
+		if a.d < 0 {
 			panic("guest: negative compute duration")
 		}
-		t.segRemaining = a.D
+		t.segRemaining = a.d
 		t.segKind = segWork
 		k.startSegment(c)
-	case ActExit:
+	case actExit:
 		k.exitThread(c, t)
 	default:
 		// All synchronisation actions begin with a zero-length segment
@@ -354,7 +316,7 @@ func (k *Kernel) fetch(c *cpu, t *Thread) {
 
 // complete finishes the pending action and fetches the next one.
 func (k *Kernel) complete(c *cpu, t *Thread) {
-	t.pending = nil
+	t.pending = Action{}
 	t.phase = 0
 	k.fetch(c, t)
 }

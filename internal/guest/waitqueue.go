@@ -21,12 +21,12 @@ type WaitQueue struct {
 	items   []any
 	head    int
 	waiters []*Thread
-	// producers are threads blocked in ActEnqueue on a full queue
+	// producers are threads blocked in Enqueue on a full queue
 	// (bounded-buffer backpressure).
 	producers []*Thread
 
 	// MaxItems, when non-zero, bounds the queue; Post returns false and
-	// drops the item when full (a listen backlog), while ActEnqueue
+	// drops the item when full (a listen backlog), while Enqueue
 	// blocks instead.
 	MaxItems int
 
@@ -75,32 +75,7 @@ func (q *WaitQueue) take() any {
 	return item
 }
 
-// ActDequeue blocks the thread until an item is available on Q; the item
-// lands in Thread.Mailbox.
-type ActDequeue struct{ Q *WaitQueue }
-
-func (ActDequeue) isAction() {}
-
-// ActEnqueue puts Item on Q, blocking while the queue is full (the
-// bounded-buffer producer side: pipeline backpressure).
-type ActEnqueue struct {
-	Q    *WaitQueue
-	Item any
-}
-
-func (ActEnqueue) isAction() {}
-
-// ActCall runs F synchronously as part of the thread's execution after
-// charging Cost of CPU (side-effect escape hatch for workload models:
-// transmitting a response, recording a timestamp).
-type ActCall struct {
-	F    func(t *Thread)
-	Cost sim.Time
-}
-
-func (ActCall) isAction() {}
-
-// dequeueAdvance implements ActDequeue: phase 0 = fast path or sleep,
+// dequeueAdvance implements Dequeue: phase 0 = fast path or sleep,
 // phase 1 = woken, take the item.
 func (k *Kernel) dequeueAdvance(c *cpu, t *Thread, q *WaitQueue) {
 	switch t.phase {
@@ -128,15 +103,14 @@ func (k *Kernel) dequeueAdvance(c *cpu, t *Thread, q *WaitQueue) {
 	}
 }
 
-// enqueueAdvance implements ActEnqueue: phase 0/1 = try to append or
+// enqueueAdvance implements Enqueue: phase 0/1 = try to append or
 // sleep on a full queue; phase 2 = done.
-func (k *Kernel) enqueueAdvance(c *cpu, t *Thread, a ActEnqueue) {
-	q := a.Q
+func (k *Kernel) enqueueAdvance(c *cpu, t *Thread, q *WaitQueue, item any) {
 	switch t.phase {
 	case 0, 1:
 		if q.MaxItems == 0 || q.Len() < q.MaxItems {
 			q.Posts++
-			q.items = append(q.items, a.Item)
+			q.items = append(q.items, item)
 			if len(q.waiters) > 0 {
 				w := q.waiters[0]
 				q.waiters = slices.Delete(q.waiters, 0, 1)
@@ -157,16 +131,16 @@ func (k *Kernel) enqueueAdvance(c *cpu, t *Thread, a ActEnqueue) {
 	}
 }
 
-// callAdvance implements ActCall: phase 0 = charge cost, phase 1 = run F
+// callAdvance implements Call: phase 0 = charge cost, phase 1 = run f
 // and finish.
-func (k *Kernel) callAdvance(c *cpu, t *Thread, a ActCall) {
+func (k *Kernel) callAdvance(c *cpu, t *Thread, cost sim.Time, f func(t *Thread)) {
 	switch t.phase {
 	case 0:
 		t.phase = 1
-		k.chargeAndContinue(c, t, a.Cost)
+		k.chargeAndContinue(c, t, cost)
 	case 1:
-		if a.F != nil {
-			a.F(t)
+		if f != nil {
+			f(t)
 		}
 		k.complete(c, t)
 	default:

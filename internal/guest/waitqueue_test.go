@@ -12,17 +12,17 @@ func TestWaitQueueFIFOAndMailbox(t *testing.T) {
 	var got []int
 	e.k.Spawn("consumer", Uthread, &loop{n: 3, body: func(int) []Action {
 		return []Action{
-			ActDequeue{Q: q},
-			ActCall{F: func(th *Thread) { got = append(got, th.Mailbox.(int)) }},
+			Dequeue(q),
+			Call(0, func(th *Thread) { got = append(got, th.Mailbox.(int)) }),
 		}
 	}}, nil)
 	e.k.Spawn("producer", Uthread, &seq{actions: []Action{
-		ActCompute{D: sim.Millisecond},
-		ActEnqueue{Q: q, Item: 1},
-		ActCompute{D: sim.Millisecond},
-		ActEnqueue{Q: q, Item: 2},
-		ActCompute{D: sim.Millisecond},
-		ActEnqueue{Q: q, Item: 3},
+		Compute(sim.Millisecond),
+		Enqueue(q, 1),
+		Compute(sim.Millisecond),
+		Enqueue(q, 2),
+		Compute(sim.Millisecond),
+		Enqueue(q, 3),
 	}}, nil)
 	e.run(t, sim.Second)
 	if len(got) != 3 || got[0] != 1 || got[1] != 2 || got[2] != 3 {
@@ -37,11 +37,11 @@ func TestWaitQueueBoundedBlocksProducer(t *testing.T) {
 	e := newEnv(t, 2, 2, nil, nil)
 	q := e.k.NewWaitQueue(2)
 	prod := e.k.Spawn("producer", Uthread, &loop{n: 6, body: func(i int) []Action {
-		return []Action{ActEnqueue{Q: q, Item: i}}
+		return []Action{Enqueue(q, i)}
 	}}, nil)
 	// Slow consumer starts late.
 	e.k.Spawn("consumer", Uthread, &loop{n: 6, body: func(int) []Action {
-		return []Action{ActSleep{D: 5 * sim.Millisecond}, ActDequeue{Q: q}}
+		return []Action{Sleep(5 * sim.Millisecond), Dequeue(q)}
 	}}, nil)
 	e.run(t, sim.Second)
 	if prod.State() != ThreadExited {
@@ -59,8 +59,8 @@ func TestWaitQueuePostFromInterruptContext(t *testing.T) {
 	served := 0
 	e.k.Spawn("server", Uthread, &loop{n: 4, body: func(int) []Action {
 		return []Action{
-			ActDequeue{Q: q},
-			ActCall{F: func(*Thread) { served++ }},
+			Dequeue(q),
+			Call(0, func(*Thread) { served++ }),
 		}
 	}}, nil)
 	for i := 0; i < 4; i++ {
@@ -94,7 +94,7 @@ func TestActCallChargesCost(t *testing.T) {
 	e := newEnv(t, 1, 1, nil, nil)
 	ran := false
 	th := e.spawn("c",
-		ActCall{Cost: 10 * sim.Millisecond, F: func(*Thread) { ran = true }},
+		Call(10*sim.Millisecond, func(*Thread) { ran = true }),
 	)
 	e.run(t, sim.Second)
 	if !ran {

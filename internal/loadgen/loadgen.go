@@ -88,6 +88,7 @@ type Generator struct {
 
 	rate    float64
 	next    sim.EventRef // the pending arrival, if any
+	arrival func()       // its body, bound once
 	stopped bool
 	paused  bool
 
@@ -118,6 +119,7 @@ func New(eng *sim.Engine, srv *httpd.Server, rand *sim.Rand, cfg Config) *Genera
 		winHist: metrics.NewHistogram(bounds),
 		spare:   metrics.NewHistogram(bounds),
 	}
+	g.arrival = g.arrive
 	srv.OnComplete = g.complete
 	return g
 }
@@ -159,12 +161,16 @@ func (g *Generator) arm() {
 	if d > sim.MaxTime-g.eng.Now() {
 		return
 	}
-	g.next = g.eng.After(d, "loadgen/arrival", func() {
-		g.stats.Offered++
-		g.stats.SLOTotal++
-		g.srv.Offer()
-		g.arm()
-	})
+	g.next = g.eng.After(d, "loadgen/arrival", g.arrival)
+}
+
+// arrive is the pending arrival's body: offer one request and draw the
+// next arrival.
+func (g *Generator) arrive() {
+	g.stats.Offered++
+	g.stats.SLOTotal++
+	g.srv.Offer()
+	g.arm()
 }
 
 // complete is the server's per-request terminal callback.

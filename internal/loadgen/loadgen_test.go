@@ -183,3 +183,28 @@ func TestTakeWindow(t *testing.T) {
 		t.Fatalf("idle window not empty: %+v (hist %d)", w, hist.Count())
 	}
 }
+
+// TestArrivalAllocs gates the arrival process: once warm, one arrival —
+// drawing the next gap, scheduling it, and the request the arrival
+// offers running to its reply — allocates nothing. Each cycle runs the
+// simulation through exactly one arrival.
+func TestArrivalAllocs(t *testing.T) {
+	eng, _, g := newRig(t, 5, Config{RateRPS: 1000, SLO: 50 * sim.Millisecond})
+	g.Start()
+	if err := eng.RunUntil(200 * sim.Millisecond); err != nil {
+		t.Fatal(err)
+	}
+	arrival := func() {
+		if err := eng.RunUntil(g.next.When()); err != nil {
+			t.Fatal(err)
+		}
+	}
+	offered := g.Stats().Offered
+	if n := testing.AllocsPerRun(100, arrival); n != 0 {
+		t.Fatalf("one arrival allocated %v times, want 0", n)
+	}
+	st := g.Stats()
+	if st.Offered-offered != 101 || st.Errors != 0 || st.Replies < st.Offered-3 {
+		t.Fatalf("offered %d in 101 cycles (%+v), want 101 answered", st.Offered-offered, st)
+	}
+}

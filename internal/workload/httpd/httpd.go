@@ -98,14 +98,37 @@ func (l *Link) Send(size int) sim.Time {
 	return l.nextFree
 }
 
-// request tracks one client connection through the system.
+// request tracks one client connection through the system. Requests
+// are pooled per server (Server.takeRequest, Server.release): one goes
+// back on the free list at its terminal event — a reply, a timeout or a
+// backlog drop — and is reused by a later connection. Its steps are
+// method values bound once, when the request is first made, so a
+// recycled request schedules them without allocating.
 type request struct {
+	s *Server
+	connState
+
+	syn, get, reply func()
+	synIRQ, getIRQ  func(cpuID int)
+}
+
+// connState is a request's per-connection state, zeroed on reuse.
+type connState struct {
 	t0        sim.Time
 	connected sim.Time
-	replied   sim.Time
+	// synAt and getAt are when the SYN and the GET reached the NIC.
+	synAt, getAt sim.Time
 	// slowPath marks that the request's RX interrupt was delivered late
 	// (hypervisor scheduling delay), costing extra CPU to serve.
 	slowPath bool
+}
+
+func newRequest(s *Server) *request {
+	r := &request{s: s}
+	r.syn, r.synIRQ = r.synArrived, r.synHandled
+	r.get, r.getIRQ = r.getArrived, r.getHandled
+	r.reply = r.replied
+	return r
 }
 
 // Result summarises one load level.
@@ -136,6 +159,10 @@ type Server struct {
 
 	replies uint64
 	errors  uint64
+
+	// free holds the requests that reached their terminal event, for
+	// reuse by later connections.
+	free []*request
 
 	// err records the first internal fault (e.g. a worker reaching an
 	// undefined phase); subsequent faults are dropped. A faulted worker
@@ -197,71 +224,87 @@ func (s *Server) fail(err error) {
 // incomplete (some workers exited early).
 func (s *Server) Err() error { return s.err }
 
-func (s *Server) spawnWorker(id int) {
-	k := s.k
-	var prog guest.ProgramFunc
-	phase := 0
-	var cur *request
-	prog = func(t *guest.Thread) guest.Action {
-		switch phase {
-		case 0: // accept: block on the socket wait queue (wake-one)
-			phase = 1
-			return guest.ActDequeue{Q: s.acceptQ}
-		case 1: // socket-lock round: sys_accept takes the socket lock
-			// briefly (kernel bucket-lock traffic, the pv-spinlock
-			// surface), without holding it across blocking.
-			cur = t.Mailbox.(*request)
-			phase = 2
-			return guest.ActLock{M: s.acceptMu}
-		case 2:
-			phase = 3
-			return guest.ActUnlock{M: s.acceptMu}
-		case 3: // request work: parse + read the 16 KB file + build reply
-			phase = 4
-			work := requestCPU
-			if cur.slowPath {
-				work += delayPenalty
-			}
-			return guest.ActCompute{D: work}
-		case 4: // transmit the reply over the shared link
-			phase = 0
-			r := cur
-			cur = nil
-			return guest.ActCall{Cost: 5 * sim.Microsecond, F: func(t *guest.Thread) {
-				dep := s.link.Send(fileSize)
-				k.Engine().At(dep+wireDelay, "httpd/reply", func() {
-					s.finish(r)
-				})
-			}}
-		default:
-			// An undefined phase means the worker state machine was
-			// corrupted (a programming or config error). Record it and
-			// retire this worker; the rest of the sweep keeps running.
-			s.fail(fmt.Errorf("httpd: worker %d reached undefined phase %d", id, phase))
-			return guest.ActExit{}
-		}
-	}
-	k.Spawn("httpd-worker", guest.Uthread, prog, nil)
+// worker is the Program of one Apache worker thread: accept a
+// connection, take the socket-lock round, serve the request, transmit
+// the reply. Its actions are built once, when the worker is spawned.
+type worker struct {
+	s     *Server
+	id    int
+	phase int
+	cur   *request
+
+	accept, lock, unlock, send guest.Action
 }
 
-// finish records a completed reply at the client.
-func (s *Server) finish(r *request) {
-	now := s.k.Engine().Now()
-	lat := now - r.t0
-	if lat > s.cfg.Timeout {
-		s.errors++
-		if s.OnComplete != nil {
-			s.OnComplete(lat, false)
+func (s *Server) spawnWorker(id int) {
+	w := &worker{s: s, id: id}
+	w.accept = guest.Dequeue(s.acceptQ)
+	w.lock = guest.Lock(s.acceptMu)
+	w.unlock = guest.Unlock(s.acceptMu)
+	w.send = guest.Call(5*sim.Microsecond, w.transmit)
+	s.k.Spawn("httpd-worker", guest.Uthread, w, nil)
+}
+
+// Next implements guest.Program.
+func (w *worker) Next(t *guest.Thread) guest.Action {
+	switch w.phase {
+	case 0: // accept: block on the socket wait queue (wake-one)
+		w.phase = 1
+		return w.accept
+	case 1: // socket-lock round: sys_accept takes the socket lock
+		// briefly (kernel bucket-lock traffic, the pv-spinlock surface),
+		// without holding it across blocking.
+		w.cur = t.Mailbox.(*request)
+		w.phase = 2
+		return w.lock
+	case 2:
+		w.phase = 3
+		return w.unlock
+	case 3: // request work: parse + read the 16 KB file + build reply
+		w.phase = 4
+		work := requestCPU
+		if w.cur.slowPath {
+			work += delayPenalty
 		}
-		return
-	}
-	r.replied = now
-	s.replies++
-	s.resp.Observe(lat.Milliseconds())
-	if s.OnComplete != nil {
-		s.OnComplete(lat, true)
+		return guest.Compute(work)
+	case 4: // transmit the reply over the shared link
+		w.phase = 0
+		return w.send
+	default:
+		// An undefined phase means the worker state machine was
+		// corrupted (a programming or config error). Record it and
+		// retire this worker; the rest of the sweep keeps running.
+		w.s.fail(fmt.Errorf("httpd: worker %d reached undefined phase %d", w.id, w.phase))
+		return guest.Exit()
 	}
 }
+
+// transmit is the send action's body: the reply leaves over the shared
+// link and reaches the client one wire delay after its departure.
+func (w *worker) transmit(*guest.Thread) {
+	r := w.cur
+	w.cur = nil
+	dep := w.s.link.Send(fileSize)
+	w.s.k.Engine().At(dep+wireDelay, "httpd/reply", r.reply)
+}
+
+// takeRequest returns a request for a connection offered now: a
+// recycled one from the free list, or a new one when the list is empty.
+func (s *Server) takeRequest() *request {
+	var r *request
+	if n := len(s.free); n > 0 {
+		r = s.free[n-1]
+		s.free[n-1] = nil
+		s.free = s.free[:n-1]
+	} else {
+		r = newRequest(s)
+	}
+	r.connState = connState{t0: s.k.Engine().Now()}
+	return r
+}
+
+// release puts r back on the free list at its terminal event.
+func (s *Server) release(r *request) { s.free = append(s.free, r) }
 
 // Client drives the server open-loop at a constant rate for a duration
 // and returns the measured result.
@@ -313,38 +356,73 @@ func (c *Client) Run(ratePerSec float64, duration sim.Time) error {
 // generators call this directly; the terminal outcome is reported
 // through OnComplete.
 func (s *Server) Offer() {
+	r := s.takeRequest()
+	s.k.Engine().After(wireDelay, "httpd/syn", r.syn)
+}
+
+// synArrived: the SYN reaches the NIC and raises its interrupt.
+func (r *request) synArrived() {
+	r.synAt = r.s.k.Engine().Now()
+	r.s.dev.Raise(r.synIRQ)
+}
+
+// synHandled is the SYN's softirq. The SYN-ACK leaves immediately. If
+// the SYN sat pending behind a preempted vCPU, the connection takes the
+// TCP slow path (backlog processing, possible client retransmission)
+// and will cost extra CPU to serve.
+func (r *request) synHandled(int) {
+	s := r.s
 	eng := s.k.Engine()
-	r := &request{t0: eng.Now()}
-	wire := wireDelay
-	eng.After(wire, "httpd/syn", func() {
-		synArrived := eng.Now()
-		s.dev.Raise(func(cpuID int) {
-			// SYN-ACK leaves immediately from the softirq. If the SYN
-			// sat pending behind a preempted vCPU, the connection takes
-			// the TCP slow path (backlog processing, possible client
-			// retransmission) and will cost extra CPU to serve.
-			if eng.Now()-synArrived > delayPenaltyThreshold {
-				r.slowPath = true
-			}
-			r.connected = eng.Now() + wire
-			s.conn.Observe((r.connected - r.t0).Milliseconds())
-			// Client turnaround: ACK + GET arrive one RTT later.
-			eng.After(2*wire, "httpd/get", func() {
-				sent := eng.Now()
-				s.dev.Raise(func(cpuID int) {
-					if eng.Now()-sent > delayPenaltyThreshold {
-						r.slowPath = true
-					}
-					if !s.acceptQ.Post(r, cpuID) {
-						s.errors++ // backlog overflow: connection reset
-						if s.OnComplete != nil {
-							s.OnComplete(eng.Now()-r.t0, false)
-						}
-					}
-				})
-			})
-		})
-	})
+	if eng.Now()-r.synAt > delayPenaltyThreshold {
+		r.slowPath = true
+	}
+	r.connected = eng.Now() + wireDelay
+	s.conn.Observe((r.connected - r.t0).Milliseconds())
+	// Client turnaround: ACK + GET arrive one RTT later.
+	eng.After(2*wireDelay, "httpd/get", r.get)
+}
+
+// getArrived: the GET reaches the NIC and raises its interrupt.
+func (r *request) getArrived() {
+	r.getAt = r.s.k.Engine().Now()
+	r.s.dev.Raise(r.getIRQ)
+}
+
+// getHandled is the GET's softirq: queue the connection for a worker,
+// or reset it when the listen backlog is full (a terminal event).
+func (r *request) getHandled(cpuID int) {
+	s := r.s
+	now := s.k.Engine().Now()
+	if now-r.getAt > delayPenaltyThreshold {
+		r.slowPath = true
+	}
+	if s.acceptQ.Post(r, cpuID) {
+		return
+	}
+	s.errors++ // backlog overflow: connection reset
+	lat := now - r.t0
+	s.release(r)
+	if s.OnComplete != nil {
+		s.OnComplete(lat, false)
+	}
+}
+
+// replied: the reply reaches the client (a terminal event). A reply
+// later than the client's timeout counts as an error, not a reply.
+func (r *request) replied() {
+	s := r.s
+	lat := s.k.Engine().Now() - r.t0
+	ok := lat <= s.cfg.Timeout
+	if ok {
+		s.replies++
+		s.resp.Observe(lat.Milliseconds())
+	} else {
+		s.errors++
+	}
+	s.release(r)
+	if s.OnComplete != nil {
+		s.OnComplete(lat, ok)
+	}
 }
 
 // Result summarises the run: reply rate over the measurement window.

@@ -46,58 +46,55 @@ func AdaptiveLaunch(k *guest.Kernel, p Profile, maxThreads int, spinBudget sim.T
 
 	// Master: per region, size the team from the active vCPU count and
 	// fan the work out.
+	fanOut := func(t *guest.Thread, r int, acts []guest.Action) []guest.Action {
+		m := k.ActiveVCPUs()
+		if m < 1 {
+			m = 1
+		}
+		if m > maxThreads {
+			m = maxThreads
+		}
+		join := k.NewBarrier(m, spinBudget)
+		seg := regionWork / sim.Time(m)
+		for w := 1; w < m; w++ {
+			box, tok := boxes[w], token{seg: seg, join: join}
+			acts = append(acts, guest.Enqueue(box, tok))
+		}
+		acts = append(acts,
+			guest.Compute(seg),
+			guest.BarrierWait(join),
+		)
+		if r == regions-1 {
+			// Final region: release every worker for exit.
+			for w := 1; w < maxThreads; w++ {
+				acts = append(acts, guest.Enqueue(boxes[w], token{stop: true}))
+			}
+		}
+		return acts
+	}
 	app.Go(p.Name+".master", &workload.RandLoop{
-		N: regions,
-		Body: func(r int) []any {
-			return []any{workload.Dynamic(func(t *guest.Thread) []guest.Action {
-				m := k.ActiveVCPUs()
-				if m < 1 {
-					m = 1
-				}
-				if m > maxThreads {
-					m = maxThreads
-				}
-				join := k.NewBarrier(m, spinBudget)
-				seg := regionWork / sim.Time(m)
-				acts := make([]guest.Action, 0, m+2)
-				for w := 1; w < m; w++ {
-					box, tok := boxes[w], token{seg: seg, join: join}
-					acts = append(acts, guest.ActEnqueue{Q: box, Item: tok})
-				}
-				acts = append(acts,
-					guest.ActCompute{D: seg},
-					guest.ActBarrierWait{B: join},
-				)
-				if r == regions-1 {
-					// Final region: release every worker for exit.
-					for w := 1; w < maxThreads; w++ {
-						acts = append(acts, guest.ActEnqueue{Q: boxes[w], Item: token{stop: true}})
-					}
-				}
-				return acts
-			})}
-		},
+		N:    regions,
+		Body: func(_ int, ops *workload.Ops) { ops.Dynamic(fanOut) },
 	})
 
 	// Workers: sleep until handed a region token, run the share, join.
+	run := func(t *guest.Thread, _ int, acts []guest.Action) []guest.Action {
+		tok := t.Mailbox.(token)
+		if tok.stop {
+			return append(acts, guest.Exit())
+		}
+		return append(acts,
+			guest.Compute(tok.seg),
+			guest.BarrierWait(tok.join),
+		)
+	}
 	for w := 1; w < maxThreads; w++ {
 		box := boxes[w]
 		app.Go(fmt.Sprintf("%s.w%d", p.Name, w), &workload.RandLoop{
 			Forever: true,
-			Body: func(int) []any {
-				return []any{
-					guest.ActDequeue{Q: box},
-					workload.Dynamic(func(t *guest.Thread) []guest.Action {
-						tok := t.Mailbox.(token)
-						if tok.stop {
-							return []guest.Action{guest.ActExit{}}
-						}
-						return []guest.Action{
-							guest.ActCompute{D: tok.seg},
-							guest.ActBarrierWait{B: tok.join},
-						}
-					}),
-				}
+			Body: func(_ int, ops *workload.Ops) {
+				ops.Do(guest.Dequeue(box))
+				ops.Dynamic(run)
 			},
 		})
 	}

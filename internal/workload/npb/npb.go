@@ -111,31 +111,28 @@ func Launch(k *guest.Kernel, p Profile, nThreads int, spinBudget sim.Time) *work
 	if p.IOPerIter > 0 {
 		dev = k.NewDevice("npb-disk", 0, 5*sim.Microsecond)
 	}
+	lo := sim.Time(float64(p.SegMean) * (1 - p.Skew))
+	hi := sim.Time(float64(p.SegMean) * (1 + p.Skew))
 	for th := 0; th < nThreads; th++ {
-		pp := p
 		app.Go(fmt.Sprintf("%s.%d", p.Name, th), &workload.RandLoop{
 			N: p.Iterations,
-			Body: func(iter int) []any {
-				var acts []any
-				for bi := 0; bi < pp.BarriersPerIter; bi++ {
-					lo := sim.Time(float64(pp.SegMean) * (1 - pp.Skew))
-					hi := sim.Time(float64(pp.SegMean) * (1 + pp.Skew))
-					acts = append(acts, workload.RandCompute(lo, hi))
+			Body: func(_ int, ops *workload.Ops) {
+				for bi, b := range barriers {
+					ops.RandCompute(lo, hi)
 					if bi == 0 {
-						for ci := 0; ci < pp.CriticalPerIter; ci++ {
-							acts = append(acts,
-								guest.ActLock{M: crit},
-								guest.ActCompute{D: pp.CriticalLen},
-								guest.ActUnlock{M: crit},
+						for ci := 0; ci < p.CriticalPerIter; ci++ {
+							ops.Do(
+								guest.Lock(crit),
+								guest.Compute(p.CriticalLen),
+								guest.Unlock(crit),
 							)
 						}
-						for io := 0; io < pp.IOPerIter; io++ {
-							acts = append(acts, guest.ActIO{Dev: dev, Service: pp.IOService})
+						for io := 0; io < p.IOPerIter; io++ {
+							ops.Do(guest.IO(dev, p.IOService))
 						}
 					}
-					acts = append(acts, guest.ActBarrierWait{B: barriers[bi]})
+					ops.Do(guest.BarrierWait(b))
 				}
-				return acts
 			},
 		})
 	}
@@ -153,27 +150,24 @@ func launchAdHocPipeline(k *guest.Kernel, app *workload.App, p Profile, nThreads
 	for i := range ready {
 		ready[i] = k.NewSpinVar()
 	}
+	lo := sim.Time(float64(p.SegMean) * (1 - p.Skew))
+	hi := sim.Time(float64(p.SegMean) * (1 + p.Skew))
 	for th := 0; th < nThreads; th++ {
-		th := th
-		pp := p
 		pred := ready[(th+nThreads-1)%nThreads]
 		own := ready[th]
 		app.Go(fmt.Sprintf("lu.%d", th), &workload.RandLoop{
 			N: p.Iterations,
-			Body: func(iter int) []any {
-				lo := sim.Time(float64(pp.SegMean) * (1 - pp.Skew))
-				hi := sim.Time(float64(pp.SegMean) * (1 + pp.Skew))
-				acts := []any{workload.RandCompute(lo, hi)}
+			Body: func(iter int, ops *workload.Ops) {
+				ops.RandCompute(lo, hi)
 				if th != 0 {
 					// Wait for the predecessor to publish this wavefront.
-					acts = append(acts, guest.ActSpinWait{S: pred, Gen: uint64(iter + 1)})
+					ops.Do(guest.SpinWait(pred, uint64(iter+1)))
 				} else if iter > 0 {
 					// Thread 0 waits for the ring to complete the
 					// previous front before starting the next.
-					acts = append(acts, guest.ActSpinWait{S: pred, Gen: uint64(iter)})
+					ops.Do(guest.SpinWait(pred, uint64(iter)))
 				}
-				acts = append(acts, guest.ActSpinSet{S: own})
-				return acts
+				ops.Do(guest.SpinSet(own))
 			},
 		})
 	}

@@ -116,16 +116,19 @@ func Launch(k *guest.Kernel, p Profile, nThreads int, ompSpinBudget sim.Time) *w
 	return app
 }
 
+// segRange is the [lo, hi) range of p's compute segments.
+func segRange(p Profile) (sim.Time, sim.Time) {
+	lo := sim.Time(float64(p.SegMean) * (1 - p.Skew))
+	hi := sim.Time(float64(p.SegMean) * (1 + p.Skew))
+	return lo, hi
+}
+
 func launchNoSync(app *workload.App, p Profile, n int) {
+	lo, hi := segRange(p)
 	for th := 0; th < n; th++ {
-		pp := p
 		app.Go(fmt.Sprintf("%s.%d", p.Name, th), &workload.RandLoop{
-			N: p.Iterations,
-			Body: func(int) []any {
-				lo := sim.Time(float64(pp.SegMean) * (1 - pp.Skew))
-				hi := sim.Time(float64(pp.SegMean) * (1 + pp.Skew))
-				return []any{workload.RandCompute(lo, hi)}
-			},
+			N:    p.Iterations,
+			Body: func(_ int, ops *workload.Ops) { ops.RandCompute(lo, hi) },
 		})
 	}
 }
@@ -139,52 +142,51 @@ type condBarrier struct {
 	n       int
 	arrived int
 	gen     uint64
+	// arrive is the decision taken under the lock, bound once.
+	arrive workload.DynamicFunc
 }
 
 func newCondBarrier(k *guest.Kernel, n int) *condBarrier {
-	return &condBarrier{m: k.NewMutex(), cv: k.NewCond(), n: n}
+	b := &condBarrier{m: k.NewMutex(), cv: k.NewCond(), n: n}
+	b.arrive = func(t *guest.Thread, _ int, acts []guest.Action) []guest.Action {
+		// Executed while holding b.m: arrivals are serialised, so a
+		// broadcast can never race past a waiter's registration.
+		b.arrived++
+		if b.arrived == b.n {
+			b.arrived = 0
+			b.gen++
+			return append(acts,
+				guest.Compute(200*sim.Nanosecond),
+				guest.CondBroadcast(b.cv),
+				guest.Unlock(b.m),
+			)
+		}
+		return append(acts,
+			guest.Compute(200*sim.Nanosecond),
+			guest.CondWait(b.cv, b.m),
+			guest.Unlock(b.m),
+		)
+	}
+	return b
 }
 
-// actions returns the action sequence for one barrier episode: take the
-// mutex, then decide under the lock (via a Dynamic node, expanded only
-// after ActLock completed) whether to broadcast or cond-wait.
-func (b *condBarrier) actions() []any {
-	return []any{
-		guest.ActLock{M: b.m},
-		workload.Dynamic(func(t *guest.Thread) []guest.Action {
-			// Executed while holding b.m: arrivals are serialised, so
-			// a broadcast can never race past a waiter's registration.
-			b.arrived++
-			if b.arrived == b.n {
-				b.arrived = 0
-				b.gen++
-				return []guest.Action{
-					guest.ActCompute{D: 200 * sim.Nanosecond},
-					guest.ActCondBroadcast{C: b.cv},
-					guest.ActUnlock{M: b.m},
-				}
-			}
-			return []guest.Action{
-				guest.ActCompute{D: 200 * sim.Nanosecond},
-				guest.ActCondWait{C: b.cv, M: b.m},
-				guest.ActUnlock{M: b.m},
-			}
-		}),
-	}
+// episode appends one barrier episode: take the mutex, then decide under
+// the lock (via a Dynamic op, expanded only after the Lock completed)
+// whether to broadcast or cond-wait.
+func (b *condBarrier) episode(ops *workload.Ops) {
+	ops.Do(guest.Lock(b.m))
+	ops.Dynamic(b.arrive)
 }
 
 func launchCondBarrier(k *guest.Kernel, app *workload.App, p Profile, n, joinEvery int) {
 	b := newCondBarrier(k, n)
+	lo, hi := segRange(p)
 	for th := 0; th < n; th++ {
-		pp := p
 		app.Go(fmt.Sprintf("%s.%d", p.Name, th), &workload.RandLoop{
 			N: p.Iterations,
-			Body: func(iter int) []any {
-				lo := sim.Time(float64(pp.SegMean) * (1 - pp.Skew))
-				hi := sim.Time(float64(pp.SegMean) * (1 + pp.Skew))
-				acts := []any{workload.RandCompute(lo, hi)}
-				acts = append(acts, b.actions()...)
-				return acts
+			Body: func(_ int, ops *workload.Ops) {
+				ops.RandCompute(lo, hi)
+				b.episode(ops)
 			},
 		})
 	}
@@ -224,44 +226,40 @@ func launchPipeline(k *guest.Kernel, app *workload.App, p Profile, n int) {
 	}
 
 	// Producer (stage 0).
-	pp := p
 	lo, hi := stageRange(0)
 	app.Go(p.Name+".s0", &workload.RandLoop{
 		N: items,
-		Body: func(i int) []any {
-			acts := []any{workload.RandCompute(lo, hi)}
-			for op := 0; op < pp.QueueOpsPerItem; op++ {
-				acts = append(acts,
-					guest.ActLock{M: locks[0]},
-					guest.ActCompute{D: pp.LockLen},
-					guest.ActUnlock{M: locks[0]},
+		Body: func(i int, ops *workload.Ops) {
+			ops.RandCompute(lo, hi)
+			for op := 0; op < p.QueueOpsPerItem; op++ {
+				ops.Do(
+					guest.Lock(locks[0]),
+					guest.Compute(p.LockLen),
+					guest.Unlock(locks[0]),
 				)
 			}
-			acts = append(acts, guest.ActEnqueue{Q: queues[0], Item: i})
-			return acts
+			ops.Do(guest.Enqueue(queues[0], i))
 		},
 	})
 
 	// Middle and final stages.
 	for s := 1; s < stages; s++ {
-		s := s
 		slo, shi := stageRange(s)
 		app.Go(fmt.Sprintf("%s.s%d", p.Name, s), &workload.RandLoop{
 			N: items,
-			Body: func(i int) []any {
-				acts := []any{guest.ActDequeue{Q: queues[s-1]}}
-				acts = append(acts, workload.RandCompute(slo, shi))
+			Body: func(i int, ops *workload.Ops) {
+				ops.Do(guest.Dequeue(queues[s-1]))
+				ops.RandCompute(slo, shi)
 				if s < stages-1 {
-					for op := 0; op < pp.QueueOpsPerItem; op++ {
-						acts = append(acts,
-							guest.ActLock{M: locks[s]},
-							guest.ActCompute{D: pp.LockLen},
-							guest.ActUnlock{M: locks[s]},
+					for op := 0; op < p.QueueOpsPerItem; op++ {
+						ops.Do(
+							guest.Lock(locks[s]),
+							guest.Compute(p.LockLen),
+							guest.Unlock(locks[s]),
 						)
 					}
-					acts = append(acts, guest.ActEnqueue{Q: queues[s], Item: i})
+					ops.Do(guest.Enqueue(queues[s], i))
 				}
-				return acts
 			},
 		})
 	}
@@ -269,14 +267,13 @@ func launchPipeline(k *guest.Kernel, app *workload.App, p Profile, n int) {
 
 func launchOpenMP(k *guest.Kernel, app *workload.App, p Profile, n int, spinBudget sim.Time) {
 	b := k.NewBarrier(n, spinBudget)
+	lo, hi := segRange(p)
 	for th := 0; th < n; th++ {
-		pp := p
 		app.Go(fmt.Sprintf("%s.%d", p.Name, th), &workload.RandLoop{
 			N: p.Iterations,
-			Body: func(int) []any {
-				lo := sim.Time(float64(pp.SegMean) * (1 - pp.Skew))
-				hi := sim.Time(float64(pp.SegMean) * (1 + pp.Skew))
-				return []any{workload.RandCompute(lo, hi), guest.ActBarrierWait{B: b}}
+			Body: func(_ int, ops *workload.Ops) {
+				ops.RandCompute(lo, hi)
+				ops.Do(guest.BarrierWait(b))
 			},
 		})
 	}

@@ -1,7 +1,7 @@
 // Package workload provides the application harness and generic program
 // builders used to model the paper's workloads: an App groups the
 // threads of one multithreaded application and records its execution
-// time; RandLoop builds Programs from action lists; KernelBuild and
+// time; RandLoop builds Programs from per-iteration op lists; KernelBuild and
 // Slideshow model the calibration workload of Table 2 and the
 // interactive background VMs of §5.2.1.
 package workload
@@ -95,23 +95,22 @@ func NewKernelBuild(k *guest.Kernel, jobs int) *KernelBuild {
 func (b *KernelBuild) Start(app *App) {
 	for j := 0; j < b.Jobs; j++ {
 		j := j
-		app.Go("cc", &RandLoop{Forever: true, Body: func(i int) []any {
-			acts := []any{
-				RandCompute(3*sim.Millisecond, 5*sim.Millisecond),
-				guest.ActLock{M: b.MMSem},
-				guest.ActCompute{D: 30 * sim.Microsecond},
-				guest.ActUnlock{M: b.MMSem},
-				RandCompute(3*sim.Millisecond, 5*sim.Millisecond),
-			}
+		app.Go("cc", &RandLoop{Forever: true, Body: func(i int, ops *Ops) {
+			ops.RandCompute(3*sim.Millisecond, 5*sim.Millisecond)
+			ops.Do(
+				guest.Lock(b.MMSem),
+				guest.Compute(30*sim.Microsecond),
+				guest.Unlock(b.MMSem),
+			)
+			ops.RandCompute(3*sim.Millisecond, 5*sim.Millisecond)
 			switch (i + j) % 8 {
 			case 0:
-				acts = append(acts, guest.ActDequeue{Q: b.pipe})
+				ops.Do(guest.Dequeue(b.pipe))
 			case 4:
-				acts = append(acts, guest.ActEnqueue{Q: b.pipe, Item: struct{}{}})
+				ops.Do(guest.Enqueue(b.pipe, struct{}{}))
 			default:
-				acts = append(acts, RandSleep(sim.Millisecond, 3*sim.Millisecond))
+				ops.RandSleep(sim.Millisecond, 3*sim.Millisecond)
 			}
-			return acts
 		}})
 	}
 }
@@ -177,96 +176,131 @@ func (sc *slideshowSched) entry(i int, s Slideshow, r *sim.Rand) (sim.Time, sim.
 func (s Slideshow) Start(app *App) {
 	sched := &slideshowSched{}
 	join := app.k.NewBarrier(slideshowThreads, 0)
+	show := func(t *guest.Thread, picture int, acts []guest.Action) []guest.Action {
+		idle, burst := sched.entry(picture, s, t.Rand())
+		return append(acts,
+			guest.Sleep(idle),
+			guest.Compute(burst),
+			guest.BarrierWait(join),
+		)
+	}
+	body := func(_ int, ops *Ops) { ops.Dynamic(show) }
 	for i := 0; i < slideshowThreads; i++ {
-		app.Go("slideshow", &RandLoop{Forever: true, Body: func(iter int) []any {
-			return []any{
-				Dynamic(func(t *guest.Thread) []guest.Action {
-					idle, burst := sched.entry(iter, s, t.Rand())
-					return []guest.Action{
-						guest.ActSleep{D: idle},
-						guest.ActCompute{D: burst},
-						guest.ActBarrierWait{B: join},
-					}
-				}),
-			}
-		}})
+		app.Go("slideshow", &RandLoop{Forever: true, Body: body})
 	}
 }
 
-// randCompute and randSleep are placeholders expanded by RandLoop at
-// execution time using the thread's deterministic PRNG, so durations
+// opKind says how RandLoop turns an op into a guest action.
+type opKind uint8
+
+const (
+	opAction      opKind = iota // the action as is
+	opRandCompute               // Compute of a duration drawn in [lo, hi)
+	opRandSleep                 // Sleep of a duration drawn in [lo, hi)
+	opDynamic                   // actions from dyn, spliced in place
+)
+
+// op is one element of a RandLoop iteration.
+type op struct {
+	kind   opKind
+	act    guest.Action
+	lo, hi sim.Time
+	dyn    DynamicFunc
+}
+
+// DynamicFunc decides actions at execution time, in iteration iter of
+// the loop running on t: it appends them to acts and returns the
+// extended slice, which RandLoop splices in front of the rest of the
+// iteration. acts is a buffer the loop owns and reuses, so a
+// DynamicFunc must not keep it.
+type DynamicFunc func(t *guest.Thread, iter int, acts []guest.Action) []guest.Action
+
+// Ops is the buffer a RandLoop hands its Body to append one iteration's
+// ops to. The loop owns it and reuses it for every iteration, so a
+// warmed loop whose Body appends no more ops than before allocates
+// nothing.
+type Ops struct{ ops []op }
+
+// Do appends guest actions, run as they are.
+func (o *Ops) Do(acts ...guest.Action) {
+	for _, a := range acts {
+		o.ops = append(o.ops, op{kind: opAction, act: a})
+	}
+}
+
+// RandCompute appends a compute whose duration is drawn uniformly from
+// [lo, hi) with the thread's PRNG when the op is fetched, so durations
 // vary per iteration without breaking reproducibility.
-type randCompute struct{ lo, hi sim.Time }
-type randSleep struct{ lo, hi sim.Time }
-
-// expand converts placeholders to concrete actions using t's PRNG.
-func expand(t *guest.Thread, a any) guest.Action {
-	switch v := a.(type) {
-	case randCompute:
-		return guest.ActCompute{D: t.Rand().Duration(v.lo, v.hi)}
-	case randSleep:
-		return guest.ActSleep{D: t.Rand().Duration(v.lo, v.hi)}
-	case guest.Action:
-		return v
-	default:
-		panic("workload: unknown action placeholder")
-	}
+func (o *Ops) RandCompute(lo, hi sim.Time) {
+	o.ops = append(o.ops, op{kind: opRandCompute, lo: lo, hi: hi})
 }
 
-// RandLoop repeats Body(iter) for N iterations, then exits; when
-// Forever is set it never exits (background load). Body may return
-// randCompute/randSleep placeholders via RandCompute/RandSleep and
-// Dynamic nodes as well as plain guest actions.
+// RandSleep appends a sleep drawn like RandCompute.
+func (o *Ops) RandSleep(lo, hi sim.Time) {
+	o.ops = append(o.ops, op{kind: opRandSleep, lo: lo, hi: hi})
+}
+
+// Dynamic defers action generation to execution time: when the op is
+// fetched, fn's actions are spliced in front of the rest of the
+// iteration. Used for data-dependent control flow (e.g. "broadcast if I
+// am the last arriver", decided while actually holding the lock). A
+// Body that passes the same fn every iteration allocates nothing for
+// it.
+func (o *Ops) Dynamic(fn DynamicFunc) {
+	o.ops = append(o.ops, op{kind: opDynamic, dyn: fn})
+}
+
+// RandLoop repeats Body for N iterations, then exits; when Forever is
+// set it never exits (background load). Body(iter, ops) appends
+// iteration iter's ops to ops, a buffer the loop owns: the loop calls
+// Body once the previous iteration's ops have all been fetched, and an
+// iteration with no ops is skipped.
 type RandLoop struct {
 	N       int
 	Forever bool
-	Body    func(iter int) []any
+	Body    func(iter int, ops *Ops)
 
 	iter int
-	buf  []any
+	ops  Ops
+	pos  int // next op to fetch
+	// acts and spare are the Dynamic splice buffers, reused.
+	acts  []guest.Action
+	spare []op
 }
 
 // Next implements guest.Program.
 func (l *RandLoop) Next(t *guest.Thread) guest.Action {
 	for {
-		for len(l.buf) == 0 {
+		for l.pos == len(l.ops.ops) {
 			if !l.Forever && l.iter >= l.N {
-				return guest.ActExit{}
+				return guest.Exit()
 			}
-			l.buf = l.Body(l.iter)
+			l.ops.ops, l.pos = l.ops.ops[:0], 0
+			l.Body(l.iter, &l.ops)
 			l.iter++
 		}
-		a := l.buf[0]
-		l.buf = l.buf[1:]
-		if d, ok := a.(dynamicNode); ok {
-			acts := d.fn(t)
-			spliced := make([]any, 0, len(acts)+len(l.buf))
-			for _, x := range acts {
-				spliced = append(spliced, x)
-			}
-			l.buf = append(spliced, l.buf...)
+		o := &l.ops.ops[l.pos]
+		l.pos++
+		switch o.kind {
+		case opRandCompute:
+			return guest.Compute(t.Rand().Duration(o.lo, o.hi))
+		case opRandSleep:
+			return guest.Sleep(t.Rand().Duration(o.lo, o.hi))
+		case opDynamic:
+			l.splice(o.dyn(t, l.iter-1, l.acts[:0]))
 			continue
 		}
-		return expand(t, a)
+		return o.act
 	}
 }
 
-// RandCompute returns a placeholder that expands to a uniform-duration
-// compute at execution time.
-func RandCompute(lo, hi sim.Time) any { return randCompute{lo: lo, hi: hi} }
-
-// RandSleep returns a placeholder that expands to a uniform-duration
-// sleep at execution time.
-func RandSleep(lo, hi sim.Time) any { return randSleep{lo: lo, hi: hi} }
-
-// dynamicNode defers action generation to execution time; the returned
-// actions are spliced in front of the remaining program. Used for
-// data-dependent control flow (e.g. "broadcast if I am the last
-// arriver", decided while actually holding the lock).
-type dynamicNode struct {
-	fn func(t *guest.Thread) []guest.Action
+// splice puts acts in front of the iteration's unfetched ops.
+func (l *RandLoop) splice(acts []guest.Action) {
+	l.acts = acts
+	next := l.spare[:0]
+	for _, a := range acts {
+		next = append(next, op{kind: opAction, act: a})
+	}
+	next = append(next, l.ops.ops[l.pos:]...)
+	l.spare, l.ops.ops, l.pos = l.ops.ops, next, 0
 }
-
-// Dynamic wraps a decision callback into a program element for RandLoop
-// bodies.
-func Dynamic(fn func(t *guest.Thread) []guest.Action) any { return dynamicNode{fn: fn} }

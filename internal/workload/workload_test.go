@@ -22,8 +22,8 @@ func TestAppTracksCompletion(t *testing.T) {
 	app := NewApp(k, "test")
 	doneCalled := false
 	app.OnDone = func(a *App) { doneCalled = true }
-	app.Go("a", &RandLoop{N: 1, Body: func(int) []any { return []any{guest.ActCompute{D: 10 * sim.Millisecond}} }})
-	app.Go("b", &RandLoop{N: 1, Body: func(int) []any { return []any{guest.ActCompute{D: 30 * sim.Millisecond}} }})
+	app.Go("a", &RandLoop{N: 1, Body: func(_ int, ops *Ops) { ops.Do(guest.Compute(10 * sim.Millisecond)) }})
+	app.Go("b", &RandLoop{N: 1, Body: func(_ int, ops *Ops) { ops.Do(guest.Compute(30 * sim.Millisecond)) }})
 	if app.Done() {
 		t.Fatal("done before running")
 	}
@@ -48,12 +48,12 @@ func TestAppTracksCompletion(t *testing.T) {
 func TestSeqExhaustsAndExits(t *testing.T) {
 	eng, pool, k := newGuest(t, 1, 1)
 	app := NewApp(k, "seq")
-	th := app.Go("s", &RandLoop{N: 1, Body: func(int) []any {
-		return []any{
-			guest.ActCompute{D: sim.Millisecond},
-			guest.ActSleep{D: sim.Millisecond},
-			guest.ActCompute{D: sim.Millisecond},
-		}
+	th := app.Go("s", &RandLoop{N: 1, Body: func(_ int, ops *Ops) {
+		ops.Do(
+			guest.Compute(sim.Millisecond),
+			guest.Sleep(sim.Millisecond),
+			guest.Compute(sim.Millisecond),
+		)
 	}})
 	pool.Start()
 	k.Boot()
@@ -71,9 +71,9 @@ func TestLoopCounts(t *testing.T) {
 	eng, pool, k := newGuest(t, 1, 1)
 	app := NewApp(k, "loop")
 	iters := 0
-	app.Go("l", &RandLoop{N: 5, Body: func(i int) []any {
+	app.Go("l", &RandLoop{N: 5, Body: func(_ int, ops *Ops) {
 		iters++
-		return []any{guest.ActCompute{D: sim.Millisecond}}
+		ops.Do(guest.Compute(sim.Millisecond))
 	}})
 	pool.Start()
 	k.Boot()
@@ -92,15 +92,13 @@ func TestRandLoopPlaceholdersAndDynamic(t *testing.T) {
 	eng, pool, k := newGuest(t, 1, 1)
 	app := NewApp(k, "rand")
 	dynamicRan := false
-	app.Go("r", &RandLoop{N: 3, Body: func(i int) []any {
-		return []any{
-			RandCompute(sim.Millisecond, 2*sim.Millisecond),
-			RandSleep(sim.Millisecond, 2*sim.Millisecond),
-			Dynamic(func(th *guest.Thread) []guest.Action {
-				dynamicRan = true
-				return []guest.Action{guest.ActCompute{D: 500 * sim.Microsecond}}
-			}),
-		}
+	app.Go("r", &RandLoop{N: 3, Body: func(_ int, ops *Ops) {
+		ops.RandCompute(sim.Millisecond, 2*sim.Millisecond)
+		ops.RandSleep(sim.Millisecond, 2*sim.Millisecond)
+		ops.Dynamic(func(th *guest.Thread, _ int, acts []guest.Action) []guest.Action {
+			dynamicRan = true
+			return append(acts, guest.Compute(500*sim.Microsecond))
+		})
 	}})
 	pool.Start()
 	k.Boot()
@@ -122,9 +120,9 @@ func TestRandLoopForever(t *testing.T) {
 	eng, pool, k := newGuest(t, 1, 1)
 	app := NewApp(k, "fg")
 	n := 0
-	app.Go("f", &RandLoop{Forever: true, Body: func(i int) []any {
+	app.Go("f", &RandLoop{Forever: true, Body: func(_ int, ops *Ops) {
 		n++
-		return []any{RandCompute(sim.Millisecond, sim.Millisecond)}
+		ops.RandCompute(sim.Millisecond, sim.Millisecond)
 	}})
 	pool.Start()
 	k.Boot()
@@ -205,5 +203,45 @@ func TestSlideshowCorrelatedThreadsBurstTogether(t *testing.T) {
 	ratio := a / b
 	if ratio < 0.8 || ratio > 1.25 {
 		t.Fatalf("correlated threads diverged: ratio %.2f", ratio)
+	}
+}
+
+// TestRandLoopFutexBarrierIterationAllocs gates an npb-shaped iteration
+// at spin count 0 (OMP_WAIT_POLICY=PASSIVE): a random compute, then a
+// barrier whose first arriver futex-sleeps and whose last arriver
+// releases it and wakes the sleeper with a reschedule IPI to the other
+// vCPU. Once the loop's op buffer is warm, an iteration allocates
+// nothing.
+func TestRandLoopFutexBarrierIterationAllocs(t *testing.T) {
+	eng, pool, k := newGuest(t, 2, 2)
+	b := k.NewBarrier(2, 0)
+	app := NewApp(k, "npb")
+	for i := 0; i < 2; i++ {
+		app.Go("omp", &RandLoop{Forever: true, Body: func(_ int, ops *Ops) {
+			ops.RandCompute(500*sim.Microsecond, 1500*sim.Microsecond)
+			ops.Do(guest.BarrierWait(b))
+		}})
+	}
+	pool.Start()
+	k.Boot()
+	if err := eng.RunUntil(100 * sim.Millisecond); err != nil {
+		t.Fatal(err)
+	}
+	iteration := func() {
+		for w := b.Waits; b.Waits == w; {
+			if err := eng.RunUntil(eng.Now() + 100*sim.Microsecond); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	waits, ipis := k.FutexWaits, k.CPUStatsOf(0).ReschedIPIs+k.CPUStatsOf(1).ReschedIPIs
+	if n := testing.AllocsPerRun(100, iteration); n != 0 {
+		t.Fatalf("RandLoop barrier iteration allocated %v times, want 0", n)
+	}
+	if k.FutexWaits-waits < 100 {
+		t.Fatalf("%d futex waits in 101 iterations: the barrier did not sleep", k.FutexWaits-waits)
+	}
+	if k.CPUStatsOf(0).ReschedIPIs+k.CPUStatsOf(1).ReschedIPIs == ipis {
+		t.Fatal("no reschedule IPIs: the wakes were not remote")
 	}
 }

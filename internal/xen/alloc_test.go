@@ -1,6 +1,10 @@
 package xen
 
-import "testing"
+import (
+	"testing"
+
+	"vscale/internal/sim"
+)
 
 // TestNotifyDispatchAllocs pins the runqueue and pending-port FIFOs to
 // their backing arrays: once warmed, notifying a queued vCPU, switching
@@ -35,5 +39,26 @@ func TestNotifyDispatchAllocs(t *testing.T) {
 	}
 	if got := ga.delivered[0] + gb.delivered[0] - before; got != 4*101 {
 		t.Fatalf("%d events delivered, want %d", got, 4*101)
+	}
+}
+
+// TestVScaleTickAllocs pins Algorithm 1's per-tick input and output to
+// buffers the pool keeps: once warmed, a vScale tick over three domains
+// allocates nothing.
+func TestVScaleTickAllocs(t *testing.T) {
+	eng, pool := setup(t, 4, true)
+	addHogDomain(eng, pool, "a", 256, 2)
+	addHogDomain(eng, pool, "b", 512, 4)
+	addHogDomain(eng, pool, "c", 256, 1)
+	pool.Start()
+	if err := eng.RunUntil(100 * sim.Millisecond); err != nil {
+		t.Fatal(err)
+	}
+	ticks := pool.VScaleTicks
+	if n := testing.AllocsPerRun(100, pool.vscaleTick); n != 0 {
+		t.Fatalf("vScale tick allocated %v times, want 0", n)
+	}
+	if pool.VScaleTicks-ticks != 101 {
+		t.Fatalf("%d ticks ran, want 101", pool.VScaleTicks-ticks)
 	}
 }

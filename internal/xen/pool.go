@@ -119,6 +119,12 @@ type Pool struct {
 	acctTicker   *sim.Ticker
 	vscaleTicker *sim.Ticker
 
+	// vmStats and extends are vscaleTick's Algorithm 1 input and output,
+	// kept across ticks. Like the rest of the pool, only the goroutine
+	// running its engine touches them.
+	vmStats []core.VMStat
+	extends []core.Extendability
+
 	started bool
 	// kicking guards kickIdle against recursion through dispatch.
 	kicking bool
@@ -811,7 +817,7 @@ func (pool *Pool) resortRunq(p *PCPU) {
 func (pool *Pool) vscaleTick() {
 	pool.SyncAccounting()
 	period := pool.vscaleTicker.Period()
-	stats := make([]core.VMStat, len(pool.domains))
+	stats := slices.Grow(pool.vmStats[:0], len(pool.domains))[:len(pool.domains)]
 	for i, d := range pool.domains {
 		stats[i] = core.VMStat{
 			ID:               d.Name,
@@ -824,10 +830,11 @@ func (pool *Pool) vscaleTick() {
 		}
 		d.periodConsumed = 0
 	}
-	res := core.ComputeExtendability(stats, pool.cfg.PCPUs, period)
+	res := core.ComputeExtendability(pool.extends, stats, pool.cfg.PCPUs, period)
 	for i, d := range pool.domains {
 		d.ext = res[i]
 	}
+	pool.vmStats, pool.extends = stats, res
 	pool.VScaleTicks++
 }
 

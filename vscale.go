@@ -51,7 +51,7 @@ type Extendability = core.Extendability
 // returns each VM's fair share, maximum achievable allocation and
 // optimal vCPU count.
 func ComputeExtendability(vms []VMStat, pCPUs int, t Time) []Extendability {
-	return core.ComputeExtendability(vms, pCPUs, t)
+	return core.ComputeExtendability(nil, vms, pCPUs, t)
 }
 
 // FreezePlan quantifies one vCPU freeze/unfreeze (Algorithm 2): the
