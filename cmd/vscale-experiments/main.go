@@ -100,6 +100,10 @@ func main() {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(2)
 	}
+	if _, _, err := cluster.ElasticityFor(*elasticFlag); err != nil {
+		fmt.Fprintf(os.Stderr, "-elastic: %v\n", err)
+		os.Exit(2)
+	}
 
 	if err := outputs.Start(); err != nil {
 		fmt.Fprintln(os.Stderr, err)

@@ -34,3 +34,18 @@ func TestOutputPathsCheckedFirst(t *testing.T) {
 		}
 	}
 }
+
+// TestElasticFlagValidation: an unknown -elastic mode exits 2 naming the
+// flag before any experiment runs, whether or not the selection
+// includes the cluster experiment that reads it.
+func TestElasticFlagValidation(t *testing.T) {
+	for _, args := range [][]string{
+		{"-run", "table3", "-elastic", "bogus"},
+		{"-experiment", "cluster", "-quick", "-elastic", "bogus"},
+	} {
+		code, stdout, stderr := clitest.Run(t, args...)
+		if code != 2 || stdout != "" || !strings.HasPrefix(stderr, "-elastic:") {
+			t.Errorf("%v: exit %d, stdout %q, stderr %q; want exit 2 naming -elastic before any output", args, code, stdout, stderr)
+		}
+	}
+}

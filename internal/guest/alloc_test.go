@@ -114,3 +114,16 @@ func TestContendedMutexRoundAllocs(t *testing.T) {
 		t.Fatal("no reschedule IPIs: the wakes were not remote")
 	}
 }
+
+// TestNewKernelAllocs bounds what building a guest kernel allocates:
+// its futex-bucket locks live in the kernel itself and share one table
+// of names, so a 4-vCPU kernel costs its CPUs' timers and bound
+// continuations, not an object and a formatted name per bucket.
+func TestNewKernelAllocs(t *testing.T) {
+	e := newEnv(t, 4, 4, nil, nil)
+	cfg := e.k.Config()
+	build := func() { NewKernel(e.dom, cfg) }
+	if n := testing.AllocsPerRun(20, build); n > 64 {
+		t.Fatalf("NewKernel with 4 vCPUs allocated %v times, want at most 64", n)
+	}
+}

@@ -128,8 +128,8 @@ func (k *Kernel) QuiesceCheck() error {
 				k.dom.Name, t.Name, kind)
 		}
 	}
-	for _, l := range k.buckets {
-		if l.holder != nil || len(l.waiters) > 0 {
+	for i := range k.buckets {
+		if l := &k.buckets[i]; l.holder != nil || len(l.waiters) > 0 {
 			return fmt.Errorf("guest %s: kernel lock %s busy", k.dom.Name, l.Name)
 		}
 	}
@@ -185,7 +185,8 @@ func (k *Kernel) CaptureState() KernelCheckpoint {
 			Migrated: t.Migrated,
 		})
 	}
-	for _, l := range k.buckets {
+	for i := range k.buckets {
+		l := &k.buckets[i]
 		cp.Buckets = append(cp.Buckets, LockCheckpoint{
 			Acquisitions: l.Acquisitions,
 			Contended:    l.Contended,
@@ -259,8 +260,8 @@ func (k *Kernel) RestoreState(cp KernelCheckpoint) error {
 		t.WakeUps = tc.WakeUps
 		t.Migrated = tc.Migrated
 	}
-	for i, l := range k.buckets {
-		lc := cp.Buckets[i]
+	for i := range k.buckets {
+		l, lc := &k.buckets[i], cp.Buckets[i]
 		l.Acquisitions = lc.Acquisitions
 		l.Contended = lc.Contended
 		l.PVParks = lc.PVParks

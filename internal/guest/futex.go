@@ -1,6 +1,7 @@
 package guest
 
 import (
+	"fmt"
 	"slices"
 
 	"vscale/internal/costmodel"
@@ -28,14 +29,21 @@ type KernelLock struct {
 	PVParks      uint64
 }
 
-// NewKernelLock creates an unheld lock.
-func NewKernelLock(k *Kernel, name string) *KernelLock {
-	return &KernelLock{k: k, Name: name}
-}
+// futexBuckets is the number of futex hash-bucket locks per kernel.
+const futexBuckets = 64
+
+// bucketNames names the futex-bucket locks of every kernel. It is built
+// once and never written, so kernels share the strings.
+var bucketNames = func() (names [futexBuckets]string) {
+	for i := range names {
+		names[i] = fmt.Sprintf("futex-bucket-%d", i)
+	}
+	return names
+}()
 
 // bucketFor hashes a synchronisation object id to a kernel lock.
 func (k *Kernel) bucketFor(id uint64) *KernelLock {
-	return k.buckets[(id*0x9e3779b97f4a7c15>>32)%uint64(len(k.buckets))]
+	return &k.buckets[(id*0x9e3779b97f4a7c15>>32)%futexBuckets]
 }
 
 // acquireKernelLock is called from an action phase machine: it either

@@ -194,7 +194,7 @@ type Kernel struct {
 	freezeMask uint64
 
 	futexes map[uint64]*futexQueue
-	buckets []*KernelLock
+	buckets [futexBuckets]KernelLock
 
 	threads   []*Thread
 	nextTID   int
@@ -257,8 +257,8 @@ func NewKernel(dom *xen.Domain, cfg Config) *Kernel {
 		rand:    sim.NewRand(cfg.Seed ^ uint64(dom.ID())<<32),
 		futexes: make(map[uint64]*futexQueue),
 	}
-	for i := 0; i < 64; i++ {
-		k.buckets = append(k.buckets, NewKernelLock(k, fmt.Sprintf("futex-bucket-%d", i)))
+	for i := range k.buckets {
+		k.buckets[i] = KernelLock{k: k, Name: bucketNames[i]}
 	}
 	for i := 0; i < dom.VCPUCount(); i++ {
 		c := &cpu{k: k, id: i, vcpu: dom.VCPU(i), timesliceLeft: timeslice}

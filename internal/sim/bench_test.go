@@ -119,3 +119,47 @@ func BenchmarkMixedCancel(b *testing.B) {
 		b.Fatal(err)
 	}
 }
+
+// BenchmarkTickHeap measures the cost per fired event on the heap shape
+// of the paper's NPB runs, where most events are 1000 Hz guest ticks: 16
+// tick timers re-arm 1 ms ahead on one shared millisecond grid, so they
+// tie; each tick moves one of 4 segment deadlines a few µs later, and
+// the segments re-arm when they expire; 8 slice timers re-arm every
+// 30 ms. 28 events are pending between steps, about the mean of the
+// NPB runs.
+func BenchmarkTickHeap(b *testing.B) {
+	e := NewEngine(1)
+	var segs [4]*Timer
+	for i := range segs {
+		d := 700*Microsecond + Time(i)*37*Microsecond
+		var t *Timer
+		t = NewTimer(e, "seg", func() { t.Reset(d) })
+		t.Reset(d)
+		segs[i] = t
+	}
+	for i := 0; i < 16; i++ {
+		seg := segs[i%len(segs)]
+		var t *Timer
+		t = NewTimer(e, "tick", func() {
+			t.ResetAt(e.Now() + Millisecond)
+			seg.ResetAt(seg.Deadline() + 3*Microsecond)
+		})
+		t.ResetAt(Millisecond)
+	}
+	for i := 0; i < 8; i++ {
+		var t *Timer
+		t = NewTimer(e, "slice", func() { t.Reset(30 * Millisecond) })
+		t.ResetAt(Time(i+1) * 3 * Millisecond)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if !e.step() {
+			b.Fatal("queue empty")
+		}
+	}
+	b.StopTimer()
+	if n := e.Pending(); n != 28 {
+		b.Fatalf("%d events pending, want 28", n)
+	}
+}

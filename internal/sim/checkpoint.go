@@ -81,7 +81,7 @@ func (e *Engine) RestoreState(st EngineState) error {
 		return fmt.Errorf("sim: restore to %v would move the clock backwards (now %v)", st.Now, e.now)
 	}
 	if q := e.queue.a; len(q) > 0 && q[0].when < st.Now {
-		return fmt.Errorf("sim: pending event %q at %v predates restore time %v", q[0].label, q[0].when, st.Now)
+		return fmt.Errorf("sim: pending event %q at %v predates restore time %v", q[0].ev.label, q[0].when, st.Now)
 	}
 	if err := e.rand.SetState(st.Rand); err != nil {
 		return err
@@ -111,14 +111,14 @@ type PendingEvent struct {
 // order (when, then FIFO sequence), one per unfired Series element.
 func (e *Engine) PendingEvents() []PendingEvent {
 	out := make([]PendingEvent, 0, len(e.queue.a))
-	for _, ev := range e.queue.a {
-		if s := ev.series; s != nil {
+	for _, x := range e.queue.a {
+		if s := x.ev.series; s != nil {
 			for i := s.next; i < len(s.whens); i++ {
-				out = append(out, PendingEvent{When: s.whens[i], Seq: s.seq0 + uint64(i), Label: ev.label})
+				out = append(out, PendingEvent{When: s.whens[i], Seq: s.seq0 + uint64(i), Label: x.ev.label})
 			}
 			continue
 		}
-		out = append(out, PendingEvent{When: ev.when, Seq: ev.seq, Label: ev.label})
+		out = append(out, PendingEvent{When: x.when, Seq: x.seq, Label: x.ev.label})
 	}
 	sort.Slice(out, func(i, j int) bool {
 		if out[i].When != out[j].When {

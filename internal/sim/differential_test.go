@@ -138,10 +138,34 @@ type fireRec struct {
 // and requires identical firing order, timestamps, and accounting. After
 // every operation the new engine must queue exactly the reference's live
 // armings.
+//
+// The fine cases draw every delay in 1 µs steps, so two events rarely
+// share a timestamp. The coarse cases draw them from a 100 µs grid, 0
+// included, so events often tie on `when` and the FIFO sequence number
+// decides, as it does for the guest ticks of the NPB runs; their bodies
+// also move one pending handle earlier and another later, one move
+// before and one after scheduling their child, so keys sift both ways
+// from inside a running event.
 func TestDifferentialEngineEquivalence(t *testing.T) {
-	for _, seed := range []uint64{1, 7, 42, 1234} {
-		seed := seed
-		t.Run(Time(seed).String(), func(t *testing.T) {
+	for _, c := range []struct {
+		seed  uint64
+		step  Time // grid of every delay
+		moves bool // bodies move pending handles
+	}{
+		{1, Microsecond, false},
+		{7, Microsecond, false},
+		{42, Microsecond, false},
+		{1234, Microsecond, false},
+		{3, 100 * Microsecond, true},
+		{64, 100 * Microsecond, true},
+		{2026, 100 * Microsecond, true},
+	} {
+		seed, step := c.seed, c.step
+		name := Time(seed).String()
+		if c.moves {
+			name += "/coarse"
+		}
+		t.Run(name, func(t *testing.T) {
 			const ops = 120_000
 			rng := NewRand(seed)
 
@@ -153,10 +177,29 @@ func TestDifferentialEngineEquivalence(t *testing.T) {
 			var refsRef []*refEvent
 			nextID := 0
 
+			// draw returns a delay on the case's grid below limit.
+			draw := func(limit Time) Time { return Time(rng.Intn(int(limit/step))) * step }
+
+			// moveNew and moveRef shift handle k's deadline by d on their
+			// own engine, not before now; a handle no longer pending is
+			// left alone by both.
+			moveNew := func(k int, d Time) {
+				if w := refsNew[k].When(); w != MaxTime {
+					newEng.Reschedule(refsNew[k], max(w+d, newEng.Now()))
+				}
+			}
+			moveRef := func(k int, d Time) {
+				if ev := refsRef[k]; !ev.cancelled && !ev.fired {
+					refsRef[k] = refEng.Reschedule(ev, max(ev.when+d, refEng.now))
+				}
+			}
+
 			// schedule registers the same logical event on both engines.
-			// Every third event's body spawns a child one step later and
+			// Every third event's body spawns a child some steps later and
 			// cancels a pseudo-random earlier handle, exercising nested
-			// scheduling and stale cancels from inside callbacks.
+			// scheduling and stale cancels from inside callbacks; in the
+			// coarse cases it also moves two earlier handles, one earlier
+			// and one later, one before the child and one after it.
 			var schedule func(delay Time)
 			schedule = func(delay Time) {
 				id := nextID
@@ -166,24 +209,43 @@ func TestDifferentialEngineEquivalence(t *testing.T) {
 				if whenNew != whenRef {
 					t.Fatalf("clocks diverged before scheduling id %d: %v vs %v", id, whenNew, whenRef)
 				}
-				childDelay := Time(uint64(id)%97) * Microsecond
+				childDelay := Time(uint64(id)%97) * step
 				victim := id / 2
+				// The first move goes earlier on even ids and later on odd
+				// ones; the second goes the other way.
+				first, second := id/3, id/5
+				shift := Time(1+id%3) * step
+				if id%2 == 0 {
+					shift = -shift
+				}
 				refsNew = append(refsNew, newEng.At(whenNew, "d", func() {
 					logNew = append(logNew, fireRec{id, newEng.Now()})
 					if id%3 == 0 {
+						if c.moves {
+							moveNew(first, shift)
+						}
 						newEng.At(newEng.Now()+childDelay, "c", func() {
 							logNew = append(logNew, fireRec{-id - 1, newEng.Now()})
 						})
 						newEng.Cancel(refsNew[victim])
+						if c.moves {
+							moveNew(second, -shift)
+						}
 					}
 				}))
 				refsRef = append(refsRef, refEng.At(whenRef, func() {
 					logRef = append(logRef, fireRec{id, refEng.now})
 					if id%3 == 0 {
+						if c.moves {
+							moveRef(first, shift)
+						}
 						refEng.At(refEng.now+childDelay, func() {
 							logRef = append(logRef, fireRec{-id - 1, refEng.now})
 						})
 						refEng.Cancel(refsRef[victim])
+						if c.moves {
+							moveRef(second, -shift)
+						}
 					}
 				}))
 			}
@@ -195,14 +257,14 @@ func TestDifferentialEngineEquivalence(t *testing.T) {
 			for op := 0; op < ops; op++ {
 				switch r := rng.Intn(100); {
 				case r < 55:
-					schedule(Time(rng.Intn(2000)) * Microsecond)
+					schedule(draw(2000 * Microsecond))
 				case r < 75 && len(refsNew) > 0:
 					k := rng.Intn(len(refsNew))
 					newEng.Cancel(refsNew[k])
 					refEng.Cancel(refsRef[k])
 				case r < 90 && len(refsNew) > 0:
 					k := rng.Intn(len(refsNew))
-					delay := Time(rng.Intn(3000)) * Microsecond
+					delay := draw(3000 * Microsecond)
 					okNew := newEng.Reschedule(refsNew[k], newEng.Now()+delay)
 					repl := refEng.Reschedule(refsRef[k], refEng.now+delay)
 					if okNew != (repl != nil) {
@@ -212,7 +274,7 @@ func TestDifferentialEngineEquivalence(t *testing.T) {
 						refsRef[k] = repl
 					}
 				default:
-					d := Time(rng.Intn(500)) * Microsecond
+					d := draw(500 * Microsecond)
 					if err := newEng.RunUntil(newEng.Now() + d); err != nil {
 						t.Fatal(err)
 					}

@@ -1,6 +1,9 @@
 package sim
 
-import "fmt"
+import (
+	"fmt"
+	"math/bits"
+)
 
 // EventFunc is the body of a scheduled event. It runs at the event's
 // virtual timestamp with the engine clock already advanced.
@@ -11,10 +14,9 @@ type EventFunc func()
 // At/After call, so user code never holds a *Event directly — it holds
 // a generation-stamped EventRef instead.
 type Event struct {
-	when   Time
-	seq    uint64 // FIFO tie-break for simultaneous events
+	when   Time   // also kept, with the FIFO sequence number, in its heap slot
 	gen    uint64 // bumped on every recycle; stale EventRefs mismatch
-	index  int    // position in the heap array, -1 when not queued
+	index  int    // position of its slot in the heap array, -1 when not queued
 	fn     EventFunc
 	label  string
 	series *series // non-nil while the event stands for a Series element
@@ -64,101 +66,129 @@ func (r EventRef) Label() string {
 
 // heapArity is the fan-out of the pending-event heap. A 4-ary heap does
 // ~half the levels of a binary heap on sift-down (the pop path) and
-// keeps sibling comparisons within one or two cache lines.
+// keeps a family's four keys within two or three cache lines. The
+// tournament in down is written for exactly four children.
 const heapArity = 4
 
-// eventHeap is an inlined, index-tracked 4-ary min-heap over *Event,
+// slot is one heap entry: the event's (when, seq) key kept inline next
+// to the event, so sifting compares keys in the contiguous slot array
+// and dereferences an event only to update its index when it moves.
+type slot struct {
+	when Time
+	seq  uint64
+	ev   *Event
+}
+
+// less returns 1 when x orders before y by (when, seq) and 0 otherwise.
+// It is one 128-bit unsigned compare, the borrow of seq feeding the
+// subtraction of when, so neither it nor a select on its result has a
+// branch to mispredict on the ties that are common in practice. Heap
+// times are never negative (At and Reschedule refuse times before now,
+// and now starts at 0), so comparing them as unsigned keeps their order.
+func less(x, y slot) int {
+	_, b := bits.Sub64(x.seq, y.seq, 0)
+	_, b = bits.Sub64(uint64(x.when), uint64(y.when), b)
+	return int(b)
+}
+
+// eventHeap is an inlined, index-tracked 4-ary min-heap of slots,
 // ordered by (when, seq). It replaces container/heap to avoid interface
 // boxing and indirect method calls on the hottest loop in the simulator.
+// Every queued event's Event.index is the position of its slot.
 type eventHeap struct {
-	a []*Event
+	a []slot
 }
 
-func (h *eventHeap) less(x, y *Event) bool {
-	if x.when != y.when {
-		return x.when < y.when
-	}
-	return x.seq < y.seq
+// push queues x.ev under the key in x.
+func (h *eventHeap) push(x slot) {
+	h.a = append(h.a, slot{})
+	h.up(len(h.a)-1, x)
 }
 
-func (h *eventHeap) push(ev *Event) {
-	ev.index = len(h.a)
-	h.a = append(h.a, ev)
-	h.up(ev.index)
-}
-
-// up sifts the element at i toward the root, moving parents down into
-// the hole rather than swapping (one index write per level).
-func (h *eventHeap) up(i int) {
-	ev := h.a[i]
+// up places x at the hole i or above it, moving parents down into the
+// hole rather than swapping (one index write per level).
+func (h *eventHeap) up(i int, x slot) {
+	a := h.a
 	for i > 0 {
 		p := (i - 1) / heapArity
-		if !h.less(ev, h.a[p]) {
+		if less(x, a[p]) == 0 {
 			break
 		}
-		h.a[i] = h.a[p]
-		h.a[i].index = i
+		a[i] = a[p]
+		a[i].ev.index = i
 		i = p
 	}
-	h.a[i] = ev
-	ev.index = i
+	a[i] = x
+	x.ev.index = i
 }
 
-// down sifts the element at i toward the leaves.
-func (h *eventHeap) down(i int) {
-	n := len(h.a)
-	ev := h.a[i]
+// down places x at the hole i or below it, moving the least child up
+// into the hole at each level.
+func (h *eventHeap) down(i int, x slot) {
+	a := h.a
+	n := len(a)
 	for {
 		first := heapArity*i + 1
 		if first >= n {
 			break
 		}
 		best := first
-		last := first + heapArity
-		if last > n {
-			last = n
-		}
-		for c := first + 1; c < last; c++ {
-			if h.less(h.a[c], h.a[best]) {
-				best = c
+		if kids := a[first:min(first+heapArity, n)]; len(kids) == heapArity {
+			// A full family is a two-round tournament; each round selects
+			// by arithmetic on the compare, not by a branch.
+			l := less(kids[1], kids[0])
+			r := 2 + less(kids[3], kids[2])
+			best += l + (r-l)&-less(kids[r], kids[l])
+		} else {
+			for c := first + 1; c < n; c++ {
+				best += (c - best) & -less(a[c], a[best])
 			}
 		}
-		if !h.less(h.a[best], ev) {
+		if less(a[best], x) == 0 {
 			break
 		}
-		h.a[i] = h.a[best]
-		h.a[i].index = i
+		a[i] = a[best]
+		a[i].ev.index = i
 		i = best
 	}
-	h.a[i] = ev
-	ev.index = i
+	a[i] = x
+	x.ev.index = i
 }
 
-// popMin removes and returns the earliest element.
+// rekey gives the slot at i a new key and sifts it the one way it
+// moved: up when it now orders earlier, down otherwise.
+func (h *eventHeap) rekey(i int, when Time, seq uint64) {
+	x := h.a[i]
+	x.when, x.seq = when, seq
+	if less(x, h.a[i]) != 0 {
+		h.up(i, x)
+	} else {
+		h.down(i, x)
+	}
+}
+
+// popMin removes and returns the earliest event.
 func (h *eventHeap) popMin() *Event {
-	ev := h.a[0]
+	ev := h.a[0].ev
 	h.remove(0)
 	return ev
 }
 
-// fix restores heap order after ev's key changed in place.
-func (h *eventHeap) fix(ev *Event) {
-	h.down(ev.index)
-	h.up(ev.index)
-}
-
-// remove takes the element at i out of the heap: the last element
-// fills the hole and is sifted to its place.
+// remove takes the event at i out of the heap. The last slot fills the
+// hole and sifts the one way it has to go: up when it orders before the
+// removed key (never at the root), down otherwise.
 func (h *eventHeap) remove(i int) {
-	ev := h.a[i]
+	ev := h.a[i].ev
 	n := len(h.a) - 1
 	last := h.a[n]
-	h.a[n] = nil
+	h.a[n] = slot{}
 	h.a = h.a[:n]
 	if i < n {
-		h.a[i] = last
-		last.index = i
-		h.fix(last)
+		if i > 0 && less(last, h.a[i]) != 0 {
+			h.up(i, last)
+		} else {
+			h.down(i, last)
+		}
 	}
 	ev.index = -1
 }
@@ -250,12 +280,11 @@ func (e *Engine) At(when Time, label string, fn EventFunc) EventRef {
 	}
 	ev := e.alloc()
 	ev.when = when
-	ev.seq = e.seq
 	ev.fn = fn
 	ev.label = label
+	e.queue.push(slot{when: when, seq: e.seq, ev: ev})
 	e.seq++
 	e.Scheduled++
-	e.queue.push(ev)
 	return EventRef{ev: ev, gen: ev.gen}
 }
 
@@ -295,10 +324,9 @@ func (e *Engine) Series(whens []Time, label string, fn EventFunc) {
 	e.Scheduled += uint64(len(whens))
 	ev := e.alloc()
 	ev.when = whens[0]
-	ev.seq = s.seq0
 	ev.label = label
 	ev.series = s
-	e.queue.push(ev)
+	e.queue.push(slot{when: whens[0], seq: s.seq0, ev: ev})
 }
 
 // Cancel retires the arming behind ref: its event leaves the queue and
@@ -317,10 +345,11 @@ func (e *Engine) Cancel(ref EventRef) {
 }
 
 // Reschedule moves a still-pending arming to a new absolute time by
-// sifting the event in place — no new entry is pushed, which is what
-// makes steady-state timer rearm allocation-free. It reports false (and
-// does nothing) when ref is stale, cancelled, or zero. ref itself
-// remains valid and now addresses the new deadline.
+// sifting the event in place, only in the direction its key moved — no
+// new entry is pushed, which is what makes steady-state timer rearm
+// allocation-free. It reports false (and does nothing) when ref is
+// stale, cancelled, or zero. ref itself remains valid and now addresses
+// the new deadline.
 //
 // Accounting-wise a reschedule retires the previous arming and books a
 // new one (Cancelled++ and Scheduled++), and the new arming takes a
@@ -339,9 +368,8 @@ func (e *Engine) Reschedule(ref EventRef, when Time) bool {
 	e.Scheduled++
 	ev := ref.ev
 	ev.when = when
-	ev.seq = e.seq
+	e.queue.rekey(ev.index, when, e.seq)
 	e.seq++
-	e.queue.fix(ev)
 	return true
 }
 
@@ -361,16 +389,17 @@ func (e *Engine) step() bool {
 	if len(e.queue.a) == 0 {
 		return false
 	}
-	ev := e.queue.popMin()
-	if ev.when < e.now {
+	root := &e.queue.a[0]
+	if root.when < e.now {
 		panic("sim: event heap yielded an event in the past")
 	}
-	e.now = ev.when
+	e.now = root.when
 	e.Processed++
-	if s := ev.series; s != nil {
-		e.stepSeries(ev, s)
+	if s := root.ev.series; s != nil {
+		e.stepSeries(root.ev, s)
 		return true
 	}
+	ev := e.queue.popMin()
 	fn, label := ev.fn, ev.label
 	e.recycle(ev)
 	if e.obs != nil {
@@ -380,18 +409,19 @@ func (e *Engine) step() bool {
 	return true
 }
 
-// stepSeries runs the popped element of s that ev stood for. Before the
-// body runs, ev is requeued as the next element under its reserved
-// sequence number — where the equivalent At call would already have it —
-// or recycled after the last one.
+// stepSeries runs the element of s that the root event ev stands for.
+// Before the body runs, ev advances in place to the next element under
+// its reserved sequence number — where the equivalent At call would
+// already have it; its key only grows, so it sifts down — or leaves the
+// heap and is recycled after the last one.
 func (e *Engine) stepSeries(ev *Event, s *series) {
 	label := ev.label
 	s.next++
 	if s.next < len(s.whens) {
 		ev.when = s.whens[s.next]
-		ev.seq = s.seq0 + uint64(s.next)
-		e.queue.push(ev)
+		e.queue.down(0, slot{when: ev.when, seq: s.seq0 + uint64(s.next), ev: ev})
 	} else {
+		e.queue.popMin()
 		e.recycle(ev)
 	}
 	if e.obs != nil {

@@ -143,6 +143,26 @@ func TestRescheduleTieBreak(t *testing.T) {
 	}
 }
 
+// TestSlotOrder checks the heap's branch-free slot compare against the
+// plain (when, seq) comparison at the edges of both fields, where a
+// dropped borrow or a swapped field order shows.
+func TestSlotOrder(t *testing.T) {
+	var keys []slot
+	for _, when := range []Time{0, 1, MaxTime - 1, MaxTime} {
+		for _, seq := range []uint64{0, 1, math.MaxUint64} {
+			keys = append(keys, slot{when: when, seq: seq})
+		}
+	}
+	for _, x := range keys {
+		for _, y := range keys {
+			want := x.when < y.when || x.when == y.when && x.seq < y.seq
+			if got := less(x, y) == 1; got != want {
+				t.Errorf("less((%d, %d), (%d, %d)) = %v, want %v", x.when, x.seq, y.when, y.seq, got, want)
+			}
+		}
+	}
+}
+
 // TestEventPoolRecycles: the engine reuses event structs, so a long
 // schedule/fire chain must not grow the pool beyond its concurrency
 // high-water mark.
