@@ -1,11 +1,15 @@
 package main
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
+	"os"
 	"path/filepath"
 	"strings"
 	"testing"
 
 	"vscale/internal/clitest"
+	"vscale/internal/cluster"
 )
 
 func TestMain(m *testing.M) { clitest.Main(m, main) }
@@ -47,5 +51,46 @@ func TestElasticFlagValidation(t *testing.T) {
 		if code != 2 || stdout != "" || !strings.HasPrefix(stderr, "-elastic:") {
 			t.Errorf("%v: exit %d, stdout %q, stderr %q; want exit 2 naming -elastic before any output", args, code, stdout, stderr)
 		}
+	}
+}
+
+// TestWarmForkCheckpointRoundTrip: the warm-fork arm, and a restore of
+// the checkpoint it writes, each in its own process, print the straight
+// arm's stdout byte for byte. The file loads (version and digest check)
+// and its bytes are pinned: the warm prefix is policy-neutral, so two
+// policies write the same file as the default five, at a fraction of
+// the cost under -race.
+func TestWarmForkCheckpointRoundTrip(t *testing.T) {
+	const (
+		wantSHA = "170989af8a09ed655e5846f5da0618c083b90682c46893a20f130447aa3c4bfe"
+		wantLen = 83919
+	)
+	ckpt := filepath.Join(t.TempDir(), "warm.ckpt")
+	run := func(extra ...string) string {
+		t.Helper()
+		args := append([]string{"-experiment", "cluster", "-quick", "-warm-epochs", "4", "-policies", "vscale,pid"}, extra...)
+		code, stdout, stderr := clitest.Run(t, args...)
+		if code != 0 {
+			t.Fatalf("%v: exit %d, stderr %q", args, code, stderr)
+		}
+		return stdout
+	}
+	straight := run()
+	if fork := run("-warmfork", "-checkpoint", ckpt); fork != straight {
+		t.Errorf("-warmfork stdout differs from the straight run:\n--- straight ---\n%s\n--- warmfork ---\n%s", straight, fork)
+	}
+	if restore := run("-restore", ckpt); restore != straight {
+		t.Errorf("-restore stdout differs from the straight run:\n--- straight ---\n%s\n--- restore ---\n%s", straight, restore)
+	}
+	if _, err := cluster.LoadCheckpoint(ckpt); err != nil {
+		t.Fatalf("LoadCheckpoint: %v", err)
+	}
+	data, err := os.ReadFile(ckpt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sum := sha256.Sum256(data)
+	if got := hex.EncodeToString(sum[:]); got != wantSHA || len(data) != wantLen {
+		t.Fatalf("checkpoint sha256 %s, %d bytes; want %s, %d bytes", got, len(data), wantSHA, wantLen)
 	}
 }

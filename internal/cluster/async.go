@@ -11,29 +11,29 @@ import (
 
 // The fleet executor.
 //
-// Every host is a queue on a persistent runner.Pool whose workers
-// advance it through as many epochs as its gates allow; a host that
-// cannot progress parks (returns to the pool) and is woken when a
-// shared frontier moves. Virtual time is decoupled across hosts up to
-// the lag bound; the only global synchronization points are the ones
-// with genuine cross-host meaning:
+// Workers plain goroutines advance the hosts. Each worker claims a host
+// no other worker holds and whose next step may run, runs that step
+// outside the lock, publishes the host's done count and snapshot, and
+// sleeps while no host may run. Virtual time is decoupled across hosts
+// up to the lag bound; the only global synchronization points are the
+// ones with genuine cross-host meaning:
 //
 //   - Routing: epoch k's churn batch must be delivered before a host
 //     runs it, and an arrival epoch's placement needs the fleet
 //     snapshot from boundary baseFor(k) — so the router waits for the
 //     slowest host only up to that stale boundary, and hosts wait for
-//     the routing frontier.
+//     the routing frontier. A boundary with control-plane work (a
+//     telemetry collection epoch, an elasticity pass) is a barrier: the
+//     router waits for every host to reach it and does that work in one
+//     fixed order before it routes the next epoch, so the routing
+//     frontier is also the barrier's gate. A collector or the
+//     elasticity layer makes every boundary a barrier, so the executor
+//     paces epoch by epoch while either is on.
 //   - The lag bound: no host runs more than lagEpochs epochs ahead of
 //     the slowest, bounding snapshot memory and placement staleness.
-//   - The boundary barrier: a boundary with control-plane work (a
-//     telemetry collection epoch, an elasticity pass) waits for every
-//     host to park there, does that work in one fixed order and only
-//     then lets the hosts run their own boundary work. A collector or
-//     the elasticity layer makes every boundary a barrier, so the
-//     executor paces epoch by epoch while either is on.
 //
-// Everything a host does between gates — scheduling its batch, running
-// its engine, snapshotting, its per-boundary policy pass — is host-
+// Everything a host does in a step — its boundary policy pass,
+// scheduling its batch, running its engine, snapshotting — is host-
 // local and happens on its own timeline in one fixed order, and the
 // router reads only published snapshots. That is why the FleetResult is
 // byte-identical for every worker count and pacing; a single-goroutine
@@ -49,30 +49,28 @@ type asyncFleet struct {
 	last  int // plan.epochs(); epoch index `last` is the drain step
 	// telFrom is the first boundary with a collection epoch (the warm
 	// boundary when a warm prefix is configured); stop, when > 0, is the
-	// boundary the run ends at with every host parked.
+	// boundary the run ends at with every host parked. end is the done
+	// count every host finishes at: stop, or last+1 (drained).
 	telFrom int
 	stop    int
-
-	pool *runner.Pool
+	end     int
 
 	mu   sync.Mutex
-	cond *sync.Cond // the router's wait channel; hosts park by returning
+	cond *sync.Cond // broadcast whenever routed, a done count or failErr moves
 	// routed is the routing frontier: epochs [0, routed) have their
-	// batches delivered.
+	// batches delivered. The router runs boundary k's barrier before it
+	// publishes routed = k+1 (last+1 after the drain boundary), so
+	// routed > k also means boundary k's control-plane work is done.
 	routed int
-	// done[i] counts host i's completed epochs (last+1 = drained);
+	// done[i] counts host i's completed steps (last+1 = drained);
 	// minDone/minCount track the minimum incrementally.
 	done     []int
 	minDone  int
 	minCount int
-	// pendingPolicy[i] marks host i parked at boundary done[i], past the
-	// warm boundary, with its policy pass still owed.
-	pendingPolicy []bool
-	// ctlDone is the last boundary whose control-plane barrier has
-	// completed: a policy pass at a gated boundary k waits until
-	// ctlDone >= k. A host cannot run epoch k before the barrier either:
-	// the router runs boundary k's barrier before routing epoch k.
-	ctlDone int
+	// held[i] marks host i claimed by a worker; next is where the next
+	// round-robin scan for a runnable host starts.
+	held []bool
+	next int
 	// batches[i][k] is host i's routed churn for epoch k; written by the
 	// router before it publishes routed = k+1.
 	batches [][][]routedEvent
@@ -109,24 +107,28 @@ var testEpochHook func(host, epoch int)
 // CaptureWarmPrefix uses.
 func runBoundedLag(cfg *FleetConfig, plan *epochPlan, hosts []*Host, pols []ScalingPolicy, rt *fleetRouter, res *FleetResult, start, stop int, pre []RingBoundary) (*FleetCheckpoint, error) {
 	f := &asyncFleet{
-		cfg:           cfg,
-		plan:          plan,
-		hosts:         hosts,
-		pols:          pols,
-		rt:            rt,
-		res:           res,
-		lead:          lagEpochs,
-		last:          plan.epochs(),
-		telFrom:       telemetryFrom(cfg),
-		stop:          stop,
-		routed:        start,
-		done:          make([]int, len(hosts)),
-		minDone:       start,
-		minCount:      len(hosts),
-		pendingPolicy: make([]bool, len(hosts)),
-		batches:       make([][][]routedEvent, len(hosts)),
-		snaps:         make([]map[int]hostSnap, len(hosts)),
-		hostWall:      make([]time.Duration, len(hosts)),
+		cfg:      cfg,
+		plan:     plan,
+		hosts:    hosts,
+		pols:     pols,
+		rt:       rt,
+		res:      res,
+		lead:     lagEpochs,
+		last:     plan.epochs(),
+		telFrom:  telemetryFrom(cfg),
+		stop:     stop,
+		end:      plan.epochs() + 1,
+		routed:   start,
+		done:     make([]int, len(hosts)),
+		minDone:  start,
+		minCount: len(hosts),
+		held:     make([]bool, len(hosts)),
+		batches:  make([][][]routedEvent, len(hosts)),
+		snaps:    make([]map[int]hostSnap, len(hosts)),
+		hostWall: make([]time.Duration, len(hosts)),
+	}
+	if stop > 0 {
+		f.end = stop
 	}
 	f.cond = sync.NewCond(&f.mu)
 	for i := range hosts {
@@ -140,22 +142,31 @@ func runBoundedLag(cfg *FleetConfig, plan *epochPlan, hosts []*Host, pols []Scal
 		}
 	}
 	if cfg.Telemetry != nil || rt.el != nil {
-		// Every boundary is a barrier: run-ahead would only park.
+		// Every boundary is a barrier: run-ahead would only wait.
 		f.lead = 0
 	}
 
 	wall := time.Now()
-	f.pool = runner.NewPool(cfg.Workers, len(hosts), f.advance)
-	f.pool.WakeAll()
+	workers := runner.Options{Workers: cfg.Workers}.Width(len(hosts))
+	var wg sync.WaitGroup
+	wg.Add(workers)
+	for w := 0; w < workers; w++ {
+		go func() {
+			defer wg.Done()
+			f.work()
+		}()
+	}
+	// route returns once every host has reached f.end or the run has
+	// failed, and in both cases the workers return too.
 	err := f.route()
-	f.pool.Close()
+	wg.Wait()
 
 	if rep := cfg.Report; rep != nil {
-		// One job per host: its wall clock sums the executor chunks that
+		// One job per host: its wall clock sums the executor steps that
 		// advanced it.
 		rep.Jobs += len(hosts)
-		if w := f.pool.Workers(); w > rep.Workers {
-			rep.Workers = w
+		if workers > rep.Workers {
+			rep.Workers = workers
 		}
 		rep.Wall += time.Since(wall)
 		rep.JobWall = append(rep.JobWall, f.hostWall...)
@@ -179,10 +190,7 @@ func (f *asyncFleet) gated(k int) bool {
 // its base snapshot), and finally waits for every host to drain — or,
 // with a stop boundary, to park there.
 func (f *asyncFleet) route() error {
-	for k := f.routed; k <= f.last; k++ {
-		if f.stop > 0 && k == f.stop {
-			return f.await(k)
-		}
+	for k := f.routed; k < f.end; k++ {
 		if f.gated(k) {
 			// Boundary k's control-plane work precedes epoch k's routing:
 			// counters reflect epochs [0, k), and migrations commit and
@@ -191,36 +199,17 @@ func (f *asyncFleet) route() error {
 				return err
 			}
 		}
-		if k == f.last {
-			break
-		}
-		var stats [][]core.VMStat
-		var committed []int
-		if f.plan.hasArrival[k] {
-			b := baseFor(k)
-			if err := f.await(b); err != nil {
+		if k < f.last {
+			if err := f.routeEpoch(k); err != nil {
 				return err
-			}
-			f.mu.Lock()
-			stats, committed = f.gatherLocked(b)
-			f.mu.Unlock()
-		}
-		batches, err := f.rt.routeEpoch(k, stats, committed)
-		if err != nil {
-			f.fail(err, k, -1)
-			return err
-		}
-		if batches != nil {
-			for i := range f.hosts {
-				f.batches[i][k] = batches[i]
 			}
 		}
 		f.mu.Lock()
 		f.routed = k + 1
+		f.cond.Broadcast()
 		f.mu.Unlock()
-		f.pool.WakeAll()
 	}
-	if err := f.await(f.last + 1); err != nil {
+	if err := f.await(f.end); err != nil || f.stop > 0 {
 		return err
 	}
 	// Terminal collection epoch on the fully drained fleet.
@@ -228,11 +217,40 @@ func (f *asyncFleet) route() error {
 	return nil
 }
 
+// routeEpoch delivers epoch k's churn batches, placing its arrivals
+// with the fleet snapshot from boundary baseFor(k).
+func (f *asyncFleet) routeEpoch(k int) error {
+	var stats [][]core.VMStat
+	var committed []int
+	if f.plan.hasArrival[k] {
+		b := baseFor(k)
+		if err := f.await(b); err != nil {
+			return err
+		}
+		f.mu.Lock()
+		stats, committed = f.gatherLocked(b)
+		f.mu.Unlock()
+	}
+	batches, err := f.rt.routeEpoch(k, stats, committed)
+	if err != nil {
+		f.mu.Lock()
+		f.failLocked(err, k, -1)
+		f.mu.Unlock()
+		return err
+	}
+	if batches != nil {
+		for i := range f.hosts {
+			f.batches[i][k] = batches[i]
+		}
+	}
+	return nil
+}
+
 // barrier is boundary k's control-plane work. It waits until every host
-// is parked at k (no host passes k before ctlDone >= k), then works
+// has reached k (none passes it: epoch k is not routed yet), then works
 // over the frozen fleet in a fixed order — collection epoch, then
-// elasticity pass — and opens the gate. The hosts' own policy passes
-// follow the gate.
+// elasticity pass. The hosts' own policy passes at k follow, once the
+// router publishes routed = k+1.
 func (f *asyncFleet) barrier(k int) error {
 	if err := f.await(k); err != nil {
 		return err
@@ -244,10 +262,6 @@ func (f *asyncFleet) barrier(k int) error {
 	if f.rt.el != nil && k > f.cfg.WarmEpochs {
 		f.rt.el.pass(k, now)
 	}
-	f.mu.Lock()
-	f.ctlDone = k
-	f.mu.Unlock()
-	f.pool.WakeAll()
 	return nil
 }
 
@@ -305,94 +319,97 @@ func (f *asyncFleet) snapshotLocked(b int) ([][]core.VMStat, []int) {
 	return stats, committed
 }
 
-// advance is the pool's run function for one host queue: it advances
-// the host through epochs until a gate blocks it, then parks. All work
-// outside f.mu touches only host-local state.
-func (f *asyncFleet) advance(i int) {
-	h := f.hosts[i]
-	for {
-		f.mu.Lock()
-		if f.failErr != nil || f.done[i] > f.last {
-			f.mu.Unlock()
-			return
-		}
-		k := f.done[i]
-		if f.pendingPolicy[i] {
-			if f.gated(k) && f.ctlDone < k {
-				f.mu.Unlock()
-				return // park until boundary k's barrier opens
-			}
-			f.mu.Unlock()
-			t0 := time.Now()
-			h.boundaryPolicy(f.pols[i], f.plan.ends[k-1]-f.plan.starts[k-1])
-			f.mu.Lock()
-			f.hostWall[i] += time.Since(t0)
-			f.pendingPolicy[i] = false
-			f.mu.Unlock()
+// work is one executor worker. It claims a runnable host, runs the
+// host's next step outside the lock, publishes the result and wakes the
+// fleet; while no host is runnable it waits on f.cond. It returns once
+// every host has reached f.end or the run has failed.
+func (f *asyncFleet) work() {
+	f.mu.Lock()
+	for f.failErr == nil && f.minDone < f.end {
+		i := f.claimLocked()
+		if i < 0 {
+			f.cond.Wait()
 			continue
 		}
-		if k < f.last && f.routed <= k {
-			f.mu.Unlock()
-			return // park until epoch k's batch is routed
-		}
-		if k > f.minDone+f.lead {
-			f.mu.Unlock()
-			return // park: lag bound reached, the slowest host gates us
-		}
+		k := f.done[i]
 		f.mu.Unlock()
 
-		if hook := testEpochHook; hook != nil {
-			hook(i, k)
-		}
 		t0 := time.Now()
-		var err error
-		var snap []core.VMStat
-		committed := 0
-		if k < f.last {
-			h.scheduleRouted(f.batches[i][k])
-			if quiesceBefore(f.cfg, k) {
-				h.ScheduleQuiesce(f.plan.starts[k])
-			}
-			if err = h.RunEpoch(f.plan.ends[k]); err == nil {
-				snap = h.Snapshot(f.plan.ends[k] - f.plan.starts[k])
-				committed = h.CommittedVCPUs()
-				if k+1 == f.cfg.WarmEpochs && k+1 != f.stop {
-					// The warm boundary: arm the mechanisms and resume the
-					// load after the snapshot, before publishing done = k+1
-					// (a warm-prefix capture stops here unarmed).
-					h.Arm()
-				}
-			}
-		} else {
-			// The drain step: all churn epochs are behind us (the routing
-			// gate saw to that), so retire every VM and run out the clock.
-			h.StopAll()
-			err = h.RunEpoch(f.cfg.Horizon + f.cfg.Drain)
-		}
+		snap, committed, err := f.step(i, k)
 		wall := time.Since(t0)
 
 		f.mu.Lock()
+		f.held[i] = false
 		f.hostWall[i] += wall
 		if err != nil {
 			f.failLocked(err, k, i)
-			f.mu.Unlock()
-			return
+			continue
 		}
-		if k < f.last {
-			if f.plan.needBoundary(k + 1) {
-				f.snaps[i][k+1] = hostSnap{stats: snap, committed: committed}
-			}
-			f.pendingPolicy[i] = k+1 > f.cfg.WarmEpochs
+		if f.plan.needBoundary(k + 1) {
+			f.snaps[i][k+1] = hostSnap{stats: snap, committed: committed}
 		}
 		f.done[i] = k + 1
 		f.bumpMinLocked(k)
-		f.mu.Unlock()
+		f.cond.Broadcast()
 	}
+	f.mu.Unlock()
+}
+
+// claimLocked scans round-robin for a host that no worker holds and
+// whose next step k is routed (routed > k: batch delivered, boundary k's
+// barrier done) and within the lag bound, marks it held and returns its
+// index; -1 when no host is runnable.
+func (f *asyncFleet) claimLocked() int {
+	n := len(f.hosts)
+	for j := 0; j < n; j++ {
+		i := (f.next + j) % n
+		if k := f.done[i]; !f.held[i] && k < f.routed && k <= f.minDone+f.lead {
+			f.held[i] = true
+			f.next = (i + 1) % n
+			return i
+		}
+	}
+	return -1
+}
+
+// step runs host i's step k, touching only host-local state: the
+// policy pass owed at boundary k past the warm boundary, then churn
+// epoch k — or, at k == last, the drain. It returns the host's snapshot
+// at boundary k+1.
+func (f *asyncFleet) step(i, k int) ([]core.VMStat, int, error) {
+	h := f.hosts[i]
+	if k > f.cfg.WarmEpochs {
+		h.boundaryPolicy(f.pols[i], f.plan.ends[k-1]-f.plan.starts[k-1])
+	}
+	if hook := testEpochHook; hook != nil {
+		hook(i, k)
+	}
+	if k == f.last {
+		// The drain step: all churn epochs are behind us (the routing
+		// gate saw to that), so retire every VM and run out the clock.
+		h.StopAll()
+		return nil, 0, h.RunEpoch(f.cfg.Horizon + f.cfg.Drain)
+	}
+	h.scheduleRouted(f.batches[i][k])
+	if quiesceBefore(f.cfg, k) {
+		h.ScheduleQuiesce(f.plan.starts[k])
+	}
+	if err := h.RunEpoch(f.plan.ends[k]); err != nil {
+		return nil, 0, err
+	}
+	snap := h.Snapshot(f.plan.ends[k] - f.plan.starts[k])
+	committed := h.CommittedVCPUs()
+	if k+1 == f.cfg.WarmEpochs && k+1 != f.stop {
+		// The warm boundary: arm the mechanisms and resume the load
+		// after the snapshot, before publishing done = k+1 (a
+		// warm-prefix capture stops here unarmed).
+		h.Arm()
+	}
+	return snap, committed, nil
 }
 
 // bumpMinLocked maintains minDone/minCount after a host advanced past
-// `old`, and wakes the fleet when the global minimum moves: the router
-// may be waiting on it, and parked hosts' lag bounds just loosened.
+// `old`.
 func (f *asyncFleet) bumpMinLocked(old int) {
 	if old != f.minDone {
 		return
@@ -413,17 +430,6 @@ func (f *asyncFleet) bumpMinLocked(old int) {
 		}
 	}
 	f.minDone, f.minCount = min, count
-	f.cond.Broadcast()
-	f.pool.WakeAll()
-}
-
-// fail records err (see failLocked) from the control plane and wakes
-// every parked host so the run unwinds.
-func (f *asyncFleet) fail(err error, epoch, host int) {
-	f.mu.Lock()
-	f.failLocked(err, epoch, host)
-	f.mu.Unlock()
-	f.pool.WakeAll()
 }
 
 // failLocked records the first failure by (epoch, host) order — a

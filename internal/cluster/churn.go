@@ -4,7 +4,7 @@
 // paper's Algorithm 1 predicts the most CPU extendability; and every VM
 // serves open-loop httpd load whose per-request latency feeds fleet-wide
 // SLO accounting. Each host owns a private sim.Engine, so hosts fan out
-// across the runner worker pool while the whole fleet stays
+// across the executor's workers while the whole fleet stays
 // deterministic for a fixed seed.
 package cluster
 

@@ -5,8 +5,10 @@ import (
 	"fmt"
 	"math"
 	"reflect"
+	"runtime"
 	"strings"
 	"testing"
+	"time"
 
 	"vscale/internal/core"
 	"vscale/internal/guest"
@@ -226,6 +228,59 @@ func TestRunFleetRejectsOversizedVM(t *testing.T) {
 	_, err := RunFleet(cfg, GenTrace(tcfg, cfg.Seed))
 	if err == nil || !strings.Contains(err.Error(), "65 vCPUs") {
 		t.Fatalf("RunFleet with 65-vCPU VMs: err = %v, want a 65 vCPUs error", err)
+	}
+}
+
+// TestRunFleetFaultUnwinds: one 65-vCPU arrival mid-trace faults
+// exactly one host while the others run on. At every worker count
+// RunFleet must return the same error, without hanging, and every
+// executor goroutine must have exited.
+func TestRunFleetFaultUnwinds(t *testing.T) {
+	cfg := smallFleet("static", 0)
+	events := GenTrace(DefaultTraceConfig(cfg.Horizon), cfg.Seed)
+	bad := -1
+	for i, ev := range events {
+		if ev.Kind == EventArrive && ev.At >= cfg.Horizon/2 {
+			bad = i
+			break
+		}
+	}
+	if bad < 0 {
+		t.Fatal("trace has no arrival in its second half")
+	}
+	events[bad].VCPUs = guest.MaxVCPUs + 1
+
+	baseline := runtime.NumGoroutine()
+	var want string
+	for _, workers := range []int{1, 2, 4} {
+		cfg.Workers = workers
+		done := make(chan error, 1)
+		go func() {
+			_, err := RunFleet(cfg, events)
+			done <- err
+		}()
+		var err error
+		select {
+		case err = <-done:
+		case <-time.After(time.Minute):
+			t.Fatalf("workers=%d: RunFleet still running a minute after the fault", workers)
+		}
+		if err == nil || !strings.Contains(err.Error(), "65 vCPUs") {
+			t.Fatalf("workers=%d: err = %v, want the 65 vCPUs fault", workers, err)
+		}
+		if want == "" {
+			want = err.Error()
+		} else if err.Error() != want {
+			t.Fatalf("workers=%d: err = %q, want %q as at one worker", workers, err, want)
+		}
+		// The goroutine that sent err, and the executor's workers after
+		// their WaitGroup release, exit on their own; none may linger.
+		for deadline := time.Now().Add(10 * time.Second); runtime.NumGoroutine() > baseline; {
+			if time.Now().After(deadline) {
+				t.Fatalf("workers=%d: %d goroutines left, %d before the run", workers, runtime.NumGoroutine(), baseline)
+			}
+			time.Sleep(time.Millisecond)
+		}
 	}
 }
 

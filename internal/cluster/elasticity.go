@@ -37,10 +37,9 @@ const (
 	maxCommitFactor float64 = 2
 )
 
-// MigrationConfig enables the rebalance/consolidate migration pass.
+// MigrationConfig enables the rebalance/consolidate migration pass. The
+// pre-copy model itself is fixed (package migration's constants).
 type MigrationConfig struct {
-	// Model parameterises the pre-copy iterative-copy math.
-	Model migration.Config
 	// Every runs the migration pass at every Every-th boundary (>= 1).
 	Every int
 	// TriggerVCPUs is the minimum committed-vCPU gap between the
@@ -51,7 +50,6 @@ type MigrationConfig struct {
 // DefaultMigrationConfig returns the documented defaults.
 func DefaultMigrationConfig() MigrationConfig {
 	return MigrationConfig{
-		Model:        migration.DefaultConfig(),
 		Every:        1,
 		TriggerVCPUs: 2,
 	}
@@ -59,9 +57,6 @@ func DefaultMigrationConfig() MigrationConfig {
 
 // Validate rejects unusable migration parameters.
 func (c *MigrationConfig) Validate() error {
-	if err := c.Model.Validate(); err != nil {
-		return err
-	}
 	if c.Every < 1 {
 		return fmt.Errorf("cluster: migration Every %d < 1", c.Every)
 	}
@@ -71,21 +66,9 @@ func (c *MigrationConfig) Validate() error {
 	return nil
 }
 
-// ReplicaSetConfig enables the horizontal autoscaling controller.
-type ReplicaSetConfig struct {
-	// Controller parameterises the per-service scaling decisions.
-	Controller replicaset.Config
-}
-
-// DefaultReplicaSetConfig returns the documented defaults.
-func DefaultReplicaSetConfig() ReplicaSetConfig {
-	return ReplicaSetConfig{Controller: replicaset.DefaultConfig()}
-}
-
-// Validate rejects unusable replica-set parameters.
-func (c *ReplicaSetConfig) Validate() error {
-	return c.Controller.Validate()
-}
+// ReplicaSetConfig enables the horizontal autoscaling controller. Its
+// scaling policy is fixed (package replicaset's constants).
+type ReplicaSetConfig struct{}
 
 // ElasticityFor maps a -elastic mode flag to the config pair.
 func ElasticityFor(mode string) (*MigrationConfig, *ReplicaSetConfig, error) {
@@ -96,12 +79,10 @@ func ElasticityFor(mode string) (*MigrationConfig, *ReplicaSetConfig, error) {
 		m := DefaultMigrationConfig()
 		return &m, nil, nil
 	case "replicas":
-		r := DefaultReplicaSetConfig()
-		return nil, &r, nil
+		return nil, &ReplicaSetConfig{}, nil
 	case "hybrid":
 		m := DefaultMigrationConfig()
-		r := DefaultReplicaSetConfig()
-		return &m, &r, nil
+		return &m, &ReplicaSetConfig{}, nil
 	}
 	return nil, nil, fmt.Errorf("cluster: unknown elasticity mode %q (want none, migrate, replicas or hybrid)", mode)
 }
@@ -164,14 +145,10 @@ type elasticity struct {
 }
 
 // newElasticity builds the layer when either config is present; the
-// configs were validated by prepareFleet.
+// migration config was validated by prepareFleet.
 func newElasticity(cfg *FleetConfig, plan *epochPlan, rt *fleetRouter, res *FleetResult) *elasticity {
 	if cfg.Migration == nil && cfg.ReplicaSet == nil {
 		return nil
-	}
-	rsCfg := replicaset.DefaultConfig()
-	if cfg.ReplicaSet != nil {
-		rsCfg = cfg.ReplicaSet.Controller
 	}
 	el := &elasticity{
 		cfg:       cfg,
@@ -180,7 +157,7 @@ func newElasticity(cfg *FleetConfig, plan *epochPlan, rt *fleetRouter, res *Flee
 		res:       res,
 		mig:       cfg.Migration,
 		rsCfg:     cfg.ReplicaSet,
-		rs:        replicaset.New(rsCfg),
+		rs:        replicaset.New(),
 		rate:      map[string]float64{},
 		dirty:     map[string]float64{},
 		vcpus:     map[string]int{},
@@ -488,7 +465,7 @@ func (el *elasticity) startOne(b int, now sim.Time) bool {
 		if vm.retired || el.migrating[name] {
 			continue
 		}
-		plan := migration.PreCopy(el.mig.Model, int64(vm.vcpus)*migration.MemBytesPerVCPU, el.dirtyRate(vm))
+		plan := migration.PreCopy(int64(vm.vcpus)*migration.MemBytesPerVCPU, el.dirtyRate(vm))
 		cb, ok := el.commitBoundary(b, now+plan.Duration)
 		if !ok {
 			continue

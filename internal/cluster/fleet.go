@@ -58,8 +58,8 @@ type FleetConfig struct {
 	Drain sim.Time
 	// SLO is the per-request latency objective.
 	SLO sim.Time
-	// Workers bounds the executor's persistent runner.Pool (0 =
-	// GOMAXPROCS).
+	// Workers is the executor's worker count (runner.Options.Width: 0 =
+	// GOMAXPROCS, at most one per host).
 	Workers int
 	// RecordPlacements controls FleetResult.Placements accumulation.
 	// nil defaults to recording (existing callers read placements);
@@ -234,11 +234,6 @@ func prepareFleet(cfg *FleetConfig, events []Event) (*epochPlan, error) {
 	}
 	if cfg.Migration != nil {
 		if err := cfg.Migration.Validate(); err != nil {
-			return nil, err
-		}
-	}
-	if cfg.ReplicaSet != nil {
-		if err := cfg.ReplicaSet.Validate(); err != nil {
 			return nil, err
 		}
 	}

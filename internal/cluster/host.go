@@ -212,8 +212,8 @@ func (h *Host) ScheduleRemove(ev Event) {
 // scheduleRouted schedules one epoch's routed churn batch onto the
 // host's engine, in trace order — after any boundary policy IPIs and
 // before the epoch runs, so the engine's event sequence does not depend
-// on pacing. Called by the host's own pool worker while the engine is
-// parked at the epoch's start boundary.
+// on pacing. Called by the executor worker that holds the host, while
+// the engine is parked at the epoch's start boundary.
 func (h *Host) scheduleRouted(batch []routedEvent) {
 	for _, r := range batch {
 		switch r.ev.Kind {
@@ -500,7 +500,7 @@ func (h *Host) fail(err error) {
 
 // RunEpoch advances the host's engine to exactly the given deadline and
 // reports any fault raised by callbacks (or servers) meanwhile. The
-// fleet fans these calls across its worker pool — each host's epoch is
+// fleet fans these calls across its workers — each host's epoch is
 // an independent, single-threaded simulation step.
 func (h *Host) RunEpoch(until sim.Time) error {
 	if err := h.eng.RunUntil(until); err != nil {

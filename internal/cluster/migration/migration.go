@@ -8,17 +8,23 @@
 // downtime up front.
 package migration
 
-import (
-	"fmt"
-
-	"vscale/internal/sim"
-)
+import "vscale/internal/sim"
 
 // MemBytesPerVCPU sizes a VM's memory image proportionally to its vCPU
 // count: 64 MiB per vCPU.
 const MemBytesPerVCPU int64 = 64 << 20
 
 const (
+	// linkBps is the migration link budget in bits per second (10 Gbps).
+	// The cluster throttles guest I/O while a migration holds the link.
+	linkBps float64 = 10e9
+	// maxRounds caps the iterative copy phase: a VM that dirties memory
+	// faster than the link drains it would otherwise never converge.
+	maxRounds = 8
+	// downtimeCap bounds the modeled downtime: non-convergent migrations
+	// stop-and-copy whatever is left, and the cap keeps the blackout
+	// within one scheduling epoch.
+	downtimeCap = 100 * sim.Millisecond
 	// stopCopyBytes is the convergence threshold: once a round leaves
 	// at most this many dirty bytes the next copy happens with the VM
 	// stopped. 8 MiB is small enough that a mostly idle VM converges in
@@ -28,44 +34,6 @@ const (
 	// resume handshake) added to the stop-and-copy transfer time.
 	downtimeFloor = 3 * sim.Millisecond
 )
-
-// Config parameterises the pre-copy model.
-type Config struct {
-	// LinkBps is the migration link budget in bits per second. The
-	// cluster throttles guest I/O while a migration holds the link.
-	LinkBps float64
-	// MaxRounds caps the iterative copy phase: a VM that dirties memory
-	// faster than the link drains it would otherwise never converge.
-	MaxRounds int
-	// DowntimeCap bounds the modeled downtime; non-convergent
-	// migrations stop-and-copy whatever is left, and the cap keeps the
-	// blackout within one scheduling epoch. Zero means uncapped.
-	DowntimeCap sim.Time
-}
-
-// DefaultConfig returns a 10 Gbps migration link, at most 8 copy
-// rounds and a 100 ms downtime cap.
-func DefaultConfig() Config {
-	return Config{
-		LinkBps:     10e9,
-		MaxRounds:   8,
-		DowntimeCap: 100 * sim.Millisecond,
-	}
-}
-
-// Validate rejects configurations the model cannot plan with.
-func (c Config) Validate() error {
-	if c.LinkBps <= 0 {
-		return fmt.Errorf("migration: LinkBps must be positive, got %g", c.LinkBps)
-	}
-	if c.MaxRounds < 1 {
-		return fmt.Errorf("migration: MaxRounds must be >= 1, got %d", c.MaxRounds)
-	}
-	if c.DowntimeCap < 0 {
-		return fmt.Errorf("migration: downtime cap must be >= 0")
-	}
-	return nil
-}
 
 // Plan is the outcome of planning one pre-copy migration.
 type Plan struct {
@@ -78,7 +46,7 @@ type Plan struct {
 	// source for this long before cutover.
 	Duration sim.Time
 	// Downtime is the stop-and-copy blackout: downtimeFloor plus the
-	// residual dirty transfer, bounded by DowntimeCap.
+	// residual dirty transfer, bounded by downtimeCap.
 	Downtime sim.Time
 	// Converged reports whether the dirty set shrank below
 	// stopCopyBytes (false means the round cap forced the cutover).
@@ -89,10 +57,10 @@ type Plan struct {
 // at dirtyBps bytes per second. Round i copies the bytes left dirty by
 // round i-1 (round 1 copies everything); the copy takes bytes/byteRate
 // seconds, during which the guest dirties dirtyBps * t fresh bytes.
-// The iteration stops when the residue fits stopCopyBytes or MaxRounds
+// The iteration stops when the residue fits stopCopyBytes or maxRounds
 // is hit, and the residue moves during the stop-and-copy blackout.
-func PreCopy(cfg Config, memBytes int64, dirtyBps float64) Plan {
-	byteRate := cfg.LinkBps / 8
+func PreCopy(memBytes int64, dirtyBps float64) Plan {
+	byteRate := linkBps / 8
 	p := Plan{Converged: true}
 	if memBytes <= 0 {
 		p.Downtime = downtimeFloor
@@ -106,7 +74,7 @@ func PreCopy(cfg Config, memBytes int64, dirtyBps float64) Plan {
 		p.Bytes += int64(toCopy)
 		p.Duration += sim.Time(t * float64(sim.Second))
 		dirtied := dirtyBps * t
-		if dirtied <= float64(stopCopyBytes) || r == cfg.MaxRounds {
+		if dirtied <= float64(stopCopyBytes) || r == maxRounds {
 			residue = dirtied
 			p.Converged = dirtied <= float64(stopCopyBytes)
 			break
@@ -115,8 +83,8 @@ func PreCopy(cfg Config, memBytes int64, dirtyBps float64) Plan {
 	}
 	p.Bytes += int64(residue)
 	dt := downtimeFloor + sim.Time(residue/byteRate*float64(sim.Second))
-	if cfg.DowntimeCap > 0 && dt > cfg.DowntimeCap {
-		dt = cfg.DowntimeCap
+	if dt > downtimeCap {
+		dt = downtimeCap
 	}
 	p.Downtime = dt
 	return p

@@ -68,17 +68,18 @@ type Mechanism struct {
 	Hotplug bool
 }
 
-// ScalingPolicy decides how each VM of a fleet resizes. One instance
-// is created per fleet run (RunFleet instantiates it from the policies
-// table by name), so a policy may keep per-VM controller state across
-// epochs.
+// ScalingPolicy decides how each VM of a fleet resizes. RunFleet
+// creates one instance per host from the policies table by name, so a
+// policy may keep per-VM controller state across epochs.
 //
-// Every method is called from the single-threaded control plane, never
-// from host engine callbacks, and Decide is called for every
-// non-retired VM every epoch in host-index then VM-admission order —
-// a policy must derive its decisions only from the observations it is
-// handed (no clocks, no global RNG) to preserve the fleet's
-// byte-identical determinism across worker counts.
+// Mechanism is read once, when the host is built. Decide is called
+// only by the executor worker that holds the instance's host, never
+// from host engine callbacks, for every non-retired VM of that host at
+// every boundary past the warm boundary, in VM-admission order.
+// Instances of different hosts run concurrently, so they must share no
+// mutable state, and a policy must derive its decisions only from the
+// observations it is handed (no clocks, no global RNG) to preserve the
+// fleet's byte-identical determinism across worker counts.
 type ScalingPolicy interface {
 	// Mechanism reports the guest-side plumbing the policy needs.
 	Mechanism() Mechanism

@@ -29,54 +29,25 @@ const (
 	ReasonFailureCreate = "FailureCreate"
 )
 
-// readyAfter is the readiness gate: a replica born at boundary b counts
-// (receives load, votes in the windowed attainment) only from boundary
-// b+readyAfter on. Anchors are ready immediately.
-const readyAfter = 1
-
-// Config parameterises the controller.
-type Config struct {
-	// MaxReplicas caps a service's live member count, anchors included.
-	MaxReplicas int
-	// ScaleUpBelow: scale out when windowed attainment drops below this.
-	ScaleUpBelow float64
-	// ScaleDownAbove: scale in when windowed attainment exceeds this
+// The controller scales a service between its anchors and maxReplicas
+// members on a 90%/99.5% attainment band, with a one-epoch readiness
+// gate and a two-epoch cooldown.
+const (
+	// readyAfter is the readiness gate: a replica born at boundary b
+	// counts (receives load, votes in the windowed attainment) only from
+	// boundary b+readyAfter on. Anchors are ready immediately.
+	readyAfter = 1
+	// maxReplicas caps a service's live member count, anchors included.
+	maxReplicas = 3
+	// scaleUpBelow: scale out when windowed attainment drops below this.
+	scaleUpBelow float64 = 0.90
+	// scaleDownAbove: scale in when windowed attainment exceeds this
 	// (and a removable replica exists).
-	ScaleDownAbove float64
-	// Cooldown is the minimum number of boundaries between scaling
+	scaleDownAbove float64 = 0.995
+	// cooldown is the minimum number of boundaries between scaling
 	// actions (or placement failures) of one service.
-	Cooldown int
-}
-
-// DefaultConfig scales between 1x and 3x replicas on a 90%/99.5%
-// attainment band, with a one-epoch readiness gate and a two-epoch
-// cooldown.
-func DefaultConfig() Config {
-	return Config{
-		MaxReplicas:    3,
-		ScaleUpBelow:   0.90,
-		ScaleDownAbove: 0.995,
-		Cooldown:       2,
-	}
-}
-
-// Validate rejects configurations the controller cannot run with.
-func (c Config) Validate() error {
-	if c.MaxReplicas < 1 {
-		return fmt.Errorf("replicaset: MaxReplicas must be >= 1, got %d", c.MaxReplicas)
-	}
-	if c.ScaleUpBelow < 0 || c.ScaleUpBelow > 1 || c.ScaleDownAbove < 0 || c.ScaleDownAbove > 1 {
-		return fmt.Errorf("replicaset: attainment thresholds must be in [0,1]")
-	}
-	if c.ScaleUpBelow > c.ScaleDownAbove {
-		return fmt.Errorf("replicaset: ScaleUpBelow %g > ScaleDownAbove %g would oscillate",
-			c.ScaleUpBelow, c.ScaleDownAbove)
-	}
-	if c.Cooldown < 0 {
-		return fmt.Errorf("replicaset: Cooldown must be >= 0")
-	}
-	return nil
-}
+	cooldown = 2
+)
 
 // Member is one VM of a service: a trace anchor or a controller-made
 // replica.
@@ -117,17 +88,15 @@ type Service struct {
 // Controller holds every service in registration order (the iteration
 // order of each reconcile pass, so decisions are deterministic).
 type Controller struct {
-	cfg      Config
 	services []*Service
 	byName   map[string]*Service
 	bySvcVM  map[string]*Member // member VM name -> its entry
 	svcOf    map[string]string  // member VM name -> service name
 }
 
-// New builds an empty controller. cfg must Validate.
-func New(cfg Config) *Controller {
+// New builds an empty controller.
+func New() *Controller {
 	return &Controller{
-		cfg:     cfg,
 		byName:  map[string]*Service{},
 		bySvcVM: map[string]*Member{},
 		svcOf:   map[string]string{},
@@ -236,11 +205,11 @@ func (c *Controller) Decide(service string, b int, attainment float64, offered u
 		return 0
 	}
 	switch {
-	case offered > 0 && attainment < c.cfg.ScaleUpBelow && live < c.cfg.MaxReplicas && ready == live:
+	case offered > 0 && attainment < scaleUpBelow && live < maxReplicas && ready == live:
 		// Scale out — but only once the previous replica is ready, so a
 		// slow warm-up cannot stampede the fleet.
 		return +1
-	case attainment > c.cfg.ScaleDownAbove && live > anchors && offered > 0:
+	case attainment > scaleDownAbove && live > anchors && offered > 0:
 		return -1
 	}
 	return 0
@@ -249,7 +218,7 @@ func (c *Controller) Decide(service string, b int, attainment float64, offered u
 // RecordScale starts service's cooldown after an applied action.
 func (c *Controller) RecordScale(service string, b int) {
 	if s := c.byName[service]; s != nil {
-		s.CooldownUntil = b + c.cfg.Cooldown
+		s.CooldownUntil = b + cooldown
 	}
 }
 
@@ -267,7 +236,7 @@ func (c *Controller) Fail(service string, b int, reason, message string) {
 	if len(s.Conditions) > maxConditions {
 		s.Conditions = s.Conditions[len(s.Conditions)-maxConditions:]
 	}
-	s.CooldownUntil = b + c.cfg.Cooldown
+	s.CooldownUntil = b + cooldown
 }
 
 // state is the controller's checkpoint document.

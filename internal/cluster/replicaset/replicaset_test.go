@@ -2,11 +2,12 @@ package replicaset
 
 import (
 	"bytes"
+	"fmt"
 	"testing"
 )
 
 func TestScaleUpGatedOnReadiness(t *testing.T) {
-	c := New(DefaultConfig())
+	c := New()
 	c.AddMember("web", "vm0", 0, 0, true)
 	// Attainment below the band: scale out.
 	if d := c.Decide("web", 3, 0.5, 1000); d != +1 {
@@ -30,22 +31,24 @@ func TestScaleUpGatedOnReadiness(t *testing.T) {
 }
 
 func TestScaleUpStopsAtMaxReplicas(t *testing.T) {
-	cfg := DefaultConfig()
-	cfg.MaxReplicas = 2
-	cfg.Cooldown = 0
-	c := New(cfg)
+	c := New()
 	c.AddMember("web", "vm0", 0, 0, true)
-	c.AddMember("web", "web/r0", 1, 0, false)
+	for r := 0; r < maxReplicas-1; r++ {
+		c.AddMember("web", fmt.Sprintf("web/r%d", r), 1, 0, false)
+	}
 	c.Tick(1)
 	if d := c.Decide("web", 2, 0.5, 1000); d != 0 {
-		t.Fatalf("at MaxReplicas: want hold, got %d", d)
+		t.Fatalf("at maxReplicas: want hold, got %d", d)
+	}
+	// One member below the cap, the same verdict scales out.
+	c.RetireMember("web/r0")
+	if d := c.Decide("web", 2, 0.5, 1000); d != +1 {
+		t.Fatalf("below maxReplicas: want +1, got %d", d)
 	}
 }
 
 func TestScaleDownNeverRetiresAnchors(t *testing.T) {
-	cfg := DefaultConfig()
-	cfg.Cooldown = 0
-	c := New(cfg)
+	c := New()
 	c.AddMember("web", "vm0", 0, 0, true)
 	// Only the anchor lives: perfect attainment must not scale below it.
 	if d := c.Decide("web", 2, 1.0, 1000); d != 0 {
@@ -59,7 +62,7 @@ func TestScaleDownNeverRetiresAnchors(t *testing.T) {
 }
 
 func TestFailRecordsConditionAndCoolsDown(t *testing.T) {
-	c := New(DefaultConfig())
+	c := New()
 	c.AddMember("api", "vm1", 0, 0, true)
 	c.Fail("api", 5, ReasonFailureCreate, "no host can admit 4 vCPUs")
 	s := c.Lookup("api")
@@ -83,7 +86,7 @@ func TestFailRecordsConditionAndCoolsDown(t *testing.T) {
 }
 
 func TestCheckpointRoundTrip(t *testing.T) {
-	c := New(DefaultConfig())
+	c := New()
 	c.AddMember("web", "vm0", 0, 0, true)
 	c.AddMember("web", "web/r0", 1, 2, false)
 	c.AddMember("db", "vm1", 1, 0, true)
@@ -96,7 +99,7 @@ func TestCheckpointRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r := New(DefaultConfig())
+	r := New()
 	if err := r.RestoreState(data); err != nil {
 		t.Fatal(err)
 	}
@@ -118,22 +121,5 @@ func TestCheckpointRoundTrip(t *testing.T) {
 	live, _, anchors := r.Lookup("web").Live()
 	if live != 1 || anchors != 1 {
 		t.Fatalf("replayed AddMember duplicated the anchor: live=%d anchors=%d", live, anchors)
-	}
-}
-
-func TestValidate(t *testing.T) {
-	if err := DefaultConfig().Validate(); err != nil {
-		t.Fatalf("default config: %v", err)
-	}
-	bad := DefaultConfig()
-	bad.ScaleUpBelow = 0.99
-	bad.ScaleDownAbove = 0.5
-	if err := bad.Validate(); err == nil {
-		t.Fatalf("inverted band must be rejected")
-	}
-	bad = DefaultConfig()
-	bad.MaxReplicas = 0
-	if err := bad.Validate(); err == nil {
-		t.Fatalf("zero MaxReplicas must be rejected")
 	}
 }

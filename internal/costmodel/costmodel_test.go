@@ -73,6 +73,10 @@ func TestHotplugModelsOrdersOfMagnitude(t *testing.T) {
 			upSum += m.DrawUp(r)
 		}
 		downAvg, upAvg := downSum/n, upSum/n
+		// Removal: a few ms to over 100 ms in the paper (Figure 5).
+		if downAvg < 2*sim.Millisecond || downAvg > 150*sim.Millisecond {
+			t.Fatalf("%s: down avg %v outside the paper's band", m.Version, downAvg)
+		}
 		// Hotplug must be at least 100x slower than the vScale freeze
 		// (2.1 µs): the paper's headline 100x–100,000x comparison.
 		if downAvg < 100*FreezeMasterCost {
@@ -90,6 +94,9 @@ func TestHotplugModelsOrdersOfMagnitude(t *testing.T) {
 }
 
 func TestHotplugModelFor(t *testing.T) {
+	if len(HotplugModels) != 4 {
+		t.Fatalf("%d hotplug models, want the paper's four kernels", len(HotplugModels))
+	}
 	if _, ok := HotplugModelFor("v-3.14.15"); !ok {
 		t.Fatal("missing 3.14.15 model")
 	}

@@ -84,11 +84,14 @@ func ablate(opts runner.Options, name, app string, spin uint64, vars []variant) 
 
 // AblationWeightOnly (A1): vScale's consumption-aware extendability vs
 // the VCPU-Bal weight-only sizing. The comparison runs with a light
-// background: weight-only sizing pins the VM to its weight-based fair
-// share even when the machine is mostly idle, forfeiting the slack that
-// work-conserving schedulers would hand out.
+// background, slideshows at a ~20% duty cycle: weight-only sizing pins
+// the VM to its weight-based fair share even when the machine is mostly
+// idle, forfeiting the slack that work-conserving schedulers would hand
+// out.
 func AblationWeightOnly(opts runner.Options, app string) (AblationResult, error) {
-	light := func(s *scenario.Setup) { s.LightBackground = true }
+	show := workload.DefaultSlideshow()
+	show.IdleMin, show.IdleMax = 3*show.BurstMin, 5*show.BurstMax
+	light := func(s *scenario.Setup) { s.Background = &show }
 	return ablate(opts, "A1: consumption-aware vs weight-only sizing (light background)", app, 30_000_000_000,
 		[]variant{
 			{"vScale (consumption-aware)", light},

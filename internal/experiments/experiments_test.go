@@ -97,10 +97,7 @@ func TestTable3Breakdown(t *testing.T) {
 }
 
 func TestFigure5Bands(t *testing.T) {
-	r, err := Figure5(100)
-	if err != nil {
-		t.Fatal(err)
-	}
+	r := Figure5(100)
 	// vScale's 2.1µs vs the best hotplug op (~0.35ms): >100x.
 	add := r.Add["v-3.14.15"]
 	if add.Quantile(0.5) < 0.3 {

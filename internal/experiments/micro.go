@@ -12,7 +12,6 @@ import (
 	"vscale/internal/costmodel"
 	"vscale/internal/dom0"
 	"vscale/internal/guest"
-	"vscale/internal/guest/hotplug"
 	"vscale/internal/metrics"
 	"vscale/internal/report"
 	"vscale/internal/sim"
@@ -252,28 +251,25 @@ type Figure5Result struct {
 	Add    map[string]*metrics.Sample
 }
 
-// Figure5 samples hotplug latencies.
-func Figure5(reps int) (Figure5Result, error) {
+// Figure5 samples hotplug latencies: reps CPU removals and additions
+// per kernel version, alternating, from one seeded stream.
+func Figure5(reps int) Figure5Result {
 	res := Figure5Result{
 		Reps:   reps,
 		Remove: make(map[string]*metrics.Sample),
 		Add:    make(map[string]*metrics.Sample),
 	}
 	r := sim.NewRand(99)
-	for _, v := range hotplug.Versions() {
-		s, err := hotplug.NewSampler(v, r)
-		if err != nil {
-			return Figure5Result{}, err
-		}
+	for _, m := range costmodel.HotplugModels {
 		rm, ad := &metrics.Sample{}, &metrics.Sample{}
 		for i := 0; i < reps; i++ {
-			rm.Observe(s.Remove().Total.Milliseconds())
-			ad.Observe(s.Add().Total.Milliseconds())
+			rm.Observe(m.DrawDown(r).Milliseconds())
+			ad.Observe(m.DrawUp(r).Milliseconds())
 		}
-		res.Remove[v] = rm
-		res.Add[v] = ad
+		res.Remove[m.Version] = rm
+		res.Add[m.Version] = ad
 	}
-	return res, nil
+	return res
 }
 
 // Render produces the Figure 5 quantile table.
@@ -281,7 +277,8 @@ func (r Figure5Result) Render() string {
 	t := report.NewTable(
 		fmt.Sprintf("Figure 5: CPU hotplug latency (ms, %d ops/version); vScale balancer: 0.0021 ms", r.Reps),
 		"kernel", "op", "p10", "p50", "p90", "max")
-	for _, v := range hotplug.Versions() {
+	for _, m := range costmodel.HotplugModels {
+		v := m.Version
 		for _, dir := range []string{"unplug", "plug"} {
 			s := r.Remove[v]
 			if dir == "plug" {

@@ -260,11 +260,7 @@ func Registry() []Experiment {
 				if c.Quick {
 					reps = 30
 				}
-				r, err := Figure5(reps)
-				if err != nil {
-					return "", err
-				}
-				return r.Render(), nil
+				return Figure5(reps).Render(), nil
 			}),
 		},
 		{

@@ -44,8 +44,10 @@ type Options struct {
 	Report *Report
 }
 
-// workers resolves the effective pool width for n jobs.
-func (o Options) workers(n int) int {
+// Width resolves the effective worker count for n jobs: Workers, or
+// GOMAXPROCS when Workers <= 0, clamped to [1, n]. Run and the fleet
+// executor both size their workers with it.
+func (o Options) Width(n int) int {
 	w := o.Workers
 	if w <= 0 {
 		w = runtime.GOMAXPROCS(0)
@@ -186,7 +188,7 @@ func Run[T any](opts Options, n int, job func(Context) (T, error)) ([]T, error) 
 	seeds := make([]uint64, n)
 	tracers := make([]*trace.Tracer, n)
 
-	workers := opts.workers(n)
+	workers := opts.Width(n)
 	start := time.Now()
 
 	indices := make(chan int)

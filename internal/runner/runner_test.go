@@ -3,6 +3,7 @@ package runner
 import (
 	"errors"
 	"fmt"
+	"runtime"
 	"testing"
 	"time"
 
@@ -223,5 +224,23 @@ func TestJobWallStats(t *testing.T) {
 		live.JobWallMean() < live.JobWallMin() || live.JobWallMean() > live.JobWallMax() {
 		t.Fatalf("inconsistent wall stats: min=%v mean=%v max=%v",
 			live.JobWallMin(), live.JobWallMean(), live.JobWallMax())
+	}
+}
+
+// TestWidth: the effective worker count is capped at the job count,
+// with a floor of 1, and <= 0 selects GOMAXPROCS.
+func TestWidth(t *testing.T) {
+	for _, tc := range []struct{ workers, n, want int }{
+		{8, 3, 3},
+		{1, 100, 1},
+		{4, 0, 1},
+		{0, 1, 1},
+	} {
+		if got := (Options{Workers: tc.workers}).Width(tc.n); got != tc.want {
+			t.Errorf("Options{Workers: %d}.Width(%d) = %d, want %d", tc.workers, tc.n, got, tc.want)
+		}
+	}
+	if got, want := (Options{}).Width(1<<20), runtime.GOMAXPROCS(0); got != want {
+		t.Errorf("Options{}.Width = %d, want GOMAXPROCS %d", got, want)
 	}
 }

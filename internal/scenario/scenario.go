@@ -85,10 +85,6 @@ type Setup struct {
 	PureCeil bool
 	// NoBackground disables the slideshow VMs entirely (dedicated host).
 	NoBackground bool
-	// LightBackground switches the slideshow VMs to a low duty cycle
-	// (~20%), the regime where weight-only sizing (VCPU-Bal) leaves most
-	// of the machine's slack unclaimed.
-	LightBackground bool
 	// Background, when non-nil, overrides the slideshow profile of the
 	// background VMs entirely.
 	Background *workload.Slideshow
@@ -186,9 +182,6 @@ func Build(s Setup) *Built {
 		nbg = max((ConsolidationRatio*s.PCPUs-s.VMVCPUs)/2, 0)
 	}
 	show := workload.DefaultSlideshow()
-	if s.LightBackground {
-		show.IdleMin, show.IdleMax = 3*show.BurstMin, 5*show.BurstMax
-	}
 	if s.Background != nil {
 		show = *s.Background
 	}
