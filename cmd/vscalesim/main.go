@@ -182,9 +182,7 @@ func main() {
 			if err != nil {
 				return "", err
 			}
-			gen = loadgen.New(b.Eng, srv, sim.NewRand(runSeed+7), loadgen.Config{
-				SLO: sim.FromMillis(*sloMs),
-			})
+			gen = loadgen.New(b.Eng, srv, sim.NewRand(runSeed+7), sim.FromMillis(*sloMs))
 			warm := scenario.DefaultWarmup
 			if err := b.RunObserved(warm, epoch, observe); err != nil {
 				return "", err

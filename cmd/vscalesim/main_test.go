@@ -95,7 +95,7 @@ func TestCollectScenarioAllocs(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		gen := loadgen.New(b.Eng, srv, sim.NewRand(7), loadgen.Config{SLO: 50 * sim.Millisecond})
+		gen := loadgen.New(b.Eng, srv, sim.NewRand(7), 50*sim.Millisecond)
 		gen.SetRate(2000)
 		col := telemetry.NewCollector(sink, false, "run", "0")
 		if err := b.RunObserved(sim.Second, 500*sim.Millisecond, func(now sim.Time) {

@@ -204,12 +204,11 @@ func (h *Host) CaptureState() (HostCheckpoint, error) {
 // bootstrap tickers tick harmlessly), then purge the bootstrap event
 // queue, re-arm the captured descriptors in their original FIFO order,
 // and overwrite every layer's semantic state, the engine's scalars
-// last. cfg.Disarmed is forced; the caller arms the host.
+// last. The caller arms the host.
 func RestoreHost(id int, cfg HostConfig, cp HostCheckpoint) (*Host, error) {
 	if cp.Armed {
 		return nil, fmt.Errorf("cluster: host %d: checkpoint is armed; only a disarmed warm capture restores", id)
 	}
-	cfg.Disarmed = true
 	cfg.Tracer = nil
 	h, err := NewHost(id, cfg)
 	if err != nil {

@@ -103,8 +103,8 @@ func TestWarmForkTelemetryIdentical(t *testing.T) {
 }
 
 // TestCaptureStateRefusesArmedHost: only a disarmed host is
-// checkpointable. A host built without Disarmed is armed from the
-// start, whatever its policy's mechanism, and is refused.
+// checkpointable. An armed host is refused whatever its policy's
+// mechanism, even one with no VM yet.
 func TestCaptureStateRefusesArmedHost(t *testing.T) {
 	for _, policy := range []string{"static", "vscale", "pid"} {
 		for _, disarmed := range []bool{false, true} {
@@ -112,9 +112,12 @@ func TestCaptureStateRefusesArmedHost(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			h, err := NewHost(0, HostConfig{PCPUs: 2, Seed: 1, Policy: pol, SLO: 20 * sim.Millisecond, Disarmed: disarmed})
+			h, err := NewHost(0, HostConfig{PCPUs: 2, Seed: 1, Policy: pol, SLO: 20 * sim.Millisecond})
 			if err != nil {
 				t.Fatal(err)
+			}
+			if !disarmed {
+				h.Arm()
 			}
 			_, err = h.CaptureState()
 			if disarmed && err != nil {

@@ -82,9 +82,9 @@ type FleetConfig struct {
 	// are byte-identical with or without it.
 	Telemetry *telemetry.Collector
 	// WarmEpochs, when > 0, marks epochs [0, WarmEpochs) as a policy-
-	// neutral warm-up prefix: hosts are built with their mechanisms
-	// disarmed, no telemetry is collected and no policy pass runs until
-	// the fleet arms at boundary WarmEpochs. Over the last warm epoch
+	// neutral warm-up prefix: hosts stay disarmed, no telemetry is
+	// collected and no policy pass runs until the fleet arms at
+	// boundary WarmEpochs. Over the last warm epoch
 	// every load generator pauses (the quiesce barrier) so the fleet is
 	// drained — and checkpointable — at the warm boundary; the generators
 	// resume as the mechanisms arm and the measured window begins. The
@@ -244,8 +244,9 @@ func prepareFleet(cfg *FleetConfig, events []Event) (*epochPlan, error) {
 // One fresh policy instance per host: controllers key their memory per
 // VM name and placement never migrates a VM, so host-sharded instances
 // produce the decisions a fleet-shared instance would — while letting
-// every host run its policy pass on its own timeline. Hosts start
-// disarmed when a warm prefix is configured; Arm fires at its boundary.
+// every host run its policy pass on its own timeline. Hosts are built
+// disarmed; without a warm prefix they are armed here, with one at the
+// warm boundary.
 func buildFleetHosts(cfg *FleetConfig) ([]ScalingPolicy, []*Host, error) {
 	pols := make([]ScalingPolicy, cfg.Hosts)
 	hosts := make([]*Host, cfg.Hosts)
@@ -260,15 +261,17 @@ func buildFleetHosts(cfg *FleetConfig) ([]ScalingPolicy, []*Host, error) {
 			tr = cfg.Tracers[i]
 		}
 		h, err := NewHost(i, HostConfig{
-			PCPUs:    cfg.PCPUsPerHost,
-			Seed:     runner.DeriveSeed(cfg.Seed, i),
-			Policy:   pol,
-			SLO:      cfg.SLO,
-			Tracer:   tr,
-			Disarmed: cfg.WarmEpochs > 0,
+			PCPUs:  cfg.PCPUsPerHost,
+			Seed:   runner.DeriveSeed(cfg.Seed, i),
+			Policy: pol,
+			SLO:    cfg.SLO,
+			Tracer: tr,
 		})
 		if err != nil {
 			return nil, nil, err
+		}
+		if cfg.WarmEpochs == 0 {
+			h.Arm()
 		}
 		hosts[i] = h
 	}

@@ -32,12 +32,6 @@ type HostConfig struct {
 	SLO sim.Time
 	// Tracer, when non-nil, records the host's scheduling events.
 	Tracer *trace.Tracer
-	// Disarmed builds the host with the policy's mechanisms off: no
-	// per-VM scaling daemons, no pool extendability ticker. The warm-fork
-	// prefix runs every host disarmed so its state is policy-neutral and
-	// one simulated warm-up serves every forked policy; Arm turns the
-	// mechanisms on at the fork boundary.
-	Disarmed bool
 }
 
 // hostVM is one VM resident on a host.
@@ -87,10 +81,10 @@ type Host struct {
 	vms   map[string]*hostVM
 	order []string // admission order, for deterministic iteration
 
-	// armed is whether the policy's mechanisms are live (always true for
-	// hosts built without Disarmed); pauseFrom, when non-zero, marks the
-	// pending quiesce barrier: VMs admitted at or after it boot with
-	// their load generators paused (see ScheduleQuiesce).
+	// armed is whether the policy's mechanisms are live (see Arm);
+	// pauseFrom, when non-zero, marks the pending quiesce barrier: VMs
+	// admitted at or after it boot with their load generators paused
+	// (see ScheduleQuiesce).
 	armed     bool
 	pauseFrom sim.Time
 
@@ -107,10 +101,10 @@ type Host struct {
 	err error
 }
 
-// NewHost builds an idle host. It rejects a non-positive pool size and
-// a missing policy, and a hotplug-mechanism policy whose latency model
-// is absent — misconfigurations a fleet caller should see as errors,
-// not panics.
+// NewHost builds an idle, disarmed host: the policy's mechanisms stay
+// off until Arm. It rejects a non-positive pool size and a missing
+// policy, and a hotplug-mechanism policy whose latency model is absent
+// — misconfigurations a fleet caller should see as errors, not panics.
 func NewHost(id int, cfg HostConfig) (*Host, error) {
 	if cfg.PCPUs <= 0 {
 		return nil, fmt.Errorf("cluster: host %d: need at least one pCPU, got %d", id, cfg.PCPUs)
@@ -131,13 +125,7 @@ func NewHost(id int, cfg HostConfig) (*Host, error) {
 	if cfg.Tracer != nil {
 		eng.SetObserver(cfg.Tracer.SimEvent)
 	}
-	xcfg := xen.DefaultConfig(cfg.PCPUs)
-	// The extendability channel feeds any daemon-driven mechanism:
-	// hotplug (VCPU-Bal) reads the same utilisation signal as vScale, it
-	// only reconfigures through dom0. A disarmed host starts without it;
-	// Arm enables it through xen.Pool.EnableVScale.
-	xcfg.VScale = mech.Channel && !cfg.Disarmed
-	pool := xen.NewPool(eng, xcfg)
+	pool := xen.NewPool(eng, xen.DefaultConfig(cfg.PCPUs))
 	pool.SetTracer(cfg.Tracer)
 	h := &Host{
 		id:        id,
@@ -148,7 +136,6 @@ func NewHost(id int, cfg HostConfig) (*Host, error) {
 		d0:        dom0.New(sim.NewRand(cfg.Seed ^ 0x5bd1e995)),
 		hotplug:   model,
 		vms:       map[string]*hostVM{},
-		armed:     !cfg.Disarmed,
 		linkScale: 1,
 	}
 	pool.Start()
@@ -267,10 +254,6 @@ func (h *Host) addVM(name string, vcpus int, rate float64, seed uint64) error {
 
 	gcfg := guest.DefaultConfig()
 	gcfg.Seed = seed
-	gcfg.VScale.Enabled = h.mech.Daemon && h.armed
-	if h.mech.Hotplug && h.armed {
-		gcfg.VScale.ReconfigDelay = h.reconfigDelay()
-	}
 	k := guest.NewKernel(dom, gcfg)
 
 	hcfg := httpd.DefaultConfig()
@@ -286,23 +269,23 @@ func (h *Host) addVM(name string, vcpus int, rate float64, seed uint64) error {
 	if err != nil {
 		return err
 	}
-	gen := loadgen.New(h.eng, srv, sim.NewRand(gcfg.Seed^0x9e3779b9), loadgen.Config{
-		RateRPS: rate,
-		SLO:     h.cfg.SLO,
-	})
+	gen := loadgen.New(h.eng, srv, sim.NewRand(gcfg.Seed^0x9e3779b9), h.cfg.SLO)
 
 	vm := &hostVM{name: name, vcpus: vcpus, seed: seed, dom: dom, k: k, srv: srv, gen: gen,
 		link: link, linkBps: hcfg.LinkBps}
 	h.vms[name] = vm
 	h.order = append(h.order, name)
 
+	if h.armed {
+		h.armVM(vm)
+	}
 	k.Boot()
 	if h.pauseFrom > 0 && h.eng.Now() >= h.pauseFrom {
 		// The quiesce barrier already passed: boot with the arrival
 		// stream held so the pipeline stays drained for the capture.
 		gen.Pause()
 	}
-	gen.Start()
+	gen.SetRate(rate)
 	return nil
 }
 
@@ -336,13 +319,15 @@ func (h *Host) ScheduleQuiesce(at sim.Time) {
 	})
 }
 
-// Arm turns the policy's mechanisms on at the fork boundary of a host
-// built Disarmed: the pool's extendability ticker (channel mechanisms),
-// each live VM's scaling daemon (daemon mechanisms, with the dom0
-// reconfiguration hook for hotplug), then the paused load generators
-// resume and their accounting windows reset so the measured window
-// starts clean. Walks VMs in admission order; arming an armed host is
-// a no-op.
+// Arm is the host's one switch for the policy's mechanisms: a fleet
+// without a warm prefix arms each host as it is built, a warm-prefix
+// fleet at the fork boundary. It enables the pool's extendability
+// ticker for channel mechanisms — hotplug (VCPU-Bal) reads the same
+// utilisation signal as vScale, it only reconfigures through dom0 —
+// and arms each live VM (armVM), whose paused load generator then
+// resumes with its accounting window reset so the measured window
+// starts clean. A VM that arrives later is armed as it boots. Walks
+// VMs in admission order; arming an armed host is a no-op.
 func (h *Host) Arm() {
 	if h.armed {
 		return
@@ -357,15 +342,22 @@ func (h *Host) Arm() {
 		if vm.retired {
 			continue
 		}
-		if h.mech.Daemon {
-			if h.mech.Hotplug {
-				vm.k.SetReconfigDelay(h.reconfigDelay())
-			}
-			vm.k.StartVScaleDaemon()
-		}
+		h.armVM(vm)
 		vm.gen.Resume()
 		vm.gen.TakeWindow() // discard: the measured window starts here
 	}
+}
+
+// armVM starts one VM's scaling daemon for daemon mechanisms, with the
+// dom0 reconfiguration hook for hotplug.
+func (h *Host) armVM(vm *hostVM) {
+	if !h.mech.Daemon {
+		return
+	}
+	if h.mech.Hotplug {
+		vm.k.SetReconfigDelay(h.reconfigDelay())
+	}
+	vm.k.StartVScaleDaemon()
 }
 
 // removeVM retires a VM: its load stops, its scaling daemon halts, its
@@ -468,18 +460,9 @@ func (h *Host) statsAt() []core.VMStat {
 	stats := make([]core.VMStat, 0, len(h.order))
 	for _, name := range h.order {
 		vm := h.vms[name]
-		if vm.retired {
-			continue
+		if !vm.retired {
+			stats = append(stats, vm.dom.Stat(vm.epochConsumed))
 		}
-		stats = append(stats, core.VMStat{
-			ID:               name,
-			Weight:           vm.dom.Weight,
-			Consumption:      vm.epochConsumed,
-			ReservationPCPUs: vm.dom.ReservationPCPUs,
-			CapPCPUs:         vm.dom.CapPCPUs,
-			MaxVCPUs:         vm.vcpus,
-			UP:               vm.vcpus == 1,
-		})
 	}
 	return stats
 }
@@ -529,18 +512,9 @@ func (h *Host) Snapshot(epoch sim.Time) []core.VMStat {
 		consumed := vm.dom.TotalRunTime - vm.lastConsumed
 		vm.lastConsumed = vm.dom.TotalRunTime
 		vm.epochConsumed = consumed
-		if vm.retired {
-			continue
+		if !vm.retired {
+			stats = append(stats, vm.dom.Stat(consumed))
 		}
-		stats = append(stats, core.VMStat{
-			ID:               name,
-			Weight:           vm.dom.Weight,
-			Consumption:      consumed,
-			ReservationPCPUs: vm.dom.ReservationPCPUs,
-			CapPCPUs:         vm.dom.CapPCPUs,
-			MaxVCPUs:         vm.vcpus,
-			UP:               vm.vcpus == 1,
-		})
 	}
 	return stats
 }

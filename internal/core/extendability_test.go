@@ -283,6 +283,62 @@ func TestExtendabilityExactIntegerNoExtraVCPU(t *testing.T) {
 	}
 }
 
+// TestOptimalWithMarginZeroIsAlgorithm1: with margin 0 the daemon's
+// sizing, OptimalWithMargin, is Algorithm 1's OptimalVCPUs, so the
+// pure-ceiling ablation is CeilMargin = 0 and needs no switch of its
+// own. The pools mix 1–64-vCPU VMs, UP only for 1-vCPU ones. Half are
+// random; the other half put every competitor a few nanoseconds above a
+// whole number of pCPUs, and over a long period that is inside
+// ceilDivEps's tolerance, so the tolerance decides the count there.
+func TestOptimalWithMarginZeroIsAlgorithm1(t *testing.T) {
+	tolerated := 0
+	for seed := uint64(1); seed <= 400; seed++ {
+		r := sim.NewRand(seed)
+		period := []sim.Time{t10ms, 100 * sim.Second}[r.Intn(2)]
+		n := 1 + r.Intn(8)
+		vms := make([]VMStat, n)
+		for i := range vms {
+			vcpus := 1 + r.Intn(64)
+			vms[i] = VMStat{
+				ID:          string(rune('a' + i)),
+				Weight:      0.1 + r.Float64()*5,
+				Consumption: sim.Time(r.Float64() * float64(vcpus) * float64(period)),
+				MaxVCPUs:    vcpus,
+				UP:          vcpus == 1,
+			}
+		}
+		P := 1 + r.Intn(64)
+		if seed%2 == 0 && n > 1 {
+			// Equal weights, m pCPUs of fair share each; vms[0] releases
+			// k whole pCPUs per competitor plus delta ns, so every
+			// competitor's extendability is m+k pCPUs plus a few ns.
+			m := 1 + r.Intn(8)
+			P = n * m
+			k := r.Intn(m/(n-1) + 1)
+			delta := sim.Time(r.Intn(40))
+			for i := range vms {
+				vms[i].Weight = 1
+				vms[i].Consumption = sim.Time(m+1) * period
+			}
+			vms[0].Consumption = max(sim.Time(m-(n-1)*k)*period-delta, 0)
+		}
+		for i, e := range ComputeExtendability(nil, vms, P, period) {
+			if got := OptimalWithMargin(e.Extend, period, 0, vms[i].MaxVCPUs); got != e.OptimalVCPUs {
+				t.Fatalf("seed %d, VM %+v: extendability %v over %v sizes to %d with margin 0, Algorithm 1 says %d",
+					seed, vms[i], e.Extend, period, got, e.OptimalVCPUs)
+			}
+			q := float64(e.Extend) / float64(period)
+			if f := math.Floor(q); q > f && q-f <= 1e-9*(1+q) {
+				tolerated++
+			}
+		}
+	}
+	if tolerated == 0 {
+		t.Fatal("no extendability landed inside ceilDivEps's tolerance of a whole pCPU")
+	}
+	t.Logf("%d extendabilities inside the tolerance of a whole pCPU", tolerated)
+}
+
 func TestExtendabilityEmptyAndPanics(t *testing.T) {
 	if got := ComputeExtendability(nil, nil, 4, t10ms); got != nil {
 		t.Fatal("nil input should give nil output")

@@ -87,13 +87,7 @@ func MasterSteps() []MasterStep {
 
 // MasterCost returns the total master-vCPU cost of one freeze or
 // unfreeze operation (Table 3: 2.10 µs).
-func MasterCost() sim.Time {
-	var sum sim.Time
-	for _, s := range MasterSteps() {
-		sum += s.Cost()
-	}
-	return sum
-}
+func MasterCost() sim.Time { return costmodel.FreezeMasterCost }
 
 // FreezePlan quantifies the work a freeze (or unfreeze) of one vCPU
 // requires: the fixed master-side protocol plus the target-side

@@ -30,6 +30,13 @@ func TestMasterStepsOrderAndCost(t *testing.T) {
 	if MasterCost() != 2100*sim.Nanosecond {
 		t.Fatalf("master cost = %v, want 2.10µs (Table 3)", MasterCost())
 	}
+	var sum sim.Time
+	for _, s := range steps {
+		sum += s.Cost()
+	}
+	if sum != MasterCost() {
+		t.Fatalf("the steps cost %v in sum, MasterCost says %v", sum, MasterCost())
+	}
 }
 
 func TestFreezePlanCosts(t *testing.T) {

@@ -43,13 +43,12 @@ func Table1(reads int) (Table1Result, error) {
 	// perform `reads` polls and confirm the per-read cost charged to
 	// vCPU0 matches.
 	eng := sim.NewEngine(1)
-	cfg := xen.DefaultConfig(2)
-	cfg.VScale = true
-	pool := xen.NewPool(eng, cfg)
+	pool := xen.NewPool(eng, xen.DefaultConfig(2))
 	dom := pool.AddDomain("vm", 256, 2, nil)
 	gcfg := guest.DefaultConfig()
-	gcfg.VScale.Enabled = true
 	k := guest.NewKernel(dom, gcfg)
+	pool.EnableVScale()
+	k.StartVScaleDaemon()
 	pool.Start()
 	k.Boot()
 	dur := sim.Time(reads) * gcfg.VScale.Period

@@ -20,7 +20,7 @@ func (p dequeueForever) Next(*Thread) Action { return Dequeue(p.q) }
 // compute-bound thread, so interrupts are delivered synchronously.
 func busyEnv(t *testing.T) *testEnv {
 	t.Helper()
-	e := newEnv(t, 1, 1, nil, nil)
+	e := newEnv(t, 1, 1, nil, false)
 	e.spawn("busy", Compute(1000*sim.Second))
 	return e
 }
@@ -87,7 +87,7 @@ func (p *cycle) Next(*Thread) Action {
 // over and wakes the waiter with a reschedule IPI. Once warmed, a round
 // allocates nothing.
 func TestContendedMutexRoundAllocs(t *testing.T) {
-	e := newEnv(t, 2, 2, nil, nil)
+	e := newEnv(t, 2, 2, nil, false)
 	m := e.k.NewMutex()
 	for i := 0; i < 2; i++ {
 		e.k.Spawn("locker", Uthread, &cycle{acts: []Action{
@@ -120,7 +120,7 @@ func TestContendedMutexRoundAllocs(t *testing.T) {
 // of names, so a 4-vCPU kernel costs its CPUs' timers and bound
 // continuations, not an object and a formatted name per bucket.
 func TestNewKernelAllocs(t *testing.T) {
-	e := newEnv(t, 4, 4, nil, nil)
+	e := newEnv(t, 4, 4, nil, false)
 	cfg := e.k.Config()
 	build := func() { NewKernel(e.dom, cfg) }
 	if n := testing.AllocsPerRun(20, build); n > 64 {

@@ -269,22 +269,6 @@ func (k *Kernel) RestoreState(cp KernelCheckpoint) error {
 	return nil
 }
 
-// StartVScaleDaemon creates and starts the vScale daemon on a kernel
-// built without one — the warm-fork arming hook: during the policy-
-// neutral warm prefix the daemon stays off, and the fork boundary turns
-// it on for policies whose mechanism needs it. A no-op when the daemon
-// already exists.
-func (k *Kernel) StartVScaleDaemon() {
-	if k.daemon != nil {
-		return
-	}
-	k.cfg.VScale.Enabled = true
-	k.daemon = newDaemon(k)
-	if k.booted {
-		k.daemon.start()
-	}
-}
-
 // WaitQueueCheckpoint is the state of one wait queue at quiesce: its
 // counters and the FIFO order of its sleeping consumers (as thread ids).
 // Items and blocked producers must be empty — a queue with either is not
@@ -355,12 +339,4 @@ func (m *Mutex) CheckpointState() (MutexCheckpoint, error) {
 func (m *Mutex) RestoreState(cp MutexCheckpoint) {
 	m.Acquisitions = cp.Acquisitions
 	m.Contended = cp.Contended
-}
-
-// SetReconfigDelay installs (or replaces) the per-resize latency hook —
-// the dom0 hotplug path. The warm-fork host wires it at the arm
-// boundary, before the daemon starts, since the closure captures host
-// state that a checkpoint cannot carry.
-func (k *Kernel) SetReconfigDelay(fn func(r *sim.Rand) sim.Time) {
-	k.cfg.VScale.ReconfigDelay = fn
 }

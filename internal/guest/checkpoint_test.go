@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"vscale/internal/sim"
-	"vscale/internal/xen"
 )
 
 // TestQuiesceRejectsDaemon: a running vScale daemon is not
@@ -13,7 +12,7 @@ import (
 // same idle kernel without the daemon is.
 func TestQuiesceRejectsDaemon(t *testing.T) {
 	for _, daemon := range []bool{false, true} {
-		e := newEnv(t, 2, 4, func(c *Config) { c.VScale.Enabled = daemon }, func(x *xen.Config) { x.VScale = daemon })
+		e := newEnv(t, 2, 4, nil, daemon)
 		e.run(t, 105*sim.Millisecond)
 		err := e.k.QuiesceCheck()
 		if !daemon && err != nil {

@@ -3,6 +3,7 @@ package guest
 import (
 	"vscale/internal/core"
 	"vscale/internal/costmodel"
+	"vscale/internal/sim"
 	"vscale/internal/xen"
 )
 
@@ -51,6 +52,32 @@ func (d *daemon) start() {
 	d.schedule()
 }
 
+// StartVScaleDaemon starts the vScale daemon. It is the only way to
+// start one: NewKernel builds a kernel without it. Called before Boot,
+// it builds the daemon that Boot starts, so the first poll comes one
+// period after Boot; on a booted kernel it starts the daemon at once,
+// first poll one period after the call. A no-op when the daemon
+// already exists.
+func (k *Kernel) StartVScaleDaemon() {
+	if k.daemon != nil {
+		return
+	}
+	k.daemon = newDaemon(k)
+	if k.booted {
+		k.daemon.start()
+	}
+}
+
+// SetReconfigDelay installs (or, with nil, removes) the dom0
+// CPU-hotplug hook, the only way to route the daemon's resizes through
+// that path instead of the vScale balancer (ablation A2 and the
+// VCPU-Bal baseline): every freeze/unfreeze then takes effect only
+// after fn's sampled latency, and a new decision is skipped while one
+// is in flight.
+func (k *Kernel) SetReconfigDelay(fn func(r *sim.Rand) sim.Time) {
+	k.reconfigDelay = fn
+}
+
 func (d *daemon) schedule() {
 	k := d.k
 	period := k.cfg.VScale.Period
@@ -81,12 +108,8 @@ func (d *daemon) poll() {
 	if ext.OptimalVCPUs == 0 {
 		return // extension has not ticked yet
 	}
-	optimal := ext.OptimalVCPUs
 	period := xen.VScalePeriod
-	if !k.cfg.VScale.UsePureCeil {
-		margin := k.cfg.VScale.CeilMargin
-		optimal = core.OptimalWithMargin(ext.Extend, period, margin, k.NCPUs())
-	}
+	optimal := core.OptimalWithMargin(ext.Extend, period, k.cfg.VScale.CeilMargin, k.NCPUs())
 	if k.cfg.VScale.WeightOnly {
 		// VCPU-Bal policy (ablation A1): size from the weight-based fair
 		// share only, ignoring consumption-derived slack.
@@ -110,7 +133,7 @@ func (d *daemon) reconcile(target int) {
 	if d.reconfiguring {
 		return
 	}
-	if delay := k.cfg.VScale.ReconfigDelay; delay != nil && k.ActiveVCPUs() != target {
+	if delay := k.reconfigDelay; delay != nil && k.ActiveVCPUs() != target {
 		// Hotplug-path ablation: apply one reconfiguration step after
 		// the sampled latency, then allow the next decision.
 		d.reconfiguring = true

@@ -202,19 +202,6 @@ func (k *Kernel) futexWaiterCount(key uint64) int {
 	return 0
 }
 
-// removeFutexWaiter drops a specific thread from a wait queue (used by
-// requeue-style operations); returns true if found.
-func (k *Kernel) removeFutexWaiter(key uint64, t *Thread) bool {
-	q := k.futexQ(key)
-	for i, w := range q.waiters {
-		if w == t {
-			q.waiters = append(q.waiters[:i], q.waiters[i+1:]...)
-			return true
-		}
-	}
-	return false
-}
-
 // wakeCost is the waker-side CPU cost for n wakes.
 func wakeCost(n int) sim.Time {
 	return sim.Time(n) * costmodel.FutexWakeCost

@@ -52,20 +52,23 @@ type testEnv struct {
 	done int
 }
 
-func newEnv(t *testing.T, pcpus, vcpus int, mod func(*Config), xmod func(*xen.Config)) *testEnv {
+// newEnv builds one VM on a pool of pcpus; vscale switches on the pool's
+// extension and the guest daemon, which run starts with the pool and
+// the kernel.
+func newEnv(t *testing.T, pcpus, vcpus int, mod func(*Config), vscale bool) *testEnv {
 	t.Helper()
 	eng := sim.NewEngine(7)
-	xcfg := xen.DefaultConfig(pcpus)
-	if xmod != nil {
-		xmod(&xcfg)
-	}
-	pool := xen.NewPool(eng, xcfg)
+	pool := xen.NewPool(eng, xen.DefaultConfig(pcpus))
 	dom := pool.AddDomain("vm", 256, vcpus, nil)
 	cfg := DefaultConfig()
 	if mod != nil {
 		mod(&cfg)
 	}
 	k := NewKernel(dom, cfg)
+	if vscale {
+		pool.EnableVScale()
+		k.StartVScaleDaemon()
+	}
 	return &testEnv{eng: eng, pool: pool, dom: dom, k: k}
 }
 
@@ -83,7 +86,7 @@ func (e *testEnv) run(t *testing.T, until sim.Time) {
 }
 
 func TestSingleThreadCompute(t *testing.T) {
-	e := newEnv(t, 1, 1, nil, nil)
+	e := newEnv(t, 1, 1, nil, false)
 	th := e.spawn("w", Compute(100*sim.Millisecond))
 	e.run(t, sim.Second)
 	if th.State() != ThreadExited {
@@ -102,7 +105,7 @@ func TestSingleThreadCompute(t *testing.T) {
 }
 
 func TestThreadsShareOneVCPU(t *testing.T) {
-	e := newEnv(t, 1, 1, nil, nil)
+	e := newEnv(t, 1, 1, nil, false)
 	a := e.spawn("a", Compute(50*sim.Millisecond))
 	b := e.spawn("b", Compute(50*sim.Millisecond))
 	e.run(t, sim.Second)
@@ -123,7 +126,7 @@ func TestThreadsShareOneVCPU(t *testing.T) {
 }
 
 func TestLoadBalancingSpreadsThreads(t *testing.T) {
-	e := newEnv(t, 4, 4, nil, nil)
+	e := newEnv(t, 4, 4, nil, false)
 	ths := make([]*Thread, 4)
 	for i := range ths {
 		ths[i] = e.spawn("w", Compute(200*sim.Millisecond))
@@ -141,7 +144,7 @@ func TestLoadBalancingSpreadsThreads(t *testing.T) {
 }
 
 func TestSleepWakesOnTime(t *testing.T) {
-	e := newEnv(t, 1, 1, nil, nil)
+	e := newEnv(t, 1, 1, nil, false)
 	th := e.spawn("s",
 		Compute(sim.Millisecond),
 		Sleep(200*sim.Millisecond),
@@ -161,7 +164,7 @@ func TestSleepWakesOnTime(t *testing.T) {
 }
 
 func TestMutexMutualExclusionAndHandoff(t *testing.T) {
-	e := newEnv(t, 2, 2, nil, nil)
+	e := newEnv(t, 2, 2, nil, false)
 	m := e.k.NewMutex()
 	mk := func() Program {
 		return &loop{n: 20, body: func(int) []Action {
@@ -193,7 +196,7 @@ func TestMutexMutualExclusionAndHandoff(t *testing.T) {
 }
 
 func TestCondWaitSignal(t *testing.T) {
-	e := newEnv(t, 2, 2, nil, nil)
+	e := newEnv(t, 2, 2, nil, false)
 	m := e.k.NewMutex()
 	cv := e.k.NewCond()
 	var waiterDone, signalerDone bool
@@ -216,7 +219,7 @@ func TestCondWaitSignal(t *testing.T) {
 }
 
 func TestCondBroadcastWakesAll(t *testing.T) {
-	e := newEnv(t, 2, 2, nil, nil)
+	e := newEnv(t, 2, 2, nil, false)
 	m := e.k.NewMutex()
 	cv := e.k.NewCond()
 	done := 0
@@ -240,7 +243,7 @@ func TestCondBroadcastWakesAll(t *testing.T) {
 func TestBarrierSpinFastPath(t *testing.T) {
 	// Dedicated CPUs, heavy spin budget: barrier latency is tiny and no
 	// futex sleeps happen.
-	e := newEnv(t, 4, 4, nil, nil)
+	e := newEnv(t, 4, 4, nil, false)
 	b := e.k.NewBarrier(4, SpinBudgetFromCount(30_000_000_000))
 	done := 0
 	for i := 0; i < 4; i++ {
@@ -261,7 +264,7 @@ func TestBarrierSpinFastPath(t *testing.T) {
 }
 
 func TestBarrierPassivePolicyUsesFutex(t *testing.T) {
-	e := newEnv(t, 4, 4, nil, nil)
+	e := newEnv(t, 4, 4, nil, false)
 	b := e.k.NewBarrier(4, 0) // OMP_WAIT_POLICY=PASSIVE
 	done := 0
 	for i := 0; i < 4; i++ {
@@ -294,7 +297,7 @@ func TestBarrierPassivePolicyUsesFutex(t *testing.T) {
 func TestBarrierSpinBudgetFallsBack(t *testing.T) {
 	// Small spin budget + skew larger than the budget → spinners fall
 	// back to futex sleep, yet everything still completes.
-	e := newEnv(t, 2, 2, nil, nil)
+	e := newEnv(t, 2, 2, nil, false)
 	b := e.k.NewBarrier(2, 100*sim.Microsecond)
 	done := 0
 	e.k.Spawn("fast", Uthread, &loop{n: 10, body: func(int) []Action {
@@ -318,7 +321,7 @@ func TestBarrierSpinBudgetFallsBack(t *testing.T) {
 func TestSpinVarPipeline(t *testing.T) {
 	// lu-style ad-hoc sync: consumer spins for each generation the
 	// producer publishes.
-	e := newEnv(t, 2, 2, nil, nil)
+	e := newEnv(t, 2, 2, nil, false)
 	sv := e.k.NewSpinVar()
 	done := 0
 	e.k.Spawn("producer", Uthread, &loop{n: 10, body: func(int) []Action {
@@ -339,7 +342,7 @@ func TestSpinVarPipeline(t *testing.T) {
 func TestTimerInterruptRate(t *testing.T) {
 	// Paper Table 2: a busy vCPU takes ~1000 timer interrupts/s; an idle
 	// one takes none (dynamic ticks).
-	e := newEnv(t, 2, 2, nil, nil)
+	e := newEnv(t, 2, 2, nil, false)
 	e.spawn("busy", Compute(2*sim.Second))
 	e.run(t, sim.Second)
 	s0, s1 := e.k.CPUStatsOf(0), e.k.CPUStatsOf(1)
@@ -354,7 +357,7 @@ func TestTimerInterruptRate(t *testing.T) {
 }
 
 func TestDeviceInterruptWakesSleeper(t *testing.T) {
-	e := newEnv(t, 1, 2, nil, nil)
+	e := newEnv(t, 1, 2, nil, false)
 	dev := e.k.NewDevice("net", 0, 5*sim.Microsecond)
 	th := e.k.Spawn("io", Uthread, &seq{actions: []Action{
 		IO(dev, 10*sim.Millisecond),
@@ -376,7 +379,7 @@ func TestDeviceInterruptWakesSleeper(t *testing.T) {
 func TestFreezeMigratesThreadsAndQuiesces(t *testing.T) {
 	// Paper Table 2 shape: after freezing a vCPU it receives no timer
 	// interrupts and no IPIs, while the others keep running.
-	e := newEnv(t, 4, 4, nil, nil)
+	e := newEnv(t, 4, 4, nil, false)
 	for i := 0; i < 8; i++ {
 		e.k.Spawn("build", Uthread, &loop{n: 100000, body: func(int) []Action {
 			return []Action{Compute(5 * sim.Millisecond), Sleep(sim.Millisecond)}
@@ -419,7 +422,7 @@ func TestFreezeMigratesThreadsAndQuiesces(t *testing.T) {
 }
 
 func TestUnfreezeRebalances(t *testing.T) {
-	e := newEnv(t, 2, 2, nil, nil)
+	e := newEnv(t, 2, 2, nil, false)
 	for i := 0; i < 4; i++ {
 		e.k.Spawn("w", Uthread, &loop{n: 1000000, body: func(int) []Action {
 			return []Action{Compute(sim.Millisecond)}
@@ -454,7 +457,7 @@ func TestUnfreezeRebalances(t *testing.T) {
 }
 
 func TestFreezeErrors(t *testing.T) {
-	e := newEnv(t, 1, 2, nil, nil)
+	e := newEnv(t, 1, 2, nil, false)
 	if err := e.k.FreezeVCPU(0); err == nil {
 		t.Fatal("freezing vCPU0 must fail")
 	}
@@ -476,14 +479,12 @@ func TestDaemonScalesDownUnderContention(t *testing.T) {
 	// A 4-vCPU VM sharing 2 pCPUs with a busy 4-vCPU competitor: the
 	// daemon should shrink towards ~1-2 active vCPUs.
 	eng := sim.NewEngine(3)
-	xcfg := xen.DefaultConfig(2)
-	xcfg.VScale = true
-	pool := xen.NewPool(eng, xcfg)
+	pool := xen.NewPool(eng, xen.DefaultConfig(2))
+	pool.EnableVScale()
 
 	domA := pool.AddDomain("vm", 256, 4, nil)
-	cfg := DefaultConfig()
-	cfg.VScale.Enabled = true
-	kA := NewKernel(domA, cfg)
+	kA := NewKernel(domA, DefaultConfig())
+	kA.StartVScaleDaemon()
 	for i := 0; i < 4; i++ {
 		kA.Spawn("w", Uthread, &loop{n: 1 << 30, body: func(int) []Action {
 			return []Action{Compute(sim.Millisecond)}
@@ -521,14 +522,12 @@ func TestDaemonScalesBackUpWhenAlone(t *testing.T) {
 	// Same VM but the competitor goes idle after 1s: the daemon should
 	// unfreeze back towards 4 (extendability grows with the slack).
 	eng := sim.NewEngine(3)
-	xcfg := xen.DefaultConfig(4)
-	xcfg.VScale = true
-	pool := xen.NewPool(eng, xcfg)
+	pool := xen.NewPool(eng, xen.DefaultConfig(4))
+	pool.EnableVScale()
 
 	domA := pool.AddDomain("vm", 256, 4, nil)
-	cfg := DefaultConfig()
-	cfg.VScale.Enabled = true
-	kA := NewKernel(domA, cfg)
+	kA := NewKernel(domA, DefaultConfig())
+	kA.StartVScaleDaemon()
 	for i := 0; i < 4; i++ {
 		kA.Spawn("w", Uthread, &loop{n: 1 << 30, body: func(int) []Action {
 			return []Action{Compute(sim.Millisecond)}
@@ -556,13 +555,54 @@ func TestDaemonScalesBackUpWhenAlone(t *testing.T) {
 	}
 }
 
+// TestStartVScaleDaemonOneSwitch: StartVScaleDaemon is the guest's only
+// daemon switch. Called before Boot it polls nothing, so the first poll
+// comes one period after Boot; on a booted kernel the first poll comes
+// one period after the call, and a second call adds no second daemon.
+func TestStartVScaleDaemonOneSwitch(t *testing.T) {
+	period := DefaultConfig().VScale.Period
+	pollsAt := func(t *testing.T, e *testEnv, at sim.Time, want uint64) {
+		t.Helper()
+		if err := e.eng.RunUntil(at); err != nil {
+			t.Fatal(err)
+		}
+		if reads, _ := e.k.DaemonStats(); reads != want {
+			t.Fatalf("at %v: %d polls, want %d", at, reads, want)
+		}
+	}
+	t.Run("before Boot", func(t *testing.T) {
+		e := newEnv(t, 2, 4, nil, false)
+		e.pool.EnableVScale()
+		e.pool.Start()
+		e.k.StartVScaleDaemon()
+		boot := 3*period + 4*sim.Millisecond
+		pollsAt(t, e, boot, 0)
+		e.k.Boot()
+		pollsAt(t, e, boot+period-1, 0)
+		pollsAt(t, e, boot+period, 1)
+	})
+	t.Run("after Boot", func(t *testing.T) {
+		e := newEnv(t, 2, 4, nil, false)
+		e.pool.EnableVScale()
+		e.pool.Start()
+		e.k.Boot()
+		call := 3*period + 4*sim.Millisecond
+		pollsAt(t, e, call, 0)
+		e.k.StartVScaleDaemon()
+		e.k.StartVScaleDaemon()
+		pollsAt(t, e, call+period-1, 0)
+		pollsAt(t, e, call+period, 1)
+		pollsAt(t, e, call+5*period, 5)
+	})
+}
+
 func TestPVSpinlockParksAndRecovers(t *testing.T) {
 	// Force kernel-lock contention with pv-spinlocks enabled on an
 	// oversubscribed pCPU; everything must still complete.
 	e := newEnv(t, 1, 2, func(c *Config) {
 		c.PVSpinlock = true
 		c.PVSpinThreshold = 10 * sim.Microsecond
-	}, nil)
+	}, false)
 	m := e.k.NewMutex()
 	done := 0
 	for i := 0; i < 4; i++ {
@@ -581,7 +621,7 @@ func TestPVSpinlockParksAndRecovers(t *testing.T) {
 }
 
 func TestActiveVCPUTrace(t *testing.T) {
-	e := newEnv(t, 2, 4, nil, nil)
+	e := newEnv(t, 2, 4, nil, false)
 	e.k.StartTrace(10 * sim.Millisecond)
 	e.spawn("w", Compute(100*sim.Millisecond))
 	e.pool.Start()
@@ -613,7 +653,7 @@ func TestActiveVCPUTrace(t *testing.T) {
 
 func TestGuestDeterminism(t *testing.T) {
 	run := func() (sim.Time, uint64, uint64) {
-		e := newEnv(t, 2, 4, func(c *Config) { c.VScale.Enabled = true }, func(x *xen.Config) { x.VScale = true })
+		e := newEnv(t, 2, 4, nil, true)
 		b := e.k.NewBarrier(4, SpinBudgetFromCount(300000))
 		var last sim.Time
 		done := 0
@@ -645,7 +685,7 @@ func TestGuestDeterminism(t *testing.T) {
 }
 
 func TestPerCPUKthreadsInventory(t *testing.T) {
-	e := newEnv(t, 1, 2, nil, nil)
+	e := newEnv(t, 1, 2, nil, false)
 	e.k.SpawnPerCPUKthreads()
 	per := 0
 	for _, th := range e.k.Threads() {

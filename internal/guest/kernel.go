@@ -57,31 +57,21 @@ type Config struct {
 	Seed uint64
 }
 
-// VScaleConfig controls the guest vScale daemon.
+// VScaleConfig controls the guest vScale daemon, which
+// Kernel.StartVScaleDaemon starts.
 type VScaleConfig struct {
-	// Enabled turns the daemon on.
-	Enabled bool
 	// Period is how often the daemon polls the vScale channel (paper
 	// default: 10 ms, matching the hypervisor recalculation period).
 	Period sim.Time
 	// CeilMargin is subtracted from the extendability (in pCPUs) before
 	// the ceiling when sizing the VM (see core.OptimalWithMargin). Zero
-	// with UsePureCeil reproduces Algorithm 1's pure ceiling.
+	// is Algorithm 1's pure ceiling (ablation A5).
 	CeilMargin float64
-	// UsePureCeil disables the default margin (paper-faithful ceiling;
-	// ablation A5).
-	UsePureCeil bool
 
 	// WeightOnly sizes the VM from its weight-based fair share alone,
 	// ignoring consumption — the VCPU-Bal policy the paper criticises
 	// for not being work-conserving (ablation A1).
 	WeightOnly bool
-	// ReconfigDelay, when non-nil, makes every freeze/unfreeze take
-	// effect only after the sampled latency — modelling the dom0-driven
-	// CPU-hotplug reconfiguration path instead of the vScale balancer
-	// (ablation A2). Operations never overlap: a new decision is skipped
-	// while one is in flight.
-	ReconfigDelay func(r *sim.Rand) sim.Time
 }
 
 // DefaultConfig returns the Linux-like defaults used in the experiments.
@@ -206,6 +196,10 @@ type Kernel struct {
 	traceEV   *sim.Ticker
 	onIdleAll func() // test hook: all CPUs idle
 
+	// reconfigDelay, when non-nil, routes the daemon's resizes through
+	// the dom0 CPU-hotplug path (SetReconfigDelay).
+	reconfigDelay func(r *sim.Rand) sim.Time
+
 	// syncIDs hands out unique ids for synchronisation objects.
 	syncIDs uint64
 
@@ -247,7 +241,7 @@ type TracePoint struct {
 }
 
 // NewKernel builds a guest kernel for dom and attaches it as the
-// domain's guest OS.
+// domain's guest OS. The vScale daemon is off until StartVScaleDaemon.
 func NewKernel(dom *xen.Domain, cfg Config) *Kernel {
 	k := &Kernel{
 		eng:     dom.Pool().Engine(),
@@ -269,9 +263,6 @@ func NewKernel(dom *xen.Domain, cfg Config) *Kernel {
 		c.resched = sim.NewTimer(k.eng, "guest/need-resched", func() { k.preemptNow(cc) })
 		c.runSoftirq = func() { k.doSoftirq(cc) }
 		k.cpus = append(k.cpus, c)
-	}
-	if cfg.VScale.Enabled {
-		k.daemon = newDaemon(k)
 	}
 	dom.AttachGuest(k)
 	k.activeTW.set(k.eng.Now(), float64(dom.VCPUCount()))
@@ -490,15 +481,8 @@ func (k *Kernel) segmentDone(c *cpu) {
 	}
 	t.segRemaining = 0
 	kind := t.segKind
-	elapsed := k.eng.Now() - c.segStart
+	k.accountSpin(c, t, k.eng.Now()-c.segStart)
 	t.segKind = segWork
-	switch kind {
-	case segUserSpin:
-		c.stats.UserSpinTime += elapsed
-	case segKernelSpin:
-		c.stats.KernelSpinTime += elapsed
-		c.kspinSpun += elapsed
-	}
 	if t.kspinGranted {
 		// A contended kernel-lock acquire finally succeeded.
 		t.kspinGranted = false

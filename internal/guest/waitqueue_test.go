@@ -7,7 +7,7 @@ import (
 )
 
 func TestWaitQueueFIFOAndMailbox(t *testing.T) {
-	e := newEnv(t, 2, 2, nil, nil)
+	e := newEnv(t, 2, 2, nil, false)
 	q := e.k.NewWaitQueue(0)
 	var got []int
 	e.k.Spawn("consumer", Uthread, &loop{n: 3, body: func(int) []Action {
@@ -34,7 +34,7 @@ func TestWaitQueueFIFOAndMailbox(t *testing.T) {
 }
 
 func TestWaitQueueBoundedBlocksProducer(t *testing.T) {
-	e := newEnv(t, 2, 2, nil, nil)
+	e := newEnv(t, 2, 2, nil, false)
 	q := e.k.NewWaitQueue(2)
 	prod := e.k.Spawn("producer", Uthread, &loop{n: 6, body: func(i int) []Action {
 		return []Action{Enqueue(q, i)}
@@ -53,7 +53,7 @@ func TestWaitQueueBoundedBlocksProducer(t *testing.T) {
 }
 
 func TestWaitQueuePostFromInterruptContext(t *testing.T) {
-	e := newEnv(t, 1, 2, nil, nil)
+	e := newEnv(t, 1, 2, nil, false)
 	q := e.k.NewWaitQueue(0)
 	dev := e.k.NewDevice("nic", 0, 5*sim.Microsecond)
 	served := 0
@@ -76,7 +76,7 @@ func TestWaitQueuePostFromInterruptContext(t *testing.T) {
 }
 
 func TestWaitQueueBacklogDrop(t *testing.T) {
-	e := newEnv(t, 1, 1, nil, nil)
+	e := newEnv(t, 1, 1, nil, false)
 	q := e.k.NewWaitQueue(2)
 	// No consumer: the third Post must drop.
 	if !q.Post(1, 0) || !q.Post(2, 0) {
@@ -91,7 +91,7 @@ func TestWaitQueueBacklogDrop(t *testing.T) {
 }
 
 func TestActCallChargesCost(t *testing.T) {
-	e := newEnv(t, 1, 1, nil, nil)
+	e := newEnv(t, 1, 1, nil, false)
 	ran := false
 	th := e.spawn("c",
 		Call(10*sim.Millisecond, func(*Thread) { ran = true }),

@@ -18,17 +18,6 @@ import (
 	"vscale/internal/workload/httpd"
 )
 
-// Config parameterises a generator.
-type Config struct {
-	// RateRPS is the initial offered load in requests/second. Zero
-	// starts the generator paused; SetRate turns it on later.
-	RateRPS float64
-	// SLO is the per-request latency objective: replies delivered within
-	// SLO count toward attainment, everything else (slow replies,
-	// timeouts, drops) counts against it.
-	SLO sim.Time
-}
-
 // Stats is a point-in-time snapshot of a generator's accounting.
 type Stats struct {
 	Offered  uint64 // requests injected
@@ -105,16 +94,18 @@ type Generator struct {
 
 // New hooks a generator to a server. The generator takes over the
 // server's OnComplete hook; the caller supplies the arrival-stream rand
-// (fork it from the VM's stream for per-entity isolation). Call Start
-// to begin injecting.
-func New(eng *sim.Engine, srv *httpd.Server, rand *sim.Rand, cfg Config) *Generator {
+// (fork it from the VM's stream for per-entity isolation) and the SLO,
+// the per-request latency objective: replies delivered within it count
+// toward attainment, everything else (slow replies, timeouts, drops)
+// counts against it. The generator starts idle; the first SetRate > 0
+// starts the arrivals.
+func New(eng *sim.Engine, srv *httpd.Server, rand *sim.Rand, slo sim.Time) *Generator {
 	bounds := metrics.DefaultLatencyBuckets()
 	g := &Generator{
 		eng:     eng,
 		srv:     srv,
 		rand:    rand,
-		slo:     cfg.SLO,
-		rate:    cfg.RateRPS,
+		slo:     slo,
 		hist:    metrics.NewHistogram(bounds),
 		winHist: metrics.NewHistogram(bounds),
 		spare:   metrics.NewHistogram(bounds),
@@ -124,12 +115,9 @@ func New(eng *sim.Engine, srv *httpd.Server, rand *sim.Rand, cfg Config) *Genera
 	return g
 }
 
-// Start begins the arrival process (a no-op when the rate is zero; the
-// first SetRate > 0 starts it then).
-func (g *Generator) Start() { g.arm() }
-
 // SetRate changes the offered load to rps, rescheduling the pending
-// arrival under the new inter-arrival law. rps = 0 pauses the stream.
+// arrival under the new inter-arrival law; on an idle generator it
+// starts the stream. rps = 0 pauses the stream.
 func (g *Generator) SetRate(rps float64) {
 	if g.stopped {
 		return

@@ -9,7 +9,7 @@ import (
 	"vscale/internal/xen"
 )
 
-func newRig(t *testing.T, seed uint64, cfg Config) (*sim.Engine, *httpd.Server, *Generator) {
+func newRig(t *testing.T, seed uint64, slo sim.Time) (*sim.Engine, *httpd.Server, *Generator) {
 	t.Helper()
 	eng := sim.NewEngine(seed)
 	pool := xen.NewPool(eng, xen.DefaultConfig(4))
@@ -21,15 +21,15 @@ func newRig(t *testing.T, seed uint64, cfg Config) (*sim.Engine, *httpd.Server, 
 	if err != nil {
 		t.Fatal(err)
 	}
-	g := New(eng, srv, sim.NewRand(seed+99), cfg)
+	g := New(eng, srv, sim.NewRand(seed+99), slo)
 	pool.Start()
 	k.Boot()
 	return eng, srv, g
 }
 
 func TestOpenLoopLightLoad(t *testing.T) {
-	eng, srv, g := newRig(t, 5, Config{RateRPS: 1000, SLO: 50 * sim.Millisecond})
-	g.Start()
+	eng, srv, g := newRig(t, 5, 50*sim.Millisecond)
+	g.SetRate(1000)
 	if err := eng.RunUntil(4 * sim.Second); err != nil {
 		t.Fatal(err)
 	}
@@ -64,8 +64,7 @@ func TestOpenLoopLightLoad(t *testing.T) {
 }
 
 func TestSetRateAndPause(t *testing.T) {
-	eng, _, g := newRig(t, 7, Config{RateRPS: 0, SLO: 50 * sim.Millisecond})
-	g.Start() // rate 0: paused
+	eng, _, g := newRig(t, 7, 50*sim.Millisecond) // idle until the first SetRate
 	if err := eng.RunUntil(sim.Second); err != nil {
 		t.Fatal(err)
 	}
@@ -103,8 +102,8 @@ func TestSetRateAndPause(t *testing.T) {
 
 func TestGeneratorDeterminism(t *testing.T) {
 	run := func() (Stats, float64) {
-		eng, _, g := newRig(t, 11, Config{RateRPS: 2000, SLO: 20 * sim.Millisecond})
-		g.Start()
+		eng, _, g := newRig(t, 11, 20*sim.Millisecond)
+		g.SetRate(2000)
 		if err := eng.RunUntil(3 * sim.Second); err != nil {
 			t.Fatal(err)
 		}
@@ -122,8 +121,8 @@ func TestGeneratorDeterminism(t *testing.T) {
 }
 
 func TestInFlightAccounting(t *testing.T) {
-	eng, _, g := newRig(t, 13, Config{RateRPS: 2000, SLO: 20 * sim.Millisecond})
-	g.Start()
+	eng, _, g := newRig(t, 13, 20*sim.Millisecond)
+	g.SetRate(2000)
 	if err := eng.RunUntil(500 * sim.Millisecond); err != nil {
 		t.Fatal(err)
 	}
@@ -145,8 +144,8 @@ func TestInFlightAccounting(t *testing.T) {
 }
 
 func TestTakeWindow(t *testing.T) {
-	eng, _, g := newRig(t, 17, Config{RateRPS: 1000, SLO: 50 * sim.Millisecond})
-	g.Start()
+	eng, _, g := newRig(t, 17, 50*sim.Millisecond)
+	g.SetRate(1000)
 	var winSum Stats
 	var winReplies uint64
 	for i := 1; i <= 4; i++ {
@@ -189,8 +188,8 @@ func TestTakeWindow(t *testing.T) {
 // offers running to its reply — allocates nothing. Each cycle runs the
 // simulation through exactly one arrival.
 func TestArrivalAllocs(t *testing.T) {
-	eng, _, g := newRig(t, 5, Config{RateRPS: 1000, SLO: 50 * sim.Millisecond})
-	g.Start()
+	eng, _, g := newRig(t, 5, 50*sim.Millisecond)
+	g.SetRate(1000)
 	if err := eng.RunUntil(200 * sim.Millisecond); err != nil {
 		t.Fatal(err)
 	}

@@ -155,7 +155,6 @@ func Build(s Setup) *Built {
 	}
 	xcfg := xen.DefaultConfig(s.PCPUs)
 	xcfg.Policy = s.Policy
-	xcfg.VScale = s.Mode == VScale || s.Mode == VScalePVLock
 	xcfg.PerVCPUWeight = s.PerVCPUWeight
 	pool := xen.NewPool(eng, xcfg)
 	pool.SetTracer(tr)
@@ -165,13 +164,13 @@ func Build(s Setup) *Built {
 	gcfg := guest.DefaultConfig()
 	gcfg.Seed = s.Seed * 7919
 	gcfg.PVSpinlock = s.Mode == PVLock || s.Mode == VScalePVLock
-	gcfg.VScale.Enabled = xcfg.VScale
 	if s.DaemonPeriod > 0 {
 		gcfg.VScale.Period = s.DaemonPeriod
 	}
 	gcfg.VScale.WeightOnly = s.WeightOnly
-	gcfg.VScale.ReconfigDelay = s.ReconfigDelay
-	gcfg.VScale.UsePureCeil = s.PureCeil
+	if s.PureCeil {
+		gcfg.VScale.CeilMargin = 0
+	}
 	k := guest.NewKernel(vm, gcfg)
 	k.SpawnPerCPUKthreads()
 
@@ -196,6 +195,11 @@ func Build(s Setup) *Built {
 		b.BG = append(b.BG, bk)
 	}
 
+	if s.Mode == VScale || s.Mode == VScalePVLock {
+		pool.EnableVScale()
+		k.SetReconfigDelay(s.ReconfigDelay)
+		k.StartVScaleDaemon()
+	}
 	pool.Start()
 	k.Boot()
 	return b

@@ -22,8 +22,10 @@ type Shape int
 
 // Coordination shapes.
 const (
-	// DataParallel: threads compute independently with a few join
-	// points (pthread barrier built on mutex+cond).
+	// DataParallel: threads compute independently, then join on a
+	// pthread barrier built on mutex+cond. The barrier runs every
+	// iteration, as in PhaseBarrier; the two shapes differ only in
+	// their profiles (iterations, segment lengths, skew).
 	DataParallel Shape = iota
 	// Pipeline: stages connected by bounded queues with heavy
 	// signal/wait traffic (dedup, ferret, x264-style).
@@ -104,10 +106,8 @@ func Launch(k *guest.Kernel, p Profile, nThreads int, ompSpinBudget sim.Time) *w
 	switch p.Shape {
 	case NoSync:
 		launchNoSync(app, p, nThreads)
-	case DataParallel:
-		launchCondBarrier(k, app, p, nThreads, 1)
-	case PhaseBarrier:
-		launchCondBarrier(k, app, p, nThreads, 0)
+	case DataParallel, PhaseBarrier:
+		launchCondBarrier(k, app, p, nThreads)
 	case Pipeline:
 		launchPipeline(k, app, p, nThreads)
 	case OpenMP:
@@ -178,7 +178,7 @@ func (b *condBarrier) episode(ops *workload.Ops) {
 	ops.Dynamic(b.arrive)
 }
 
-func launchCondBarrier(k *guest.Kernel, app *workload.App, p Profile, n, joinEvery int) {
+func launchCondBarrier(k *guest.Kernel, app *workload.App, p Profile, n int) {
 	b := newCondBarrier(k, n)
 	lo, hi := segRange(p)
 	for th := 0; th < n; th++ {
@@ -190,7 +190,6 @@ func launchCondBarrier(k *guest.Kernel, app *workload.App, p Profile, n, joinEve
 			},
 		})
 	}
-	_ = joinEvery
 }
 
 // launchPipeline: stage 0 produces items into queue 1; middle stages

@@ -197,7 +197,7 @@ const (
 	opAction      opKind = iota // the action as is
 	opRandCompute               // Compute of a duration drawn in [lo, hi)
 	opRandSleep                 // Sleep of a duration drawn in [lo, hi)
-	opDynamic                   // actions from dyn, spliced in place
+	opDynamic                   // actions from dyn, returned in its place
 )
 
 // op is one element of a RandLoop iteration.
@@ -210,8 +210,8 @@ type op struct {
 
 // DynamicFunc decides actions at execution time, in iteration iter of
 // the loop running on t: it appends them to acts and returns the
-// extended slice, which RandLoop splices in front of the rest of the
-// iteration. acts is a buffer the loop owns and reuses, so a
+// extended slice, whose actions RandLoop returns before the rest of
+// the iteration. acts is a buffer the loop owns and reuses, so a
 // DynamicFunc must not keep it.
 type DynamicFunc func(t *guest.Thread, iter int, acts []guest.Action) []guest.Action
 
@@ -241,7 +241,7 @@ func (o *Ops) RandSleep(lo, hi sim.Time) {
 }
 
 // Dynamic defers action generation to execution time: when the op is
-// fetched, fn's actions are spliced in front of the rest of the
+// fetched, fn's actions are returned before the rest of the
 // iteration. Used for data-dependent control flow (e.g. "broadcast if I
 // am the last arriver", decided while actually holding the lock). A
 // Body that passes the same fn every iteration allocates nothing for
@@ -263,14 +263,19 @@ type RandLoop struct {
 	iter int
 	ops  Ops
 	pos  int // next op to fetch
-	// acts and spare are the Dynamic splice buffers, reused.
-	acts  []guest.Action
-	spare []op
+	// acts holds the actions of the last Dynamic op, reused; actPos is
+	// the next one to return.
+	acts   []guest.Action
+	actPos int
 }
 
 // Next implements guest.Program.
 func (l *RandLoop) Next(t *guest.Thread) guest.Action {
 	for {
+		if l.actPos < len(l.acts) {
+			l.actPos++
+			return l.acts[l.actPos-1]
+		}
 		for l.pos == len(l.ops.ops) {
 			if !l.Forever && l.iter >= l.N {
 				return guest.Exit()
@@ -287,20 +292,9 @@ func (l *RandLoop) Next(t *guest.Thread) guest.Action {
 		case opRandSleep:
 			return guest.Sleep(t.Rand().Duration(o.lo, o.hi))
 		case opDynamic:
-			l.splice(o.dyn(t, l.iter-1, l.acts[:0]))
+			l.acts, l.actPos = o.dyn(t, l.iter-1, l.acts[:0]), 0
 			continue
 		}
 		return o.act
 	}
-}
-
-// splice puts acts in front of the iteration's unfetched ops.
-func (l *RandLoop) splice(acts []guest.Action) {
-	l.acts = acts
-	next := l.spare[:0]
-	for _, a := range acts {
-		next = append(next, op{kind: opAction, act: a})
-	}
-	next = append(next, l.ops.ops[l.pos:]...)
-	l.spare, l.ops.ops, l.pos = l.ops.ops, next, 0
 }

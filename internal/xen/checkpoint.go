@@ -255,19 +255,3 @@ func (pool *Pool) RearmPending(label string, at sim.Time) (bool, error) {
 	}
 	return true, fmt.Errorf("xen: vtimer label %q names an unknown domain", label)
 }
-
-// EnableVScale turns the vScale extension on after construction: it
-// creates and starts the extendability ticker (first recalculation one
-// period from now). It exists for the warm-fork path, where mechanisms
-// stay disarmed during the policy-neutral warm prefix and are enabled at
-// the fork boundary. Enabling an already-enabled pool is a no-op.
-func (pool *Pool) EnableVScale() {
-	if pool.vscaleTicker != nil {
-		return
-	}
-	pool.cfg.VScale = true
-	pool.vscaleTicker = sim.NewTicker(pool.eng, "xen/vscale", VScalePeriod, pool.vscaleTick)
-	if pool.started {
-		pool.vscaleTicker.Start()
-	}
-}

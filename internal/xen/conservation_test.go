@@ -20,8 +20,10 @@ func TestCPUTimeConservation(t *testing.T) {
 				eng := sim.NewEngine(seed)
 				cfg := DefaultConfig(1 + r.Intn(8))
 				cfg.Policy = policy
-				cfg.VScale = seed%2 == 0
 				pool := NewPool(eng, cfg)
+				if seed%2 == 0 {
+					pool.EnableVScale()
+				}
 
 				nDoms := 1 + r.Intn(6)
 				for i := 0; i < nDoms; i++ {

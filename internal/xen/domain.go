@@ -326,3 +326,19 @@ func (v *VCPU) StopTimer() { v.timer.Stop() }
 // is the raw read; guests go through the vScale channel which also
 // charges the syscall+hypercall cost.
 func (d *Domain) Extendability() core.Extendability { return d.ext }
+
+// Stat describes the domain to Algorithm 1 (core.ComputeExtendability):
+// its weight, reservation, cap and vCPU count, with consumed as the CPU
+// time it used over the period being judged.
+func (d *Domain) Stat(consumed sim.Time) core.VMStat {
+	n := len(d.vcpus)
+	return core.VMStat{
+		ID:               d.Name,
+		Weight:           d.Weight,
+		Consumption:      consumed,
+		ReservationPCPUs: d.ReservationPCPUs,
+		CapPCPUs:         d.CapPCPUs,
+		MaxVCPUs:         n,
+		UP:               n == 1,
+	}
+}

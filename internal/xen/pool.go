@@ -63,10 +63,6 @@ type Config struct {
 	// PCPUs is the number of physical CPUs in the pool.
 	PCPUs int
 
-	// VScale enables the vScale scheduler extension: the extendability
-	// ticker and the hypercall surface used by the guest daemon.
-	VScale bool
-
 	// PerVCPUWeight reverts to unpatched Xen 4.5 semantics where weight
 	// is effectively per-vCPU: a domain's credit share scales with its
 	// number of active vCPUs, so freezing vCPUs forfeits entitlement.
@@ -150,9 +146,6 @@ func NewPool(eng *sim.Engine, cfg Config) *Pool {
 	}
 	pool.tickTicker = sim.NewTicker(eng, "xen/tick", burnTick, pool.tick)
 	pool.acctTicker = sim.NewTicker(eng, "xen/acct", acctPeriod, pool.acct)
-	if cfg.VScale {
-		pool.vscaleTicker = sim.NewTicker(eng, "xen/vscale", VScalePeriod, pool.vscaleTick)
-	}
 	return pool
 }
 
@@ -236,6 +229,23 @@ func (pool *Pool) Start() {
 	pool.tickTicker.Start()
 	pool.acctTicker.Start()
 	if pool.vscaleTicker != nil {
+		pool.vscaleTicker.Start()
+	}
+}
+
+// EnableVScale turns the vScale scheduler extension on: the
+// extendability ticker and with it the channel the guest daemon reads.
+// It is the only way to enable the extension; NewPool builds a pool
+// without it. Called before Start, it builds the ticker that Start
+// arms; called after Start, it arms the ticker at once, so the first
+// recalculation lands one period after the call. Enabling an enabled
+// pool is a no-op.
+func (pool *Pool) EnableVScale() {
+	if pool.vscaleTicker != nil {
+		return
+	}
+	pool.vscaleTicker = sim.NewTicker(pool.eng, "xen/vscale", VScalePeriod, pool.vscaleTick)
+	if pool.started {
 		pool.vscaleTicker.Start()
 	}
 }
@@ -819,15 +829,7 @@ func (pool *Pool) vscaleTick() {
 	period := pool.vscaleTicker.Period()
 	stats := slices.Grow(pool.vmStats[:0], len(pool.domains))[:len(pool.domains)]
 	for i, d := range pool.domains {
-		stats[i] = core.VMStat{
-			ID:               d.Name,
-			Weight:           d.Weight,
-			Consumption:      d.periodConsumed,
-			ReservationPCPUs: d.ReservationPCPUs,
-			CapPCPUs:         d.CapPCPUs,
-			MaxVCPUs:         len(d.vcpus),
-			UP:               len(d.vcpus) == 1,
-		}
+		stats[i] = d.Stat(d.periodConsumed)
 		d.periodConsumed = 0
 	}
 	res := core.ComputeExtendability(pool.extends, stats, pool.cfg.PCPUs, period)

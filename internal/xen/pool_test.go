@@ -70,9 +70,10 @@ func (g *fakeGuest) hog(vcpu int) { g.work[vcpu] = -1 }
 func setup(t *testing.T, pcpus int, vscale bool) (*sim.Engine, *Pool) {
 	t.Helper()
 	eng := sim.NewEngine(1)
-	cfg := DefaultConfig(pcpus)
-	cfg.VScale = vscale
-	pool := NewPool(eng, cfg)
+	pool := NewPool(eng, DefaultConfig(pcpus))
+	if vscale {
+		pool.EnableVScale()
+	}
 	return eng, pool
 }
 
@@ -267,6 +268,50 @@ func TestTimerWakesBlockedVCPU(t *testing.T) {
 	if woke < 501*sim.Millisecond-sim.Microsecond || woke > 502*sim.Millisecond {
 		t.Fatalf("timer wake at %v, want ~501ms", woke)
 	}
+}
+
+// TestEnableVScaleOneSwitch: EnableVScale is the pool's only vScale
+// switch. Before Start it builds the ticker without arming it, so no
+// recalculation runs until one period after Start; on a started pool it
+// arms at once, one period after the call. A second call changes
+// nothing: one ticker, one recalculation per period.
+func TestEnableVScaleOneSwitch(t *testing.T) {
+	ticksAt := func(t *testing.T, eng *sim.Engine, pool *Pool, at sim.Time, want uint64) {
+		t.Helper()
+		if err := eng.RunUntil(at); err != nil {
+			t.Fatal(err)
+		}
+		if pool.VScaleTicks != want {
+			t.Fatalf("at %v: %d recalculations, want %d", at, pool.VScaleTicks, want)
+		}
+	}
+	t.Run("before Start", func(t *testing.T) {
+		eng, pool := setup(t, 2, false)
+		d, _ := addHogDomain(eng, pool, "a", 256, 2)
+		pool.EnableVScale()
+		start := 5*VScalePeriod + 3*sim.Millisecond
+		ticksAt(t, eng, pool, start, 0)
+		pool.Start()
+		pool.EnableVScale()
+		ticksAt(t, eng, pool, start+VScalePeriod-1, 0)
+		ticksAt(t, eng, pool, start+VScalePeriod, 1)
+		if d.Extendability().OptimalVCPUs == 0 {
+			t.Fatal("the first recalculation published no extendability")
+		}
+		ticksAt(t, eng, pool, start+10*VScalePeriod, 10)
+	})
+	t.Run("after Start", func(t *testing.T) {
+		eng, pool := setup(t, 2, false)
+		addHogDomain(eng, pool, "a", 256, 2)
+		pool.Start()
+		call := 3*VScalePeriod + 7*sim.Millisecond
+		ticksAt(t, eng, pool, call, 0)
+		pool.EnableVScale()
+		pool.EnableVScale()
+		ticksAt(t, eng, pool, call+VScalePeriod-1, 0)
+		ticksAt(t, eng, pool, call+VScalePeriod, 1)
+		ticksAt(t, eng, pool, call+10*VScalePeriod, 10)
+	})
 }
 
 func TestVScaleTickerComputesExtendability(t *testing.T) {

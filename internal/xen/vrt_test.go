@@ -12,8 +12,10 @@ func setupVRT(t *testing.T, pcpus int, vscale bool) (*sim.Engine, *Pool) {
 	eng := sim.NewEngine(2)
 	cfg := DefaultConfig(pcpus)
 	cfg.Policy = PolicyVRT
-	cfg.VScale = vscale
 	pool := NewPool(eng, cfg)
+	if vscale {
+		pool.EnableVScale()
+	}
 	return eng, pool
 }
 
