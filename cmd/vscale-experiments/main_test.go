@@ -3,6 +3,7 @@ package main
 import (
 	"crypto/sha256"
 	"encoding/hex"
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
@@ -52,6 +53,45 @@ func TestElasticFlagValidation(t *testing.T) {
 			t.Errorf("%v: exit %d, stdout %q, stderr %q; want exit 2 naming -elastic before any output", args, code, stdout, stderr)
 		}
 	}
+}
+
+// TestQuickOutputPinned: the whole -quick stdout with eight workers is
+// byte for byte docs/experiments-quick.txt. The file pins every figure
+// cell of the quick sweep, so a change to any result shows up as a
+// reviewed diff of it. One worker count keeps the test affordable under
+// -race (about three minutes); the sweep's results do not depend on it,
+// which the full sweep's pin at four workers (docs/experiments-output.txt)
+// and internal/runner's tests check.
+func TestQuickOutputPinned(t *testing.T) {
+	want, err := os.ReadFile(filepath.Join("..", "..", "docs", "experiments-quick.txt"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	code, stdout, stderr := clitest.Run(t, "-quick", "-parallel", "8")
+	if code != 0 {
+		t.Fatalf("-quick -parallel 8: exit %d, stderr %q", code, stderr)
+	}
+	if stdout != string(want) {
+		t.Errorf("-quick -parallel 8 stdout differs from docs/experiments-quick.txt at %s", firstDiff(string(want), stdout))
+	}
+}
+
+// firstDiff names the first line where got departs from want.
+func firstDiff(want, got string) string {
+	w, g := strings.Split(want, "\n"), strings.Split(got, "\n")
+	for i := 0; i < len(w) || i < len(g); i++ {
+		var wl, gl string
+		if i < len(w) {
+			wl = w[i]
+		}
+		if i < len(g) {
+			gl = g[i]
+		}
+		if wl != gl {
+			return fmt.Sprintf("line %d:\n  want %q\n  got  %q", i+1, wl, gl)
+		}
+	}
+	return "(equal)"
 }
 
 // TestWarmForkCheckpointRoundTrip: the warm-fork arm, and a restore of

@@ -731,8 +731,26 @@ func (k *Kernel) allIdle() bool {
 // Timer ticks and software timers
 // ---------------------------------------------------------------------
 
-// tickFire is the 1000 Hz guest timer interrupt.
+// tickFire is the 1000 Hz guest timer interrupt. A trivial tick (see
+// trivialTick) only counts itself, charges its cost to the running
+// segment, spends timeslice and re-arms, which is all fullTick would do
+// for it; any other tick runs fullTick.
 func (k *Kernel) tickFire(c *cpu) {
+	if !k.trivialTick(c) {
+		k.fullTick(c)
+		return
+	}
+	c.stats.TimerInterrupts++
+	c.tickCount++
+	k.chargeInterrupt(c, tickCost)
+	if c.preemptible() {
+		c.timesliceLeft -= timerTick
+	}
+	c.tick.Reset(timerTick)
+}
+
+// fullTick is the tick handler for the ticks trivialTick turns down.
+func (k *Kernel) fullTick(c *cpu) {
 	if !c.running {
 		return
 	}
@@ -743,7 +761,7 @@ func (k *Kernel) tickFire(c *cpu) {
 
 	// Round-robin between runnable threads unless the CPU is inside a
 	// kernel spinlock or critical section (non-preemptible context).
-	if c.kspin == nil && c.current != nil && !c.current.inKernelCritical() {
+	if c.preemptible() {
 		c.timesliceLeft -= timerTick
 		if c.timesliceLeft <= 0 && len(c.rq) > 0 {
 			k.rotate(c)
@@ -764,6 +782,28 @@ func (k *Kernel) tickFire(c *cpu) {
 	if c.running && (c.current != nil || len(c.rq) > 0) {
 		c.tick.Reset(timerTick)
 	}
+}
+
+// trivialTick reports whether fullTick would do no more for the tick
+// due now than count it, charge it, spend timeslice and re-arm: the vCPU
+// runs, no software timer is pending and the one-shot timer is disarmed
+// (else processTimers runs, re-arms or stops it), the tick is not a
+// balance tick, there is no frozen-CPU retry and no round-robin
+// rotation, and the CPU has work, so the tick keeps ticking. None of
+// those conditions changes before fullTick tests it.
+func (k *Kernel) trivialTick(c *cpu) bool {
+	return c.running &&
+		len(c.timers) == 0 && !c.vcpu.TimerArmed() &&
+		(c.tickCount+1)%balanceTicks != 0 &&
+		!(k.Frozen(c.id) && c.kspin == nil && !c.pvParked) &&
+		!(c.preemptible() && c.timesliceLeft <= timerTick && len(c.rq) > 0) &&
+		(c.current != nil || len(c.rq) > 0)
+}
+
+// preemptible reports whether a thread runs on c outside a kernel
+// spinlock or critical section, so the tick may round-robin it.
+func (c *cpu) preemptible() bool {
+	return c.kspin == nil && c.current != nil && !c.current.inKernelCritical()
 }
 
 // addTimer registers a software timer on CPU c.

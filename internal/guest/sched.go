@@ -254,7 +254,7 @@ func (k *Kernel) ioAdvance(c *cpu, t *Thread, service sim.Time) {
 			// thread. The thread sleeps in this action until then, so
 			// its pending action still names the device.
 			t.ioWake = func(cpuID int) { k.wakeThread(t, cpuID) }
-			t.ioDone = func() { t.pending.dev.Raise(t.ioWake) }
+			t.ioDone = func() { t.pending.obj.(*Device).Raise(t.ioWake) }
 		}
 		k.eng.After(service, "guest/io-complete", t.ioDone)
 		k.sleepCurrent(c, t)

@@ -138,20 +138,20 @@ func (k *Kernel) chargeFutexHold(t *Thread) {
 // runFutexOp is the critical section of a held continuation: the body
 // of t's futex slow path, run under the bucket lock.
 func (k *Kernel) runFutexOp(t *Thread, kc kcont) {
-	c, a := kc.c, t.pending
+	c, a := kc.c, &t.pending
 	switch kc.op {
 	case opBarrierSleep:
-		if a.b.gen != kc.gen {
+		if a.obj.(*Barrier).gen != kc.gen {
 			return // released while entering the kernel; phase 2 completes
 		}
 		k.chargeSyscall(t)
-		k.futexEnqueue(c, t, a.b.id)
+		k.futexEnqueue(c, t, a.obj.(*Barrier).id)
 	case opBarrierWake:
-		n := k.futexWakeAll(c, a.b.id, -1)
+		n := k.futexWakeAll(c, a.obj.(*Barrier).id, -1)
 		// Wake cost lands after the critical section.
 		resumeSegmentCost(t, wakeCost(n))
 	case opMutexWait:
-		m := a.m
+		m := a.obj.(*Mutex)
 		if m.owner == nil {
 			// The owner released while we entered the kernel.
 			m.owner = t
@@ -161,7 +161,7 @@ func (k *Kernel) runFutexOp(t *Thread, kc kcont) {
 		k.chargeSyscall(t)
 		k.futexEnqueue(c, t, m.id)
 	case opMutexWake:
-		m := a.m
+		m := a.obj.(*Mutex)
 		if q := k.futexQ(m.id); len(q.waiters) > 0 {
 			m.owner = q.waiters[0]
 			m.Acquisitions++
@@ -173,7 +173,7 @@ func (k *Kernel) runFutexOp(t *Thread, kc kcont) {
 	case opCondWait:
 		// Release the mutex, waking one mutex waiter if present, then
 		// sleep on the condvar. The waker cost is folded into the hold.
-		m := a.m
+		m := a.arg.(*Mutex)
 		m.owner = nil
 		if k.futexWaiterCount(m.id) > 0 {
 			if q := k.futexQ(m.id); len(q.waiters) > 0 {
@@ -183,13 +183,13 @@ func (k *Kernel) runFutexOp(t *Thread, kc kcont) {
 			k.futexWakeAll(c, m.id, 1)
 		}
 		k.chargeSyscall(t)
-		k.futexEnqueue(c, t, a.c.id)
+		k.futexEnqueue(c, t, a.obj.(*Cond).id)
 	case opCondWake:
 		n := 1
 		if a.kind == actCondBroadcast {
 			n = -1
 		}
-		woken := k.futexWakeAll(c, a.c.id, n)
+		woken := k.futexWakeAll(c, a.obj.(*Cond).id, n)
 		resumeSegmentCost(t, wakeCost(woken))
 	default:
 		panic("guest: bad futex op")

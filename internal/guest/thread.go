@@ -236,7 +236,7 @@ func (k *Kernel) Threads() []*Thread { return k.threads }
 // advance executes the action state machine of thread t (current on c)
 // after its segment completed.
 func (k *Kernel) advance(c *cpu, t *Thread) {
-	a := t.pending
+	a := &t.pending
 	switch a.kind {
 	case actNone:
 		k.fetch(c, t)
@@ -260,29 +260,29 @@ func (k *Kernel) advance(c *cpu, t *Thread) {
 		}
 		k.complete(c, t)
 	case actBarrierWait:
-		k.barrierAdvance(c, t, a.b)
+		k.barrierAdvance(c, t, a.obj.(*Barrier))
 	case actLock:
-		k.mutexLockAdvance(c, t, a.m)
+		k.mutexLockAdvance(c, t, a.obj.(*Mutex))
 	case actUnlock:
-		k.mutexUnlockAdvance(c, t, a.m)
+		k.mutexUnlockAdvance(c, t, a.obj.(*Mutex))
 	case actCondWait:
-		k.condWaitAdvance(c, t, a.c, a.m)
+		k.condWaitAdvance(c, t, a.obj.(*Cond), a.arg.(*Mutex))
 	case actCondSignal:
-		k.condSignalAdvance(c, t, a.c, false)
+		k.condSignalAdvance(c, t, a.obj.(*Cond), false)
 	case actCondBroadcast:
-		k.condSignalAdvance(c, t, a.c, true)
+		k.condSignalAdvance(c, t, a.obj.(*Cond), true)
 	case actSpinWait:
-		k.spinWaitAdvance(c, t, a.s, a.gen)
+		k.spinWaitAdvance(c, t, a.obj.(*SpinVar), uint64(a.d))
 	case actSpinSet:
-		k.spinSetAdvance(c, t, a.s)
+		k.spinSetAdvance(c, t, a.obj.(*SpinVar))
 	case actIO:
 		k.ioAdvance(c, t, a.d)
 	case actDequeue:
-		k.dequeueAdvance(c, t, a.q)
+		k.dequeueAdvance(c, t, a.obj.(*WaitQueue))
 	case actEnqueue:
-		k.enqueueAdvance(c, t, a.q, a.item)
+		k.enqueueAdvance(c, t, a.obj.(*WaitQueue), a.arg)
 	case actCall:
-		k.callAdvance(c, t, a.d, a.f)
+		k.callAdvance(c, t, a.d, a.obj.(func(*Thread)))
 	default:
 		panic(fmt.Sprintf("guest: unknown action %v", a.kind))
 	}
@@ -290,9 +290,9 @@ func (k *Kernel) advance(c *cpu, t *Thread) {
 
 // fetch pulls the next action from the program and starts executing it.
 func (k *Kernel) fetch(c *cpu, t *Thread) {
-	a := t.prog.Next(t)
-	t.pending = a
+	t.pending = t.prog.Next(t)
 	t.phase = 0
+	a := &t.pending
 	switch a.kind {
 	case actNone:
 		panic("guest: program " + t.Name + " returned the zero Action")

@@ -80,8 +80,8 @@ func (e *Engine) RestoreState(st EngineState) error {
 	if st.Now < e.now {
 		return fmt.Errorf("sim: restore to %v would move the clock backwards (now %v)", st.Now, e.now)
 	}
-	if q := e.queue.a; len(q) > 0 && q[0].when < st.Now {
-		return fmt.Errorf("sim: pending event %q at %v predates restore time %v", q[0].ev.label, q[0].when, st.Now)
+	if x, _ := e.next(); x != nil && x.when < st.Now {
+		return fmt.Errorf("sim: pending event %q at %v predates restore time %v", x.ev.label, x.when, st.Now)
 	}
 	if err := e.rand.SetState(st.Rand); err != nil {
 		return err
@@ -108,9 +108,10 @@ type PendingEvent struct {
 }
 
 // PendingEvents returns descriptors for every pending event in firing
-// order (when, then FIFO sequence), one per unfired Series element.
+// order (when, then FIFO sequence), one per unfired Series element. It
+// reads each event's own key, not its slot's.
 func (e *Engine) PendingEvents() []PendingEvent {
-	out := make([]PendingEvent, 0, len(e.queue.a))
+	out := make([]PendingEvent, 0, e.Pending())
 	for _, x := range e.queue.a {
 		if s := x.ev.series; s != nil {
 			for i := s.next; i < len(s.whens); i++ {
@@ -118,7 +119,13 @@ func (e *Engine) PendingEvents() []PendingEvent {
 			}
 			continue
 		}
-		out = append(out, PendingEvent{When: x.when, Seq: x.seq, Label: x.ev.label})
+		out = append(out, PendingEvent{When: x.ev.when, Seq: x.ev.seq, Label: x.ev.label})
+	}
+	l := &e.lane
+	for j := l.head; j != l.tail; j++ {
+		if x := l.buf[j&uint(len(l.buf)-1)]; x.ev != nil {
+			out = append(out, PendingEvent{When: x.when, Seq: x.seq, Label: x.ev.label})
+		}
 	}
 	sort.Slice(out, func(i, j int) bool {
 		if out[i].When != out[j].When {
@@ -144,6 +151,12 @@ func (e *Engine) PurgeAll() int {
 		} else {
 			n++
 		}
+		e.recycle(ev)
+	}
+	for l := &e.lane; l.n > 0; n++ {
+		ev := l.front().ev
+		l.pop()
+		ev.index = -1
 		e.recycle(ev)
 	}
 	return n

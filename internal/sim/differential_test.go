@@ -3,6 +3,7 @@ package sim
 import (
 	"container/heap"
 	"fmt"
+	"sort"
 	"testing"
 )
 
@@ -57,6 +58,8 @@ type refEngine struct {
 	seq                             uint64
 	queue                           refHeap
 	scheduled, cancelled, processed uint64
+	purged                          uint64 // live armings dropped by purge
+	lastCancelAt                    Time
 }
 
 func (e *refEngine) At(when Time, fn func()) *refEvent {
@@ -73,6 +76,7 @@ func (e *refEngine) Cancel(ev *refEvent) {
 	}
 	ev.cancelled = true
 	e.cancelled++
+	e.lastCancelAt = e.now
 }
 
 // Reschedule is the seed pattern: cancel the old arming, push a fresh
@@ -126,6 +130,53 @@ func (e *refEngine) Run() {
 	}
 }
 
+// pending lists the live armings in firing order, as PendingEvents does.
+func (e *refEngine) pending() []PendingEvent {
+	var out []PendingEvent
+	for _, ev := range e.queue {
+		if !ev.cancelled && !ev.fired {
+			out = append(out, PendingEvent{When: ev.when, Seq: ev.seq})
+		}
+	}
+	sort.Slice(out, func(i, j int) bool {
+		if out[i].When != out[j].When {
+			return out[i].When < out[j].When
+		}
+		return out[i].Seq < out[j].Seq
+	})
+	return out
+}
+
+// purge drops every live arming without counting it cancelled, as
+// PurgeAll does, and returns how many it dropped.
+func (e *refEngine) purge() int {
+	n := 0
+	for _, ev := range e.queue {
+		if !ev.cancelled && !ev.fired {
+			ev.cancelled = true
+			n++
+		}
+	}
+	e.queue = e.queue[:0]
+	e.purged += uint64(n)
+	return n
+}
+
+// samePending fails t unless the engine's pending descriptors carry the
+// reference's keys, in the same order.
+func samePending(t *testing.T, op int, e *Engine, ref *refEngine) {
+	t.Helper()
+	got, want := e.PendingEvents(), ref.pending()
+	if len(got) != len(want) {
+		t.Fatalf("op %d: %d pending descriptors, reference has %d live", op, len(got), len(want))
+	}
+	for i := range got {
+		if got[i].When != want[i].When || got[i].Seq != want[i].Seq {
+			t.Fatalf("op %d: pending %d is (%v, %d), reference (%v, %d)", op, i, got[i].When, got[i].Seq, want[i].When, want[i].Seq)
+		}
+	}
+}
+
 // fireRec is one observed firing: which logical event, and when.
 type fireRec struct {
 	id int
@@ -146,23 +197,43 @@ type fireRec struct {
 // also move one pending handle earlier and another later, one move
 // before and one after scheduling their child, so keys sift both ways
 // from inside a running event.
+//
+// The lane cases aim at the engine's 1 ms lane and its lazily re-keyed
+// heap slots. Half their delays are exactly 0 or exactly 1 ms, so
+// armings and reschedules go into and out of the lane, a lane head ties
+// with armings made at its instant, and cancels and moves leave holes at
+// and behind the lane head. A creep op
+// moves one pending arming later three times, leaving its heap slot
+// stale, and half the time runs to a deadline between the slot's key
+// and the arming's true one. A burst op arms 24 events 1 ms ahead and
+// cancels three in four, so a full lane ring is compacted. Every 500 ops
+// PendingEvents must list the reference's live keys in order, and
+// half-way PurgeAll must drop as many armings as the reference holds
+// live.
 func TestDifferentialEngineEquivalence(t *testing.T) {
 	for _, c := range []struct {
 		seed  uint64
 		step  Time // grid of every delay
 		moves bool // bodies move pending handles
+		lane  bool // lane delays, creeps, descriptor checks and a purge
 	}{
-		{1, Microsecond, false},
-		{7, Microsecond, false},
-		{42, Microsecond, false},
-		{1234, Microsecond, false},
-		{3, 100 * Microsecond, true},
-		{64, 100 * Microsecond, true},
-		{2026, 100 * Microsecond, true},
+		{1, Microsecond, false, false},
+		{7, Microsecond, false, false},
+		{42, Microsecond, false, false},
+		{1234, Microsecond, false, false},
+		{3, 100 * Microsecond, true, false},
+		{64, 100 * Microsecond, true, false},
+		{2026, 100 * Microsecond, true, false},
+		{5, 100 * Microsecond, true, true},
+		{88, 10 * Microsecond, true, true},
+		{4096, Microsecond, false, true},
 	} {
 		seed, step := c.seed, c.step
 		name := Time(seed).String()
-		if c.moves {
+		switch {
+		case c.lane:
+			name += "/lane"
+		case c.moves:
 			name += "/coarse"
 		}
 		t.Run(name, func(t *testing.T) {
@@ -177,8 +248,14 @@ func TestDifferentialEngineEquivalence(t *testing.T) {
 			var refsRef []*refEvent
 			nextID := 0
 
-			// draw returns a delay on the case's grid below limit.
-			draw := func(limit Time) Time { return Time(rng.Intn(int(limit/step))) * step }
+			// draw returns a delay on the case's grid below limit, or in the
+			// lane cases half the time exactly 0 or 1 ms.
+			draw := func(limit Time) Time {
+				if c.lane && rng.Intn(2) == 0 {
+					return Time(rng.Intn(2)) * laneDelay
+				}
+				return Time(rng.Intn(int(limit/step))) * step
+			}
 
 			// moveNew and moveRef shift handle k's deadline by d on their
 			// own engine, not before now; a handle no longer pending is
@@ -255,7 +332,40 @@ func TestDifferentialEngineEquivalence(t *testing.T) {
 			// schedules append to refsNew/refsRef).
 
 			for op := 0; op < ops; op++ {
+				if c.lane && op == ops/2 {
+					if n, want := newEng.PurgeAll(), refEng.purge(); n != want {
+						t.Fatalf("op %d: PurgeAll dropped %d armings, reference had %d live", op, n, want)
+					}
+				}
 				switch r := rng.Intn(100); {
+				case c.lane && r < 8 && len(refsNew) > 0:
+					// Creep: three later moves of one arming, then maybe a
+					// deadline between its stale slot's key and its own.
+					k := rng.Intn(len(refsNew))
+					w := refsNew[k].When()
+					for i := 0; i < 3; i++ {
+						moveNew(k, step)
+						moveRef(k, step)
+					}
+					if w != MaxTime && rng.Intn(2) == 0 {
+						deadline := max(w+step/2, newEng.Now())
+						if err := newEng.RunUntil(deadline); err != nil {
+							t.Fatal(err)
+						}
+						refEng.RunUntil(deadline)
+					}
+				case c.lane && r < 10:
+					// Burst: 24 armings in the 1 ms lane, three in four
+					// cancelled at once.
+					for i := 0; i < 24; i++ {
+						schedule(laneDelay)
+					}
+					for i := len(refsNew) - 24; i < len(refsNew); i++ {
+						if i%4 != 0 {
+							newEng.Cancel(refsNew[i])
+							refEng.Cancel(refsRef[i])
+						}
+					}
 				case r < 55:
 					schedule(draw(2000 * Microsecond))
 				case r < 75 && len(refsNew) > 0:
@@ -280,8 +390,11 @@ func TestDifferentialEngineEquivalence(t *testing.T) {
 					}
 					refEng.RunUntil(refEng.now + d)
 				}
-				if live := int(refEng.scheduled - refEng.cancelled - refEng.processed); newEng.Pending() != live {
+				if live := int(refEng.scheduled - refEng.cancelled - refEng.processed - refEng.purged); newEng.Pending() != live {
 					t.Fatalf("op %d: %d events queued, reference has %d live", op, newEng.Pending(), live)
+				}
+				if c.lane && op%500 == 0 {
+					samePending(t, op, newEng, refEng)
 				}
 			}
 			if err := newEng.Run(); err != nil {
@@ -310,9 +423,9 @@ func TestDifferentialEngineEquivalence(t *testing.T) {
 			if newEng.Pending() != 0 {
 				t.Fatalf("events left pending after Run: %d", newEng.Pending())
 			}
-			if newEng.Scheduled != newEng.Cancelled+newEng.Processed {
-				t.Fatalf("drop accounting does not balance: %d != %d + %d",
-					newEng.Scheduled, newEng.Cancelled, newEng.Processed)
+			if newEng.Scheduled != newEng.Cancelled+newEng.Processed+refEng.purged {
+				t.Fatalf("drop accounting does not balance: %d != %d + %d + %d purged",
+					newEng.Scheduled, newEng.Cancelled, newEng.Processed, refEng.purged)
 			}
 		})
 	}
@@ -321,44 +434,90 @@ func TestDifferentialEngineEquivalence(t *testing.T) {
 // TestDifferentialTimerEquivalence drives the rewritten Timer/Ticker
 // (in-place reschedule, pooled events) against hand-rolled seed-style
 // timers on the reference engine under a randomized rearm/stop workload.
+// The lane cases drive three timers and draw half their delays as
+// exactly 0 or 1 ms, so the timers move into and out of the 1 ms lane
+// and leave holes behind. Half their runs end exactly 1 ms before
+// another timer's deadline, so a 1 ms rearm after the run ties with an
+// arming made earlier, which must fire first.
 func TestDifferentialTimerEquivalence(t *testing.T) {
-	for _, seed := range []uint64{3, 99} {
-		seed := seed
-		t.Run(Time(seed).String(), func(t *testing.T) {
+	for _, c := range []struct {
+		seed   uint64
+		timers int
+		lane   bool
+	}{{3, 1, false}, {99, 1, false}, {17, 3, true}, {512, 3, true}} {
+		c := c
+		name := Time(c.seed).String()
+		if c.lane {
+			name += "/lane"
+		}
+		t.Run(name, func(t *testing.T) {
 			const ops = 30_000
-			rng := NewRand(seed)
+			rng := NewRand(c.seed)
 
-			newEng := NewEngine(seed)
+			newEng := NewEngine(c.seed)
 			refEng := &refEngine{}
 
-			var logNew, logRef []Time
-			tm := NewTimer(newEng, "t", func() { logNew = append(logNew, newEng.Now()) })
-			var refEv *refEvent
-			refFire := func() { refEv = nil; logRef = append(logRef, refEng.now) }
+			// delay draws a rearm delay below limit µs. The lane cases
+			// draw half the time exactly 0 or 1 ms and otherwise below limit
+			// steps of 10 µs, so an arming made earlier with a longer delay
+			// can tie with a lane arming and must fire first.
+			delay := func(limit int) Time {
+				if !c.lane {
+					return Time(rng.Intn(limit)) * Microsecond
+				}
+				if rng.Intn(2) == 0 {
+					return Time(rng.Intn(2)) * laneDelay
+				}
+				return Time(rng.Intn(limit)) * 10 * Microsecond
+			}
+
+			type firing struct {
+				at Time
+				id int
+			}
+			var logNew, logRef []firing
+			tms := make([]*Timer, c.timers)
+			refEvs := make([]*refEvent, c.timers)
+			refFires := make([]func(), c.timers)
+			for i := range tms {
+				i := i
+				tms[i] = NewTimer(newEng, "t", func() { logNew = append(logNew, firing{newEng.Now(), i}) })
+				refFires[i] = func() { refEvs[i] = nil; logRef = append(logRef, firing{refEng.now, i}) }
+			}
 
 			for op := 0; op < ops; op++ {
+				i := 0
+				if c.timers > 1 {
+					i = rng.Intn(c.timers)
+				}
+				tm := tms[i]
 				switch r := rng.Intn(10); {
 				case r < 6:
-					d := Time(rng.Intn(300)) * Microsecond
+					d := delay(300)
 					tm.Reset(d)
-					if refEv != nil {
-						refEng.Cancel(refEv)
+					if refEvs[i] != nil {
+						refEng.Cancel(refEvs[i])
 					}
-					refEv = refEng.At(refEng.now+d, refFire)
+					refEvs[i] = refEng.At(refEng.now+d, refFires[i])
 				case r < 7:
 					tm.Stop()
-					if refEv != nil {
-						refEng.Cancel(refEv)
-						refEv = nil
+					if refEvs[i] != nil {
+						refEng.Cancel(refEvs[i])
+						refEvs[i] = nil
 					}
 				default:
-					d := Time(rng.Intn(200)) * Microsecond
-					if err := newEng.RunUntil(newEng.Now() + d); err != nil {
+					deadline := newEng.Now() + delay(200)
+					if w := tm.Deadline(); c.lane && rng.Intn(2) == 0 && w != MaxTime && w-laneDelay >= newEng.Now() {
+						deadline = w - laneDelay
+					}
+					if err := newEng.RunUntil(deadline); err != nil {
 						t.Fatal(err)
 					}
-					refEng.RunUntil(refEng.now + d)
-					if tm.Armed() != (refEv != nil) {
-						t.Fatalf("armed state diverged at op %d", op)
+					refEng.RunUntil(deadline)
+					for j := range tms {
+						if tms[j].Armed() != (refEvs[j] != nil) {
+							t.Fatalf("armed state of timer %d diverged at op %d", j, op)
+						}
 					}
 				}
 			}

@@ -9,18 +9,31 @@ import (
 // virtual timestamp with the engine clock already advanced.
 type EventFunc func()
 
-// Event is one pending entry in the engine's priority queue. Events are
-// pooled: once fired or cancelled they are recycled for the next
-// At/After call, so user code never holds a *Event directly — it holds
-// a generation-stamped EventRef instead.
+// Event is one pending entry in the engine's queue. Events are pooled:
+// once fired or cancelled they are recycled for the next At/After call,
+// so user code never holds a *Event directly — it holds a
+// generation-stamped EventRef instead.
 type Event struct {
-	when   Time   // also kept, with the FIFO sequence number, in its heap slot
-	gen    uint64 // bumped on every recycle; stale EventRefs mismatch
-	index  int    // position of its slot in the heap array, -1 when not queued
+	// when and seq are the arming's key. The slot that queues the event
+	// holds a copy, which in the heap may be an older, lesser key (see
+	// Engine.Reschedule); a heap slot whose seq differs from the event's
+	// is stale.
+	when Time
+	seq  uint64
+	gen  uint64 // bumped on every recycle; stale EventRefs mismatch
+	// index is the position of the event's heap slot, its lane entry
+	// (see laneIndex) when below -1, or -1 when it is not queued.
+	index  int
 	fn     EventFunc
 	label  string
 	series *series // non-nil while the event stands for a Series element
 }
+
+// laneIndex is the Event.index of an event at ring position pos of the
+// lane; laneOf inverts it.
+func laneIndex(pos uint) int { return -2 - int(pos) }
+
+func laneOf(index int) uint { return uint(-2 - index) }
 
 // series is the engine side of one lazily expanded event series (see
 // Engine.Series): its instants, the index of the element currently
@@ -94,7 +107,7 @@ func less(x, y slot) int {
 // eventHeap is an inlined, index-tracked 4-ary min-heap of slots,
 // ordered by (when, seq). It replaces container/heap to avoid interface
 // boxing and indirect method calls on the hottest loop in the simulator.
-// Every queued event's Event.index is the position of its slot.
+// Every event in the heap has Event.index at the position of its slot.
 type eventHeap struct {
 	a []slot
 }
@@ -155,18 +168,6 @@ func (h *eventHeap) down(i int, x slot) {
 	x.ev.index = i
 }
 
-// rekey gives the slot at i a new key and sifts it the one way it
-// moved: up when it now orders earlier, down otherwise.
-func (h *eventHeap) rekey(i int, when Time, seq uint64) {
-	x := h.a[i]
-	x.when, x.seq = when, seq
-	if less(x, h.a[i]) != 0 {
-		h.up(i, x)
-	} else {
-		h.down(i, x)
-	}
-}
-
 // popMin removes and returns the earliest event.
 func (h *eventHeap) popMin() *Event {
 	ev := h.a[0].ev
@@ -193,6 +194,93 @@ func (h *eventHeap) remove(i int) {
 	ev.index = -1
 }
 
+// laneDelay is the delay of the armings queued in the engine's lane
+// instead of its heap: exactly one millisecond, the guest's tick.
+const laneDelay = Millisecond
+
+// lane is a FIFO ring of the armings made exactly laneDelay from now.
+// Each such arming takes the next sequence number, and its deadline is
+// no earlier than any earlier one's because the clock never moves back,
+// so appending keeps the lane sorted by (when, seq) and its oldest entry
+// is its least. A cancel or a reschedule leaves a hole, an entry with no
+// event, which front skips when it reaches the head. The ring keeps its
+// capacity: when full it drops its holes if they are at least half of
+// it, and doubles otherwise.
+type lane struct {
+	buf []slot // len is zero or a power of two
+	// head and tail are ring positions, which only grow: the entries are
+	// at positions head up to tail-1, position p in buf[p&mask].
+	head, tail uint
+	n          int // entries that are not holes
+}
+
+// push appends x and returns the Event.index for the new entry.
+func (l *lane) push(x slot) int {
+	if l.tail-l.head == uint(len(l.buf)) {
+		if len(l.buf) > 0 && 2*l.n <= len(l.buf) {
+			l.compact()
+		} else {
+			l.grow()
+		}
+	}
+	pos := l.tail
+	l.buf[pos&uint(len(l.buf)-1)] = x
+	l.tail++
+	l.n++
+	return laneIndex(pos)
+}
+
+// grow doubles the ring. Every entry keeps its position, so the
+// Event.index of each queued event stays valid.
+func (l *lane) grow() {
+	buf := make([]slot, max(2*len(l.buf), 16))
+	for p := l.head; p != l.tail; p++ {
+		buf[p&uint(len(buf)-1)] = l.buf[p&uint(len(l.buf)-1)]
+	}
+	l.buf = buf
+}
+
+// compact drops the holes: the entries move up, in order, to the
+// positions from head on, and their events are re-indexed.
+func (l *lane) compact() {
+	mask := uint(len(l.buf) - 1)
+	p := l.head
+	for q := l.head; q != l.tail; q++ {
+		x := l.buf[q&mask]
+		l.buf[q&mask] = slot{}
+		if x.ev != nil {
+			l.buf[p&mask] = x
+			x.ev.index = laneIndex(p)
+			p++
+		}
+	}
+	l.tail = p
+}
+
+// front returns the oldest entry that is not a hole, dropping the holes
+// ahead of it. The lane must hold one (n > 0).
+func (l *lane) front() *slot {
+	for {
+		if x := &l.buf[l.head&uint(len(l.buf)-1)]; x.ev != nil {
+			return x
+		}
+		l.head++
+	}
+}
+
+// pop drops the head entry, which front returned.
+func (l *lane) pop() {
+	l.buf[l.head&uint(len(l.buf)-1)] = slot{}
+	l.head++
+	l.n--
+}
+
+// punch turns the entry at pos into a hole.
+func (l *lane) punch(pos uint) {
+	l.buf[pos&uint(len(l.buf)-1)].ev = nil
+	l.n--
+}
+
 // Observer receives every executed event (virtual timestamp plus the
 // label given at scheduling time). Cancelled events are never observed:
 // Cancel takes them out of the queue. Observers must be pure with
@@ -202,10 +290,16 @@ type Observer func(at Time, label string)
 // Engine is the discrete-event simulation core: a virtual clock and an
 // ordered queue of future events. Engines are not safe for concurrent
 // use; the entire simulation is single-threaded and deterministic.
+//
+// The queue is a heap plus a lane (see lane): the armings made exactly
+// one millisecond ahead wait in the lane, every other arming in the
+// heap, and the engine fires the lesser of the heap root and the lane
+// head.
 type Engine struct {
 	now     Time
 	seq     uint64
 	queue   eventHeap
+	lane    lane
 	free    []*Event // recycled events, reused by the next At/After
 	rand    *Rand
 	stopped bool
@@ -272,6 +366,19 @@ func (e *Engine) recycle(ev *Event) {
 	e.free = append(e.free, ev)
 }
 
+// place queues ev under when and the next sequence number: in the lane
+// when when is exactly laneDelay from now, in the heap otherwise.
+func (e *Engine) place(ev *Event, when Time) {
+	x := slot{when: when, seq: e.seq, ev: ev}
+	e.seq++
+	ev.when, ev.seq = when, x.seq
+	if when-e.now == laneDelay {
+		ev.index = e.lane.push(x)
+	} else {
+		e.queue.push(x)
+	}
+}
+
 // At schedules fn to run at absolute virtual time when. Scheduling in the
 // past panics. The label is kept for debugging.
 func (e *Engine) At(when Time, label string, fn EventFunc) EventRef {
@@ -279,11 +386,9 @@ func (e *Engine) At(when Time, label string, fn EventFunc) EventRef {
 		panic(fmt.Sprintf("sim: scheduling %q at %v before now %v", label, when, e.now))
 	}
 	ev := e.alloc()
-	ev.when = when
 	ev.fn = fn
 	ev.label = label
-	e.queue.push(slot{when: when, seq: e.seq, ev: ev})
-	e.seq++
+	e.place(ev, when)
 	e.Scheduled++
 	return EventRef{ev: ev, gen: ev.gen}
 }
@@ -306,6 +411,10 @@ func (e *Engine) After(d Time, label string, fn EventFunc) EventRef {
 // whens must be non-decreasing and start at or after now; anything else
 // panics, like scheduling in the past. The engine keeps whens, so the
 // caller must not modify it afterwards. A series cannot be cancelled.
+//
+// A series always waits in the heap: its later elements carry sequence
+// numbers older than the armings made meanwhile, so they cannot join the
+// lane's tail.
 func (e *Engine) Series(whens []Time, label string, fn EventFunc) {
 	if len(whens) == 0 {
 		return
@@ -323,31 +432,34 @@ func (e *Engine) Series(whens []Time, label string, fn EventFunc) {
 	e.seq += uint64(len(whens))
 	e.Scheduled += uint64(len(whens))
 	ev := e.alloc()
-	ev.when = whens[0]
+	ev.when, ev.seq = whens[0], s.seq0
 	ev.label = label
 	ev.series = s
-	e.queue.push(slot{when: whens[0], seq: s.seq0, ev: ev})
+	e.queue.push(slot{when: ev.when, seq: ev.seq, ev: ev})
 }
 
-// Cancel retires the arming behind ref: its event leaves the queue and
-// is recycled at once. It is safe to cancel a stale or zero ref (the
-// event already fired, was already cancelled, or was never scheduled);
-// those calls are no-ops and do not count towards the Cancelled drop
-// accounting.
+// Cancel retires the arming behind ref: its event leaves the heap, or
+// leaves a hole in the lane, and is recycled at once. It is safe to
+// cancel a stale or zero ref (the event already fired, was already
+// cancelled, or was never scheduled); those calls are no-ops and do not
+// count towards the Cancelled drop accounting.
 func (e *Engine) Cancel(ref EventRef) {
 	if !ref.Pending() {
 		return
 	}
 	e.Cancelled++
 	e.LastCancelAt = e.now
-	e.queue.remove(ref.ev.index)
+	if ev := ref.ev; ev.index >= 0 {
+		e.queue.remove(ev.index)
+	} else {
+		e.lane.punch(laneOf(ev.index))
+	}
 	e.recycle(ref.ev)
 }
 
-// Reschedule moves a still-pending arming to a new absolute time by
-// sifting the event in place, only in the direction its key moved — no
-// new entry is pushed, which is what makes steady-state timer rearm
-// allocation-free. It reports false (and does nothing) when ref is
+// Reschedule moves a still-pending arming to a new absolute time in
+// place — no new entry is pushed, which is what makes steady-state timer
+// rearm allocation-free. It reports false (and does nothing) when ref is
 // stale, cancelled, or zero. ref itself remains valid and now addresses
 // the new deadline.
 //
@@ -356,50 +468,94 @@ func (e *Engine) Cancel(ref EventRef) {
 // fresh FIFO sequence number — exactly the counters and firing order the
 // equivalent Cancel+After pair would have produced, so the rewrite is
 // observation-equivalent to the old cancel-and-repush timers.
+//
+// Where the arming waits afterwards follows At: the lane for a deadline
+// exactly laneDelay from now, the heap otherwise. An arming in the lane
+// leaves a hole there, and one moved from the heap to the lane leaves
+// the heap at once. One moved within the heap no earlier than its slot's
+// key keeps the slot as it is: the fresh seq marks it stale, a lower
+// bound that next re-keys once it reaches the root. Only a move to an
+// earlier time sifts at once.
 func (e *Engine) Reschedule(ref EventRef, when Time) bool {
 	if !ref.Pending() {
 		return false
 	}
+	ev := ref.ev
 	if when < e.now {
-		panic(fmt.Sprintf("sim: rescheduling %q at %v before now %v", ref.ev.label, when, e.now))
+		panic(fmt.Sprintf("sim: rescheduling %q at %v before now %v", ev.label, when, e.now))
 	}
 	e.Cancelled++
 	e.LastCancelAt = e.now
 	e.Scheduled++
-	ev := ref.ev
-	ev.when = when
-	e.queue.rekey(ev.index, when, e.seq)
-	e.seq++
+	if ev.index >= 0 {
+		if when-e.now != laneDelay {
+			ev.when, ev.seq = when, e.seq
+			e.seq++
+			if when < e.queue.a[ev.index].when {
+				e.queue.up(ev.index, slot{when: when, seq: ev.seq, ev: ev})
+			}
+			return true
+		}
+		e.queue.remove(ev.index)
+	} else {
+		e.lane.punch(laneOf(ev.index))
+	}
+	e.place(ev, when)
 	return true
 }
 
 // Pending returns the number of armings still queued. A Series counts
 // once: only its next element is queued.
-func (e *Engine) Pending() int { return len(e.queue.a) }
+func (e *Engine) Pending() int { return len(e.queue.a) + e.lane.n }
 
 // Stop makes the current Run/RunUntil call return after the in-flight
 // event completes.
 func (e *Engine) Stop() { e.stopped = true }
 
-// step pops and executes the next event. It reports false when the
-// queue is exhausted. The event is recycled before its body runs, so
-// the body (and anything it calls) can immediately reuse the slot; its
-// outstanding refs have gone stale by then.
-func (e *Engine) step() bool {
-	if len(e.queue.a) == 0 {
+// next returns the slot of the earliest pending arming and whether the
+// lane holds it, or nil when nothing is pending. It drops the holes at
+// the lane head, and re-keys the heap root until it is fresh or its key,
+// a lower bound, orders after the lane head: a stale root is never fired
+// and never compared as if its key were true.
+func (e *Engine) next() (x *slot, inLane bool) {
+	if e.lane.n > 0 {
+		x, inLane = e.lane.front(), true
+	}
+	h := &e.queue
+	for len(h.a) > 0 && (x == nil || less(h.a[0], *x) != 0) {
+		r := h.a[0]
+		if r.seq == r.ev.seq {
+			return &h.a[0], false
+		}
+		h.down(0, slot{when: r.ev.when, seq: r.ev.seq, ev: r.ev})
+	}
+	return x, inLane
+}
+
+// step executes the earliest pending event if it is due by deadline,
+// and reports whether there was one. The event is recycled before its
+// body runs, so the body (and anything it calls) can immediately reuse
+// the slot; its outstanding refs have gone stale by then.
+func (e *Engine) step(deadline Time) bool {
+	x, inLane := e.next()
+	if x == nil || x.when > deadline {
 		return false
 	}
-	root := &e.queue.a[0]
-	if root.when < e.now {
-		panic("sim: event heap yielded an event in the past")
+	ev := x.ev
+	if x.when < e.now {
+		panic("sim: event queue yielded an event in the past")
 	}
-	e.now = root.when
+	e.now = x.when
 	e.Processed++
-	if s := root.ev.series; s != nil {
-		e.stepSeries(root.ev, s)
+	if inLane {
+		e.lane.pop()
+		ev.index = -1
+	} else if s := ev.series; s != nil {
+		e.stepSeries(ev, s)
 		return true
+	} else {
+		e.queue.popMin()
 	}
-	ev := e.queue.popMin()
 	fn, label := ev.fn, ev.label
 	e.recycle(ev)
 	if e.obs != nil {
@@ -418,8 +574,8 @@ func (e *Engine) stepSeries(ev *Event, s *series) {
 	label := ev.label
 	s.next++
 	if s.next < len(s.whens) {
-		ev.when = s.whens[s.next]
-		e.queue.down(0, slot{when: ev.when, seq: s.seq0 + uint64(s.next), ev: ev})
+		ev.when, ev.seq = s.whens[s.next], s.seq0+uint64(s.next)
+		e.queue.down(0, slot{when: ev.when, seq: ev.seq, ev: ev})
 	} else {
 		e.queue.popMin()
 		e.recycle(ev)
@@ -438,7 +594,7 @@ func (e *Engine) Run() error {
 		if e.Limit != 0 && e.Processed >= e.Limit {
 			return fmt.Errorf("sim: event limit %d exceeded at %v", e.Limit, e.now)
 		}
-		if !e.step() {
+		if !e.step(MaxTime) {
 			return nil
 		}
 	}
@@ -455,10 +611,9 @@ func (e *Engine) RunUntil(deadline Time) error {
 		if e.Limit != 0 && e.Processed >= e.Limit {
 			return fmt.Errorf("sim: event limit %d exceeded at %v", e.Limit, e.now)
 		}
-		if len(e.queue.a) == 0 || e.queue.a[0].when > deadline {
+		if !e.step(deadline) {
 			break
 		}
-		e.step()
 	}
 	if !e.stopped && e.now < deadline {
 		e.now = deadline

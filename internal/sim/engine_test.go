@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"fmt"
 	"math"
 	"testing"
 	"testing/quick"
@@ -621,5 +622,38 @@ func TestSeriesRejectsDisorder(t *testing.T) {
 	e.Series(nil, "empty", func() { t.Fatal("empty series fired") })
 	if e.Scheduled != 0 || e.Pending() != 0 {
 		t.Fatal("empty series booked events")
+	}
+}
+
+// TestLaneKeepsCapacity: rearms that leave holes in a lane without the
+// clock moving, which the head never reaches, do not grow its ring. Two
+// timers rearmed 1 ms ahead in turn each leave a hole, and a full ring
+// of holes is compacted in place. Every compaction re-indexes the live
+// entries, so the timers still cancel, move and fire in order.
+func TestLaneKeepsCapacity(t *testing.T) {
+	e := NewEngine(1)
+	var got []string
+	a := NewTimer(e, "a", func() { got = append(got, "a") })
+	b := NewTimer(e, "b", func() { got = append(got, "b") })
+	c := NewTimer(e, "c", func() { got = append(got, "c") })
+	c.Reset(Millisecond)
+	for i := 0; i < 10_000; i++ {
+		a.Reset(Millisecond)
+		b.Reset(Millisecond)
+	}
+	l := &e.lane
+	if len(l.buf) != 16 || l.n != 3 || e.Pending() != 3 {
+		t.Fatalf("lane ring of %d slots holds %d entries (%d pending), want 16 slots and 3", len(l.buf), l.n, e.Pending())
+	}
+	c.Reset(Millisecond) // c was armed first: after this it fires last
+	a.Stop()
+	if err := e.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if fmt.Sprint(got) != "[b c]" {
+		t.Fatalf("fired %v, want [b c]", got)
+	}
+	if e.Scheduled != e.Cancelled+e.Processed || e.Processed != 2 {
+		t.Fatalf("counters %d/%d/%d do not balance", e.Scheduled, e.Cancelled, e.Processed)
 	}
 }

@@ -321,6 +321,9 @@ func (v *VCPU) SetTimer(at sim.Time) {
 // StopTimer cancels a pending timer.
 func (v *VCPU) StopTimer() { v.timer.Stop() }
 
+// TimerArmed reports whether the one-shot timer is armed.
+func (v *VCPU) TimerArmed() bool { return v.timer.Armed() }
+
 // Extendability returns the domain's latest vScale extendability result
 // (zero value if the extension is disabled or has not ticked yet). This
 // is the raw read; guests go through the vScale channel which also
