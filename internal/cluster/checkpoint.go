@@ -8,7 +8,6 @@ import (
 	"math"
 	"os"
 	"sort"
-	"strings"
 
 	"vscale/internal/core"
 	"vscale/internal/guest"
@@ -23,7 +22,7 @@ import (
 // captured only at an epoch boundary where every host has quiesced:
 // the load generators paused one epoch earlier so in-flight requests
 // drained, every guest and pool idle, and the only live engine events
-// the periodic hypervisor tickers and vCPU timers — all re-armable
+// the periodic hypervisor timers and vCPU timers — all re-armable
 // from (label, deadline, seq) descriptors. The snapshot is pure
 // semantic state (no closures), serialized as canonical JSON under a
 // versioned header with a sha256 digest, which is what makes the
@@ -126,19 +125,6 @@ type FleetCheckpoint struct {
 	Digest     string          `json:"digest"`
 }
 
-// checkpointableLabel reports whether a pending-event label names an
-// event the restore path knows how to re-arm. At a quiesced warm
-// boundary the only live events are the credit scheduler's tickers and
-// vCPU hardware timers; anything else in the queue means the fleet was
-// not actually idle (or, like the vScale ticker, already armed).
-func checkpointableLabel(label string) bool {
-	switch label {
-	case "xen/tick", "xen/acct":
-		return true
-	}
-	return strings.HasPrefix(label, "xen/vtimer/")
-}
-
 // CaptureState exports the host's semantic state. The host must be
 // disarmed, parked at an epoch boundary, fully drained (the quiesce
 // barrier ran one epoch earlier), and its accounting synced by the
@@ -161,7 +147,7 @@ func (h *Host) CaptureState() (HostCheckpoint, error) {
 		Dom0Reads: h.d0.Reads,
 	}
 	for _, pe := range cp.Pending {
-		if !checkpointableLabel(pe.Label) {
+		if !h.pool.Checkpointable(pe.Label) {
 			return HostCheckpoint{}, fmt.Errorf("cluster: host %d: pending event %q at %v is not checkpointable",
 				h.id, pe.Label, pe.When)
 		}
@@ -201,7 +187,7 @@ func (h *Host) CaptureState() (HostCheckpoint, error) {
 // disarmed, replay the VM admissions (rate 0 — the captured generator
 // state is restored, not re-derived), settle the fresh component tree
 // by running it to the captured time (boot events fire, guests block,
-// bootstrap tickers tick harmlessly), then purge the bootstrap event
+// bootstrap timers tick harmlessly), then purge the bootstrap event
 // queue, re-arm the captured descriptors in their original FIFO order,
 // and overwrite every layer's semantic state, the engine's scalars
 // last. The caller arms the host.

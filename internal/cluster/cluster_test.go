@@ -77,41 +77,54 @@ func TestTraceFormatRoundTrip(t *testing.T) {
 	}
 }
 
+// traceHdr is the vscale-churn/v1 header line.
+const traceHdr = "# vscale-churn/v1\n"
+
+// badTraces are malformed vscale-churn/v1 inputs and the error each
+// must produce. FuzzParseTrace seeds from them.
+var badTraces = []struct {
+	name    string
+	in      string
+	wantErr string
+}{
+	{"empty", "", "empty trace"},
+	{"bad header", "not a header\n", "want header"},
+	{"bad timestamp", traceHdr + "xyz arrive vm0 vcpus=2 rate=100\n", "bad timestamp"},
+	{"negative timestamp", traceHdr + "-5 arrive vm0 vcpus=2 rate=100\n", "negative timestamp"},
+	{"unsorted", traceHdr + "200 arrive vm0 vcpus=2 rate=100\n100 arrive vm1 vcpus=2 rate=100\n", "not sorted"},
+	{"unknown kind", traceHdr + "100 explode vm0\n", "unknown event"},
+	{"arrive missing rate", traceHdr + "100 arrive vm0 vcpus=2\n", "arrive needs"},
+	{"arrive swapped keys", traceHdr + "100 arrive vm0 rate=5 vcpus=2\n", "want vcpus="},
+	{"arrive zero vcpus", traceHdr + "100 arrive vm0 vcpus=0 rate=100\n", "0 vcpus"},
+	{"arrive 65 vcpus", traceHdr + "100 arrive vm0 vcpus=65 rate=100\n", "65 vcpus"},
+	{"arrive negative rate", traceHdr + "100 arrive vm0 vcpus=2 rate=-3\n", "negative rate"},
+	{"arrive NaN rate", traceHdr + "100 arrive vm0 vcpus=2 rate=NaN\n", "non-finite rate"},
+	{"arrive Inf rate", traceHdr + "100 arrive vm0 vcpus=2 rate=Inf\n", "non-finite rate"},
+	{"arrive sub-ns gap", traceHdr + "100 arrive vm0 vcpus=2 rate=1e12\n", "out of range"},
+	{"arrive gap past MaxTime", traceHdr + "100 arrive vm0 vcpus=2 rate=1e-300\n", "out of range"},
+	{"phase NaN rate", traceHdr + "100 arrive vm0 vcpus=2 rate=100\n200 phase vm0 rate=NaN\n", "non-finite rate"},
+	{"dirty NaN", traceHdr + "100 arrive vm0 vcpus=2 rate=100 dirty=NaN\n", "dirty rate"},
+	{"dirty Inf", traceHdr + "100 arrive vm0 vcpus=2 rate=100 dirty=Inf\n", "dirty rate"},
+	{"duplicate arrival", traceHdr + "100 arrive vm0 vcpus=2 rate=100\n200 arrive vm0 vcpus=2 rate=100\n", "arrives twice"},
+	{"re-arrival after depart", traceHdr + "100 arrive vm0 vcpus=2 rate=100\n200 depart vm0\n300 arrive vm0 vcpus=2 rate=100\n", "arrives twice"},
+	{"phase missing rate", traceHdr + "100 phase vm0\n", "phase needs"},
+	{"phase before arrival", traceHdr + "100 phase vm0 rate=100\n", "has not arrived"},
+	{"phase after depart", traceHdr + "100 arrive vm0 vcpus=2 rate=100\n200 depart vm0\n300 phase vm0 rate=50\n", "has not arrived"},
+	{"depart extra args", traceHdr + "100 depart vm0 extra\n", "no arguments"},
+	{"depart before arrival", traceHdr + "100 depart vm0\n", "has not arrived"},
+	{"double depart", traceHdr + "100 arrive vm0 vcpus=2 rate=100\n200 depart vm0\n300 depart vm0\n", "has not arrived"},
+}
+
+// goodTraces are valid inputs beyond the header-only one: equal
+// timestamps (ties keep file order), comments and blank lines after the
+// header, and the inclusive top of the rate range.
+var goodTraces = []string{
+	traceHdr + "\n# comment\n100 arrive vm0 vcpus=2 rate=100\n100 arrive vm1 vcpus=4 rate=50\n100 phase vm0 rate=0\n200 depart vm1\n",
+	traceHdr + "100 arrive vm0 vcpus=2 rate=1e9\n",
+}
+
 func TestParseTraceErrors(t *testing.T) {
-	const hdr = "# vscale-churn/v1\n"
-	cases := []struct {
-		name    string
-		in      string
-		wantErr string
-	}{
-		{"empty", "", "empty trace"},
-		{"bad header", "not a header\n", "want header"},
-		{"bad timestamp", hdr + "xyz arrive vm0 vcpus=2 rate=100\n", "bad timestamp"},
-		{"negative timestamp", hdr + "-5 arrive vm0 vcpus=2 rate=100\n", "negative timestamp"},
-		{"unsorted", hdr + "200 arrive vm0 vcpus=2 rate=100\n100 arrive vm1 vcpus=2 rate=100\n", "not sorted"},
-		{"unknown kind", hdr + "100 explode vm0\n", "unknown event"},
-		{"arrive missing rate", hdr + "100 arrive vm0 vcpus=2\n", "arrive needs"},
-		{"arrive swapped keys", hdr + "100 arrive vm0 rate=5 vcpus=2\n", "want vcpus="},
-		{"arrive zero vcpus", hdr + "100 arrive vm0 vcpus=0 rate=100\n", "0 vcpus"},
-		{"arrive 65 vcpus", hdr + "100 arrive vm0 vcpus=65 rate=100\n", "65 vcpus"},
-		{"arrive negative rate", hdr + "100 arrive vm0 vcpus=2 rate=-3\n", "negative rate"},
-		{"arrive NaN rate", hdr + "100 arrive vm0 vcpus=2 rate=NaN\n", "non-finite rate"},
-		{"arrive Inf rate", hdr + "100 arrive vm0 vcpus=2 rate=Inf\n", "non-finite rate"},
-		{"arrive sub-ns gap", hdr + "100 arrive vm0 vcpus=2 rate=1e12\n", "out of range"},
-		{"arrive gap past MaxTime", hdr + "100 arrive vm0 vcpus=2 rate=1e-300\n", "out of range"},
-		{"phase NaN rate", hdr + "100 arrive vm0 vcpus=2 rate=100\n200 phase vm0 rate=NaN\n", "non-finite rate"},
-		{"dirty NaN", hdr + "100 arrive vm0 vcpus=2 rate=100 dirty=NaN\n", "dirty rate"},
-		{"dirty Inf", hdr + "100 arrive vm0 vcpus=2 rate=100 dirty=Inf\n", "dirty rate"},
-		{"duplicate arrival", hdr + "100 arrive vm0 vcpus=2 rate=100\n200 arrive vm0 vcpus=2 rate=100\n", "arrives twice"},
-		{"re-arrival after depart", hdr + "100 arrive vm0 vcpus=2 rate=100\n200 depart vm0\n300 arrive vm0 vcpus=2 rate=100\n", "arrives twice"},
-		{"phase missing rate", hdr + "100 phase vm0\n", "phase needs"},
-		{"phase before arrival", hdr + "100 phase vm0 rate=100\n", "has not arrived"},
-		{"phase after depart", hdr + "100 arrive vm0 vcpus=2 rate=100\n200 depart vm0\n300 phase vm0 rate=50\n", "has not arrived"},
-		{"depart extra args", hdr + "100 depart vm0 extra\n", "no arguments"},
-		{"depart before arrival", hdr + "100 depart vm0\n", "has not arrived"},
-		{"double depart", hdr + "100 arrive vm0 vcpus=2 rate=100\n200 depart vm0\n300 depart vm0\n", "has not arrived"},
-	}
-	for _, tc := range cases {
+	for _, tc := range badTraces {
 		t.Run(tc.name, func(t *testing.T) {
 			_, err := ParseTrace(strings.NewReader(tc.in))
 			if err == nil {
@@ -122,20 +135,59 @@ func TestParseTraceErrors(t *testing.T) {
 			}
 		})
 	}
-	// Equal timestamps are legal (ties keep file order), as are comments
-	// and blank lines after the header.
-	ok := hdr + "\n# comment\n100 arrive vm0 vcpus=2 rate=100\n100 arrive vm1 vcpus=4 rate=50\n100 phase vm0 rate=0\n200 depart vm1\n"
-	events, err := ParseTrace(strings.NewReader(ok))
+	events, err := ParseTrace(strings.NewReader(goodTraces[0]))
 	if err != nil {
 		t.Fatalf("valid trace rejected: %v", err)
 	}
 	if len(events) != 4 {
 		t.Fatalf("parsed %d events, want 4", len(events))
 	}
-	// The rate range is inclusive at one request per nanosecond.
-	if _, err := ParseTrace(strings.NewReader(hdr + "100 arrive vm0 vcpus=2 rate=1e9\n")); err != nil {
+	if _, err := ParseTrace(strings.NewReader(goodTraces[1])); err != nil {
 		t.Fatalf("rate=1e9 rejected: %v", err)
 	}
+}
+
+// FuzzParseTrace holds ParseTrace to its contract on any input: it
+// returns an error rather than panicking, and a trace it accepts
+// formats, parses back to the same events and formats to the same bytes
+// again.
+func FuzzParseTrace(f *testing.F) {
+	f.Add(traceHdr)
+	for _, in := range goodTraces {
+		f.Add(in)
+	}
+	for _, tc := range badTraces {
+		f.Add(tc.in)
+	}
+	for _, tc := range hintTraces {
+		f.Add(tc.in)
+	}
+	for _, tc := range badHintTraces {
+		f.Add(tc.in)
+	}
+	f.Fuzz(func(t *testing.T, in string) {
+		events, err := ParseTrace(strings.NewReader(in))
+		if err != nil {
+			return
+		}
+		var first, second bytes.Buffer
+		if err := FormatTrace(&first, events); err != nil {
+			t.Fatalf("accepted trace does not format: %v", err)
+		}
+		back, err := ParseTrace(bytes.NewReader(first.Bytes()))
+		if err != nil {
+			t.Fatalf("formatted trace rejected: %v\n%s", err, first.Bytes())
+		}
+		if !reflect.DeepEqual(events, back) {
+			t.Fatalf("round trip changed the events:\n%+v\n%+v", events, back)
+		}
+		if err := FormatTrace(&second, back); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(first.Bytes(), second.Bytes()) {
+			t.Fatalf("second format differs:\n%s\n%s", first.Bytes(), second.Bytes())
+		}
+	})
 }
 
 // TestRunFleetRateRange checks that RunFleet rejects an unusable rate in

@@ -158,24 +158,40 @@ func TestElasticityFor(t *testing.T) {
 	}
 }
 
-// TestTraceElasticityHints is the table for the vscale-churn/v1
+// hintTraces and badHintTraces are the table for the vscale-churn/v1
 // service=/dirty= arrive fields: accepted in either order, rejected on
 // duplication, emptiness, non-positive rates or unknown keys.
+// FuzzParseTrace seeds from them.
+var hintTraces = []struct {
+	name    string
+	in      string
+	service string
+	dirty   float64
+}{
+	{"neither", traceHdr + "100 arrive vm0 vcpus=2 rate=100\n", "", 0},
+	{"service only", traceHdr + "100 arrive vm0 vcpus=2 rate=100 service=web\n", "web", 0},
+	{"dirty only", traceHdr + "100 arrive vm0 vcpus=2 rate=100 dirty=2e8\n", "", 2e8},
+	{"service then dirty", traceHdr + "100 arrive vm0 vcpus=2 rate=100 service=web dirty=5e7\n", "web", 5e7},
+	{"dirty then service", traceHdr + "100 arrive vm0 vcpus=2 rate=100 dirty=5e7 service=api\n", "api", 5e7},
+}
+
+var badHintTraces = []struct {
+	name    string
+	in      string
+	wantErr string
+}{
+	{"duplicate service", traceHdr + "100 arrive vm0 vcpus=2 rate=100 service=a service=b\n", "duplicate service"},
+	{"duplicate dirty", traceHdr + "100 arrive vm0 vcpus=2 rate=100 dirty=1e8 dirty=2e8\n", "duplicate dirty"},
+	{"empty service", traceHdr + "100 arrive vm0 vcpus=2 rate=100 service=\n", "empty service"},
+	{"zero dirty", traceHdr + "100 arrive vm0 vcpus=2 rate=100 dirty=0\n", "must be positive"},
+	{"negative dirty", traceHdr + "100 arrive vm0 vcpus=2 rate=100 dirty=-5\n", "must be positive"},
+	{"malformed dirty", traceHdr + "100 arrive vm0 vcpus=2 rate=100 dirty=fast\n", "bad dirty rate"},
+	{"unknown field", traceHdr + "100 arrive vm0 vcpus=2 rate=100 color=red\n", "unknown arrive field"},
+	{"hint on phase", traceHdr + "100 arrive vm0 vcpus=2 rate=100\n200 phase vm0 rate=50 service=web\n", "phase needs"},
+}
+
 func TestTraceElasticityHints(t *testing.T) {
-	const hdr = "# vscale-churn/v1\n"
-	valid := []struct {
-		name    string
-		in      string
-		service string
-		dirty   float64
-	}{
-		{"neither", hdr + "100 arrive vm0 vcpus=2 rate=100\n", "", 0},
-		{"service only", hdr + "100 arrive vm0 vcpus=2 rate=100 service=web\n", "web", 0},
-		{"dirty only", hdr + "100 arrive vm0 vcpus=2 rate=100 dirty=2e8\n", "", 2e8},
-		{"service then dirty", hdr + "100 arrive vm0 vcpus=2 rate=100 service=web dirty=5e7\n", "web", 5e7},
-		{"dirty then service", hdr + "100 arrive vm0 vcpus=2 rate=100 dirty=5e7 service=api\n", "api", 5e7},
-	}
-	for _, tc := range valid {
+	for _, tc := range hintTraces {
 		t.Run(tc.name, func(t *testing.T) {
 			events, err := ParseTrace(strings.NewReader(tc.in))
 			if err != nil {
@@ -186,21 +202,7 @@ func TestTraceElasticityHints(t *testing.T) {
 			}
 		})
 	}
-	invalid := []struct {
-		name    string
-		in      string
-		wantErr string
-	}{
-		{"duplicate service", hdr + "100 arrive vm0 vcpus=2 rate=100 service=a service=b\n", "duplicate service"},
-		{"duplicate dirty", hdr + "100 arrive vm0 vcpus=2 rate=100 dirty=1e8 dirty=2e8\n", "duplicate dirty"},
-		{"empty service", hdr + "100 arrive vm0 vcpus=2 rate=100 service=\n", "empty service"},
-		{"zero dirty", hdr + "100 arrive vm0 vcpus=2 rate=100 dirty=0\n", "must be positive"},
-		{"negative dirty", hdr + "100 arrive vm0 vcpus=2 rate=100 dirty=-5\n", "must be positive"},
-		{"malformed dirty", hdr + "100 arrive vm0 vcpus=2 rate=100 dirty=fast\n", "bad dirty rate"},
-		{"unknown field", hdr + "100 arrive vm0 vcpus=2 rate=100 color=red\n", "unknown arrive field"},
-		{"hint on phase", hdr + "100 arrive vm0 vcpus=2 rate=100\n200 phase vm0 rate=50 service=web\n", "phase needs"},
-	}
-	for _, tc := range invalid {
+	for _, tc := range badHintTraces {
 		t.Run(tc.name, func(t *testing.T) {
 			_, err := ParseTrace(strings.NewReader(tc.in))
 			if err == nil || !strings.Contains(err.Error(), tc.wantErr) {

@@ -322,7 +322,7 @@ func (h *Host) ScheduleQuiesce(at sim.Time) {
 // Arm is the host's one switch for the policy's mechanisms: a fleet
 // without a warm prefix arms each host as it is built, a warm-prefix
 // fleet at the fork boundary. It enables the pool's extendability
-// ticker for channel mechanisms — hotplug (VCPU-Bal) reads the same
+// timer for channel mechanisms — hotplug (VCPU-Bal) reads the same
 // utilisation signal as vScale, it only reconfigures through dom0 —
 // and arms each live VM (armVM), whose paused load generator then
 // resumes with its accounting window reset so the measured window

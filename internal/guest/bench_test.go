@@ -12,9 +12,9 @@ import (
 // the paper's consolidated runs: two 4-vCPU VMs share a 4-pCPU pool
 // (2:1), each vCPU runs one thread computing 50 ms at a time forever,
 // and the credit scheduler time-slices them. Most ticks are trivial (no
-// software timer due, no rotation, no balance), so this is tickFire's
-// short path and the engine's 1 ms lane, with the slice switches,
-// balance ticks and vCPU dispatches around them. Each op advances the
+// software timer pending, no rotation, no balance), so this is mostly
+// tickFire's count, charge and re-arm and the engine's 1 ms lane, with
+// the slice switches, balance ticks and vCPU dispatches around them. Each op advances the
 // simulation by 1 ms; the ns/tick metric divides the time by the timer
 // interrupts the guests took. Steady state must not allocate. Run it
 // with `go test -run='^$' -bench=GuestTicks -benchmem ./internal/guest/`.

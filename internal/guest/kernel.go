@@ -193,7 +193,7 @@ type Kernel struct {
 	devices   []*Device
 	activeTW  metricTW
 	trace     []TracePoint
-	traceEV   *sim.Ticker
+	traceEV   *sim.Timer
 	onIdleAll func() // test hook: all CPUs idle
 
 	// reconfigDelay, when non-nil, routes the daemon's resizes through
@@ -319,10 +319,14 @@ func (k *Kernel) Trace() []TracePoint { return k.trace }
 
 // StartTrace samples the active-vCPU count every interval.
 func (k *Kernel) StartTrace(interval sim.Time) {
-	k.traceEV = sim.NewTicker(k.eng, "guest/trace", interval, func() {
+	if interval <= 0 {
+		panic("guest: trace interval must be positive")
+	}
+	k.traceEV = sim.NewTimer(k.eng, "guest/trace", func() {
 		k.trace = append(k.trace, TracePoint{At: k.eng.Now(), Active: k.ActiveVCPUs()})
+		k.traceEV.Reset(interval)
 	})
-	k.traceEV.Start()
+	k.traceEV.Reset(interval)
 }
 
 // Boot starts the guest: it kicks vCPU0 so spawned threads begin to run.
@@ -731,33 +735,19 @@ func (k *Kernel) allIdle() bool {
 // Timer ticks and software timers
 // ---------------------------------------------------------------------
 
-// tickFire is the 1000 Hz guest timer interrupt. A trivial tick (see
-// trivialTick) only counts itself, charges its cost to the running
-// segment, spends timeslice and re-arms, which is all fullTick would do
-// for it; any other tick runs fullTick.
+// tickFire is the 1000 Hz guest timer interrupt. It visits the software
+// timers only when one is pending or the one-shot timer is armed; else
+// processTimers would only stop a disarmed timer.
 func (k *Kernel) tickFire(c *cpu) {
-	if !k.trivialTick(c) {
-		k.fullTick(c)
-		return
-	}
-	c.stats.TimerInterrupts++
-	c.tickCount++
-	k.chargeInterrupt(c, tickCost)
-	if c.preemptible() {
-		c.timesliceLeft -= timerTick
-	}
-	c.tick.Reset(timerTick)
-}
-
-// fullTick is the tick handler for the ticks trivialTick turns down.
-func (k *Kernel) fullTick(c *cpu) {
 	if !c.running {
 		return
 	}
 	c.stats.TimerInterrupts++
 	c.tickCount++
 	k.chargeInterrupt(c, tickCost)
-	k.processTimers(c)
+	if len(c.timers) > 0 || c.vcpu.TimerArmed() {
+		k.processTimers(c)
+	}
 
 	// Round-robin between runnable threads unless the CPU is inside a
 	// kernel spinlock or critical section (non-preemptible context).
@@ -782,22 +772,6 @@ func (k *Kernel) fullTick(c *cpu) {
 	if c.running && (c.current != nil || len(c.rq) > 0) {
 		c.tick.Reset(timerTick)
 	}
-}
-
-// trivialTick reports whether fullTick would do no more for the tick
-// due now than count it, charge it, spend timeslice and re-arm: the vCPU
-// runs, no software timer is pending and the one-shot timer is disarmed
-// (else processTimers runs, re-arms or stops it), the tick is not a
-// balance tick, there is no frozen-CPU retry and no round-robin
-// rotation, and the CPU has work, so the tick keeps ticking. None of
-// those conditions changes before fullTick tests it.
-func (k *Kernel) trivialTick(c *cpu) bool {
-	return c.running &&
-		len(c.timers) == 0 && !c.vcpu.TimerArmed() &&
-		(c.tickCount+1)%balanceTicks != 0 &&
-		!(k.Frozen(c.id) && c.kspin == nil && !c.pvParked) &&
-		!(c.preemptible() && c.timesliceLeft <= timerTick && len(c.rq) > 0) &&
-		(c.current != nil || len(c.rq) > 0)
 }
 
 // preemptible reports whether a thread runs on c outside a kernel

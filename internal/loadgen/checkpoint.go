@@ -31,7 +31,7 @@ type State struct {
 // straight-through and forked runs pause at the same simulated time with
 // the same PRNG state, so both discard the same variate.
 func (g *Generator) Pause() {
-	g.eng.Cancel(g.next)
+	g.next.Stop()
 	g.paused = true
 }
 
@@ -50,7 +50,7 @@ func (g *Generator) Resume() {
 // an undrained pipeline means in-flight closures the checkpoint cannot
 // represent.
 func (g *Generator) CheckpointState() (State, error) {
-	if g.next.Pending() {
+	if g.next.Armed() {
 		return State{}, fmt.Errorf("loadgen: arrival still armed; Pause before checkpointing")
 	}
 	if !g.paused && !g.stopped {
@@ -87,7 +87,7 @@ func (g *Generator) RestoreState(st State) error {
 	if err := g.rand.SetState(st.Rand); err != nil {
 		return fmt.Errorf("loadgen: %w", err)
 	}
-	g.eng.Cancel(g.next)
+	g.next.Stop()
 	g.rate = st.Rate
 	g.stopped = st.Stopped
 	g.paused = true

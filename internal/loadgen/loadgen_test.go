@@ -194,7 +194,7 @@ func TestArrivalAllocs(t *testing.T) {
 		t.Fatal(err)
 	}
 	arrival := func() {
-		if err := eng.RunUntil(g.next.When()); err != nil {
+		if err := eng.RunUntil(g.next.Deadline()); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -74,24 +74,6 @@ func BenchmarkTimerResetFire(b *testing.B) {
 	}
 }
 
-// BenchmarkTicker measures steady periodic ticking.
-func BenchmarkTicker(b *testing.B) {
-	e := NewEngine(1)
-	n := 0
-	tk := NewTicker(e, "tick", Microsecond, func() { n++ })
-	tk.Start()
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if err := e.RunUntil(e.Now() + Microsecond); err != nil {
-			b.Fatal(err)
-		}
-	}
-	if n < b.N {
-		b.Fatalf("ticks = %d, want >= %d", n, b.N)
-	}
-}
-
 // BenchmarkMixedCancel measures a cancel-heavy workload: batches of
 // scheduled events where half are cancelled before the batch drains,
 // the pattern produced by timer-rearm storms and superseded wakeups.

@@ -13,8 +13,7 @@ import (
 //     counter, PRNG state, drop accounting) via CheckpointState, and
 //   - the caller captures every still-pending event as a *descriptor*
 //     (label + deadline + FIFO order, via PendingEvents) that it knows
-//     how to re-arm through the owning component (Ticker.ResumeAt,
-//     Timer.ResetAt, ...).
+//     how to re-arm through the owning component (Timer.ResetAt).
 //
 // Restore then runs in the opposite order: rebuild components, purge
 // whatever bootstrap events they scheduled (PurgeAll), re-arm the
@@ -160,16 +159,4 @@ func (e *Engine) PurgeAll() int {
 		e.recycle(ev)
 	}
 	return n
-}
-
-// ResumeAt re-arms the ticker to fire at the absolute time a checkpoint
-// recorded, preserving the captured phase (Start would re-phase to
-// now+period instead). Subsequent firings continue every Period as
-// usual.
-func (t *Ticker) ResumeAt(when Time) {
-	t.stopped = false
-	if t.eng.Reschedule(t.ev, when) {
-		return
-	}
-	t.ev = t.eng.At(when, t.label, t.cb)
 }

@@ -431,7 +431,7 @@ func TestDifferentialEngineEquivalence(t *testing.T) {
 	}
 }
 
-// TestDifferentialTimerEquivalence drives the rewritten Timer/Ticker
+// TestDifferentialTimerEquivalence drives the rewritten Timer
 // (in-place reschedule, pooled events) against hand-rolled seed-style
 // timers on the reference engine under a randomized rearm/stop workload.
 // The lane cases drive three timers and draw half their delays as

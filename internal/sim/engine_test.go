@@ -346,52 +346,6 @@ func TestTimerResetAndStop(t *testing.T) {
 	}
 }
 
-func TestTickerPeriodic(t *testing.T) {
-	e := NewEngine(1)
-	n := 0
-	var tk *Ticker
-	tk = NewTicker(e, "tick", Millisecond, func() {
-		n++
-		if n == 7 {
-			tk.Stop()
-		}
-	})
-	tk.Start()
-	if err := e.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if n != 7 {
-		t.Fatalf("ticks = %d, want 7", n)
-	}
-	if e.Now() != 7*Millisecond {
-		t.Fatalf("Now = %v, want 7ms", e.Now())
-	}
-}
-
-func TestTickerRestartWithinCallback(t *testing.T) {
-	e := NewEngine(1)
-	n := 0
-	var tk *Ticker
-	tk = NewTicker(e, "tick", Millisecond, func() {
-		n++
-		if n == 1 {
-			tk.Start() // re-phase from inside the callback
-		}
-		if n == 3 {
-			tk.Stop()
-		}
-	})
-	tk.Start()
-	if err := e.Run(); err != nil {
-		t.Fatal(err)
-	}
-	// 1ms (n=1), then 2ms (n=2), then 3ms (n=3): the restart arms the
-	// only pending tick, so none fires twice.
-	if n != 3 || e.Now() != 3*Millisecond {
-		t.Fatalf("n=%d now=%v", n, e.Now())
-	}
-}
-
 func TestRandDeterminism(t *testing.T) {
 	a, b := NewRand(42), NewRand(42)
 	for i := 0; i < 1000; i++ {

@@ -11,7 +11,7 @@ import (
 // Checkpoint support for the hypervisor layer (docs/checkpoint.md).
 // Pools are checkpointed only when quiesced: every pCPU idle, every vCPU
 // blocked, no pending event-channel notifications. At that point the
-// pool's only live engine events are its periodic tickers (and possibly
+// pool's only live engine events are its periodic timers (and possibly
 // armed per-vCPU one-shot timers), all of which RearmPending can rebuild
 // from a (label, deadline) descriptor — nothing in the snapshot is a
 // closure.
@@ -215,43 +215,58 @@ func (pool *Pool) RestoreState(cp PoolCheckpoint) error {
 	return nil
 }
 
-// RearmPending re-arms the pool-owned event behind a checkpointed
-// descriptor label at the recorded absolute deadline. It recognises the
-// credit scheduler's tickers ("xen/tick", "xen/acct") and per-vCPU
-// one-shot timers ("xen/vtimer/<domain>.<vcpu>"); a checkpointed pool is
-// disarmed, so it has no vScale ticker. It reports whether the label
-// belongs to this pool; unknown pool labels are errors.
-func (pool *Pool) RearmPending(label string, at sim.Time) (bool, error) {
+// timerFor resolves a pending event's label to the pool timer behind
+// it: the credit scheduler's "xen/tick" or "xen/acct", or the one-shot
+// "xen/vtimer/<domain>.<vcpu>". ok is false for any other label; one of
+// these forms that names no timer of this pool is an error. A
+// checkpointed pool is disarmed, so "xen/vscale" is never pending.
+func (pool *Pool) timerFor(label string) (t *sim.Timer, ok bool, err error) {
 	switch label {
 	case "xen/tick":
-		pool.tickTicker.ResumeAt(at)
-		return true, nil
+		return pool.tickTimer, true, nil
 	case "xen/acct":
-		pool.acctTicker.ResumeAt(at)
-		return true, nil
+		return pool.acctTimer, true, nil
 	}
 	rest, ok := strings.CutPrefix(label, "xen/vtimer/")
 	if !ok {
-		return false, nil
+		return nil, false, nil
 	}
 	dot := strings.LastIndexByte(rest, '.')
 	if dot < 0 {
-		return true, fmt.Errorf("xen: malformed vtimer label %q", label)
+		return nil, true, fmt.Errorf("xen: malformed vtimer label %q", label)
 	}
 	name := rest[:dot]
 	var id int
 	if _, err := fmt.Sscanf(rest[dot+1:], "%d", &id); err != nil {
-		return true, fmt.Errorf("xen: malformed vtimer label %q", label)
+		return nil, true, fmt.Errorf("xen: malformed vtimer label %q", label)
 	}
 	for _, d := range pool.domains {
 		if d.Name != name {
 			continue
 		}
 		if id < 0 || id >= len(d.vcpus) {
-			return true, fmt.Errorf("xen: vtimer label %q names vCPU %d of %d", label, id, len(d.vcpus))
+			return nil, true, fmt.Errorf("xen: vtimer label %q names vCPU %d of %d", label, id, len(d.vcpus))
 		}
-		d.vcpus[id].timer.ResetAt(at)
-		return true, nil
+		return d.vcpus[id].timer, true, nil
 	}
-	return true, fmt.Errorf("xen: vtimer label %q names an unknown domain", label)
+	return nil, true, fmt.Errorf("xen: vtimer label %q names an unknown domain", label)
+}
+
+// Checkpointable reports whether a pending event's label names a pool
+// timer that RearmPending can re-arm: the only events live at a quiesced
+// warm boundary.
+func (pool *Pool) Checkpointable(label string) bool {
+	_, ok, err := pool.timerFor(label)
+	return ok && err == nil
+}
+
+// RearmPending re-arms the pool timer behind a checkpointed descriptor
+// label at the recorded absolute deadline. It reports whether the label
+// belongs to this pool; a pool label that names no timer is an error.
+func (pool *Pool) RearmPending(label string, at sim.Time) (bool, error) {
+	t, ok, err := pool.timerFor(label)
+	if ok && err == nil {
+		t.ResetAt(at)
+	}
+	return ok, err
 }

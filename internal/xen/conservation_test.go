@@ -46,10 +46,8 @@ func TestCPUTimeConservation(t *testing.T) {
 									g.Dispatched(vc)
 								}
 							}
-							tk := sim.NewTicker(eng, "burst",
-								sim.Time(50+r.Intn(200))*sim.Millisecond,
+							every(eng, "burst", sim.Time(50+r.Intn(200))*sim.Millisecond,
 								func() { d.KickVCPU(v) })
-							tk.Start()
 						default:
 							// stays blocked
 						}

@@ -3,7 +3,7 @@
 // 10 ms ticks, 30 ms accounting, BOOST/UNDER/OVER priorities, per-pCPU
 // runqueues with work stealing), CPU pools, event channels, per-vCPU
 // one-shot timers, and the vScale scheduler extension (per-VM weights,
-// frozen-vCPU exclusion from credit accounting, the extendability ticker
+// frozen-vCPU exclusion from credit accounting, the extendability timer
 // and the vScale communication channel).
 //
 // Everything runs in virtual time on an internal/sim engine and is fully
@@ -231,7 +231,7 @@ type Domain struct {
 	irqPorts   []*Port // allocated by AllocIRQ
 
 	// periodConsumed accumulates CPU time for the vScale extendability
-	// ticker and is reset every vScale period.
+	// timer and is reset every vScale period.
 	periodConsumed sim.Time
 	// acctActive marks the domain as having consumed CPU since the last
 	// credit accounting; inactive domains do not receive credits.

@@ -111,9 +111,10 @@ type Pool struct {
 	pcpus   []*PCPU
 	domains []*Domain
 
-	tickTicker   *sim.Ticker
-	acctTicker   *sim.Ticker
-	vscaleTicker *sim.Ticker
+	// Periodic timers: each body ends by re-arming its own timer.
+	tickTimer   *sim.Timer
+	acctTimer   *sim.Timer
+	vscaleTimer *sim.Timer
 
 	// vmStats and extends are vscaleTick's Algorithm 1 input and output,
 	// kept across ticks. Like the rest of the pool, only the goroutine
@@ -144,8 +145,8 @@ func NewPool(eng *sim.Engine, cfg Config) *Pool {
 		p.sliceTimer = sim.NewTimer(eng, fmt.Sprintf("xen/slice/p%d", i), func() { pool.dispatch(p) })
 		pool.pcpus = append(pool.pcpus, p)
 	}
-	pool.tickTicker = sim.NewTicker(eng, "xen/tick", burnTick, pool.tick)
-	pool.acctTicker = sim.NewTicker(eng, "xen/acct", acctPeriod, pool.acct)
+	pool.tickTimer = sim.NewTimer(eng, "xen/tick", func() { pool.tick(); pool.tickTimer.Reset(burnTick) })
+	pool.acctTimer = sim.NewTimer(eng, "xen/acct", func() { pool.acct(); pool.acctTimer.Reset(acctPeriod) })
 	return pool
 }
 
@@ -220,42 +221,42 @@ func (pool *Pool) AddDomain(name string, weight float64, nVCPUs int, guest Guest
 // AttachGuest sets the guest OS of a domain (must happen before Start).
 func (d *Domain) AttachGuest(g GuestOS) { d.guest = g }
 
-// Start arms the scheduler tickers. Guests are booted separately.
+// Start arms the scheduler timers. Guests are booted separately.
 func (pool *Pool) Start() {
 	if pool.started {
 		return
 	}
 	pool.started = true
-	pool.tickTicker.Start()
-	pool.acctTicker.Start()
-	if pool.vscaleTicker != nil {
-		pool.vscaleTicker.Start()
+	pool.tickTimer.Reset(burnTick)
+	pool.acctTimer.Reset(acctPeriod)
+	if pool.vscaleTimer != nil {
+		pool.vscaleTimer.Reset(VScalePeriod)
 	}
 }
 
 // EnableVScale turns the vScale scheduler extension on: the
-// extendability ticker and with it the channel the guest daemon reads.
+// extendability timer and with it the channel the guest daemon reads.
 // It is the only way to enable the extension; NewPool builds a pool
-// without it. Called before Start, it builds the ticker that Start
-// arms; called after Start, it arms the ticker at once, so the first
+// without it. Called before Start, it builds the timer that Start
+// arms; called after Start, it arms the timer at once, so the first
 // recalculation lands one period after the call. Enabling an enabled
 // pool is a no-op.
 func (pool *Pool) EnableVScale() {
-	if pool.vscaleTicker != nil {
+	if pool.vscaleTimer != nil {
 		return
 	}
-	pool.vscaleTicker = sim.NewTicker(pool.eng, "xen/vscale", VScalePeriod, pool.vscaleTick)
+	pool.vscaleTimer = sim.NewTimer(pool.eng, "xen/vscale", func() { pool.vscaleTick(); pool.vscaleTimer.Reset(VScalePeriod) })
 	if pool.started {
-		pool.vscaleTicker.Start()
+		pool.vscaleTimer.Reset(VScalePeriod)
 	}
 }
 
-// Stop cancels the scheduler tickers (used by tests).
+// Stop cancels the scheduler timers (used by tests).
 func (pool *Pool) Stop() {
-	pool.tickTicker.Stop()
-	pool.acctTicker.Stop()
-	if pool.vscaleTicker != nil {
-		pool.vscaleTicker.Stop()
+	pool.tickTimer.Stop()
+	pool.acctTimer.Stop()
+	if pool.vscaleTimer != nil {
+		pool.vscaleTimer.Stop()
 	}
 	pool.started = false
 }
@@ -826,13 +827,12 @@ func (pool *Pool) resortRunq(p *PCPU) {
 // vScale channel.
 func (pool *Pool) vscaleTick() {
 	pool.SyncAccounting()
-	period := pool.vscaleTicker.Period()
 	stats := slices.Grow(pool.vmStats[:0], len(pool.domains))[:len(pool.domains)]
 	for i, d := range pool.domains {
 		stats[i] = d.Stat(d.periodConsumed)
 		d.periodConsumed = 0
 	}
-	res := core.ComputeExtendability(pool.extends, stats, pool.cfg.PCPUs, period)
+	res := core.ComputeExtendability(pool.extends, stats, pool.cfg.PCPUs, VScalePeriod)
 	for i, d := range pool.domains {
 		d.ext = res[i]
 	}

@@ -15,22 +15,29 @@ type fakeGuest struct {
 	pool *Pool
 	dom  *Domain
 
-	work      []sim.Time // remaining work; <0 means infinite
-	started   []sim.Time // segment start when running
-	ev        []sim.EventRef
-	delivered []int // count of DeliverEvent per vcpu
+	work      []sim.Time   // remaining work; <0 means infinite
+	started   []sim.Time   // segment start when running
+	done      []*sim.Timer // fires when a finite segment's work is spent
+	delivered []int        // count of DeliverEvent per vcpu
 	onEvent   func(vcpu int, port *Port)
 }
 
 func newFakeGuest(eng *sim.Engine, pool *Pool, n int) *fakeGuest {
-	return &fakeGuest{
+	g := &fakeGuest{
 		eng:       eng,
 		pool:      pool,
 		work:      make([]sim.Time, n),
 		started:   make([]sim.Time, n),
-		ev:        make([]sim.EventRef, n),
+		done:      make([]*sim.Timer, n),
 		delivered: make([]int, n),
 	}
+	for v := range g.done {
+		g.done[v] = sim.NewTimer(eng, "fake/done", func() {
+			g.work[v] = 0
+			g.pool.Block(g.dom.VCPU(v))
+		})
+	}
+	return g
 }
 
 func (g *fakeGuest) Dispatched(v int) {
@@ -38,18 +45,12 @@ func (g *fakeGuest) Dispatched(v int) {
 	if g.work[v] < 0 {
 		return // hog: run until preempted
 	}
-	w := g.work[v]
-	g.ev[v] = g.eng.After(w, "fake/done", func() {
-		g.ev[v] = sim.EventRef{}
-		g.work[v] = 0
-		g.pool.Block(g.dom.VCPU(v))
-	})
+	g.done[v].Reset(g.work[v])
 }
 
 func (g *fakeGuest) Descheduled(v int) {
-	if g.ev[v].Pending() {
-		g.eng.Cancel(g.ev[v])
-		g.ev[v] = sim.EventRef{}
+	if g.done[v].Armed() {
+		g.done[v].Stop()
 		g.work[v] -= g.eng.Now() - g.started[v]
 		if g.work[v] < 0 {
 			g.work[v] = 0
@@ -66,6 +67,17 @@ func (g *fakeGuest) DeliverEvent(v int, port *Port) {
 
 // hog marks vcpu as an infinite CPU consumer.
 func (g *fakeGuest) hog(vcpu int) { g.work[vcpu] = -1 }
+
+// every runs fn each period from now on. Like the pool's own periodic
+// timers, each firing re-arms the next at the end of its body.
+func every(eng *sim.Engine, label string, period sim.Time, fn func()) {
+	var t *sim.Timer
+	t = sim.NewTimer(eng, label, func() {
+		fn()
+		t.Reset(period)
+	})
+	t.Reset(period)
+}
 
 func setup(t *testing.T, pcpus int, vscale bool) (*sim.Engine, *Pool) {
 	t.Helper()
@@ -192,8 +204,7 @@ func TestBoostLatencyForInteractiveVM(t *testing.T) {
 	dInt.KickVCPU(0)
 
 	// Poke the interactive VM every 100 ms.
-	tick := sim.NewTicker(eng, "poke", 100*sim.Millisecond, func() { dInt.KickVCPU(0) })
-	tick.Start()
+	every(eng, "poke", 100*sim.Millisecond, func() { dInt.KickVCPU(0) })
 	pool.Start()
 	if err := eng.RunUntil(5 * sim.Second); err != nil {
 		t.Fatal(err)
@@ -271,10 +282,10 @@ func TestTimerWakesBlockedVCPU(t *testing.T) {
 }
 
 // TestEnableVScaleOneSwitch: EnableVScale is the pool's only vScale
-// switch. Before Start it builds the ticker without arming it, so no
+// switch. Before Start it builds the timer without arming it, so no
 // recalculation runs until one period after Start; on a started pool it
 // arms at once, one period after the call. A second call changes
-// nothing: one ticker, one recalculation per period.
+// nothing: one timer, one recalculation per period.
 func TestEnableVScaleOneSwitch(t *testing.T) {
 	ticksAt := func(t *testing.T, eng *sim.Engine, pool *Pool, at sim.Time, want uint64) {
 		t.Helper()
@@ -509,14 +520,13 @@ func TestYieldDemotesAndRotates(t *testing.T) {
 	b, _ := addHogDomain(eng, pool, "b", 256, 1)
 	pool.Start()
 	yields := 0
-	tk := sim.NewTicker(eng, "yield", 7*sim.Millisecond, func() {
+	every(eng, "yield", 7*sim.Millisecond, func() {
 		va := a.VCPU(0)
 		if va.State() == StateRunning {
 			pool.Yield(va)
 			yields++
 		}
 	})
-	tk.Start()
 	if err := eng.RunUntil(3 * sim.Second); err != nil {
 		t.Fatal(err)
 	}

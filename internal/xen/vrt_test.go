@@ -66,8 +66,7 @@ func TestVRTInteractiveLatency(t *testing.T) {
 		}
 	}
 	dInt.KickVCPU(0)
-	tick := sim.NewTicker(eng, "poke", 100*sim.Millisecond, func() { dInt.KickVCPU(0) })
-	tick.Start()
+	every(eng, "poke", 100*sim.Millisecond, func() { dInt.KickVCPU(0) })
 	pool.Start()
 	if err := eng.RunUntil(5 * sim.Second); err != nil {
 		t.Fatal(err)
